@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -29,6 +28,8 @@ from .allocation import WeightVector
 from .errors import ConfigError, DataError, EstimationError, InsufficientHistory
 from .forecast import Forecast
 from .market_data import PriceTable, ReturnMatrix
+from .network import MstTree
+from .var_fevd import CostMatrix
 
 log = logging.getLogger(__name__)
 
@@ -308,7 +309,8 @@ def _initial_last_close(prices: PriceTable, through_row: int) -> np.ndarray:
 
 
 def _forecast_selection(
-    cfg: StrategyConfig,
+    path: DecisionPath,
+    forecaster: str,
     win: ReturnMatrix,
     selection: tuple[str, ...],
     tau: int,
@@ -318,30 +320,14 @@ def _forecast_selection(
     out = []
     for ticker in selection:
         j = win.ticker_index(ticker)
-        col = win.returns[:, j]
         if win.mask[:, j].any():
             # Insufficient history: stay neutral so the filter drops the stock.
             out.append(forecast.make_forecast(ticker, 0.0))
             continue
-        try:
-            if cfg.forecaster == FORECASTER_ARIMA:
-                model = forecast.arima_fit(col, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
-                r_hat = forecast.arima_forecast(model, col)
-            else:
-                task_seed = forecast.derive_seed(seed, ticker, tau)
-                model = forecast.nnar_fit(
-                    col,
-                    cfg.nnar_lags,
-                    cfg.nnar_hidden,
-                    task_seed,
-                    learning_rate=cfg.nnar_learning_rate,
-                    epochs=cfg.nnar_epochs,
-                )
-                r_hat = forecast.nnar_forecast(model, col[-cfg.nnar_lags :])
-            out.append(forecast.make_forecast(ticker, r_hat))
-        except (EstimationError, ValueError) as exc:
-            warnings.add(f"forecast failed for {ticker}: {exc}")
-            out.append(forecast.make_forecast(ticker, 0.0))
+        fc, failure = path.forecast_at(forecaster, ticker, tau, seed, win.returns[:, j])
+        if failure is not None:
+            warnings.add(f"forecast failed for {ticker}: {failure}")
+        out.append(fc)
     return out
 
 
@@ -364,6 +350,110 @@ def _strip_benchmark(
     return prices, returns
 
 
+def window_tree(win: ReturnMatrix, cfg: StrategyConfig, n_jobs: int = 1) -> tuple[CostMatrix, MstTree]:
+    """Edge costs of one return window's influence network and their spanning tree.
+
+    Raises :class:`EstimationError` or :class:`DataError` when the window
+    has no estimable network (e.g. a flat market).
+    """
+    influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode, n_jobs=n_jobs)
+    costs = var_fevd.to_cost(influence)
+    return costs, network.prim_mst(costs)
+
+
+# Fields that decide the selections and forecasts a DecisionPath shares.
+_UPSTREAM_FIELDS = (
+    "window",
+    "horizon",
+    "top_k",
+    "fevd_mode",
+    "benchmark_ticker",
+    "nnar_lags",
+    "nnar_hidden",
+    "nnar_learning_rate",
+    "nnar_epochs",
+    "arima_max_p",
+    "arima_max_d",
+    "arima_max_q",
+)
+
+
+class DecisionPath:
+    """Upstream decisions of one run, shared by every strategy and seed.
+
+    A window's top-k selection depends only on the prices and the base
+    config's upstream fields, and a forecast additionally on the
+    forecaster, the ticker and (for NNAR only) the seed; neither depends on
+    a strategy's weighting, signal or accounting.  Each is computed the
+    first time a strategy asks for it and kept, failure message included,
+    so a run builds each window's network and fits each forecast once and
+    nothing is computed for a window no strategy asks for.
+    """
+
+    def __init__(
+        self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix, n_jobs: int = 1
+    ) -> None:
+        self.base = cfg
+        self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
+        self._n_jobs = n_jobs
+        self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
+        self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
+
+    def check(self, cfg: StrategyConfig) -> None:
+        """Refuse a strategy whose upstream fields differ from the base config."""
+        differ = [f for f in _UPSTREAM_FIELDS if getattr(cfg, f) != getattr(self.base, f)]
+        if differ:
+            raise ConfigError([f"strategy {cfg.name!r} differs from the shared {f}" for f in differ])
+
+    def selection_at(self, tau: int) -> tuple[tuple[str, ...] | None, str | None]:
+        """Top-k central tickers of the window ending at return row ``tau``.
+
+        Returns ``(selection, None)``, or ``(None, message)`` when the
+        window's network cannot be estimated.
+        """
+        if tau not in self._selections:
+            win = market_data.window(self.returns, tau, self.base.window)
+            try:
+                _, tree = window_tree(win, self.base, self._n_jobs)
+                ranking = network.degree_centrality(tree)
+                self._selections[tau] = (network.select_top_k(ranking, self.base.top_k), None)
+            except (EstimationError, DataError) as exc:
+                self._selections[tau] = (None, str(exc))
+        return self._selections[tau]
+
+    def forecast_at(
+        self, forecaster: str, ticker: str, tau: int, seed: int, series: np.ndarray
+    ) -> tuple[Forecast, str | None]:
+        """One-step forecast of ``ticker`` from ``series``.
+
+        ``series`` is the ticker's return column of the window ending at
+        return row ``tau``.  Returns ``(forecast, None)``, or a neutral
+        forecast and the failure message.  ARIMA ignores the seed, so its
+        forecasts are shared across seeds too.
+        """
+        key = (forecaster, ticker, tau, None if forecaster == FORECASTER_ARIMA else seed)
+        if key not in self._forecasts:
+            cfg = self.base
+            try:
+                if forecaster == FORECASTER_ARIMA:
+                    model = forecast.arima_fit(series, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
+                    r_hat = forecast.arima_forecast(model, series)
+                else:
+                    model = forecast.nnar_fit(
+                        series,
+                        cfg.nnar_lags,
+                        cfg.nnar_hidden,
+                        forecast.derive_seed(seed, ticker, tau),
+                        learning_rate=cfg.nnar_learning_rate,
+                        epochs=cfg.nnar_epochs,
+                    )
+                    r_hat = forecast.nnar_forecast(model, series[-cfg.nnar_lags :])
+                self._forecasts[key] = (forecast.make_forecast(ticker, r_hat), None)
+            except (EstimationError, ValueError) as exc:
+                self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), str(exc))
+        return self._forecasts[key]
+
+
 def run_simulation(
     cfg: StrategyConfig,
     prices: PriceTable,
@@ -378,7 +468,12 @@ def run_simulation(
     executed day.
     """
     seed = cfg.seeds[0] if seed is None else seed
-    prices, returns = _strip_benchmark(cfg, prices, returns)
+    return _simulate(cfg, DecisionPath(cfg, prices, returns, n_jobs=n_jobs), seed)
+
+
+def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
+    path.check(cfg)
+    prices, returns = path.prices, path.returns
     w = cfg.window
     n_dates = len(prices.dates)
     if n_dates < w + 1:
@@ -406,19 +501,15 @@ def run_simulation(
             cfg.portfolio_mode == MODE_DYNAMIC and step % cfg.rebalance_every == 0
         )
         if needs_network:
-            try:
-                influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode, n_jobs=n_jobs)
-                costs = var_fevd.to_cost(influence)
-                tree = network.prim_mst(costs)
-                ranking = network.degree_centrality(tree)
-                selection = network.select_top_k(ranking, cfg.top_k)
-            except (EstimationError, DataError) as exc:
+            picked, failure = path.selection_at(tau)
+            if picked is not None:
+                selection = picked
+            elif selection is None:
                 # No estimable pair (e.g. a flat market) is a hold, not a
                 # crash: stay in cash and try again on the next window.
-                if selection is None:
-                    warnings.add(f"network unavailable at {win.dates[-1]}: {exc}; holding cash")
-                else:
-                    warnings.add(f"network recompute failed at {win.dates[-1]}: {exc}")
+                warnings.add(f"network unavailable at {win.dates[-1]}: {failure}; holding cash")
+            else:
+                warnings.add(f"network recompute failed at {win.dates[-1]}: {failure}")
         exec_row = tau + 2  # price row of the execution day
         if selection is None or (cfg.portfolio_mode == MODE_FIXED and fixed_done):
             signal, weights = 0, EMPTY_WEIGHTS
@@ -429,7 +520,7 @@ def run_simulation(
             if cfg.forecaster == FORECASTER_NONE:
                 signal = 1 if not weights.is_all_zero() else -1
             else:
-                forecasts = _forecast_selection(cfg, win, selection, tau, seed, warnings)
+                forecasts = _forecast_selection(path, cfg.forecaster, win, selection, tau, seed, warnings)
                 weights = filter_weights(weights, forecasts)
                 if cfg.signal_mode == SIGNAL_ALL_AGREE:
                     signal = aggregate_signal([f.signal for f in forecasts])
@@ -517,7 +608,11 @@ def benchmark_buy_hold(
                 anchor = last
         else:
             warnings.add(f"benchmark price missing on {dates[t].isoformat()}")
-        values.append(initial_capital if anchor is None else initial_capital * last / anchor)
+        if anchor is None or last == anchor:
+            # C_0 * P_0 / P_0 can round one ulp away from C_0.
+            values.append(initial_capital)
+        else:
+            values.append(initial_capital * last / anchor)
     values_arr = np.asarray(values)
     total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
     return SimulationResult(
@@ -550,10 +645,11 @@ def run_multi_seed(
     seeds: list[int] | tuple[int, ...] | None = None,
     strategies: tuple[str, ...] | None = None,
     fixed_weighting: str = WEIGHTING_VAR,
-    n_jobs: int = 1,
 ) -> MultiSeedResult:
     """Run the selected strategy variants across all seeds.
 
+    Every strategy and seed reads one :class:`DecisionPath`, so each
+    window's selection and each forecast is computed once per call.
     Strategies without stochastic components are run once and their cells
     replicated across seeds, which leaves results identical to a full
     re-run because those paths never consume randomness.
@@ -565,64 +661,38 @@ def run_multi_seed(
     unknown = [n for n in names if n not in STRATEGY_NAMES]
     if unknown:
         raise ConfigError([f"unknown strategy {n!r}" for n in unknown])
-    benchmark_series = None
+    finished: dict[tuple[str, int | None], SimulationResult] = {}
     if BENCHMARK_STRATEGY in names:
         if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:
             raise ConfigError("buy_hold strategy requires benchmark_ticker present in the data")
         j = prices.ticker_index(cfg.benchmark_ticker)
         rows = slice(cfg.window, len(prices.dates))
-        benchmark_series = (
+        finished[(BENCHMARK_STRATEGY, None)] = benchmark_buy_hold(
             prices.dates[rows],
             prices.adj_close[rows, j],
+            cfg.initial_capital,
             prices.mask[rows, j],
+            seeds[0],
         )
-    jobs: list[tuple[str, int | None]] = []
-    for name in names:
-        if name == BENCHMARK_STRATEGY:
-            jobs.append((name, None))
-        elif make_strategy(cfg, name, fixed_weighting).forecaster == FORECASTER_NNAR:
-            jobs.extend((name, s) for s in seeds)
-        else:
-            jobs.append((name, None))
-
-    def run_job(job: tuple[str, int | None]) -> tuple[tuple[str, int | None], SimulationResult]:
-        name, job_seed = job
-        if name == BENCHMARK_STRATEGY:
-            dates_b, closes_b, mask_b = benchmark_series
-            return job, benchmark_buy_hold(dates_b, closes_b, cfg.initial_capital, mask_b, seeds[0])
+    simulated = [n for n in names if n != BENCHMARK_STRATEGY]
+    path = DecisionPath(cfg, prices, returns) if simulated else None
+    for name in simulated:
         strat = make_strategy(cfg, name, fixed_weighting)
-        use_seed = seeds[0] if job_seed is None else job_seed
-        return job, run_simulation(strat, prices, returns, seed=use_seed)
-
-    if n_jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            finished = dict(pool.map(run_job, jobs))
-    else:
-        finished = dict(run_job(j) for j in jobs)
+        if strat.forecaster == FORECASTER_NNAR:
+            for s in seeds:
+                finished[(name, s)] = _simulate(strat, path, s)
+        else:
+            finished[(name, None)] = _simulate(strat, path, seeds[0])
     results: dict[tuple[str, int], SimulationResult] = {}
     table = np.empty((len(seeds), len(names)))
     for col, name in enumerate(names):
         for row, s in enumerate(seeds):
             res = finished.get((name, s)) or finished[(name, None)]
             if res.seed != s:
-                res = replace_result_seed(res, s)
+                res = replace(res, seed=s)
             results[(name, s)] = res
             table[row, col] = res.total_return_pct
     means = table.mean(axis=0)
     return MultiSeedResult(
         seeds=seeds, strategies=names, returns_pct=table, means=means, results=results
-    )
-
-
-def replace_result_seed(res: SimulationResult, seed: int) -> SimulationResult:
-    """Copy of a deterministic result relabelled for another seed."""
-    return SimulationResult(
-        strategy=res.strategy,
-        seed=seed,
-        dates=res.dates,
-        values=res.values,
-        total_return_pct=res.total_return_pct,
-        trade_count=res.trade_count,
-        days=res.days,
-        warnings=res.warnings,
     )

@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=(name != "report"), help="path to the run config file")
         cmd.add_argument("--out", help="output directory (overrides config)")
-        if name in ("network", "simulate"):
+        if name == "network":
             cmd.add_argument("--threads", type=int, default=1, help="worker pool size")
+        if name in ("network", "simulate"):
             cmd.add_argument("--rebalance-every", type=int, help="days between network rebuilds")
         if name == "simulate":
             cmd.add_argument("--seeds", help="seed list: '132', '99,103', or range '99..108'")
@@ -125,6 +126,8 @@ def cmd_network(cfg: RunConfig) -> int:
     n_returns = len(returns.dates)
     if n_returns < strat.window:
         raise InsufficientHistory("not enough return rows for one window")
+    if len(returns.tickers) < 2:
+        raise DataError("empty universe after filtering")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sectors = _load_sectors(cfg.sectors_path)
@@ -132,10 +135,13 @@ def cmd_network(cfg: RunConfig) -> int:
     n_windows = 0
     for tau in range(strat.window - 1, n_returns, strat.rebalance_every):
         win = market_data.window(returns, tau, strat.window)
-        influence = var_fevd.influence_matrix(win, strat.horizon, strat.fevd_mode, n_jobs=cfg.threads)
-        costs = var_fevd.to_cost(influence)
-        tree = network.prim_mst(costs)
         window_end = win.dates[-1]
+        try:
+            costs, tree = backtest.window_tree(win, strat, n_jobs=cfg.threads)
+        except (EstimationError, DataError) as exc:
+            # Same policy as simulate's hold: an unestimable window is skipped.
+            print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)
+            continue
         cost_rows.extend(var_fevd.cost_records(costs, window_end))
         dot_path = out / f"mst_{window_end.isoformat()}.dot"
         dot_path.write_text(network.export_dot(tree, sectors), encoding="utf-8")
@@ -215,7 +221,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         seeds=strat.seeds,
         strategies=cfg.strategies,
         fixed_weighting=cfg.fixed_weighting,
-        n_jobs=cfg.threads,
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

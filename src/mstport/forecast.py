@@ -260,13 +260,10 @@ def arima_forecast(model: ArimaModel, series: np.ndarray) -> float:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) <= 1 never overflows; each sign takes the form that keeps
+    # full precision for large |z|.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _nnar_design(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +297,7 @@ def _nnar_loss_and_grads(
     g_pred = 2.0 * err / n
     g_w_out = hidden.T @ g_pred
     g_b_out = float(g_pred.sum())
-    g_hidden = np.outer(g_pred, w_out)
+    g_hidden = g_pred[:, None] * w_out
     g_act = g_hidden * hidden * (1.0 - hidden)
     g_w_hidden = g_act.T @ x
     g_b_hidden = g_act.sum(axis=0)

@@ -63,6 +63,21 @@ def flat_table(
     return PriceTable(day_range(n_days), names, grid, mask, opens)
 
 
+def with_flat_start(table: PriceTable, n_rows: int) -> PriceTable:
+    """Copy of the panel whose first ``n_rows`` prices all equal row ``n_rows``'s close.
+
+    Every return up to row ``n_rows - 1`` is zero, so a window ending there
+    has no estimable network.
+    """
+    closes = table.adj_close.copy()
+    closes[:n_rows] = closes[n_rows]
+    opens = None
+    if table.open_px is not None:
+        opens = table.open_px.copy()
+        opens[:n_rows] = closes[n_rows]
+    return PriceTable(table.dates, table.tickers, closes, table.mask, opens)
+
+
 def with_masked(table: PriceTable, cells: list[tuple[int, int]]) -> PriceTable:
     """Copy of the panel with the given (row, column) cells masked."""
     mask = table.mask.copy()

@@ -453,6 +453,16 @@ def test_benchmark_buy_hold_tracks_price_ratio():
     assert any("benchmark price missing" in w for w in result.warnings)
 
 
+def test_benchmark_buy_hold_starts_at_exactly_the_initial_capital():
+    # 100000 * p0 / p0 rounds to 99999.99999999999 for this start price.
+    p0 = 367.4533148821592
+    closes = np.array([p0, 370.0, p0])
+    result = benchmark_buy_hold(day_range(3), closes, 100_000.0)
+    assert result.values[0] == 100_000.0
+    assert result.values[1] == 100_000.0 * 370.0 / p0
+    assert result.values[2] == 100_000.0
+
+
 def test_benchmark_buy_hold_rejects_bad_series():
     with pytest.raises(DataError):
         benchmark_buy_hold(day_range(1), np.array([100.0]), 1000.0)

@@ -13,7 +13,7 @@ import mstport
 from mstport.cli import main
 from mstport.config import parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
-from synth import random_walk_table, write_long_csv
+from synth import random_walk_table, with_flat_start, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
 
@@ -178,6 +178,34 @@ def test_network_writes_trees_and_costs(tmp_path):
     assert len(stamps) == 3
     for row in rows[1:]:
         assert 0.0 <= float(row[3]) <= 1.0
+
+
+def test_network_skips_unestimable_windows(tmp_path, capsys):
+    # Prices are flat through row 40, so the window ending at return row 29
+    # has no estimable pair; the ones ending at rows 59 and 89 do.
+    prices = tmp_path / "prices.csv"
+    write_long_csv(with_flat_start(PANEL, 40), prices)
+    out_dir = tmp_path / "net"
+    cfg_path = write_config(tmp_path, prices, out_dir)
+    assert main(["network", "--config", str(cfg_path), "--rebalance-every", "30"]) == 0
+    flat_end = PANEL.dates[30].isoformat()  # return row 29 ends on price row 30
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and flat_end in err
+    dots = sorted(p.name for p in out_dir.glob("mst_*.dot"))
+    assert dots == [f"mst_{PANEL.dates[r].isoformat()}.dot" for r in (60, 90)]
+    with open(out_dir / "costs.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {row[0] for row in rows[1:]} == {PANEL.dates[60].isoformat(), PANEL.dates[90].isoformat()}
+    assert len(rows) - 1 == 2 * 15
+
+
+def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    write_long_csv(random_walk_table(1, 100, seed=3, extra_tickers=("IDX",)), prices)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out", strategies="mst_var")
+    for command in ("network", "simulate"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "empty universe" in capsys.readouterr().err
 
 
 def test_simulate_writes_all_result_files(tmp_path):

@@ -220,6 +220,25 @@ def test_backprop_gradients_match_finite_differences():
         assert g_bo == pytest.approx(fd_bo, rel=1e-5, abs=1e-8)
 
 
+def split_by_sign_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Sigmoid evaluated separately on each sign, by boolean indexing."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_split_by_sign_form():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, 800.0, -800.0])
+    draws = np.random.default_rng(8).normal(0.0, 30.0, size=(4000, 3))
+    for z in (edges, draws):
+        got, want = fc._sigmoid(z), split_by_sign_sigmoid(z)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_single_unit_network_hand_evaluation():
     model = fc.NnarModel(
         lags=1,
