@@ -350,13 +350,13 @@ def _strip_benchmark(
     return prices, returns
 
 
-def window_tree(win: ReturnMatrix, cfg: StrategyConfig, n_jobs: int = 1) -> tuple[CostMatrix, MstTree]:
+def window_tree(win: ReturnMatrix, cfg: StrategyConfig) -> tuple[CostMatrix, MstTree]:
     """Edge costs of one return window's influence network and their spanning tree.
 
     Raises :class:`EstimationError` or :class:`DataError` when the window
     has no estimable network (e.g. a flat market).
     """
-    influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode, n_jobs=n_jobs)
+    influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode)
     costs = var_fevd.to_cost(influence)
     return costs, network.prim_mst(costs)
 
@@ -390,12 +390,9 @@ class DecisionPath:
     nothing is computed for a window no strategy asks for.
     """
 
-    def __init__(
-        self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix, n_jobs: int = 1
-    ) -> None:
+    def __init__(self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix) -> None:
         self.base = cfg
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
-        self._n_jobs = n_jobs
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
 
@@ -414,7 +411,7 @@ class DecisionPath:
         if tau not in self._selections:
             win = market_data.window(self.returns, tau, self.base.window)
             try:
-                _, tree = window_tree(win, self.base, self._n_jobs)
+                _, tree = window_tree(win, self.base)
                 ranking = network.degree_centrality(tree)
                 self._selections[tau] = (network.select_top_k(ranking, self.base.top_k), None)
             except (EstimationError, DataError) as exc:
@@ -459,7 +456,6 @@ def run_simulation(
     prices: PriceTable,
     returns: ReturnMatrix,
     seed: int | None = None,
-    n_jobs: int = 1,
 ) -> SimulationResult:
     """Simulate one strategy variant over the full history.
 
@@ -468,7 +464,7 @@ def run_simulation(
     executed day.
     """
     seed = cfg.seeds[0] if seed is None else seed
-    return _simulate(cfg, DecisionPath(cfg, prices, returns, n_jobs=n_jobs), seed)
+    return _simulate(cfg, DecisionPath(cfg, prices, returns), seed)
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:

@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=(name != "report"), help="path to the run config file")
         cmd.add_argument("--out", help="output directory (overrides config)")
-        if name == "network":
-            cmd.add_argument("--threads", type=int, default=1, help="worker pool size")
         if name in ("network", "simulate"):
             cmd.add_argument("--rebalance-every", type=int, help="days between network rebuilds")
         if name == "simulate":
@@ -54,8 +52,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict = {}
     if getattr(args, "out", None):
         updates["out_dir"] = Path(args.out)
-    if getattr(args, "threads", None):
-        updates["threads"] = max(int(args.threads), 1)
     strategy_updates: dict = {}
     if getattr(args, "rebalance_every", None):
         strategy_updates["rebalance_every"] = int(args.rebalance_every)
@@ -137,7 +133,7 @@ def cmd_network(cfg: RunConfig) -> int:
         win = market_data.window(returns, tau, strat.window)
         window_end = win.dates[-1]
         try:
-            costs, tree = backtest.window_tree(win, strat, n_jobs=cfg.threads)
+            costs, tree = backtest.window_tree(win, strat)
         except (EstimationError, DataError) as exc:
             # Same policy as simulate's hold: an unestimable window is skipped.
             print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)

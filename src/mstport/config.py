@@ -81,7 +81,6 @@ class RunConfig:
     strategies: tuple[str, ...] = STRATEGY_NAMES
     fixed_weighting: str = WEIGHTING_VAR
     out_dir: Path = Path("out")
-    threads: int = 1
     raw_text: str = ""
 
 

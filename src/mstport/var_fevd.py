@@ -17,16 +17,18 @@ responses with no factor P in the numerator; its shares need not sum to
 one and are clamped to [0, 1].  When sigma_u is not positive definite the
 orthogonalized mode falls back to ``as_written`` and flags the result.
 
-``influence_matrix`` evaluates all N(N-1)/2 pairs of a return window with
-batched linear algebra; results are bit-identical regardless of chunking
-or worker count because every pair is an independent fixed-order
-computation.
+``influence_matrix`` evaluates all N(N-1)/2 pairs of a return window from
+three N x N cross-product matrices of the centred lags L and leads F
+(``L'L``, ``L'F`` and ``F'F``): each pair's OLS coefficients, residual
+covariance, Cholesky factor and impulse responses are closed-form 2x2
+algebra on their entries, evaluated elementwise over all pairs at once.
+Each pair is ordered by ticker name, so the result does not depend on the
+column order of the window.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,6 @@ _MODES = (MODE_ORTHOGONALIZED, MODE_AS_WRITTEN)
 # Relative eigenvalue threshold below which the centred lag Gram matrix is
 # treated as rank deficient.
 _RANK_RTOL = 1e-12
-_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +82,17 @@ class FevdResult:
 
 @dataclass(frozen=True, eq=False)
 class InfluenceMatrix:
-    """N x N influence shares; ``theta[j, i]`` = share of j's variance from i."""
+    """N x N influence shares; ``theta[j, i]`` = share of j's variance from i.
+
+    ``degenerate`` counts the pairs set to zero influence because their
+    lags were constant or collinear; ``fallbacks`` counts the pairs whose
+    orthogonalized decomposition fell back to the raw numerator.
+    """
 
     tickers: tuple[str, ...]
     theta: np.ndarray
+    degenerate: int = 0
+    fallbacks: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,60 +169,51 @@ def impulse_responses(model: VarModel, horizon: int) -> ImpulseResponseSet:
     return ImpulseResponseSet(phis=phis)
 
 
-def _chol2_batch(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lower Cholesky factors for a (P, 2, 2) batch.
+def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Variance shares of a batch of bivariate models, elementwise.
 
-    Returns the factors and a boolean mask of batch members that are
-    positive definite; non-PD members hold garbage in the factor slot.
+    ``a`` holds the (P,) arrays ``(a00, a01, a10, a11)`` of A1 and ``s``
+    the (P,) arrays ``(s00, s01, s11)`` of the symmetric sigma_u.  Returns
+    ``(shares, fallback)``: ``shares[j, i]`` is the (P,) array of variable
+    j's variance shares due to variable i, and ``fallback`` marks the
+    models whose orthogonalized request used the raw numerator.
     """
-    s00 = sigma[..., 0, 0]
-    s01 = sigma[..., 0, 1]
-    s11 = sigma[..., 1, 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    a00, a01, a10, a11 = a
+    s00, s01, s11 = s
+    if mode == MODE_ORTHOGONALIZED:
+        # Closed-form lower Cholesky factor; a non-PD member gets the
+        # identity, which turns its numerator into the raw one exactly.
         l00 = np.sqrt(np.maximum(s00, 0.0))
         l10 = np.where(l00 > 0.0, s01 / np.where(l00 > 0.0, l00, 1.0), 0.0)
         rem = s11 - l10 * l10
-        l11 = np.sqrt(np.maximum(rem, 0.0))
-    ok = (s00 > 0.0) & (rem > 0.0)
-    chol = np.zeros_like(sigma)
-    chol[..., 0, 0] = l00
-    chol[..., 1, 0] = l10
-    chol[..., 1, 1] = l11
-    return chol, ok
-
-
-def _fevd_batch(a1: np.ndarray, sigma: np.ndarray, horizon: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Variance shares for a batch of models; returns (shares, fallback_mask)."""
-    n = a1.shape[0]
-    if mode == MODE_ORTHOGONALIZED:
-        chol, pd_ok = _chol2_batch(sigma)
-        fallback = ~pd_ok
+        fallback = ~((s00 > 0.0) & (rem > 0.0))
+        l00 = np.where(fallback, 1.0, l00)
+        l10 = np.where(fallback, 0.0, l10)
+        l11 = np.where(fallback, 1.0, np.sqrt(np.maximum(rem, 0.0)))
     else:
-        chol = np.zeros_like(sigma)
-        pd_ok = np.zeros(n, dtype=bool)
-        fallback = np.zeros(n, dtype=bool)
-    num_orth = np.zeros((n, 2, 2))
-    num_raw = np.zeros((n, 2, 2))
-    den = np.zeros((n, 2))
-    phi = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    for s in range(horizon):
-        if s > 0:
-            phi = phi @ a1
-        if mode == MODE_ORTHOGONALIZED:
-            m = phi @ chol
-            num_orth += m * m
-        num_raw += phi * phi
-        phi_sigma = phi @ sigma
-        den += np.einsum("prc,prc->pr", phi_sigma, phi)
-    num = np.where(pd_ok[:, None, None], num_orth, num_raw)
-    safe_den = np.where(den > 0.0, den, 1.0)
-    shares = num / safe_den[:, :, None]
+        l00, l10, l11 = 1.0, 0.0, 1.0
+        fallback = np.zeros(np.shape(a00), dtype=bool)
+    num = np.zeros((2, 2) + np.shape(a00))
+    den = np.zeros((2,) + np.shape(a00))
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0  # Phi_0 = I
+    for step in range(horizon):
+        if step:  # Phi_s = Phi_{s-1} A1
+            p00, p01, p10, p11 = (
+                p00 * a00 + p01 * a10,
+                p00 * a01 + p01 * a11,
+                p10 * a00 + p11 * a10,
+                p10 * a01 + p11 * a11,
+            )
+        for r, (q0, q1) in enumerate(((p00, p01), (p10, p11))):
+            m0 = q0 * l00 + q1 * l10
+            m1 = q1 * l11
+            num[r, 0] += m0 * m0
+            num[r, 1] += m1 * m1
+            den[r] += q0 * q0 * s00 + 2.0 * q0 * q1 * s01 + q1 * q1 * s11
+    shares = num / np.where(den > 0.0, den, 1.0)[:, None]
     # A zero denominator means the variable has no forecast error variance;
     # attribute everything to the variable itself.
-    zero_rows = den <= 0.0
-    if np.any(zero_rows):
-        eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-        shares = np.where(zero_rows[:, :, None], eye, shares)
+    shares = np.where((den <= 0.0)[:, None], np.eye(2)[:, :, None], shares)
     return np.clip(shares, 0.0, 1.0), fallback
 
 
@@ -230,97 +229,25 @@ def fevd(model: VarModel, horizon: int, mode: str = MODE_ORTHOGONALIZED) -> Fevd
         raise ValueError(f"unknown fevd mode {mode!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    a1 = model.a1[None, :, :]
-    sigma = model.sigma_u[None, :, :]
-    shares, fallback = _fevd_batch(a1, sigma, horizon, mode)
-    used_fallback = bool(fallback[0]) and mode == MODE_ORTHOGONALIZED
-    if used_fallback:
+    a = model.a1[:, :, None]
+    s = model.sigma_u[:, :, None]
+    shares, fallback = _fevd_shares(
+        (a[0, 0], a[0, 1], a[1, 0], a[1, 1]), (s[0, 0], s[0, 1], s[1, 1]), horizon, mode
+    )
+    if fallback[0]:
         log.debug("sigma_u not positive definite; fevd fell back to %s", MODE_AS_WRITTEN)
-    return FevdResult(shares=shares[0], fallback=used_fallback)
+    return FevdResult(shares=shares[:, :, 0], fallback=bool(fallback[0]))
 
 
-def _pair_blocks(
-    lc: np.ndarray,
-    fc: np.ndarray,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    horizon: int,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimate a chunk of pairs; returns (theta_ij, theta_ji, ok_mask).
-
-    ``theta_ij[p]`` is the influence of pair p's first member on its
-    second (share of j's variance from i); ``theta_ji`` the reverse.
-    """
-    t_obs = lc.shape[0]
-    li = lc[:, i_idx]
-    lj = lc[:, j_idx]
-    fi = fc[:, i_idx]
-    fj = fc[:, j_idx]
-    g00 = np.einsum("ti,ti->i", li, li)
-    g01 = np.einsum("ti,ti->i", li, lj)
-    g11 = np.einsum("ti,ti->i", lj, lj)
-    lam_min, lam_max = _min_max_eig2(g00, g01, g11)
-    ok = (lam_max > 0.0) & (lam_min > _RANK_RTOL * lam_max)
-    n_pairs = i_idx.size
-    theta_ij = np.zeros(n_pairs)
-    theta_ji = np.zeros(n_pairs)
-    if not np.any(ok):
-        return theta_ij, theta_ji, ok
-    sel = np.flatnonzero(ok)
-    g = np.empty((sel.size, 2, 2))
-    g[:, 0, 0] = g00[sel]
-    g[:, 0, 1] = g01[sel]
-    g[:, 1, 0] = g01[sel]
-    g[:, 1, 1] = g11[sel]
-    c = np.empty((sel.size, 2, 2))  # rows: lag variable, cols: equation
-    c[:, 0, 0] = np.einsum("ti,ti->i", li[:, sel], fi[:, sel])
-    c[:, 0, 1] = np.einsum("ti,ti->i", li[:, sel], fj[:, sel])
-    c[:, 1, 0] = np.einsum("ti,ti->i", lj[:, sel], fi[:, sel])
-    c[:, 1, 1] = np.einsum("ti,ti->i", lj[:, sel], fj[:, sel])
-    try:
-        b = np.linalg.solve(g, c)
-    except np.linalg.LinAlgError:
-        # Near the rank threshold LAPACK may still flag exact singularity;
-        # retry pair by pair so one bad pair does not sink the chunk.
-        b = np.empty_like(c)
-        keep = np.ones(sel.size, dtype=bool)
-        for p in range(sel.size):
-            try:
-                b[p] = np.linalg.solve(g[p], c[p])
-            except np.linalg.LinAlgError:
-                keep[p] = False
-        ok[sel[~keep]] = False
-        sel = sel[keep]
-        if sel.size == 0:
-            return theta_ij, theta_ji, ok
-        b = b[keep]
-    a1 = np.swapaxes(b, 1, 2)
-    lag_pair = np.stack((li[:, sel], lj[:, sel]), axis=2)  # (t, p, 2)
-    lead_pair = np.stack((fi[:, sel], fj[:, sel]), axis=2)
-    resid = lead_pair - np.einsum("tpr,prc->tpc", lag_pair, b)
-    sse = np.einsum("tpr,tpc->prc", resid, resid)
-    sigma = sse / (t_obs - 3)
-    sigma = (sigma + np.swapaxes(sigma, 1, 2)) / 2.0
-    diag = np.arange(2)
-    sigma[:, diag, diag] = np.maximum(sigma[:, diag, diag], 0.0)
-    shares, _ = _fevd_batch(a1, sigma, horizon, mode)
-    theta_ji[sel] = shares[:, 1, 0]  # influence of i on j
-    theta_ij[sel] = shares[:, 0, 1]  # influence of j on i
-    return theta_ij, theta_ji, ok
-
-
-def influence_matrix(
-    win: ReturnMatrix,
-    horizon: int,
-    mode: str = MODE_ORTHOGONALIZED,
-    n_jobs: int = 1,
-) -> InfluenceMatrix:
+def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONALIZED) -> InfluenceMatrix:
     """All-pairs influence shares over one return window.
 
-    Pairs whose estimation fails (masked cells, constant or collinear
-    series) contribute zero influence in both directions.  Raises
-    :class:`EstimationError` if every pair fails.
+    Each pair is ordered by ticker name, so the result does not depend on
+    the column order.  Pairs with a masked member contribute zero
+    influence and are not counted; pairs with constant or collinear
+    series contribute zero influence in both directions and are counted
+    as ``degenerate``.  Raises :class:`EstimationError` if no pair can be
+    estimated.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown fevd mode {mode!r}")
@@ -332,39 +259,56 @@ def influence_matrix(
     w = win.returns.shape[0]
     if w < 5:
         raise InsufficientHistory("window too short for VAR estimation")
-    usable = ~win.mask.any(axis=0)
-    y = np.where(usable[None, :], win.returns, 0.0)
+    # Estimate on the columns sorted by ticker, then scatter back, so the
+    # result does not depend on the column order.
+    order = np.array(sorted(range(n), key=win.tickers.__getitem__), dtype=np.intp)
+    usable = ~win.mask[:, order].any(axis=0)
+    y = np.where(usable[None, :], win.returns[:, order], 0.0)
     y = np.nan_to_num(y, nan=0.0)
     lc, fc, _, _ = _centered_lags(y)
-    iu, ju = np.triu_indices(n, k=1)
-    pair_ok = usable[iu] & usable[ju]
-    iu, ju = iu[pair_ok], ju[pair_ok]
-    theta = np.zeros((n, n))
-    if iu.size == 0:
+    i, j = np.triu_indices(n, k=1)
+    pair_ok = usable[i] & usable[j]
+    i, j = i[pair_ok], j[pair_ok]
+    if i.size == 0:
         raise EstimationError("no estimable pairs in window")
-    chunks = [slice(s, min(s + _CHUNK, iu.size)) for s in range(0, iu.size, _CHUNK)]
-
-    def run_chunk(sl: slice) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
-        t_ij, t_ji, ok = _pair_blocks(lc, fc, iu[sl], ju[sl], horizon, mode)
-        return sl, t_ij, t_ji, ok
-
-    if n_jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(sl) for sl in chunks]
-    any_ok = False
-    failed = 0
-    for sl, t_ij, t_ji, ok in results:
-        theta[ju[sl], iu[sl]] = t_ji
-        theta[iu[sl], ju[sl]] = t_ij
-        any_ok = any_ok or bool(np.any(ok))
-        failed += int(np.sum(~ok))
-    if not any_ok:
+    gram = lc.T @ lc
+    g_diag = np.diag(gram)
+    g00, g01, g11 = g_diag[i], gram[i, j], g_diag[j]
+    lam_min, lam_max = _min_max_eig2(g00, g01, g11)
+    ok = (lam_max > 0.0) & (lam_min > _RANK_RTOL * lam_max)
+    degenerate = int(np.count_nonzero(~ok))
+    if degenerate == i.size:
         raise EstimationError("every pair estimation failed in window")
-    if failed:
-        log.debug("influence_matrix: %d degenerate pairs set to zero influence", failed)
-    return InfluenceMatrix(tickers=win.tickers, theta=theta)
+    i, j, g00, g01, g11 = i[ok], j[ok], g00[ok], g01[ok], g11[ok]
+    cross = lc.T @ fc  # rows: lag variable, cols: lead variable
+    lead = fc.T @ fc
+    c_diag, h_diag = np.diag(cross), np.diag(lead)
+    c00, c01, c10, c11 = c_diag[i], cross[i, j], cross[j, i], c_diag[j]
+    # B = G^-1 C by the adjugate (the rank test keeps det > 0); A1 = B'.
+    det = g00 * g11 - g01 * g01
+    b00 = (g11 * c00 - g01 * c10) / det
+    b01 = (g11 * c01 - g01 * c11) / det
+    b10 = (g00 * c10 - g01 * c00) / det
+    b11 = (g00 * c11 - g01 * c01) / det
+    # Residual covariance from the SSE F'F - C'B, symmetrised, diagonal >= 0.
+    dof = lc.shape[0] - 3
+    s00 = np.maximum((h_diag[i] - (c00 * b00 + c10 * b10)) / dof, 0.0)
+    s11 = np.maximum((h_diag[j] - (c01 * b01 + c11 * b11)) / dof, 0.0)
+    s01 = ((lead[i, j] - (c00 * b01 + c10 * b11)) / dof + (lead[j, i] - (c01 * b00 + c11 * b10)) / dof) / 2.0
+    shares, fallback = _fevd_shares((b00, b10, b01, b11), (s00, s01, s11), horizon, mode)
+    i, j = order[i], order[j]
+    theta = np.zeros((n, n))
+    theta[j, i] = shares[1, 0]  # influence of i on j
+    theta[i, j] = shares[0, 1]  # influence of j on i
+    fallbacks = int(np.count_nonzero(fallback))
+    if degenerate or fallbacks:
+        log.debug(
+            "influence_matrix: %d degenerate pairs set to zero influence, %d fevd fallbacks to %s",
+            degenerate,
+            fallbacks,
+            MODE_AS_WRITTEN,
+        )
+    return InfluenceMatrix(tickers=win.tickers, theta=theta, degenerate=degenerate, fallbacks=fallbacks)
 
 
 def to_cost(influence: InfluenceMatrix) -> CostMatrix:

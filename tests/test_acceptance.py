@@ -318,9 +318,7 @@ def test_network_construction_speed():
     def build(n_tickers: int, seed: int) -> float:
         panel = random_returns(n_tickers, 120, seed=seed)
         started = time.perf_counter()
-        influence = var_fevd.influence_matrix(
-            panel, 10, var_fevd.MODE_ORTHOGONALIZED, n_jobs=4
-        )
+        influence = var_fevd.influence_matrix(panel, 10, var_fevd.MODE_ORTHOGONALIZED)
         tree = network.prim_mst(var_fevd.to_cost(influence))
         network.select_top_k(network.degree_centrality(tree), 5)
         return time.perf_counter() - started

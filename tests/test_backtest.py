@@ -375,13 +375,6 @@ def test_same_seed_reruns_are_bit_identical():
     assert a.trade_count == b.trade_count
 
 
-def test_thread_count_does_not_change_results():
-    cfg = make_strategy(BASE, "mst_var")
-    serial = run_simulation(cfg, PANEL, RETURNS, n_jobs=1)
-    threaded = run_simulation(cfg, PANEL, RETURNS, n_jobs=4)
-    assert np.array_equal(serial.values, threaded.values)
-
-
 def test_masked_close_marks_stale_and_recovers():
     table = random_walk_table(3, 42, seed=5)
     table = with_masked(table, [(33, 0)])  # S00 unpriced on one later day

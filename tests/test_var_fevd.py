@@ -235,11 +235,137 @@ def test_influence_matrix_excludes_masked_columns():
     np.testing.assert_allclose(influence.theta[np.ix_(keep, keep)], other.theta, atol=1e-12)
 
 
-def test_influence_matrix_thread_count_is_invisible():
-    rets = synth.random_returns(12, 80, seed=23)
-    one = vf.influence_matrix(rets, horizon=10, n_jobs=1)
-    four = vf.influence_matrix(rets, horizon=10, n_jobs=4)
-    np.testing.assert_array_equal(one.theta, four.theta)
+def test_influence_matrix_counts_degenerate_pairs():
+    rets = synth.random_returns(5, 60, seed=25)
+    data = rets.returns.copy()
+    data[:, 2] = 0.004  # flat column: its lag Gram row is zero
+    flat = md.ReturnMatrix(rets.dates, rets.tickers, data, rets.mask)
+    influence = vf.influence_matrix(flat, horizon=10)
+    assert influence.degenerate == 4
+    assert influence.fallbacks == 0
+    assert np.all(influence.theta[2, :] == 0.0) and np.all(influence.theta[:, 2] == 0.0)
+    # a masked column is excluded, not counted as degenerate
+    mask = rets.mask.copy()
+    mask[7, 2] = True
+    masked = vf.influence_matrix(md.ReturnMatrix(rets.dates, rets.tickers, rets.returns, mask), horizon=10)
+    assert masked.degenerate == 0
+    assert vf.influence_matrix(rets, horizon=10).degenerate == 0
+
+
+def test_influence_matrix_counts_fevd_fallbacks():
+    # Dyadic returns over 64 lag rows keep every sum exact, and B is A's
+    # previous return, so B's equation fits exactly: sigma_u is not PD.
+    rng = RNG(26)
+    a, c = rng.integers(-64, 65, (2, 65)) / 128.0
+    b = np.concatenate([[0.25], a[:-1]])
+    data = np.column_stack([a, b, c])
+    rets = md.ReturnMatrix(synth.day_range(65), ("A", "B", "C"), data, np.zeros(data.shape, bool))
+    orth = vf.influence_matrix(rets, horizon=10)
+    raw = vf.influence_matrix(rets, horizon=10, mode=vf.MODE_AS_WRITTEN)
+    assert (orth.fallbacks, raw.fallbacks) == (1, 0)
+    assert orth.degenerate == 0
+    assert orth.theta[1, 0] == raw.theta[1, 0] and orth.theta[0, 1] == raw.theta[0, 1]
+
+
+def permuted(rets: md.ReturnMatrix, perm: np.ndarray) -> md.ReturnMatrix:
+    return md.ReturnMatrix(
+        rets.dates, tuple(rets.tickers[k] for k in perm), rets.returns[:, perm], rets.mask[:, perm]
+    )
+
+
+def test_influence_matrix_is_permutation_equivariant():
+    panel, _ = synth.hub_returns(seed=31, n_hubs=3, followers_per=3, n_rows=120)
+    n = len(panel.tickers)
+    for mode in (vf.MODE_ORTHOGONALIZED, vf.MODE_AS_WRITTEN):
+        base = vf.influence_matrix(panel, horizon=10, mode=mode)
+        for seed in range(4):
+            perm = RNG(seed).permutation(n)
+            shuffled = vf.influence_matrix(permuted(panel, perm), horizon=10, mode=mode)
+            assert shuffled.tickers == tuple(panel.tickers[k] for k in perm)
+            np.testing.assert_array_equal(shuffled.theta, base.theta[np.ix_(perm, perm)])
+
+
+def test_orthogonalized_influence_ignores_positive_rescaling():
+    panel, _ = synth.hub_returns(seed=32, n_hubs=3, followers_per=3, n_rows=120)
+    scale = RNG(33).uniform(0.05, 20.0, len(panel.tickers))
+    rescaled = md.ReturnMatrix(panel.dates, panel.tickers, panel.returns * scale, panel.mask)
+    base = vf.influence_matrix(panel, horizon=10)
+    other = vf.influence_matrix(rescaled, horizon=10)
+    np.testing.assert_allclose(other.theta, base.theta, rtol=0.0, atol=1e-12)
+
+
+def per_pair_theta(rets: md.ReturnMatrix, pair_shares) -> np.ndarray:
+    """Influence matrix assembled pair by pair from ``pair_shares(pair_window)``."""
+    n = len(rets.tickers)
+    theta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            shares = pair_shares(rets.returns[:, [i, j]])
+            theta[j, i] = shares[1, 0]
+            theta[i, j] = shares[0, 1]
+    return theta
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+def test_influence_matrix_near_perfect_fit_matches_per_pair_route(eps):
+    # lead_t = lag_{t-1} + eps * noise: the SSE F'F - C'B cancels to ~eps^2
+    rng = RNG(41)
+    n_rows = 120
+    x = rng.normal(0.0, 0.01, (n_rows + 1, 2))
+    follow = x[:-1] + eps * 0.01 * rng.normal(size=(n_rows, 2))
+    data = np.column_stack([x[1:], follow, rng.normal(0.0, 0.01, n_rows)])
+    rets = md.ReturnMatrix(synth.day_range(n_rows), synth.ticker_names(5), data, np.zeros(data.shape, bool))
+    for mode in (vf.MODE_ORTHOGONALIZED, vf.MODE_AS_WRITTEN):
+        influence = vf.influence_matrix(rets, horizon=10, mode=mode)
+        expected = per_pair_theta(rets, lambda pair: vf.fevd(vf.fit_var1(pair), 10, mode).shares)
+        np.testing.assert_allclose(influence.theta, expected, atol=1e-10)
+
+
+def longdouble_pair_shares(pair: np.ndarray, horizon: int, orthogonalized: bool) -> np.ndarray:
+    """Per-pair VAR(1) and FEVD in extended precision, residuals formed explicitly."""
+    y = np.asarray(pair, dtype=np.longdouble)
+    lc = y[:-1] - y[:-1].mean(axis=0)
+    fc = y[1:] - y[1:].mean(axis=0)
+    g = lc.T @ lc
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    b = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) @ (lc.T @ fc) / det
+    resid = fc - lc @ b
+    sigma = resid.T @ resid / (len(lc) - 3)
+    a1 = b.T
+    l00 = np.sqrt(sigma[0, 0])
+    l10 = sigma[1, 0] / l00
+    chol = np.array([[l00, 0], [l10, np.sqrt(sigma[1, 1] - l10 * l10)]], dtype=np.longdouble)
+    phi = np.eye(2, dtype=np.longdouble)
+    num = np.zeros((2, 2), dtype=np.longdouble)
+    den = np.zeros(2, dtype=np.longdouble)
+    for step in range(horizon):
+        if step:
+            phi = phi @ a1
+        num += (phi @ chol) ** 2 if orthogonalized else phi**2
+        den += np.einsum("rc,ck,rk->r", phi, sigma, phi)
+    return np.clip((num / den[:, None]).astype(float), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("delta", [3e-5, 1e-5, 6e-6])
+def test_influence_matrix_near_collinear_lags_match_extended_precision(delta):
+    # Two series that track each other to within delta until they part on
+    # the window's last day: the lags are near collinear, the leads are not.
+    rng = RNG(42)
+    n_rows = 120
+    x = rng.normal(0.0, 0.01, n_rows)
+    twin = x + delta * rng.normal(0.0, 0.01, n_rows)
+    twin[-1] = rng.normal(0.0, 0.01)
+    data = np.column_stack([x, twin, rng.normal(0.0, 0.01, n_rows)])
+    rets = md.ReturnMatrix(synth.day_range(n_rows), synth.ticker_names(3), data, np.zeros(data.shape, bool))
+    lags = data[:-1, :2] - data[:-1, :2].mean(axis=0)
+    eig = np.linalg.eigvalsh(lags.T @ lags)
+    assert 1e-11 <= eig[0] / eig[1] <= 1e-9  # just above the rank threshold
+    for mode in (vf.MODE_ORTHOGONALIZED, vf.MODE_AS_WRITTEN):
+        influence = vf.influence_matrix(rets, horizon=10, mode=mode)
+        assert influence.degenerate == 0
+        orth = mode == vf.MODE_ORTHOGONALIZED
+        expected = per_pair_theta(rets, lambda pair: longdouble_pair_shares(pair, 10, orth))
+        np.testing.assert_allclose(influence.theta, expected, atol=1e-7)
 
 
 def test_influence_matrix_failure_modes():
