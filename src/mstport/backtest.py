@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -79,7 +80,6 @@ class StrategyConfig:
     benchmark_ticker: str | None = None
     risk_free: float = 0.0
     rebalance_every: int = 1
-    fee_bps: float = 0.0  # reserved hook; fees are not modelled yet
     use_open_prices: bool = True
     fevd_mode: str = var_fevd.MODE_ORTHOGONALIZED
     min_var_history: int | None = None
@@ -122,8 +122,6 @@ class StrategyConfig:
             problems.append(f"unknown fevd mode {self.fevd_mode!r}")
         if self.forecaster == FORECASTER_NNAR and self.nnar_lags + 20 > self.window:
             problems.append("window too short for the configured NNAR lag count")
-        if self.fee_bps != 0.0:
-            problems.append("transaction fees are a reserved hook; fee_bps must be 0")
         if problems:
             raise ConfigError(problems)
 
@@ -301,34 +299,10 @@ def execute_day(
 
 def _initial_last_close(prices: PriceTable, through_row: int) -> np.ndarray:
     """Last unmasked close per ticker over rows [0, through_row]."""
-    last = np.full(len(prices.tickers), np.nan)
-    for row in range(through_row + 1):
-        fresh = ~prices.mask[row]
-        last[fresh] = prices.adj_close[row, fresh]
-    return last
-
-
-def _forecast_selection(
-    path: DecisionPath,
-    forecaster: str,
-    win: ReturnMatrix,
-    selection: tuple[str, ...],
-    tau: int,
-    seed: int,
-    warnings: set[str],
-) -> list[Forecast]:
-    out = []
-    for ticker in selection:
-        j = win.ticker_index(ticker)
-        if win.mask[:, j].any():
-            # Insufficient history: stay neutral so the filter drops the stock.
-            out.append(forecast.make_forecast(ticker, 0.0))
-            continue
-        fc, failure = path.forecast_at(forecaster, ticker, tau, seed, win.returns[:, j])
-        if failure is not None:
-            warnings.add(f"forecast failed for {ticker}: {failure}")
-        out.append(fc)
-    return out
+    seen = ~prices.mask[: through_row + 1]
+    rows = np.where(seen, np.arange(through_row + 1)[:, None], -1).max(axis=0)
+    last = prices.adj_close[rows, np.arange(len(prices.tickers))]
+    return np.where(rows >= 0, last, np.nan)
 
 
 def _weights_for(cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix) -> WeightVector:
@@ -366,6 +340,7 @@ _UPSTREAM_FIELDS = (
     "window",
     "horizon",
     "top_k",
+    "rebalance_every",
     "fevd_mode",
     "benchmark_ticker",
     "nnar_lags",
@@ -377,6 +352,23 @@ _UPSTREAM_FIELDS = (
     "arima_max_q",
 )
 
+# NNAR fits trained as one stack.  An epoch costs a fixed numpy call
+# overhead plus a share per member, so a fit in a stack of 2 runs at about
+# the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
+# one core) a fit took 27.9 ms alone and, per member, 14.1 / 12.0 / 8.7 /
+# 7.5 / 7.9 / 7.7 ms in stacks of 4 / 8 / 16 / 24 / 32 / 48.
+NNAR_CHUNK = 24
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One decision day of a strategy: the selection it holds and whether it trades it."""
+
+    tau: int  # return row the day's window ends at
+    selection: tuple[str, ...] | None  # None until a network is first estimated
+    trades: bool
+    warning: str | None
+
 
 class DecisionPath:
     """Upstream decisions of one run, shared by every strategy and seed.
@@ -384,16 +376,28 @@ class DecisionPath:
     A window's top-k selection depends only on the prices and the base
     config's upstream fields, and a forecast additionally on the
     forecaster, the ticker and (for NNAR only) the seed; neither depends on
-    a strategy's weighting, signal or accounting.  Each is computed the
-    first time a strategy asks for it and kept, failure message included,
-    so a run builds each window's network and fits each forecast once and
-    nothing is computed for a window no strategy asks for.
+    a strategy's weighting, signal or accounting.  The path also holds the
+    rule that turns selections into each day's held selection, per
+    portfolio mode.  Each selection and forecast is kept once computed,
+    failure message included, so a run builds each window's network and
+    fits each forecast once.  Windows and ARIMA forecasts are computed the
+    first time a strategy asks for them; the first NNAR request fits, as
+    stacked batches, every NNAR forecast a strategy of that portfolio mode
+    will ask for over the run's seeds.
     """
 
-    def __init__(self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix) -> None:
+    def __init__(
+        self,
+        cfg: StrategyConfig,
+        prices: PriceTable,
+        returns: ReturnMatrix,
+        seeds: tuple[int, ...] | None = None,
+    ) -> None:
         self.base = cfg
+        self.seeds = tuple(seeds) if seeds is not None else cfg.seeds
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
+        self._schedules: dict[str, tuple[Decision, ...]] = {}
         self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
 
     def check(self, cfg: StrategyConfig) -> None:
@@ -418,37 +422,112 @@ class DecisionPath:
                 self._selections[tau] = (None, str(exc))
         return self._selections[tau]
 
-    def forecast_at(
-        self, forecaster: str, ticker: str, tau: int, seed: int, series: np.ndarray
-    ) -> tuple[Forecast, str | None]:
-        """One-step forecast of ``ticker`` from ``series``.
+    def schedule(self, mode: str) -> tuple[Decision, ...]:
+        """Every decision day of a strategy with portfolio mode ``mode``.
 
-        ``series`` is the ticker's return column of the window ending at
-        return row ``tau``.  Returns ``(forecast, None)``, or a neutral
-        forecast and the failure message.  ARIMA ignores the seed, so its
-        forecasts are shared across seeds too.
+        A dynamic strategy re-selects every ``rebalance_every`` days and
+        keeps its last selection when a recompute fails; the other modes
+        keep their first selection.  Until a first selection exists the
+        strategy holds cash and retries every day.  A fixed strategy trades
+        only on its first day with a selection.
         """
-        key = (forecaster, ticker, tau, None if forecaster == FORECASTER_ARIMA else seed)
-        if key not in self._forecasts:
-            cfg = self.base
-            try:
-                if forecaster == FORECASTER_ARIMA:
-                    model = forecast.arima_fit(series, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
-                    r_hat = forecast.arima_forecast(model, series)
+        if mode not in self._schedules:
+            out = []
+            held: tuple[str, ...] | None = None
+            traded = False
+            w = self.base.window
+            for step, tau in enumerate(range(w - 1, len(self.returns.dates) - 1)):
+                warning = None
+                if held is None or (mode == MODE_DYNAMIC and step % self.base.rebalance_every == 0):
+                    picked, failure = self.selection_at(tau)
+                    end = self.returns.dates[tau]
+                    if picked is not None:
+                        held = picked
+                    elif held is None:
+                        # No estimable pair (e.g. a flat market) is a hold, not a
+                        # crash: stay in cash and try again on the next window.
+                        warning = f"network unavailable at {end}: {failure}; holding cash"
+                    else:
+                        warning = f"network recompute failed at {end}: {failure}"
+                trades = held is not None and not (mode == MODE_FIXED and traded)
+                traded = traded or trades
+                out.append(Decision(tau, held, trades, warning))
+            self._schedules[mode] = tuple(out)
+        return self._schedules[mode]
+
+    def forecasts(self, cfg: StrategyConfig, day: Decision, seed: int) -> tuple[list[Forecast], list[str]]:
+        """``cfg.forecaster``'s one-step forecasts of the day's selection, and failure messages.
+
+        A ticker with a masked return in the window, or whose fit fails,
+        gets a neutral forecast, so the filter drops it.  ARIMA ignores the
+        seed, so its forecasts are shared across seeds too.
+        """
+        keys = [self._key(cfg.forecaster, ticker, day.tau, seed) for ticker in day.selection]
+        if any(key not in self._forecasts for key in keys):
+            if cfg.forecaster == FORECASTER_NNAR:
+                days = [d for d in self.schedule(cfg.portfolio_mode) if d.trades]
+                self._fit(
+                    self._key(cfg.forecaster, ticker, d.tau, s)
+                    for d in days
+                    for ticker in d.selection
+                    for s in self.seeds
+                )
+            else:
+                self._fit(keys)
+        out, failures = [], []
+        for key in keys:
+            fc, failure = self._forecasts[key]
+            if failure is not None:
+                failures.append(f"forecast failed for {fc.ticker}: {failure}")
+            out.append(fc)
+        return out, failures
+
+    @staticmethod
+    def _key(forecaster: str, ticker: str, tau: int, seed: int) -> tuple[str, str, int, int | None]:
+        return (forecaster, ticker, tau, None if forecaster == FORECASTER_ARIMA else seed)
+
+    def _fit(self, keys: Iterable[tuple[str, str, int, int | None]]) -> None:
+        """Compute the forecasts of ``keys`` not yet kept; NNAR fits train in stacks."""
+        cfg, w = self.base, self.base.window
+        nnar: list[tuple[tuple[str, str, int, int | None], np.ndarray]] = []
+        for key in dict.fromkeys(keys):
+            forecaster, ticker, tau, _ = key
+            if key in self._forecasts:
+                continue
+            j = self.returns.ticker_index(ticker)
+            rows = slice(tau - w + 1, tau + 1)
+            series = self.returns.returns[rows, j]
+            if self.returns.mask[rows, j].any():
+                # Insufficient history: stay neutral so the filter drops the stock.
+                self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), None)
+            elif forecaster == FORECASTER_NNAR:
+                nnar.append((key, series))
+            else:
+                orders = (cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
+                self._settle(key, lambda: forecast.arima_forecast(forecast.arima_fit(series, *orders), series))
+        for start in range(0, len(nnar), NNAR_CHUNK):
+            chunk = nnar[start : start + NNAR_CHUNK]
+            models = forecast.nnar_fit_batch(
+                [series for _, series in chunk],
+                [forecast.derive_seed(seed, ticker, tau) for (_, ticker, tau, seed), _ in chunk],
+                cfg.nnar_lags,
+                cfg.nnar_hidden,
+                learning_rate=cfg.nnar_learning_rate,
+                epochs=cfg.nnar_epochs,
+            )
+            for (key, series), model in zip(chunk, models):
+                if isinstance(model, Exception):
+                    self._forecasts[key] = (forecast.make_forecast(key[1], 0.0), str(model))
                 else:
-                    model = forecast.nnar_fit(
-                        series,
-                        cfg.nnar_lags,
-                        cfg.nnar_hidden,
-                        forecast.derive_seed(seed, ticker, tau),
-                        learning_rate=cfg.nnar_learning_rate,
-                        epochs=cfg.nnar_epochs,
-                    )
-                    r_hat = forecast.nnar_forecast(model, series[-cfg.nnar_lags :])
-                self._forecasts[key] = (forecast.make_forecast(ticker, r_hat), None)
-            except (EstimationError, ValueError) as exc:
-                self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), str(exc))
-        return self._forecasts[key]
+                    self._settle(key, lambda: forecast.nnar_forecast(model, series[-cfg.nnar_lags :]))
+
+    def _settle(self, key: tuple[str, str, int, int | None], r_hat: Callable[[], float]) -> None:
+        """Keep the forecast ``r_hat()`` for ``key``, or a neutral one and the failure."""
+        ticker = key[1]
+        try:
+            self._forecasts[key] = (forecast.make_forecast(ticker, r_hat()), None)
+        except (EstimationError, ValueError) as exc:
+            self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), str(exc))
 
 
 def run_simulation(
@@ -464,11 +543,13 @@ def run_simulation(
     executed day.
     """
     seed = cfg.seeds[0] if seed is None else seed
-    return _simulate(cfg, DecisionPath(cfg, prices, returns), seed)
+    return _simulate(cfg, DecisionPath(cfg, prices, returns, (seed,)), seed)
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
     path.check(cfg)
+    if seed not in path.seeds:
+        raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
     prices, returns = path.prices, path.returns
     w = cfg.window
     n_dates = len(prices.dates)
@@ -476,7 +557,6 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         raise InsufficientHistory(f"need at least window + 1 = {w + 1} price dates, got {n_dates}")
     if len(prices.tickers) < 2:
         raise DataError("empty universe after filtering")
-    n_returns = len(returns.dates)
     closes = prices.adj_close
     cmask = prices.mask
     opens = prices.open_px
@@ -487,36 +567,21 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
     values = [cfg.initial_capital]
     records: list[DayRecord] = []
     warnings: set[str] = set()
-    selection: tuple[str, ...] | None = None
     trade_count = 0
-    step = 0
-    fixed_done = False
-    for tau in range(w - 1, n_returns - 1):
-        win = market_data.window(returns, tau, w)
-        needs_network = selection is None or (
-            cfg.portfolio_mode == MODE_DYNAMIC and step % cfg.rebalance_every == 0
-        )
-        if needs_network:
-            picked, failure = path.selection_at(tau)
-            if picked is not None:
-                selection = picked
-            elif selection is None:
-                # No estimable pair (e.g. a flat market) is a hold, not a
-                # crash: stay in cash and try again on the next window.
-                warnings.add(f"network unavailable at {win.dates[-1]}: {failure}; holding cash")
-            else:
-                warnings.add(f"network recompute failed at {win.dates[-1]}: {failure}")
-        exec_row = tau + 2  # price row of the execution day
-        if selection is None or (cfg.portfolio_mode == MODE_FIXED and fixed_done):
+    for day in path.schedule(cfg.portfolio_mode):
+        if day.warning is not None:
+            warnings.add(day.warning)
+        exec_row = day.tau + 2  # price row of the execution day
+        if not day.trades:
             signal, weights = 0, EMPTY_WEIGHTS
         else:
-            if cfg.portfolio_mode == MODE_FIXED:
-                fixed_done = True
-            weights = _weights_for(cfg, selection, win)
+            win = market_data.window(returns, day.tau, w)
+            weights = _weights_for(cfg, day.selection, win)
             if cfg.forecaster == FORECASTER_NONE:
                 signal = 1 if not weights.is_all_zero() else -1
             else:
-                forecasts = _forecast_selection(path, cfg.forecaster, win, selection, tau, seed, warnings)
+                forecasts, failures = path.forecasts(cfg, day, seed)
+                warnings.update(failures)
                 weights = filter_weights(weights, forecasts)
                 if cfg.signal_mode == SIGNAL_ALL_AGREE:
                     signal = aggregate_signal([f.signal for f in forecasts])
@@ -553,7 +618,7 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
             DayRecord(
                 date=prices.dates[exec_row],
                 signal=signal,
-                selection=selection if selection is not None else (),
+                selection=day.selection if day.selection is not None else (),
                 weights=weights,
                 cash=state.cash,
                 holdings=tuple(sorted(state.holdings.items())),
@@ -561,7 +626,6 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
                 stale=state.stale,
             )
         )
-        step += 1
     values_arr = np.asarray(values)
     total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
     return SimulationResult(
@@ -671,7 +735,7 @@ def run_multi_seed(
             seeds[0],
         )
     simulated = [n for n in names if n != BENCHMARK_STRATEGY]
-    path = DecisionPath(cfg, prices, returns) if simulated else None
+    path = DecisionPath(cfg, prices, returns, seeds) if simulated else None
     for name in simulated:
         strat = make_strategy(cfg, name, fixed_weighting)
         if strat.forecaster == FORECASTER_NNAR:

@@ -44,7 +44,6 @@ _STRATEGY_KEYS = {
     "seeds",
     "strategies",
     "rebalance_every",
-    "fee_bps",
     "use_open_prices",
     "fevd_mode",
     "fixed_weighting",
@@ -192,7 +191,6 @@ def parse_config(path: str | Path) -> RunConfig:
         seeds=seeds,
         benchmark_ticker=benchmark_ticker,
         rebalance_every=reader.typed("strategy", "rebalance_every", int, 1),
-        fee_bps=reader.typed("strategy", "fee_bps", float, 0.0),
         use_open_prices=reader.typed("strategy", "use_open_prices", _to_bool, True),
         fevd_mode=reader.get("strategy", "fevd_mode", "orthogonalized"),
         min_var_history=min_var_history,

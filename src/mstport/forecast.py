@@ -263,7 +263,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) <= 1 never overflows; each sign takes the form that keeps
     # full precision for large |z|.
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 def _nnar_design(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,10 +276,17 @@ def _nnar_design(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nnar_forward(
-    x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray, w_out: np.ndarray, b_out: float
+    x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray, w_out: np.ndarray, b_out
 ) -> tuple[np.ndarray, np.ndarray]:
-    hidden = _sigmoid(x @ w_hidden.T + b_hidden)
-    return hidden @ w_out + b_out, hidden
+    """Predictions ``(..., n)`` and hidden activations ``(..., n, k)``.
+
+    Takes one net (``x`` of shape ``(n, p)``) or a stack of B nets, each
+    with its own inputs, on leading axes.  Every product is a (stacked)
+    ``np.matmul``, which runs the same BLAS call per member as the
+    unstacked product, so a member's numbers do not depend on the stack.
+    """
+    hidden = _sigmoid(x @ np.swapaxes(w_hidden, -1, -2) + b_hidden[..., None, :])
+    return (hidden @ w_out[..., None])[..., 0] + np.asarray(b_out)[..., None], hidden
 
 
 def _nnar_loss_and_grads(
@@ -287,64 +295,189 @@ def _nnar_loss_and_grads(
     w_hidden: np.ndarray,
     b_hidden: np.ndarray,
     w_out: np.ndarray,
-    b_out: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Mean squared error and its analytic gradients for all parameters."""
+    b_out,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean squared error and its analytic gradients for all parameters.
+
+    Shapes as in :func:`_nnar_forward`: one net, or a stack of nets whose
+    losses, gradients and ``b_out`` carry a leading batch axis.
+    """
     pred, hidden = _nnar_forward(x, w_hidden, b_hidden, w_out, b_out)
     err = pred - target
-    n = target.size
-    loss = float(err @ err) / n
+    n = target.shape[-1]
+    loss = (err[..., None, :] @ err[..., :, None])[..., 0, 0] / n
     g_pred = 2.0 * err / n
-    g_w_out = hidden.T @ g_pred
-    g_b_out = float(g_pred.sum())
-    g_hidden = g_pred[:, None] * w_out
+    g_w_out = (np.swapaxes(hidden, -1, -2) @ g_pred[..., None])[..., 0]
+    g_b_out = g_pred.sum(axis=-1)
+    g_hidden = g_pred[..., :, None] * w_out[..., None, :]
     g_act = g_hidden * hidden * (1.0 - hidden)
-    g_w_hidden = g_act.T @ x
-    g_b_hidden = g_act.sum(axis=0)
+    g_w_hidden = np.swapaxes(g_act, -1, -2) @ x
+    g_b_hidden = g_act.sum(axis=-2)
     return loss, g_w_hidden, g_b_hidden, g_w_out, g_b_out
 
 
-def _train_nnar(
+def _train_stack(
     x: np.ndarray,
     target: np.ndarray,
-    p: int,
+    seeds: list[int],
     k: int,
-    seed: int,
     learning_rate: float,
     epochs: int,
     tol: float,
     patience: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int] | None:
-    rng = np.random.default_rng(seed)
-    w_hidden = rng.uniform(-0.5, 0.5, size=(k, p))
-    b_hidden = rng.uniform(-0.5, 0.5, size=k)
-    w_out = rng.uniform(-0.5, 0.5, size=k)
-    b_out = float(rng.uniform(-0.5, 0.5))
-    loss, g_wh, g_bh, g_wo, g_bo = _nnar_loss_and_grads(x, target, w_hidden, b_hidden, w_out, b_out)
-    if not math.isfinite(loss):
-        return None
-    history = [loss]
-    epochs_run = 0
-    for _ in range(epochs):
-        new_wh = w_hidden - learning_rate * g_wh
-        new_bh = b_hidden - learning_rate * g_bh
-        new_wo = w_out - learning_rate * g_wo
-        new_bo = b_out - learning_rate * g_bo
-        new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = _nnar_loss_and_grads(
-            x, target, new_wh, new_bh, new_wo, new_bo
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int] | None]:
+    """Train one net per seed on the stacked designs ``x`` ``(B, n, p)``.
+
+    Members train in lockstep, each by the rules of a lone fit: an update
+    that would increase its loss is reverted and it stops; it also stops
+    once its loss fell by less than ``tol`` over the last ``patience``
+    epochs.  A member whose loss turns non-finite yields ``None``.  A
+    stopped member leaves the stack, so later epochs compute only the
+    members still training.
+    """
+    p = x.shape[2]
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append(
+            (
+                rng.uniform(-0.5, 0.5, size=(k, p)),
+                rng.uniform(-0.5, 0.5, size=k),
+                rng.uniform(-0.5, 0.5, size=k),
+                rng.uniform(-0.5, 0.5),
+            )
         )
-        if not math.isfinite(new_loss):
-            return None
-        if new_loss > history[-1]:
-            # Reverting keeps the recorded loss history non-increasing.
+    params = [np.stack(arrays) for arrays in zip(*draws)]
+    results: list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int] | None] = [None] * len(seeds)
+    live = np.arange(len(seeds))  # member of each stack row
+    loss, *grads = _nnar_loss_and_grads(x, target, *params)
+    history = np.empty((len(seeds), epochs + 1))  # row i: losses of member live[i]
+    history[:, 0] = loss
+
+    def finish(rows: np.ndarray, epochs_run: int) -> None:
+        for i in np.flatnonzero(rows):
+            wh, bh, wo, bo = (a[i] for a in params)
+            results[live[i]] = (wh, bh, wo, float(bo), float(loss[i]), epochs_run)
+
+    def keep(rows: np.ndarray) -> None:
+        nonlocal x, target, live, loss, grads, params, history
+        x, target, live, loss, history = x[rows], target[rows], live[rows], loss[rows], history[rows]
+        grads = [g[rows] for g in grads]
+        params = [a[rows] for a in params]
+
+    keep(np.isfinite(loss))
+    for epoch in range(epochs):
+        if not live.size:
             break
-        w_hidden, b_hidden, w_out, b_out = new_wh, new_bh, new_wo, new_bo
-        g_wh, g_bh, g_wo, g_bo = n_g_wh, n_g_bh, n_g_wo, n_g_bo
-        history.append(new_loss)
-        epochs_run += 1
-        if len(history) > patience and history[-patience - 1] - history[-1] < tol:
-            break
-    return w_hidden, b_hidden, w_out, b_out, history[-1], epochs_run
+        new_params = [a - learning_rate * g for a, g in zip(params, grads)]
+        new_loss, *new_grads = _nnar_loss_and_grads(x, target, *new_params)
+        moved = new_loss <= loss  # false for a non-finite loss too
+        if not moved.all():
+            # Reverting keeps each recorded loss history non-increasing.
+            finish(np.isfinite(new_loss) & ~moved, epoch)
+            keep(moved)
+            new_params = [a[moved] for a in new_params]
+            new_loss = new_loss[moved]
+            new_grads = [g[moved] for g in new_grads]
+        params, loss, grads = new_params, new_loss, new_grads
+        history[:, epoch + 1] = loss
+        if epoch + 1 >= patience:
+            plateau = history[:, epoch + 1 - patience] - loss < tol
+            if plateau.any():
+                finish(plateau, epoch + 1)
+                keep(~plateau)
+    finish(np.ones(live.size, dtype=bool), epochs)
+    return results
+
+
+def _nnar_inputs(series: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Validated training design of one series, and its mean and scale."""
+    y = np.asarray(series, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if p < 1 or k < 1:
+        raise ValueError("p and k must be positive")
+    if y.size < p + 20:
+        raise InsufficientHistory(f"NNAR needs at least p + 20 = {p + 20} observations")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("series contains non-finite values")
+    mean = float(y.mean())
+    scale = float(y.std())
+    if scale <= 0.0:
+        scale = 1.0
+    z = (y - mean) / scale
+    x, target = _nnar_design(z, p)
+    return x, target, mean, scale
+
+
+def nnar_fit_batch(
+    series: list[np.ndarray] | tuple[np.ndarray, ...],
+    seeds: list[int] | tuple[int, ...],
+    p: int = 5,
+    k: int = 3,
+    learning_rate: float = 0.01,
+    epochs: int = 500,
+    tol: float = 1e-9,
+    patience: int = 25,
+) -> list[NnarModel | Exception]:
+    """Train one net per (series, seed) pair, stacked; see :func:`nnar_fit`.
+
+    Series of equal length train as one stacked problem, and every member
+    gets exactly the model a lone :func:`nnar_fit` call would give it.  A
+    member that cannot be fitted gets the exception that call would
+    raise (``ValueError``, ``InsufficientHistory`` or ``EstimationError``)
+    in its place, and the other members are unaffected.
+    """
+    if len(series) != len(seeds):
+        raise ValueError("need one seed per series")
+    out: list[NnarModel | Exception] = [None] * len(series)
+    inputs = {}
+    for i, y in enumerate(series):
+        try:
+            inputs[i] = _nnar_inputs(y, p, k)
+        except ValueError as exc:
+            out[i] = exc
+    pending = {i: seeds[i] for i in inputs}  # member -> seed to try next
+    for attempt in range(2):
+        by_rows: dict[int, list[int]] = {}
+        for i in pending:
+            by_rows.setdefault(inputs[i][0].shape[0], []).append(i)
+        diverged = {}
+        for members in by_rows.values():
+            trained = _train_stack(
+                np.stack([inputs[i][0] for i in members]),
+                np.stack([inputs[i][1] for i in members]),
+                [pending[i] for i in members],
+                k,
+                learning_rate,
+                epochs,
+                tol,
+                patience,
+            )
+            for i, fit in zip(members, trained):
+                if fit is None:
+                    diverged[i] = pending[i] + 1
+                    continue
+                if attempt:
+                    log.warning("NNAR training diverged for seed %d; retried with %d", seeds[i], pending[i])
+                w_hidden, b_hidden, w_out, b_out, mse, epochs_run = fit
+                out[i] = NnarModel(
+                    lags=p,
+                    hidden=k,
+                    w_hidden=w_hidden,
+                    b_hidden=b_hidden,
+                    w_out=w_out,
+                    b_out=b_out,
+                    input_mean=inputs[i][2],
+                    input_scale=inputs[i][3],
+                    seed=pending[i],
+                    train_mse=mse,
+                    epochs_run=epochs_run,
+                )
+        pending = diverged
+    for i in pending:
+        out[i] = EstimationError("NNAR training diverged for seed and seed + 1")
+    return out
 
 
 def nnar_fit(
@@ -361,43 +494,12 @@ def nnar_fit(
 
     Initial weights are uniform(-0.5, 0.5) draws from a generator seeded
     with ``seed``; a non-finite loss triggers one retry with ``seed + 1``
-    before giving up.
+    before giving up.  This is :func:`nnar_fit_batch` with one member.
     """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if p < 1 or k < 1:
-        raise ValueError("p and k must be positive")
-    if y.size < p + 20:
-        raise InsufficientHistory(f"NNAR needs at least p + 20 = {p + 20} observations")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("series contains non-finite values")
-    mean = float(y.mean())
-    scale = float(y.std())
-    if scale <= 0.0:
-        scale = 1.0
-    z = (y - mean) / scale
-    x, target = _nnar_design(z, p)
-    for attempt, try_seed in enumerate((seed, seed + 1)):
-        trained = _train_nnar(x, target, p, k, try_seed, learning_rate, epochs, tol, patience)
-        if trained is not None:
-            w_hidden, b_hidden, w_out, b_out, mse, epochs_run = trained
-            if attempt:
-                log.warning("NNAR training diverged for seed %d; retried with %d", seed, try_seed)
-            return NnarModel(
-                lags=p,
-                hidden=k,
-                w_hidden=w_hidden,
-                b_hidden=b_hidden,
-                w_out=w_out,
-                b_out=b_out,
-                input_mean=mean,
-                input_scale=scale,
-                seed=try_seed,
-                train_mse=mse,
-                epochs_run=epochs_run,
-            )
-    raise EstimationError("NNAR training diverged for seed and seed + 1")
+    (model,) = nnar_fit_batch([series], [seed], p, k, learning_rate, epochs, tol, patience)
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def nnar_forecast(model: NnarModel, last_values: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from dataclasses import replace as dataclass_replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_sim
 from mstport import backtest, market_data
@@ -159,6 +160,73 @@ def test_execute_day_errors_without_prices():
         execute_day(fresh_state(), 2, EMPTY_WEIGHTS, exec_prices={}, close_prices={})
 
 
+# ---------------------------------------------------------------------------
+# execute_day properties under random inputs
+
+TICKERS = ("A", "B", "C", "D", "E")
+PRICE = st.floats(0.01, 5_000.0)
+
+
+@st.composite
+def trading_days(draw):
+    """A portfolio, a day's prices with gaps, weights and a signal.
+
+    Every ticker has a last known close, so a missing price falls back
+    instead of failing the day.
+    """
+    held = draw(st.lists(st.sampled_from(TICKERS), unique=True))
+    holdings = {t: draw(st.integers(1, 10_000)) for t in held}
+    last_known = {t: draw(PRICE) for t in TICKERS}
+    exec_prices = {t: draw(PRICE) for t in TICKERS if draw(st.booleans())}
+    close_prices = {t: draw(PRICE) for t in TICKERS if draw(st.booleans())}
+    targets = draw(st.lists(st.sampled_from(TICKERS), min_size=1, unique=True))
+    raws = draw(st.lists(st.floats(0.0, 10.0), min_size=len(targets), max_size=len(targets)))
+    cash = draw(st.floats(0.0, 1e7))
+    state = PortfolioState(cash=cash, holdings=holdings, value=cash)
+    signal = draw(st.sampled_from((-1, 0, 1)))
+    return state, signal, from_raw(tuple(targets), raws), exec_prices, close_prices, last_known
+
+
+@settings(max_examples=300, deadline=None)
+@given(trading_days())
+def test_execute_day_keeps_the_books(day):
+    state, signal, weights, exec_prices, close_prices, last_known = day
+    after = execute_day(state, signal, weights, exec_prices, close_prices, last_known)
+    assert after.cash >= 0.0
+    assert all(type(n) is int and n > 0 for n in after.holdings.values())
+    marks = [n * close_prices.get(t, last_known[t]) for t, n in sorted(after.holdings.items())]
+    assert after.value == math.fsum([after.cash] + marks)
+    if signal == 0:
+        assert after.cash == state.cash and after.holdings == state.holdings
+    if signal == -1:
+        assert after.holdings == {}
+
+
+def last_close_by_rows(prices, through_row: int) -> np.ndarray:
+    """Row-by-row scan: each unmasked close overwrites its ticker's last value."""
+    last = np.full(len(prices.tickers), np.nan)
+    for row in range(through_row + 1):
+        fresh = ~prices.mask[row]
+        last[fresh] = prices.adj_close[row, fresh]
+    return last
+
+
+def test_initial_last_close_matches_the_row_scan():
+    rng = np.random.default_rng(12)
+    table = random_walk_table(7, 40, seed=3)
+    for density in (0.1, 0.5, 0.9):
+        cells = [tuple(c) for c in np.argwhere(rng.random(table.mask.shape) < density)]
+        through = int(rng.integers(0, 39))
+        # column 2 has no price through ``through`` and must stay NaN
+        cells += [(row, 2) for row in range(through + 1)]
+        masked = with_masked(table, cells)
+        for row in (0, through, 39):
+            got = backtest._initial_last_close(masked, row)
+            want = last_close_by_rows(masked, row)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(backtest._initial_last_close(masked, through)[2])
+
+
 def test_portfolio_state_invariants():
     with pytest.raises(DataError):
         PortfolioState(cash=-1.0, holdings={}, value=0.0)
@@ -228,7 +296,6 @@ def test_strategy_config_rejects_bad_values():
         dict(signal_mode="all_agree", forecaster="none"),
         dict(fevd_mode="generalized"),
         dict(forecaster="nnar", window=30, nnar_lags=15),
-        dict(fee_bps=5.0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

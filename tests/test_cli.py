@@ -92,6 +92,16 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path):
     assert "plotting: unknown section" in str(err.value)
 
 
+def test_config_rejects_the_removed_fee_bps_key(tmp_path):
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out")
+    text = cfg_path.read_text(encoding="utf-8").replace("[strategy]\n", "[strategy]\nfee_bps = 0\n")
+    cfg_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path)
+    assert "strategy.fee_bps: unknown key" in str(err.value)
+
+
 def test_config_requires_prices_path(tmp_path):
     empty = tmp_path / "empty.ini"
     empty.write_text("[strategy]\nwindow = 60\n", encoding="utf-8")

@@ -3,6 +3,7 @@ each window's network and each forecast is computed once per run."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ import pytest
 from mstport import forecast, market_data, var_fevd
 from mstport.backtest import (
     BENCHMARK_STRATEGY,
+    NNAR_CHUNK,
     STRATEGY_NAMES,
+    MODE_DYNAMIC,
     DecisionPath,
     StrategyConfig,
     benchmark_buy_hold,
@@ -21,7 +24,7 @@ from mstport.backtest import (
     run_simulation,
 )
 from mstport.errors import ConfigError
-from synth import random_walk_table, with_flat_start
+from synth import random_walk_table, with_flat_start, with_masked
 
 # The backtest tests' panel, shortened and with shorter NNAR training: the
 # equivalence tests re-run every strategy and seed on its own.
@@ -77,23 +80,29 @@ def test_shared_path_matches_independent_runs_with_sparse_rebalancing():
 def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     windows = Counter()
     nnar_fits = Counter()
+    nnar_batches = []
     arima_fits = Counter()
-    influence_matrix, nnar_fit, arima_fit = var_fevd.influence_matrix, forecast.nnar_fit, forecast.arima_fit
+    influence_matrix, nnar_fit_batch, arima_fit = (
+        var_fevd.influence_matrix,
+        forecast.nnar_fit_batch,
+        forecast.arima_fit,
+    )
 
     def counted_influence(win, *args, **kwargs):
         windows[win.dates[-1]] += 1
         return influence_matrix(win, *args, **kwargs)
 
-    def counted_nnar(series, *args, **kwargs):
-        nnar_fits[(series.tobytes(), args[2])] += 1
-        return nnar_fit(series, *args, **kwargs)
+    def counted_nnar(series, seeds, *args, **kwargs):
+        nnar_batches.append(len(series))
+        nnar_fits.update((s.tobytes(), seed) for s, seed in zip(series, seeds))
+        return nnar_fit_batch(series, seeds, *args, **kwargs)
 
     def counted_arima(series, *args, **kwargs):
         arima_fits[series.tobytes()] += 1
         return arima_fit(series, *args, **kwargs)
 
     monkeypatch.setattr(var_fevd, "influence_matrix", counted_influence)
-    monkeypatch.setattr(forecast, "nnar_fit", counted_nnar)
+    monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
     monkeypatch.setattr(forecast, "arima_fit", counted_arima)
     multi = run_multi_seed(BASE, PANEL, RETURNS, seeds=SEEDS)
 
@@ -109,6 +118,7 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     }
     assert sum(nnar_fits.values()) == len(nnar_tasks) == len(SEEDS) * len(asked) * BASE.top_k
     assert set(nnar_fits.values()) == {1}
+    assert len(nnar_batches) == math.ceil(len(nnar_tasks) / NNAR_CHUNK)
     arima_tasks = {
         (ticker, rec.date)
         for name in ("mst_arima_var", "mst_arima_sharpe")
@@ -117,6 +127,33 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     }
     assert sum(arima_fits.values()) == len(arima_tasks)
     assert set(arima_fits.values()) == {1}
+
+
+def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch):
+    cfg = replace(BASE, rebalance_every=1000)  # the first selection is held all run
+    ticker = DecisionPath(cfg, PANEL, RETURNS).schedule(MODE_DYNAMIC)[0].selection[0]
+    prices = with_masked(PANEL, [(80, PANEL.ticker_index(ticker))])
+    fitted = []
+    nnar_fit_batch = forecast.nnar_fit_batch
+
+    def counted_nnar(series, seeds, *args, **kwargs):
+        fitted.extend(series)
+        return nnar_fit_batch(series, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
+    path = DecisionPath(cfg, prices, market_data.compute_returns(prices), SEEDS)
+    strategy = make_strategy(cfg, "mst_nnar_var")
+    j = path.returns.ticker_index(ticker)
+    neutral = 0
+    for day in path.schedule(strategy.portfolio_mode):
+        forecasts, failures = path.forecasts(strategy, day, SEEDS[0])
+        assert failures == []
+        if path.returns.mask[day.tau - cfg.window + 1 : day.tau + 1, j].any():
+            got = forecasts[day.selection.index(ticker)]
+            assert (got.r_hat, got.signal) == (0.0, 0)
+            neutral += 1
+    assert neutral > 0
+    assert fitted and all(np.isfinite(series).all() for series in fitted)
 
 
 def test_path_refuses_a_strategy_with_other_upstream_fields():

@@ -239,6 +239,161 @@ def test_sigmoid_is_bit_identical_to_split_by_sign_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# The scalar trainer: one net, one epoch at a time.  The stacked trainer
+# must give every member exactly what this loop gives it alone.
+
+
+def scalar_train(x, target, p, k, seed, learning_rate, epochs, tol, patience):
+    """Returns the trained parameters, loss, epochs run and why training stopped."""
+    rng = np.random.default_rng(seed)
+    w_hidden = rng.uniform(-0.5, 0.5, size=(k, p))
+    b_hidden = rng.uniform(-0.5, 0.5, size=k)
+    w_out = rng.uniform(-0.5, 0.5, size=k)
+    b_out = float(rng.uniform(-0.5, 0.5))
+    loss, g_wh, g_bh, g_wo, g_bo = fc._nnar_loss_and_grads(x, target, w_hidden, b_hidden, w_out, b_out)
+    if not math.isfinite(loss):
+        return None
+    history = [float(loss)]
+    epochs_run = 0
+    stop = "epochs"
+    for _ in range(epochs):
+        new_wh = w_hidden - learning_rate * g_wh
+        new_bh = b_hidden - learning_rate * g_bh
+        new_wo = w_out - learning_rate * g_wo
+        new_bo = b_out - learning_rate * float(g_bo)
+        new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = fc._nnar_loss_and_grads(
+            x, target, new_wh, new_bh, new_wo, new_bo
+        )
+        if not math.isfinite(new_loss):
+            return None
+        if new_loss > history[-1]:
+            stop = "revert"
+            break
+        w_hidden, b_hidden, w_out, b_out = new_wh, new_bh, new_wo, new_bo
+        g_wh, g_bh, g_wo, g_bo = n_g_wh, n_g_bh, n_g_wo, n_g_bo
+        history.append(float(new_loss))
+        epochs_run += 1
+        if len(history) > patience and history[-patience - 1] - history[-1] < tol:
+            stop = "plateau"
+            break
+    return w_hidden, b_hidden, w_out, b_out, history[-1], epochs_run, stop
+
+
+def scalar_fit(series, p, k, seed, learning_rate, epochs, tol, patience):
+    """The per-fit ``nnar_fit``: validation, then ``seed`` and one retry at ``seed + 1``.
+
+    Returns ``(model, stop)``, or ``(exception, None)`` where the fit fails.
+    """
+    y = np.asarray(series, dtype=float)
+    if y.size < p + 20:
+        return errors.InsufficientHistory(f"NNAR needs at least p + 20 = {p + 20} observations"), None
+    if not np.all(np.isfinite(y)):
+        return ValueError("series contains non-finite values"), None
+    mean, scale = float(y.mean()), float(y.std())
+    scale = scale if scale > 0.0 else 1.0
+    x, target = fc._nnar_design((y - mean) / scale, p)
+    for try_seed in (seed, seed + 1):
+        trained = scalar_train(x, target, p, k, try_seed, learning_rate, epochs, tol, patience)
+        if trained is not None:
+            w_hidden, b_hidden, w_out, b_out, mse, epochs_run, stop = trained
+            model = fc.NnarModel(
+                p, k, w_hidden, b_hidden, w_out, b_out, mean, scale, try_seed, mse, epochs_run
+            )
+            return model, stop
+    return errors.EstimationError("NNAR training diverged for seed and seed + 1"), None
+
+
+NNAR_FIELDS = ("lags", "hidden", "w_hidden", "b_hidden", "w_out", "b_out", "input_mean", "input_scale",
+               "seed", "train_mse", "epochs_run")
+
+
+def assert_same_fit(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, fc.NnarModel)
+    for name in NNAR_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) or isinstance(a, np.ndarray), name
+        assert np.array_equal(a, b), name
+
+
+def test_stacked_kernel_equals_each_member_alone():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        b, n, p, k = (int(v) for v in rng.integers((1, 20, 1, 1), (25, 130, 7, 5)))
+        x, target = rng.normal(size=(b, n, p)), rng.normal(size=(b, n))
+        w_hidden, b_hidden = rng.uniform(-2, 2, (b, k, p)), rng.uniform(-2, 2, (b, k))
+        w_out, b_out = rng.uniform(-2, 2, (b, k)), rng.uniform(-2, 2, b)
+        stacked = fc._nnar_loss_and_grads(x, target, w_hidden, b_hidden, w_out, b_out)
+        for m in range(b):
+            alone = fc._nnar_loss_and_grads(
+                x[m], target[m], w_hidden[m], b_hidden[m], w_out[m], float(b_out[m])
+            )
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[m], want)
+
+
+@pytest.mark.parametrize(
+    "learning_rate, tol, patience, members, outcomes",
+    [
+        # Ordinary steps: members that run every epoch, revert an increase,
+        # or stop on a plateau, next to a series too short to fit.
+        (
+            0.5,
+            1e-4,
+            10,
+            [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)]
+            + [(np.full(61, 0.01), 31), (ar1_series(0.5, 24, 3), 4)],
+            {"epochs", "revert", "plateau", "InsufficientHistory"},
+        ),
+        # Steps of 1e153 overflow the loss for some initial weights only:
+        # a member that diverges at its seed and trains at seed + 1, one
+        # that diverges at both, one that reverts its first step, one too
+        # short and one with a non-finite input.
+        (
+            1e153,
+            1e-9,
+            25,
+            [(ar1_series(0.4, 80, 28), s) for s in (0, 14, 1)]
+            + [(ar1_series(0.4, 24, 5), 2), (np.r_[ar1_series(0.4, 40, 6), np.nan], 3)],
+            {"retry", "EstimationError", "revert", "InsufficientHistory", "ValueError"},
+        ),
+    ],
+)
+def test_stacked_trainer_equals_scalar_trainer(learning_rate, tol, patience, members, outcomes):
+    epochs = 80
+    series, seeds = [m[0] for m in members], [m[1] for m in members]
+    got = fc.nnar_fit_batch(series, seeds, 5, 3, learning_rate, epochs, tol, patience)
+    seen = set()
+    for y, seed, fit in zip(series, seeds, got):
+        want, stop = scalar_fit(y, 5, 3, seed, learning_rate, epochs, tol, patience)
+        assert_same_fit(fit, want)
+        if isinstance(want, Exception):
+            seen.add(type(want).__name__)
+        else:
+            seen.add("retry" if want.seed != seed else stop)
+    assert seen == outcomes
+    for y, seed, fit in zip(series, seeds, got):
+        try:
+            alone = fc.nnar_fit(y, 5, 3, seed, learning_rate, epochs, tol, patience)
+        except (ValueError, errors.EstimationError) as exc:
+            alone = exc
+        assert_same_fit(alone, fit)
+
+
+def test_stacked_trainer_groups_series_of_different_lengths():
+    series = [ar1_series(0.3, n, 40 + n) for n in (60, 45, 60, 45, 70)]
+    got = fc.nnar_fit_batch(series, [1, 2, 3, 4, 5], p=4, k=2, epochs=40)
+    for y, seed, fit in zip(series, [1, 2, 3, 4, 5], got):
+        assert_same_fit(fit, scalar_fit(y, 4, 2, seed, 0.01, 40, 1e-9, 25)[0])
+
+
+def test_stacked_trainer_refuses_mismatched_seeds():
+    with pytest.raises(ValueError, match="one seed per series"):
+        fc.nnar_fit_batch([ar1_series(0.3, 60, 1)], [1, 2])
+
+
 def test_single_unit_network_hand_evaluation():
     model = fc.NnarModel(
         lags=1,
