@@ -63,7 +63,7 @@ def from_raw(tickers: tuple[str, ...] | list[str], raws: list[float]) -> WeightV
     """Normalise raw non-negative weights; all-zero stays all-zero."""
     if len(tickers) != len(raws):
         raise DataError("tickers and raw weights are misaligned")
-    if any(not np.isfinite(r) or r < 0.0 for r in raws):
+    if any(not math.isfinite(r) or r < 0.0 for r in raws):
         raise DataError("raw weights must be finite and non-negative")
     total = math.fsum(raws)
     if total == 0.0:
@@ -73,48 +73,62 @@ def from_raw(tickers: tuple[str, ...] | list[str], raws: list[float]) -> WeightV
     return WeightVector(entries=entries)
 
 
-def historical_var(series: np.ndarray, alpha: float, min_length: int | None = None) -> float:
+def _series(series: np.ndarray, min_n: int, message: str) -> np.ndarray:
+    """A finite 1-d series or 2-d block of series (one per row) as floats."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] < min_n:
+        raise DataError(message)
+    if not np.isfinite(x).all():
+        raise DataError("series contains non-finite values")
+    return x
+
+
+def _scalar_or_rows(x: np.ndarray, values: np.ndarray) -> float | np.ndarray:
+    return float(values) if x.ndim == 1 else values
+
+
+def historical_var(
+    series: np.ndarray, alpha: float, min_length: int | None = None
+) -> float | np.ndarray:
     """Clipped historical value-at-risk of a return series.
 
     The raw estimate is minus the ceil(alpha * n)-th smallest return.  A
     series shorter than ``min_length`` yields the 10.0 penalty value; the
-    result always lies in [0.001, 10.0].
+    result always lies in [0.001, 10.0].  A 2-d block gives one value per
+    row, each equal to the value of that row alone.
     """
     if not 0.0 < alpha <= 0.5:
         raise DataError("alpha must lie in (0, 0.5]")
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("series must be a non-empty 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise DataError("series contains non-finite values")
-    n = x.size
+    x = _series(series, 1, "series must be a non-empty 1-d array or 2-d block of rows")
+    n = x.shape[-1]
     if min_length is not None and n < min_length:
-        return VAR_PENALTY
+        return _scalar_or_rows(x, np.full(x.shape[:-1], VAR_PENALTY))
     # Guard against float noise pushing alpha*n just above an integer.
     k = max(math.ceil(alpha * n - 1e-9), 1)
-    quantile = np.sort(x)[k - 1]
-    raw = -float(quantile)
-    return min(max(raw, VAR_FLOOR), VAR_PENALTY)
+    raw = -np.sort(x, axis=-1)[..., k - 1]
+    return _scalar_or_rows(x, np.minimum(np.maximum(raw, VAR_FLOOR), VAR_PENALTY))
 
 
-def sharpe_ratio(series: np.ndarray, risk_free: float = 0.0) -> float:
-    """Mean excess return over sample standard deviation (ddof=1)."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DataError("sharpe ratio needs at least two observations")
-    if not np.all(np.isfinite(x)):
-        raise DataError("series contains non-finite values")
-    std = float(np.std(x, ddof=1))
-    if std < _SHARPE_MIN_STD:
-        return 0.0
-    return (float(np.mean(x)) - risk_free) / std
+def sharpe_ratio(series: np.ndarray, risk_free: float = 0.0) -> float | np.ndarray:
+    """Mean excess return over sample standard deviation (ddof=1).
+
+    A 2-d block gives one ratio per row; each row of a C-contiguous block
+    is summed pairwise exactly as it is alone, so the bits match.
+    """
+    x = _series(series, 2, "sharpe ratio needs at least two observations")
+    std = np.std(x, ddof=1, axis=-1)
+    flat = std < _SHARPE_MIN_STD
+    ratio = (np.mean(x, axis=-1) - risk_free) / np.where(flat, 1.0, std)
+    return _scalar_or_rows(x, np.where(flat, 0.0, ratio))
 
 
-def _column(win: ReturnMatrix, ticker: str) -> tuple[np.ndarray, bool]:
-    j = win.ticker_index(ticker)
-    col = win.returns[:, j]
-    clean = not bool(win.mask[:, j].any())
-    return col, clean
+def _clean_block(win: ReturnMatrix, stocks: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The stocks' unmasked columns as C-contiguous rows, and which stocks they are."""
+    if not stocks:
+        raise DataError("cannot weight an empty stock set")
+    idx = [win.ticker_index(t) for t in stocks]
+    clean = ~win.mask.T[idx].any(axis=1)
+    return np.ascontiguousarray(win.returns.T[idx][clean]), clean
 
 
 def var_weights(
@@ -128,18 +142,12 @@ def var_weights(
     A stock with any masked cell in the window is treated as having
     insufficient history and receives the VaR penalty value.
     """
-    if not stocks:
-        raise DataError("cannot weight an empty stock set")
+    block, clean = _clean_block(win, stocks)
     required = min_history if min_history is not None else win.returns.shape[0]
-    raws = []
-    for ticker in stocks:
-        col, clean = _column(win, ticker)
-        if not clean:
-            var = VAR_PENALTY
-        else:
-            var = historical_var(col, alpha, min_length=required)
-        raws.append(1.0 / var)
-    return from_raw(tuple(stocks), raws)
+    var = np.full(clean.size, VAR_PENALTY)
+    if clean.any():  # only unmasked columns are estimated, and checked
+        var[clean] = historical_var(block, alpha, min_length=required)
+    return from_raw(tuple(stocks), (1.0 / var).tolist())
 
 
 def sharpe_weights(
@@ -152,11 +160,9 @@ def sharpe_weights(
     All ratios non-positive yields the all-zero vector (stay in cash).
     Stocks with masked cells in the window contribute zero weight.
     """
-    if not stocks:
-        raise DataError("cannot weight an empty stock set")
-    raws = []
-    for ticker in stocks:
-        col, clean = _column(win, ticker)
-        ratio = sharpe_ratio(col, risk_free) if clean else 0.0
-        raws.append(max(ratio, 0.0))
-    return from_raw(tuple(stocks), raws)
+    block, clean = _clean_block(win, stocks)
+    ratio = np.zeros(clean.size)
+    if clean.any():  # only unmasked columns are estimated, and checked
+        ratio[clean] = sharpe_ratio(block, risk_free)
+    # ``max(ratio, 0.0)``, which keeps a -0.0 ratio as it is.
+    return from_raw(tuple(stocks), np.where(ratio < 0.0, 0.0, ratio).tolist())

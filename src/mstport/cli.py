@@ -145,8 +145,7 @@ def cmd_network(cfg: RunConfig) -> int:
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_end", "ticker_i", "ticker_j", "cost"])
-        for stamp, ti, tj, cost in cost_rows:
-            writer.writerow([stamp, ti, tj, repr(cost)])
+        writer.writerows((stamp, ti, tj, repr(cost)) for stamp, ti, tj, cost in cost_rows)
     print(f"wrote {n_windows} windows to {out}")
     return 0
 

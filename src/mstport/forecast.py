@@ -366,26 +366,29 @@ def _train_stack(
         params = [a[rows] for a in params]
 
     keep(np.isfinite(loss))
-    for epoch in range(epochs):
-        if not live.size:
-            break
-        new_params = [a - learning_rate * g for a, g in zip(params, grads)]
-        new_loss, *new_grads = _nnar_loss_and_grads(x, target, *new_params)
-        moved = new_loss <= loss  # false for a non-finite loss too
-        if not moved.all():
-            # Reverting keeps each recorded loss history non-increasing.
-            finish(np.isfinite(new_loss) & ~moved, epoch)
-            keep(moved)
-            new_params = [a[moved] for a in new_params]
-            new_loss = new_loss[moved]
-            new_grads = [g[moved] for g in new_grads]
-        params, loss, grads = new_params, new_loss, new_grads
-        history[:, epoch + 1] = loss
-        if epoch + 1 >= patience:
-            plateau = history[:, epoch + 1 - patience] - loss < tol
-            if plateau.any():
-                finish(plateau, epoch + 1)
-                keep(~plateau)
+    # A diverging member overflows on its way to a non-finite loss, which
+    # the ``moved`` test and the caller's ``seed + 1`` retry handle.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            if not live.size:
+                break
+            new_params = [a - learning_rate * g for a, g in zip(params, grads)]
+            new_loss, *new_grads = _nnar_loss_and_grads(x, target, *new_params)
+            moved = new_loss <= loss  # false for a non-finite loss too
+            if not moved.all():
+                # Reverting keeps each recorded loss history non-increasing.
+                finish(np.isfinite(new_loss) & ~moved, epoch)
+                keep(moved)
+                new_params = [a[moved] for a in new_params]
+                new_loss = new_loss[moved]
+                new_grads = [g[moved] for g in new_grads]
+            params, loss, grads = new_params, new_loss, new_grads
+            history[:, epoch + 1] = loss
+            if epoch + 1 >= patience:
+                plateau = history[:, epoch + 1 - patience] - loss < tol
+                if plateau.any():
+                    finish(plateau, epoch + 1)
+                    keep(~plateau)
     finish(np.ones(live.size, dtype=bool), epochs)
     return results
 

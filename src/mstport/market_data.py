@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -119,30 +121,53 @@ class ReturnMatrix:
             raise DataError(f"unknown ticker {ticker!r}") from None
 
 
-def _parse_price(text: str | None) -> float:
-    """Return a positive finite price or NaN for an invalid cell."""
-    if text is None:
-        return np.nan
-    text = text.strip()
-    if not text:
-        return np.nan
+def _to_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text.strip())
     except ValueError:
-        return np.nan
-    if not np.isfinite(value) or value <= 0.0:
-        return np.nan
-    return value
+        return math.nan
 
 
-def _read_rows(path: Path) -> list[list[str]]:
+def _parse_prices(cells: Sequence[str]) -> np.ndarray:
+    """Prices of a run of cells, NaN where a cell is blank, non-numeric,
+    non-finite or not positive.
+
+    ``float`` skips surrounding whitespace itself, so where it parses every
+    cell it gives what it gives the stripped cells.  It rejects the ASCII
+    separators ``\\x1c``-``\\x1f`` that ``str.strip`` removes, so a run
+    that ``float`` cannot parse whole is parsed cell by cell, stripped.
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = np.fromiter(map(_to_float, cells), float, len(cells))
+    return np.where(np.isfinite(values) & (values > 0.0), values, np.nan)
+
+
+def _read_rows(path: Path) -> list[tuple[str, ...]]:
+    """The file's CSV rows, without blank ones.
+
+    Rows are tuples: a tuple of strings drops out of the garbage collector's
+    tracking, so a long file's rows are not rescanned by every collection.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+            return [tuple(row) for row in csv.reader(fh) if "".join(row).strip()]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path}: {exc}") from exc
+
+
+def _parse_dates(texts: list[str]) -> dict[str, date | None]:
+    """Each distinct date cell parsed once; None where it is not a date."""
+    parsed: dict[str, date | None] = {}
+    for text in set(texts):
+        try:
+            parsed[text] = date.fromisoformat(text.strip())
+        except ValueError:
+            parsed[text] = None
+    return parsed
 
 
 def _load_long(path: Path) -> PriceTable:
@@ -152,38 +177,38 @@ def _load_long(path: Path) -> PriceTable:
     header = tuple(cell.strip().lower() for cell in rows[0])
     if header != LONG_HEADER:
         raise DataError(f"{path}: expected header {','.join(LONG_HEADER)}")
-    cells: dict[tuple[date, str], tuple[float, float]] = {}
-    skipped = 0
-    for row in rows[1:]:
-        if len(row) < 4:
-            skipped += 1
-            continue
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
-            skipped += 1
-            continue
-        ticker = row[1].strip()
-        if not ticker:
-            skipped += 1
-            continue
-        key = (day, ticker)
-        if key in cells:
-            raise DataError(f"{path}: duplicate (date, ticker) pair {key}")
-        cells[key] = (_parse_price(row[2]), _parse_price(row[3]))
-    if not cells:
+    # A row is malformed when it is short, its date does not parse or its
+    # ticker is blank; extra cells are ignored.
+    full = [row for row in rows[1:] if len(row) >= 4]
+    day_text, ticker_text, open_text, close_text = ([row[c] for row in full] for c in range(4))
+    days = _parse_dates(day_text)
+    tickers_of = [t.strip() for t in ticker_text]
+    valid = [r for r, (d, t) in enumerate(zip(day_text, tickers_of)) if t and days[d] is not None]
+    skipped = len(rows) - 1 - len(valid)
+    if not valid:
         raise DataError(f"{path}: zero valid rows")
-    if skipped:
-        log.warning("%s: skipped %d malformed rows", path, skipped)
-    dates = tuple(sorted({k[0] for k in cells}))
-    tickers = tuple(sorted({k[1] for k in cells}))
+    dates = tuple(sorted({days[day_text[r]] for r in valid}))
+    tickers = tuple(sorted({tickers_of[r] for r in valid}))
     d_idx = {d: i for i, d in enumerate(dates)}
     t_idx = {t: j for j, t in enumerate(tickers)}
-    closes = np.full((len(dates), len(tickers)), np.nan)
-    opens = np.full_like(closes, np.nan)
-    for (day, ticker), (op, cl) in cells.items():
-        opens[d_idx[day], t_idx[ticker]] = op
-        closes[d_idx[day], t_idx[ticker]] = cl
+    grid_row = {text: d_idx[day] for text, day in days.items() if day in d_idx}
+    flat = np.array([grid_row[day_text[r]] * len(tickers) + t_idx[tickers_of[r]] for r in valid])
+    n_cells = len(dates) * len(tickers)
+    if np.bincount(flat, minlength=n_cells).max() > 1:
+        seen = set()
+        for r, cell in zip(valid, flat.tolist()):
+            if cell in seen:
+                key = (days[day_text[r]], tickers_of[r])
+                raise DataError(f"{path}: duplicate (date, ticker) pair {key}")
+            seen.add(cell)
+    if skipped:
+        log.warning("%s: skipped %d malformed rows", path, skipped)
+    closes = np.full(n_cells, np.nan)
+    opens = np.full(n_cells, np.nan)
+    closes[flat] = _parse_prices([close_text[r] for r in valid])
+    opens[flat] = _parse_prices([open_text[r] for r in valid])
+    closes = closes.reshape(len(dates), len(tickers))
+    opens = opens.reshape(closes.shape)
     has_opens = bool(np.any(np.isfinite(opens)))
     if has_opens:
         mask = ~(np.isfinite(closes) & np.isfinite(opens))
@@ -204,7 +229,7 @@ def _parse_wide_grid(path: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.
         raise DataError(f"{path}: blank ticker column name")
     if len(set(tickers)) != len(tickers):
         raise DataError(f"{path}: duplicate ticker columns")
-    parsed: dict[date, list[float]] = {}
+    parsed: dict[date, tuple[str, ...]] = {}
     skipped = 0
     for row in rows[1:]:
         try:
@@ -214,15 +239,16 @@ def _parse_wide_grid(path: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.
             continue
         if day in parsed:
             raise DataError(f"{path}: duplicate date {day}")
-        values = [_parse_price(cell) for cell in row[1:]]
-        values += [np.nan] * (len(tickers) - len(values))
-        parsed[day] = values[: len(tickers)]
+        parsed[day] = row[1 : len(tickers) + 1]
     if not parsed:
         raise DataError(f"{path}: zero valid rows")
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
     dates = tuple(sorted(parsed))
-    grid = np.array([parsed[d] for d in dates], dtype=float)
+    grid = np.full((len(dates), len(tickers)), np.nan)
+    for i, day in enumerate(dates):
+        cells = parsed[day]
+        grid[i, : len(cells)] = _parse_prices(cells)
     order = np.argsort(tickers)
     return dates, tuple(tickers[j] for j in order), grid[:, order]
 

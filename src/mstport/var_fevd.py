@@ -329,10 +329,10 @@ def to_cost(influence: InfluenceMatrix) -> CostMatrix:
 
 def cost_records(cost: CostMatrix, window_end) -> list[tuple[str, str, str, float]]:
     """Rows ``(window_end, ticker_i, ticker_j, cost)`` for the audit dump."""
-    rows = []
     stamp = window_end.isoformat()
-    n = len(cost.tickers)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append((stamp, cost.tickers[i], cost.tickers[j], float(cost.symmetric[i, j])))
-    return rows
+    i, j = np.triu_indices(len(cost.tickers), k=1)
+    names = cost.tickers
+    return [
+        (stamp, names[a], names[b], c)
+        for a, b, c in zip(i.tolist(), j.tolist(), cost.symmetric[i, j].tolist())
+    ]

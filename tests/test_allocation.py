@@ -246,3 +246,147 @@ def test_weights_unknown_ticker_rejected():
     win = returns_window({"A": base_series(20, -0.02, seed=10)})
     with pytest.raises(errors.DataError):
         al.var_weights(("A", "Z"), win, alpha=0.05, min_history=20)
+
+
+# ---------------------------------------------------------------------------
+# whole-selection weighting against the per-ticker loops it replaced
+
+
+def scalar_var(series, alpha, min_length=None):
+    """``historical_var`` of one series, as a lone scalar computation."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    if min_length is not None and n < min_length:
+        return al.VAR_PENALTY
+    k = max(math.ceil(alpha * n - 1e-9), 1)
+    raw = -float(np.sort(x)[k - 1])
+    return min(max(raw, al.VAR_FLOOR), al.VAR_PENALTY)
+
+
+def scalar_sharpe(series, risk_free=0.0):
+    x = np.asarray(series, dtype=float)
+    if x.size < 2:
+        raise errors.DataError("sharpe ratio needs at least two observations")
+    std = float(np.std(x, ddof=1))
+    if std < 1e-8:
+        return 0.0
+    return (float(np.mean(x)) - risk_free) / std
+
+
+def oracle_var_weights(stocks, win, alpha, min_history):
+    required = min_history if min_history is not None else win.returns.shape[0]
+    raws = []
+    for ticker in stocks:
+        j = win.ticker_index(ticker)
+        if win.mask[:, j].any():
+            var = al.VAR_PENALTY
+        else:
+            var = scalar_var(win.returns[:, j], alpha, min_length=required)
+        raws.append(1.0 / var)
+    return al.from_raw(tuple(stocks), raws)
+
+
+def oracle_sharpe_weights(stocks, win, risk_free):
+    raws = []
+    for ticker in stocks:
+        j = win.ticker_index(ticker)
+        ratio = 0.0 if win.mask[:, j].any() else scalar_sharpe(win.returns[:, j], risk_free)
+        raws.append(max(ratio, 0.0))
+    return al.from_raw(tuple(stocks), raws)
+
+
+def outcome(fn, *args):
+    """Entries with every float as its exact bits, or the DataError's message."""
+    try:
+        weights = fn(*args)
+    except errors.DataError as exc:
+        return str(exc)
+    for _, raw, norm in weights.entries:
+        assert type(raw) is float and type(norm) is float
+    return tuple((t, raw.hex(), norm.hex()) for t, raw, norm in weights.entries)
+
+
+COLUMN_KINDS = ("plain", "plain", "negative", "flat", "near_flat", "zeros", "masked", "huge")
+
+
+def random_selection_window(rng):
+    """A window whose columns mix the cases the weighting rules single out,
+    the selection (a shuffled subset), the alpha, the min history and the
+    column kinds."""
+    n = int(rng.integers(1, 160))
+    n_tickers = int(rng.integers(1, 8))
+    kinds = [COLUMN_KINDS[i] for i in rng.integers(0, len(COLUMN_KINDS), n_tickers)]
+    data = np.empty((n, n_tickers))
+    mask = np.zeros((n, n_tickers), dtype=bool)
+    for j, kind in enumerate(kinds):
+        col = rng.normal(rng.uniform(-0.003, 0.004), rng.uniform(0.001, 0.05), n)
+        if kind == "negative":
+            col = rng.normal(-0.01, 0.002, n)
+        elif kind == "flat":
+            col = np.full(n, rng.uniform(-0.01, 0.01))
+        elif kind == "near_flat":
+            col = 0.004 + 1e-12 * rng.normal(size=n)
+        elif kind == "zeros":
+            col = np.zeros(n)
+        elif kind == "huge":
+            col = rng.normal(0.0, 30.0, n)  # VaR clips at the penalty
+        elif kind == "masked":
+            mask[rng.integers(0, n, int(rng.integers(1, n + 1))), j] = True
+        data[:, j] = col
+    names = tuple(f"T{j}" for j in range(n_tickers))
+    win = md.ReturnMatrix(synth.day_range(n), names, data, mask)
+    chosen = rng.permutation(n_tickers)[: int(rng.integers(1, n_tickers + 1))]
+    stocks = tuple(names[j] for j in chosen)
+    if rng.random() < 0.4:
+        # alpha * n within 1e-12 of an integer m
+        m = int(rng.integers(1, max(n // 2, 1) + 1))
+        alpha = min((m + float(rng.choice((-5e-13, 0.0, 5e-13)))) / n, 0.5)
+    else:
+        alpha = float(rng.choice((0.01, 0.05, 0.1, 0.25, 0.5)))
+    min_history = rng.choice(np.array([None, 1, n - 1, n, n + 1, n + 30], dtype=object))
+    return win, stocks, alpha, min_history, [kinds[j] for j in chosen]
+
+
+def test_whole_selection_weights_equal_per_ticker_loops():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(1500):
+        win, stocks, alpha, min_history, kinds = random_selection_window(rng)
+        n = win.returns.shape[0]
+        got = outcome(al.var_weights, stocks, win, alpha, min_history)
+        assert got == outcome(oracle_var_weights, stocks, win, alpha, min_history)
+        risk_free = float(rng.choice((0.0, 0.0002, -0.001, 0.01)))
+        got_sharpe = outcome(al.sharpe_weights, stocks, win, risk_free)
+        assert got_sharpe == outcome(oracle_sharpe_weights, stocks, win, risk_free)
+        seen.update(kinds)
+        if min_history is not None and min_history > n:
+            seen.add("min_history > n")
+        if abs(alpha * n - round(alpha * n)) < 1e-12 and alpha not in (0.01, 0.05, 0.1, 0.25, 0.5):
+            seen.add("alpha * n near an integer")
+        if isinstance(got_sharpe, str):
+            seen.add("sharpe error")
+        elif all(float.fromhex(norm) == 0.0 for _, _, norm in got_sharpe):
+            seen.add("all-zero sharpe")
+    assert seen == set(COLUMN_KINDS) | {
+        "min_history > n", "alpha * n near an integer", "sharpe error", "all-zero sharpe"
+    }
+
+
+def test_block_and_single_series_agree_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for _ in range(400):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(2, 200))
+        block = rng.normal(rng.uniform(-0.01, 0.01, (k, 1)), rng.uniform(1e-3, 0.1, (k, 1)), (k, n))
+        block[rng.random(k) < 0.2] = rng.uniform(-0.01, 0.01)  # flat rows
+        alpha = float(rng.choice((0.01, 0.05, 0.1, 0.25, 0.5)))
+        min_length = rng.choice(np.array([None, n, n + 1], dtype=object))
+        risk_free = float(rng.choice((0.0, 0.0002)))
+        var_rows = al.historical_var(block, alpha, min_length)
+        sharpe_rows = al.sharpe_ratio(block, risk_free)
+        assert var_rows.shape == sharpe_rows.shape == (k,)
+        for i in range(k):
+            one_var = al.historical_var(block[i], alpha, min_length)
+            one_sharpe = al.sharpe_ratio(block[i], risk_free)
+            assert type(one_var) is float and type(one_sharpe) is float
+            assert one_var.hex() == float(var_rows[i]).hex() == scalar_var(block[i], alpha, min_length).hex()
+            assert one_sharpe.hex() == float(sharpe_rows[i]).hex() == scalar_sharpe(block[i], risk_free).hex()

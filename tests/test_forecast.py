@@ -256,26 +256,27 @@ def scalar_train(x, target, p, k, seed, learning_rate, epochs, tol, patience):
     history = [float(loss)]
     epochs_run = 0
     stop = "epochs"
-    for _ in range(epochs):
-        new_wh = w_hidden - learning_rate * g_wh
-        new_bh = b_hidden - learning_rate * g_bh
-        new_wo = w_out - learning_rate * g_wo
-        new_bo = b_out - learning_rate * float(g_bo)
-        new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = fc._nnar_loss_and_grads(
-            x, target, new_wh, new_bh, new_wo, new_bo
-        )
-        if not math.isfinite(new_loss):
-            return None
-        if new_loss > history[-1]:
-            stop = "revert"
-            break
-        w_hidden, b_hidden, w_out, b_out = new_wh, new_bh, new_wo, new_bo
-        g_wh, g_bh, g_wo, g_bo = n_g_wh, n_g_bh, n_g_wo, n_g_bo
-        history.append(float(new_loss))
-        epochs_run += 1
-        if len(history) > patience and history[-patience - 1] - history[-1] < tol:
-            stop = "plateau"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # as the stacked trainer
+        for _ in range(epochs):
+            new_wh = w_hidden - learning_rate * g_wh
+            new_bh = b_hidden - learning_rate * g_bh
+            new_wo = w_out - learning_rate * g_wo
+            new_bo = b_out - learning_rate * float(g_bo)
+            new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = fc._nnar_loss_and_grads(
+                x, target, new_wh, new_bh, new_wo, new_bo
+            )
+            if not math.isfinite(new_loss):
+                return None
+            if new_loss > history[-1]:
+                stop = "revert"
+                break
+            w_hidden, b_hidden, w_out, b_out = new_wh, new_bh, new_wo, new_bo
+            g_wh, g_bh, g_wo, g_bo = n_g_wh, n_g_bh, n_g_wo, n_g_bo
+            history.append(float(new_loss))
+            epochs_run += 1
+            if len(history) > patience and history[-patience - 1] - history[-1] < tol:
+                stop = "plateau"
+                break
     return w_hidden, b_hidden, w_out, b_out, history[-1], epochs_run, stop
 
 

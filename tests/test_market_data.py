@@ -1,9 +1,14 @@
 """Panel loading, validation, quality filtering, returns, and windowing."""
 
+import csv
+import logging
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synth
 from mstport import errors, market_data as md
@@ -307,3 +312,309 @@ def test_window_bounds_checked():
         md.window(rets, end_index=8, length=10)
     with pytest.raises(ValueError):
         md.window(rets, end_index=8, length=0)
+
+
+# ---------------------------------------------------------------------------
+# loading: the column-wise loaders against the row-by-row oracle
+#
+# The oracle is the row loop the loaders replaced: one cell, one row at a
+# time, with ``str.strip`` before every parse.  It returns the table (or
+# the DataError) and the warnings it would log.
+
+
+def oracle_parse_price(text):
+    text = text.strip()
+    if not text:
+        return np.nan
+    try:
+        value = float(text)
+    except ValueError:
+        return np.nan
+    if not np.isfinite(value) or value <= 0.0:
+        return np.nan
+    return value
+
+
+def oracle_read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+
+
+def oracle_load_long(path, warnings):
+    rows = oracle_read_rows(path)
+    if not rows:
+        raise errors.DataError(f"{path}: empty file")
+    header = tuple(cell.strip().lower() for cell in rows[0])
+    if header != md.LONG_HEADER:
+        raise errors.DataError(f"{path}: expected header {','.join(md.LONG_HEADER)}")
+    cells = {}
+    skipped = 0
+    for row in rows[1:]:
+        if len(row) < 4:
+            skipped += 1
+            continue
+        try:
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            skipped += 1
+            continue
+        ticker = row[1].strip()
+        if not ticker:
+            skipped += 1
+            continue
+        key = (day, ticker)
+        if key in cells:
+            raise errors.DataError(f"{path}: duplicate (date, ticker) pair {key}")
+        cells[key] = (oracle_parse_price(row[2]), oracle_parse_price(row[3]))
+    if not cells:
+        raise errors.DataError(f"{path}: zero valid rows")
+    if skipped:
+        warnings.append(f"{path}: skipped {skipped} malformed rows")
+    dates = tuple(sorted({k[0] for k in cells}))
+    tickers = tuple(sorted({k[1] for k in cells}))
+    d_idx = {d: i for i, d in enumerate(dates)}
+    t_idx = {t: j for j, t in enumerate(tickers)}
+    closes = np.full((len(dates), len(tickers)), np.nan)
+    opens = np.full_like(closes, np.nan)
+    for (day, ticker), (op, cl) in cells.items():
+        opens[d_idx[day], t_idx[ticker]] = op
+        closes[d_idx[day], t_idx[ticker]] = cl
+    has_opens = bool(np.any(np.isfinite(opens)))
+    if has_opens:
+        mask = ~(np.isfinite(closes) & np.isfinite(opens))
+    else:
+        mask = ~np.isfinite(closes)
+    return md.PriceTable(dates, tickers, closes, mask, opens if has_opens else None)
+
+
+def oracle_parse_wide_grid(path, warnings):
+    rows = oracle_read_rows(path)
+    if not rows:
+        raise errors.DataError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0]]
+    if len(header) < 2 or header[0].lower() != "date":
+        raise errors.DataError(f"{path}: expected header date,<TICKER>[,<TICKER>...]")
+    tickers = header[1:]
+    if any(not t for t in tickers):
+        raise errors.DataError(f"{path}: blank ticker column name")
+    if len(set(tickers)) != len(tickers):
+        raise errors.DataError(f"{path}: duplicate ticker columns")
+    parsed = {}
+    skipped = 0
+    for row in rows[1:]:
+        try:
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            skipped += 1
+            continue
+        if day in parsed:
+            raise errors.DataError(f"{path}: duplicate date {day}")
+        values = [oracle_parse_price(cell) for cell in row[1:]]
+        values += [np.nan] * (len(tickers) - len(values))
+        parsed[day] = values[: len(tickers)]
+    if not parsed:
+        raise errors.DataError(f"{path}: zero valid rows")
+    if skipped:
+        warnings.append(f"{path}: skipped {skipped} malformed rows")
+    dates = tuple(sorted(parsed))
+    grid = np.array([parsed[d] for d in dates], dtype=float)
+    order = np.argsort(tickers)
+    return dates, tuple(tickers[j] for j in order), grid[:, order]
+
+
+def oracle_load_wide(path, warnings):
+    dates, tickers, closes = oracle_parse_wide_grid(path, warnings)
+    opens = None
+    opens_path = path.with_name(path.stem + ".open" + path.suffix)
+    if opens_path.exists():
+        o_dates, o_tickers, o_grid = oracle_parse_wide_grid(opens_path, warnings)
+        if o_dates != dates or o_tickers != tickers:
+            raise errors.DataError(f"{opens_path}: dates/tickers do not match {path}")
+        opens = o_grid
+    if opens is None:
+        mask = ~np.isfinite(closes)
+    else:
+        mask = ~(np.isfinite(closes) & np.isfinite(opens))
+    return md.PriceTable(dates, tickers, closes, mask, opens)
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def load_both(path, fmt):
+    """``(outcome, warnings)`` of the loader and of the oracle; an outcome
+    is a PriceTable or the DataError's message."""
+    handler = _Collect()
+    logger = logging.getLogger(md.__name__)
+    logger.addHandler(handler)
+    try:
+        got = md.load_prices(path, fmt)
+    except errors.DataError as exc:
+        got = str(exc)
+    finally:
+        logger.removeHandler(handler)
+    oracle_warnings = []
+    try:
+        oracle = oracle_load_long if fmt == md.FORMAT_LONG else oracle_load_wide
+        want = oracle(path, oracle_warnings)
+    except errors.DataError as exc:
+        want = str(exc)
+    return (got, handler.messages), (want, oracle_warnings)
+
+
+def assert_same_load(got, want):
+    (table, warned), (expected, expected_warned) = got, want
+    assert warned == expected_warned
+    if isinstance(expected, str):
+        assert table == expected
+        return
+    assert isinstance(table, md.PriceTable), table
+    assert table.dates == expected.dates
+    assert table.tickers == expected.tickers
+    assert np.array_equal(table.adj_close, expected.adj_close, equal_nan=True)
+    assert np.array_equal(table.mask, expected.mask)
+    assert (table.open_px is None) == (expected.open_px is None)
+    if expected.open_px is not None:
+        assert np.array_equal(table.open_px, expected.open_px, equal_nan=True)
+
+
+PRICE_CELLS = (
+    "12.5", "7", "0.01", "1e3", "+2.25", " 3.5 ", "\t4\t", "1_0", " 5.5", "\x1c6.0", "4.0\x1f",
+    "\u0663.5", "nan", "NaN", " inf", "-inf", "1e400", "0", "-0", "0.0", "-3.2", "", "  ",
+    "abc", "1__0", "1.2.3", "1,5", 'say "hi"', "--1",
+)
+# Cells that ``float`` parses whole, for runs that take the fast path.
+NUMERIC_CELLS = ("12.5", "7", "0.01", "1e3", "+2.25", " 3.5 ", "\t4\t", "1_0", " 5.5", "\u0663.5",
+                 "nan", " inf", "-inf", "0", "-3.2")
+
+
+def date_cells(last_day):
+    """Date cells: ISO dates up to ``last_day`` (bare or padded) and bad ones."""
+    dates = st.dates(date(2021, 1, 1), last_day).map(date.isoformat)
+    return st.one_of(
+        dates,
+        dates,
+        dates.map(lambda d: f" {d}\t"),
+        st.sampled_from(("20210107", "2021-13-01", "not-a-date", "", "01/04/2021")),
+    )
+
+
+TICKERS = ("A", "B", "C", "D", "E", "^IDX")
+TICKER_CELLS = st.one_of(st.sampled_from(TICKERS), st.sampled_from(TICKERS), st.sampled_from((" B ", "a", "", "  ")))
+
+
+def _csv_cell(text, quoted):
+    """``text`` as CSV source; a cell with a comma or quote is always quoted."""
+    if quoted or any(c in text for c in ',"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_text(draw, leads, cell_pool, width):
+    """One row per tuple of ``leads``: those cells, then ``width`` cells
+    from ``cell_pool``; short, long, blank or quoted now and then."""
+    lines = []
+    for lead in draw(leads):
+        kind = draw(st.sampled_from(("row",) * 8 + ("short", "long", "blank", "spaces")))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(" ,\t, ")
+            continue
+        n = width + {"row": 0, "short": -draw(st.integers(1, max(width, 1))), "long": draw(st.integers(1, 2))}[kind]
+        cells = [*lead, *(draw(st.sampled_from(cell_pool)) for _ in range(n))][: len(lead) + n]
+        lines.append(",".join(_csv_cell(c, draw(st.integers(0, 5)) == 0) for c in cells))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(lines) + ending
+
+
+LONG_LEADS = st.lists(st.tuples(date_cells(date(2021, 1, 31)), TICKER_CELLS), min_size=1, max_size=14)
+# Distinct date cells, so that few wide files stop at a duplicate date.
+WIDE_LEADS = st.lists(date_cells(date(2021, 12, 31)), min_size=1, max_size=12, unique=True).map(
+    lambda days: [(day,) for day in days]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    header=st.sampled_from(("date,ticker,open,adj_close", " Date , TICKER ,Open,ADJ_CLOSE", "date,ticker,close")),
+    junk=st.booleans(),
+    data=st.data(),
+)
+def test_long_loader_matches_row_oracle(header, junk, data):
+    body = data.draw(csv_text(LONG_LEADS, PRICE_CELLS if junk else NUMERIC_CELLS, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        got, want = load_both(path, md.FORMAT_LONG)
+    assert_same_load(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=st.sampled_from(("date",) * 4 + (" DATE ", "day")),
+    tickers=st.lists(st.sampled_from(TICKERS), min_size=1, max_size=5, unique=True),
+    odd_ticker=st.sampled_from((None,) * 6 + ("", " A ", "a")),
+    junk=st.booleans(),
+    sibling=st.sampled_from((None, "same", "other")),
+    data=st.data(),
+)
+def test_wide_loader_matches_row_oracle(first, tickers, odd_ticker, junk, sibling, data):
+    if odd_ticker is not None:
+        tickers = tickers + [odd_ticker]
+    pool = PRICE_CELLS if junk else NUMERIC_CELLS
+    header = ",".join([first] + tickers)
+    body = data.draw(csv_text(WIDE_LEADS, pool, len(tickers)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        if sibling is not None:
+            if sibling == "other":
+                body = data.draw(csv_text(WIDE_LEADS, pool, len(tickers)))
+            (Path(tmp) / "panel.open.csv").write_text(header + "\n" + body, encoding="utf-8")
+        got, want = load_both(path, md.FORMAT_WIDE)
+    assert_same_load(got, want)
+
+
+def test_price_run_matches_cell_rule():
+    for cells in (PRICE_CELLS, NUMERIC_CELLS, ("\x1c6.0",), ("1", "2.5\x1f")):
+        want = [oracle_parse_price(c) for c in cells]
+        assert np.array_equal(md._parse_prices(cells), want, equal_nan=True)
+    assert md._parse_prices([]).shape == (0,)
+
+
+def test_long_duplicate_reports_first_repeat_in_file_order(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "date,ticker,open,adj_close\n"
+        "2021-01-04,A,1,2\n"
+        "2021-01-05,B,1,2\n"
+        "2021-01-04, A ,1,2\n"      # the first repeat in file order
+        "2021-01-05,B,1,2\n"
+    )
+    with pytest.raises(errors.DataError, match=r"pair \(datetime.date\(2021, 1, 4\), 'A'\)"):
+        md.load_prices(path)
+
+
+def test_long_skipped_rows_are_counted_and_logged(tmp_path, caplog):
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "date,ticker,open,adj_close\n"
+        "2021-01-04,A,10.0,11.0\n"
+        "\n"
+        "2021-01-05,A\n"
+        "bad,A,1,2\n"
+        "2021-01-05,,1,2\n"
+        " , , , \n"
+    )
+    with caplog.at_level(logging.WARNING, logger=md.__name__):
+        md.load_prices(path)
+    assert caplog.messages == [f"{path}: skipped 3 malformed rows"]

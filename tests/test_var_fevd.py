@@ -416,3 +416,19 @@ def test_cost_records_upper_triangle_rows():
         [r[3] for r in records],
         [cost.symmetric[0, 1], cost.symmetric[0, 2], cost.symmetric[1, 2]],
     )
+
+
+def test_cost_records_equal_the_per_pair_loop():
+    rng = np.random.default_rng(12)
+    names = synth.ticker_names(17)
+    theta = rng.uniform(0.0, 1.0, (17, 17))
+    np.fill_diagonal(theta, 0.0)
+    cost = vf.to_cost(vf.InfluenceMatrix(tickers=names, theta=theta))
+    want = [
+        ("2021-01-04", names[i], names[j], float(cost.symmetric[i, j]))
+        for i in range(17)
+        for j in range(i + 1, 17)
+    ]
+    got = vf.cost_records(cost, synth.day_range(1)[0])
+    assert got == want
+    assert all(type(row[3]) is float for row in got)  # repr gives the CSV text
