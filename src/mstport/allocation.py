@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DataError
 from .market_data import ReturnMatrix
 
+WEIGHTING_VAR = "var"
+WEIGHTING_SHARPE = "sharpe"
+
 VAR_FLOOR = 0.001
 VAR_PENALTY = 10.0
 _SHARPE_MIN_STD = 1e-8
@@ -131,6 +134,38 @@ def _clean_block(win: ReturnMatrix, stocks: tuple[str, ...] | list[str]) -> tupl
     return np.ascontiguousarray(win.returns.T[idx][clean]), clean
 
 
+def raw_weights(
+    weighting: str,
+    windows: np.ndarray,
+    clean: np.ndarray,
+    *,
+    alpha: float = 0.05,
+    min_history: int | None = None,
+    risk_free: float = 0.0,
+) -> np.ndarray:
+    """Raw weights of many stock windows at once, shaped like ``clean``.
+
+    ``clean`` is True where a stock's return window has no masked cell;
+    those windows, in order, are the C-contiguous rows of ``windows``.  A
+    masked window is treated as insufficient history: the VaR penalty value
+    under ``"var"``, zero under ``"sharpe"``.  Otherwise the weight is the
+    inverse VaR (the penalty for a window shorter than ``min_history``,
+    default its own length), or the Sharpe ratio with a negative ratio
+    floored at zero.  Each weight equals the weight of its window alone.
+    """
+    if weighting == WEIGHTING_VAR:
+        var = np.full(clean.shape, VAR_PENALTY)
+        if clean.any():  # only unmasked windows are estimated, and checked
+            required = min_history if min_history is not None else windows.shape[-1]
+            var[clean] = historical_var(windows, alpha, min_length=required)
+        return 1.0 / var
+    ratio = np.zeros(clean.shape)
+    if clean.any():
+        ratio[clean] = sharpe_ratio(windows, risk_free)
+    # ``max(ratio, 0.0)``, which keeps a -0.0 ratio as it is.
+    return np.where(ratio < 0.0, 0.0, ratio)
+
+
 def var_weights(
     stocks: tuple[str, ...] | list[str],
     win: ReturnMatrix,
@@ -142,12 +177,9 @@ def var_weights(
     A stock with any masked cell in the window is treated as having
     insufficient history and receives the VaR penalty value.
     """
-    block, clean = _clean_block(win, stocks)
-    required = min_history if min_history is not None else win.returns.shape[0]
-    var = np.full(clean.size, VAR_PENALTY)
-    if clean.any():  # only unmasked columns are estimated, and checked
-        var[clean] = historical_var(block, alpha, min_length=required)
-    return from_raw(tuple(stocks), (1.0 / var).tolist())
+    windows, clean = _clean_block(win, stocks)
+    raw = raw_weights(WEIGHTING_VAR, windows, clean, alpha=alpha, min_history=min_history)
+    return from_raw(tuple(stocks), raw.tolist())
 
 
 def sharpe_weights(
@@ -160,9 +192,6 @@ def sharpe_weights(
     All ratios non-positive yields the all-zero vector (stay in cash).
     Stocks with masked cells in the window contribute zero weight.
     """
-    block, clean = _clean_block(win, stocks)
-    ratio = np.zeros(clean.size)
-    if clean.any():  # only unmasked columns are estimated, and checked
-        ratio[clean] = sharpe_ratio(block, risk_free)
-    # ``max(ratio, 0.0)``, which keeps a -0.0 ratio as it is.
-    return from_raw(tuple(stocks), np.where(ratio < 0.0, 0.0, ratio).tolist())
+    windows, clean = _clean_block(win, stocks)
+    raw = raw_weights(WEIGHTING_SHARPE, windows, clean, risk_free=risk_free)
+    return from_raw(tuple(stocks), raw.tolist())

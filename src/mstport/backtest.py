@@ -23,9 +23,10 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import allocation, forecast, market_data, network, var_fevd
-from .allocation import WeightVector
+from .allocation import WEIGHTING_SHARPE, WEIGHTING_VAR, WeightVector
 from .errors import ConfigError, DataError, EstimationError, InsufficientHistory
 from .forecast import Forecast
 from .market_data import PriceTable, ReturnMatrix
@@ -34,8 +35,6 @@ from .var_fevd import CostMatrix
 
 log = logging.getLogger(__name__)
 
-WEIGHTING_VAR = "var"
-WEIGHTING_SHARPE = "sharpe"
 FORECASTER_NONE = "none"
 FORECASTER_ARIMA = "arima"
 FORECASTER_NNAR = "nnar"
@@ -297,19 +296,12 @@ def execute_day(
     return PortfolioState(cash=cash, holdings=holdings, value=value, stale=tuple(sorted(stale)))
 
 
-def _initial_last_close(prices: PriceTable, through_row: int) -> np.ndarray:
-    """Last unmasked close per ticker over rows [0, through_row]."""
-    seen = ~prices.mask[: through_row + 1]
-    rows = np.where(seen, np.arange(through_row + 1)[:, None], -1).max(axis=0)
+def _last_closes(prices: PriceTable) -> np.ndarray:
+    """Row t holds each ticker's last unmasked close over rows [0, t], NaN before its first."""
+    rows = np.where(prices.mask, -1, np.arange(len(prices.dates))[:, None])
+    rows = np.maximum.accumulate(rows, axis=0)
     last = prices.adj_close[rows, np.arange(len(prices.tickers))]
     return np.where(rows >= 0, last, np.nan)
-
-
-def _weights_for(cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix) -> WeightVector:
-    if cfg.weighting == WEIGHTING_VAR:
-        required = cfg.min_var_history if cfg.min_var_history is not None else cfg.window
-        return allocation.var_weights(selection, win, cfg.alpha, min_history=required)
-    return allocation.sharpe_weights(selection, win, risk_free=cfg.risk_free)
 
 
 def _strip_benchmark(
@@ -396,6 +388,9 @@ class DecisionPath:
         self.base = cfg
         self.seeds = tuple(seeds) if seeds is not None else cfg.seeds
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
+        # Masked returns of each ticker above each row; a window's count is a difference.
+        counts = np.cumsum(self.returns.mask, axis=0)
+        self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._schedules: dict[str, tuple[Decision, ...]] = {}
         self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
@@ -454,6 +449,23 @@ class DecisionPath:
                 out.append(Decision(tau, held, trades, warning))
             self._schedules[mode] = tuple(out)
         return self._schedules[mode]
+
+    def weight_windows(self, days: list[Decision]) -> tuple[np.ndarray, np.ndarray]:
+        """The return windows of every stock the days select, for weighting them at once.
+
+        Returns ``(windows, clean)``.  ``clean`` has one entry per selected
+        stock, day after day in selection order, True where the stock's
+        window ending at the day's ``tau`` has no masked cell; ``windows``
+        holds those unmasked windows, in order, as the C-contiguous rows of
+        one ``(count, window)`` block.
+        """
+        w = self.base.window
+        cols = np.array([self.returns.ticker_index(t) for d in days for t in d.selection], dtype=np.intp)
+        taus = np.array([d.tau for d in days], dtype=np.intp)
+        ends = np.repeat(taus + 1, [len(d.selection) for d in days])  # one past each window's last row
+        clean = self._masked_above[ends, cols] == self._masked_above[ends - w, cols]
+        windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
+        return windows, clean
 
     def forecasts(self, cfg: StrategyConfig, day: Decision, seed: int) -> tuple[list[Forecast], list[str]]:
         """``cfg.forecaster``'s one-step forecasts of the day's selection, and failure messages.
@@ -550,33 +562,50 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
     path.check(cfg)
     if seed not in path.seeds:
         raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
-    prices, returns = path.prices, path.returns
+    prices = path.prices
     w = cfg.window
     n_dates = len(prices.dates)
     if n_dates < w + 1:
         raise InsufficientHistory(f"need at least window + 1 = {w + 1} price dates, got {n_dates}")
     if len(prices.tickers) < 2:
         raise DataError("empty universe after filtering")
+    schedule = path.schedule(cfg.portfolio_mode)
+    trading = [day for day in schedule if day.trades]
+    windows, clean = path.weight_windows(trading)
+    raws = allocation.raw_weights(
+        cfg.weighting,
+        windows,
+        clean,
+        alpha=cfg.alpha,
+        min_history=cfg.min_var_history,
+        risk_free=cfg.risk_free,
+    ).tolist()
     closes = prices.adj_close
-    cmask = prices.mask
-    opens = prices.open_px
-    use_opens = cfg.use_open_prices and opens is not None
-    last_close = _initial_last_close(prices, w)
+    # Price row t's execution prices sit in row t - 1: the open, or the prior
+    # close where the open is masked or unused.  Masked prices are NaN, which
+    # execute_day treats as absent, as it does a NaN last known close.
+    if cfg.use_open_prices and prices.open_px is not None:
+        exec_px = np.where(prices.mask[1:], closes[:-1], prices.open_px[1:])
+    else:
+        exec_px = closes[:-1]
+    last_close = _last_closes(prices)
     state = PortfolioState(cash=cfg.initial_capital, holdings={}, value=cfg.initial_capital)
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
     records: list[DayRecord] = []
     warnings: set[str] = set()
     trade_count = 0
-    for day in path.schedule(cfg.portfolio_mode):
+    start = 0  # first raw weight of the next trading day
+    for day in schedule:
         if day.warning is not None:
             warnings.add(day.warning)
         exec_row = day.tau + 2  # price row of the execution day
         if not day.trades:
             signal, weights = 0, EMPTY_WEIGHTS
         else:
-            win = market_data.window(returns, day.tau, w)
-            weights = _weights_for(cfg, day.selection, win)
+            stop = start + len(day.selection)
+            weights = allocation.from_raw(day.selection, raws[start:stop])
+            start = stop
             if cfg.forecaster == FORECASTER_NONE:
                 signal = 1 if not weights.is_all_zero() else -1
             else:
@@ -587,21 +616,12 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
                     signal = aggregate_signal([f.signal for f in forecasts])
                 else:
                     signal = 1 if not weights.is_all_zero() else -1
-        needed = set(state.holdings)
-        needed.update(t for t, _, norm in weights.entries if norm > 0.0)
-        exec_prices: dict[str, float] = {}
-        close_prices: dict[str, float] = {}
-        last_known: dict[str, float] = {}
-        for ticker in needed:
-            j = prices.ticker_index(ticker)
-            if use_opens and not cmask[exec_row, j]:
-                exec_prices[ticker] = float(opens[exec_row, j])
-            elif not cmask[exec_row - 1, j]:
-                exec_prices[ticker] = float(closes[exec_row - 1, j])
-            if not cmask[exec_row, j]:
-                close_prices[ticker] = float(closes[exec_row, j])
-            if np.isfinite(last_close[j]):
-                last_known[ticker] = float(last_close[j])
+        needed = list(state.holdings)
+        needed += [t for t, _, norm in weights.entries if norm > 0.0 and t not in state.holdings]
+        cols = [prices.ticker_index(t) for t in needed]
+        exec_prices = dict(zip(needed, exec_px[exec_row - 1, cols].tolist()))
+        close_prices = dict(zip(needed, closes[exec_row, cols].tolist()))
+        last_known = dict(zip(needed, last_close[exec_row - 1, cols].tolist()))
         before = state.holdings
         state = execute_day(state, signal, weights, exec_prices, close_prices, last_known)
         if state.holdings != before:
@@ -610,8 +630,6 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
             warnings.add(
                 "stale prices on " + prices.dates[exec_row].isoformat() + ": " + ",".join(state.stale)
             )
-        fresh = ~cmask[exec_row]
-        last_close = np.where(fresh, closes[exec_row], last_close)
         out_dates.append(prices.dates[exec_row])
         values.append(state.value)
         records.append(

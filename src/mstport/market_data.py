@@ -29,6 +29,14 @@ FORMAT_LONG = "long"
 FORMAT_WIDE = "wide"
 
 
+def _column_map(tickers: tuple[str, ...]) -> dict[str, int]:
+    """Column of each ticker; a repeated name maps to its first column, as ``tuple.index`` does."""
+    columns: dict[str, int] = {}
+    for j, ticker in enumerate(tickers):
+        columns.setdefault(ticker, j)
+    return columns
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
@@ -55,8 +63,10 @@ class PriceTable:
         n_d, n_t = len(self.dates), len(self.tickers)
         if any(self.dates[i] >= self.dates[i + 1] for i in range(n_d - 1)):
             raise DataError("dates must be strictly increasing")
-        if len(set(self.tickers)) != n_t:
+        columns = _column_map(self.tickers)
+        if len(columns) != n_t:
             raise DataError("duplicate tickers")
+        object.__setattr__(self, "_columns", columns)
         closes = np.asarray(self.adj_close, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
         if closes.shape != (n_d, n_t) or mask.shape != (n_d, n_t):
@@ -83,8 +93,8 @@ class PriceTable:
 
     def ticker_index(self, ticker: str) -> int:
         try:
-            return self.tickers.index(ticker)
-        except ValueError:
+            return self._columns[ticker]
+        except KeyError:
             raise DataError(f"unknown ticker {ticker!r}") from None
 
 
@@ -109,6 +119,7 @@ class ReturnMatrix:
             raise DataError("unmasked returns must be finite")
         object.__setattr__(self, "returns", _freeze(rets))
         object.__setattr__(self, "mask", _freeze(mask))
+        object.__setattr__(self, "_columns", _column_map(self.tickers))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -116,8 +127,8 @@ class ReturnMatrix:
 
     def ticker_index(self, ticker: str) -> int:
         try:
-            return self.tickers.index(ticker)
-        except ValueError:
+            return self._columns[ticker]
+        except KeyError:
             raise DataError(f"unknown ticker {ticker!r}") from None
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sim
-from mstport import backtest, market_data
+from mstport import allocation, backtest, market_data
 from mstport.allocation import from_raw
 from mstport.backtest import (
     EMPTY_WEIGHTS,
@@ -38,6 +38,21 @@ BASE = StrategyConfig(
     benchmark_ticker="IDX",
     nnar_epochs=40,
 )
+
+
+def gappy_panel() -> market_data.PriceTable:
+    """PANEL with one masked cell per stock after the first window, and a
+    slide over the last 40 days steep enough that, in the windows ending on
+    the last days, every stock's mean return is negative."""
+    slide = np.exp(-0.01 * np.clip(np.arange(140) - 99, 0, None))[:, None]
+    opens = PANEL.open_px * np.concatenate([[1.0], slide[:-1, 0]])[:, None]  # near the prior close
+    table = market_data.PriceTable(PANEL.dates, PANEL.tickers, PANEL.adj_close * slide, PANEL.mask, opens)
+    stocks = [j for j, t in enumerate(PANEL.tickers) if t != "IDX"]
+    return with_masked(table, [(64 + 9 * k, j) for k, j in enumerate(stocks)])
+
+
+GAPPY = gappy_panel()
+GAPPY_RETURNS = market_data.compute_returns(GAPPY)
 
 
 def fresh_state(cash: float = 10_000.0) -> PortfolioState:
@@ -211,7 +226,7 @@ def last_close_by_rows(prices, through_row: int) -> np.ndarray:
     return last
 
 
-def test_initial_last_close_matches_the_row_scan():
+def test_last_closes_match_the_row_scan():
     rng = np.random.default_rng(12)
     table = random_walk_table(7, 40, seed=3)
     for density in (0.1, 0.5, 0.9):
@@ -220,11 +235,10 @@ def test_initial_last_close_matches_the_row_scan():
         # column 2 has no price through ``through`` and must stay NaN
         cells += [(row, 2) for row in range(through + 1)]
         masked = with_masked(table, cells)
-        for row in (0, through, 39):
-            got = backtest._initial_last_close(masked, row)
-            want = last_close_by_rows(masked, row)
-            assert np.array_equal(got, want, equal_nan=True)
-        assert np.isnan(backtest._initial_last_close(masked, through)[2])
+        got = backtest._last_closes(masked)
+        for row in range(40):
+            assert np.array_equal(got[row], last_close_by_rows(masked, row), equal_nan=True)
+        assert np.isnan(got[through, 2])
 
 
 def test_portfolio_state_invariants():
@@ -373,12 +387,46 @@ def test_simulation_accounting_identity_holds_every_day():
 )
 def test_engine_matches_reference_simulator(name):
     cfg = make_strategy(BASE, name, fixed_weighting="sharpe")
-    engine = run_simulation(cfg, PANEL, RETURNS)
-    reference = reference_sim.simulate(cfg, PANEL, RETURNS)
-    assert engine.dates == reference.dates
-    assert np.array_equal(engine.values, reference.values)
-    assert engine.trade_count == reference.trade_count
-    assert engine.total_return_pct == reference.total_return_pct
+    for prices, returns in ((PANEL, RETURNS), (GAPPY, GAPPY_RETURNS)):
+        engine = run_simulation(cfg, prices, returns)
+        reference = reference_sim.simulate(cfg, prices, returns)
+        assert engine.dates == reference.dates
+        assert np.array_equal(engine.values, reference.values)
+        assert engine.trade_count == reference.trade_count
+        assert engine.total_return_pct == reference.total_return_pct
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{}, {"rebalance_every": 7}, {"min_var_history": BASE.window + 1}],
+    ids=["daily", "weekly", "long_var_history"],
+)
+def test_schedule_weights_equal_per_window_weights(changes):
+    cfg = dataclass_replace(BASE, **changes)
+    names = ("mst_var", "mst_sharpe", "fixed", "dynamic_var")
+    multi = run_multi_seed(cfg, GAPPY, GAPPY_RETURNS, strategies=names, fixed_weighting="sharpe")
+    row_of = {d: i for i, d in enumerate(GAPPY.dates)}
+    seen = set()
+    for name in names:
+        strat = make_strategy(cfg, name, fixed_weighting="sharpe")
+        result = multi.results[(name, 132)]
+        for rec in result.days:
+            if not rec.weights.entries:
+                continue  # no trade that day
+            win = market_data.window(GAPPY_RETURNS, row_of[rec.date] - 2, cfg.window)
+            if strat.weighting == allocation.WEIGHTING_VAR:
+                want = allocation.var_weights(rec.selection, win, cfg.alpha, cfg.min_var_history)
+            else:
+                want = allocation.sharpe_weights(rec.selection, win, cfg.risk_free)
+            assert repr(rec.weights.entries) == repr(want.entries), (name, rec.date)
+            masked = any(win.mask[:, win.ticker_index(t)].any() for t in rec.selection)
+            seen.add((strat.weighting, "masked" if masked else "clean"))
+            if strat.weighting == allocation.WEIGHTING_SHARPE and rec.weights.is_all_zero():
+                seen.add(("sharpe", "cash"))
+        seen.update(("any", "stale") for rec in result.days if rec.stale)
+    # the gaps, the slide and the stale closes reach the branches they are for
+    assert {("var", "masked"), ("sharpe", "masked"), ("sharpe", "cash"), ("any", "stale")} <= seen
+    assert ("var", "clean") in seen and ("sharpe", "clean") in seen
 
 
 def test_engine_matches_reference_with_close_execution():
