@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import io
 import json
 import logging
 import sys
@@ -53,14 +55,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None):
         updates["out_dir"] = Path(args.out)
     strategy_updates: dict = {}
-    if getattr(args, "rebalance_every", None):
+    # ``is not None``: an empty or zero override is checked, not ignored.
+    if getattr(args, "rebalance_every", None) is not None:
         strategy_updates["rebalance_every"] = int(args.rebalance_every)
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             strategy_updates["seeds"] = parse_seeds(args.seeds)
         except ValueError as exc:
             raise ConfigError(f"--seeds: {exc}") from exc
-    if getattr(args, "strategies", None):
+    if getattr(args, "strategies", None) is not None:
         try:
             updates["strategies"] = parse_strategies(args.strategies)
         except ValueError as exc:
@@ -102,6 +105,24 @@ def _load_sectors(path: Path | None) -> dict[str, str] | None:
     return labels
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` encodes one field of a row of several.
+
+    The field is written beside an empty one, because ``csv.writer`` quotes
+    an empty string only when it is a row's sole field, and with the default
+    line terminator, because it quotes the characters of the terminator.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One CSV row of string fields, ending in ``\\r\\n`` like ``csv.writer``'s."""
+    return ",".join(map(_csv_field, fields)) + "\r\n"
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     table, benchmark = _load_panel(cfg)
     returns = market_data.compute_returns(table)
@@ -127,44 +148,55 @@ def cmd_network(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sectors = _load_sectors(cfg.sectors_path)
-    cost_rows: list[tuple[str, str, str, float]] = []
     n_windows = 0
-    for tau in range(strat.window - 1, n_returns, strat.rebalance_every):
-        win = market_data.window(returns, tau, strat.window)
-        window_end = win.dates[-1]
-        try:
-            costs, tree = backtest.window_tree(win, strat)
-        except (EstimationError, DataError) as exc:
-            # Same policy as simulate's hold: an unestimable window is skipped.
-            print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)
-            continue
-        cost_rows.extend(var_fevd.cost_records(costs, window_end))
-        dot_path = out / f"mst_{window_end.isoformat()}.dot"
-        dot_path.write_text(network.export_dot(tree, sectors), encoding="utf-8")
-        n_windows += 1
+    # Each window's rows are written as one block and dropped, so memory
+    # holds one window's N(N-1)/2 rows, not every window's.
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_end", "ticker_i", "ticker_j", "cost"])
-        writer.writerows((stamp, ti, tj, repr(cost)) for stamp, ti, tj, cost in cost_rows)
+        fh.write(_csv_line(["window_end", "ticker_i", "ticker_j", "cost"]))
+        for tau in range(strat.window - 1, n_returns, strat.rebalance_every):
+            win = market_data.window(returns, tau, strat.window)
+            window_end = win.dates[-1]
+            try:
+                costs, tree = backtest.window_tree(win, strat)
+            except (EstimationError, DataError) as exc:
+                # Same policy as simulate's hold: an unestimable window is skipped.
+                print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)
+                continue
+            fh.write(
+                "".join(
+                    [
+                        f"{_csv_field(stamp)},{_csv_field(ti)},{_csv_field(tj)},{cost!r}\r\n"
+                        for stamp, ti, tj, cost in var_fevd.cost_records(costs, window_end)
+                    ]
+                )
+            )
+            dot_path = out / f"mst_{window_end.isoformat()}.dot"
+            dot_path.write_text(network.export_dot(tree, sectors), encoding="utf-8")
+            n_windows += 1
     print(f"wrote {n_windows} windows to {out}")
     return 0
 
 
 def _write_values_csv(path: Path, result: backtest.SimulationResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "portfolio_value"])
-        for day, value in zip(result.dates, result.values):
-            writer.writerow([day.isoformat(), repr(float(value))])
+        fh.write(_csv_line(["date", "portfolio_value"]))
+        fh.write(
+            "".join(
+                [
+                    f"{_csv_field(day.isoformat())},{float(value)!r}\r\n"
+                    for day, value in zip(result.dates, result.values.tolist())
+                ]
+            )
+        )
 
 
 def _write_seeds_table(path: Path, summary: backtest.MultiSeedResult) -> None:
+    rows = [["seed", *summary.strategies]]
+    for seed, values in zip(summary.seeds, summary.returns_pct):
+        rows.append([str(seed), *(repr(float(v)) for v in values)])
+    rows.append(["average", *(repr(float(v)) for v in summary.means)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed"] + list(summary.strategies))
-        for row, seed in enumerate(summary.seeds):
-            writer.writerow([seed] + [repr(float(v)) for v in summary.returns_pct[row]])
-        writer.writerow(["average"] + [repr(float(v)) for v in summary.means])
+        fh.write("".join(map(_csv_line, rows)))
 
 
 def _config_dict(cfg: RunConfig) -> dict:

@@ -4,16 +4,19 @@ and byte-identical reruns."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 import mstport
+from mstport import backtest, var_fevd
 from mstport.cli import main
 from mstport.config import parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
-from synth import random_walk_table, with_flat_start, write_long_csv
+from mstport.market_data import PriceTable
+from synth import random_walk_table, with_flat_start, with_masked, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
 
@@ -328,3 +331,106 @@ def test_cli_rejects_bad_seed_override(tmp_path, capsys):
     cfg_path = write_config(tmp_path, prices, tmp_path / "out")
     assert main(["simulate", "--config", str(cfg_path), "--seeds", "abc"]) == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("network", "--rebalance-every", "0", "rebalance_every must be at least 1"),
+        ("simulate", "--seeds", "", "--seeds: empty seed list"),
+        ("simulate", "--strategies", "", "--strategies: empty strategy list"),
+    ],
+)
+def test_cli_rejects_falsy_overrides(tmp_path, capsys, command, flag, value, message):
+    # A zero or empty override is checked like any other value, not
+    # dropped in favour of the config's.
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out")
+    assert main([command, "--config", str(cfg_path), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV encoding: the ``csv.writer`` row loops the command line used before it
+# wrote encoded blocks, kept here as the oracle for its output bytes.
+
+
+def oracle_costs_csv(rows: list[tuple[str, str, str, float]]) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["window_end", "ticker_i", "ticker_j", "cost"])
+    writer.writerows((stamp, ti, tj, repr(cost)) for stamp, ti, tj, cost in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def oracle_values_csv(result: backtest.SimulationResult) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["date", "portfolio_value"])
+    for day, value in zip(result.dates, result.values):
+        writer.writerow([day.isoformat(), repr(float(value))])
+    return buf.getvalue().encode("utf-8")
+
+
+def oracle_seeds_table(summary: backtest.MultiSeedResult) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["seed"] + list(summary.strategies))
+    for row, seed in enumerate(summary.seeds):
+        writer.writerow([seed] + [repr(float(v)) for v in summary.returns_pct[row]])
+    writer.writerow(["average"] + [repr(float(v)) for v in summary.means])
+    return buf.getvalue().encode("utf-8")
+
+
+# Names that ``csv.writer`` must quote: a delimiter, a quote and a line break.
+QUOTED_NAMES = {"S01": "A,B", "S02": 'A"B', "S04": "A\nB"}
+
+
+def test_outputs_match_the_csv_writer_oracle_on_names_that_need_quoting(tmp_path, monkeypatch):
+    masked = with_masked(PANEL, [(55, 1), (80, 4)])
+    names = tuple(QUOTED_NAMES.get(t, t) for t in masked.tickers)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    table = PriceTable(
+        masked.dates,
+        tuple(names[j] for j in order),
+        masked.adj_close[:, order],
+        masked.mask[:, order],
+        masked.open_px[:, order],
+    )
+    prices = tmp_path / "prices.csv"
+    write_long_csv(table, prices)
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path, prices, out_dir, strategies="buy_hold,mst_var,mst_sharpe")
+
+    rows: list[tuple[str, str, str, float]] = []
+    cost_records = var_fevd.cost_records
+
+    def recorded_cost_records(*args, **kwargs):
+        block = cost_records(*args, **kwargs)
+        rows.extend(block)
+        return block
+
+    monkeypatch.setattr(var_fevd, "cost_records", recorded_cost_records)
+    assert main(["network", "--config", str(cfg_path), "--rebalance-every", "20"]) == 0
+    got = (out_dir / "costs.csv").read_bytes()
+    assert len(rows) == 4 * 15
+    assert {name for row in rows for name in row[1:3]} >= set(QUOTED_NAMES.values())
+    assert b'"A,B"' in got and b'"A""B"' in got and b'"A\nB"' in got
+    assert got == oracle_costs_csv(rows)
+
+    runs: list[backtest.MultiSeedResult] = []
+    run_multi_seed = backtest.run_multi_seed
+
+    def recorded_run_multi_seed(*args, **kwargs):
+        runs.append(run_multi_seed(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(backtest, "run_multi_seed", recorded_run_multi_seed)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    (summary,) = runs
+    assert len(summary.results) == 3 * 2
+    for (name, seed), result in summary.results.items():
+        assert (out_dir / f"values_{name}_{seed}.csv").read_bytes() == oracle_values_csv(result)
+    assert (out_dir / "seeds_table.csv").read_bytes() == oracle_seeds_table(summary)
