@@ -27,16 +27,6 @@ _SHARPE_MIN_STD = 1e-8
 
 
 @dataclass(frozen=True)
-class RiskEstimate:
-    """Per-ticker risk numbers backing a weight vector."""
-
-    ticker: str
-    window_length: int
-    var_value: float | None = None
-    sharpe_value: float | None = None
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Per-ticker raw and normalised weights, in selection order."""
 

@@ -50,12 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_override(args: argparse.Namespace) -> Path | None:
+    """``--out`` as a path, or None when it is not given."""
+    if args.out is None:
+        return None
+    if not args.out:
+        raise ConfigError("--out: empty path")
+    return Path(args.out)
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict = {}
-    if getattr(args, "out", None):
-        updates["out_dir"] = Path(args.out)
-    strategy_updates: dict = {}
     # ``is not None``: an empty or zero override is checked, not ignored.
+    out_dir = _out_override(args)
+    if out_dir is not None:
+        updates["out_dir"] = out_dir
+    strategy_updates: dict = {}
     if getattr(args, "rebalance_every", None) is not None:
         strategy_updates["rebalance_every"] = int(args.rebalance_every)
     if getattr(args, "seeds", None) is not None:
@@ -84,7 +94,9 @@ def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.Pri
     ticker = cfg.strategy.benchmark_ticker
     if cfg.benchmark_path is not None:
         benchmark = market_data.load_prices(cfg.benchmark_path, cfg.fmt)
-        if ticker and ticker in benchmark.tickers:
+        if ticker:
+            if ticker not in benchmark.tickers:
+                raise DataError(f"benchmark ticker {ticker!r} not found in {cfg.benchmark_path}")
             benchmark = market_data.select_tickers(benchmark, [ticker])
     elif ticker and ticker in table.tickers:
         benchmark = market_data.select_tickers(table, [ticker])
@@ -328,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.command == "report":
-            out_dir = Path(args.out) if args.out else None
+            out_dir = _out_override(args)
             if args.config:
                 cfg = parse_config(args.config)
                 out_dir = out_dir or cfg.out_dir

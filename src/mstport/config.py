@@ -20,51 +20,11 @@ problem is reported with its section-qualified field name.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .backtest import STRATEGY_NAMES, WEIGHTING_SHARPE, WEIGHTING_VAR, StrategyConfig
 from .errors import ConfigError
-
-_DATA_KEYS = {
-    "prices",
-    "format",
-    "benchmark_ticker",
-    "benchmark_prices",
-    "sectors",
-    "max_missing_frac",
-}
-_STRATEGY_KEYS = {
-    "window",
-    "horizon",
-    "top_k",
-    "alpha",
-    "initial_capital",
-    "risk_free",
-    "seeds",
-    "strategies",
-    "rebalance_every",
-    "use_open_prices",
-    "fevd_mode",
-    "fixed_weighting",
-    "min_var_history",
-}
-_FORECAST_KEYS = {
-    "nnar_lags",
-    "nnar_hidden",
-    "nnar_learning_rate",
-    "nnar_epochs",
-    "arima_max_p",
-    "arima_max_d",
-    "arima_max_q",
-}
-_OUTPUT_KEYS = {"dir"}
-_SECTIONS = {
-    "data": _DATA_KEYS,
-    "strategy": _STRATEGY_KEYS,
-    "forecast": _FORECAST_KEYS,
-    "output": _OUTPUT_KEYS,
-}
 
 
 @dataclass(frozen=True)
@@ -108,29 +68,6 @@ def parse_strategies(text: str) -> tuple[str, ...]:
     return names
 
 
-class _Reader:
-    """Typed accessors over the parsed INI with field-qualified errors."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-        self.problems: list[str] = []
-
-    def get(self, section: str, key: str, default=None):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        return default
-
-    def typed(self, section: str, key: str, cast, default):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except (ValueError, TypeError) as exc:
-            self.problems.append(f"{section}.{key}: {exc}")
-            return default
-
-
 def _to_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("1", "true", "yes", "on"):
@@ -138,6 +75,50 @@ def _to_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# Every config key, once: INI key -> (section, reader).  A key sets the
+# StrategyConfig field of its name, or else the RunConfig field of its name
+# or the one _RUN_FIELDS gives it.  A key the file leaves out is not passed,
+# so the dataclasses hold the only defaults.
+_KEYS = {
+    "prices": ("data", Path),
+    "format": ("data", str),
+    "benchmark_ticker": ("data", str),
+    "benchmark_prices": ("data", Path),
+    "sectors": ("data", Path),
+    "max_missing_frac": ("data", float),
+    "window": ("strategy", int),
+    "horizon": ("strategy", int),
+    "top_k": ("strategy", int),
+    "alpha": ("strategy", float),
+    "initial_capital": ("strategy", float),
+    "risk_free": ("strategy", float),
+    "seeds": ("strategy", parse_seeds),
+    "strategies": ("strategy", parse_strategies),
+    "rebalance_every": ("strategy", int),
+    "use_open_prices": ("strategy", _to_bool),
+    "fevd_mode": ("strategy", str),
+    "fixed_weighting": ("strategy", str),
+    "min_var_history": ("strategy", int),
+    "nnar_lags": ("forecast", int),
+    "nnar_hidden": ("forecast", int),
+    "nnar_learning_rate": ("forecast", float),
+    "nnar_epochs": ("forecast", int),
+    "arima_max_p": ("forecast", int),
+    "arima_max_d": ("forecast", int),
+    "arima_max_q": ("forecast", int),
+    "dir": ("output", Path),
+}
+_SECTIONS = {section for section, _ in _KEYS.values()}
+_RUN_FIELDS = {
+    "prices": "prices_path",
+    "format": "fmt",
+    "benchmark_prices": "benchmark_path",
+    "sectors": "sectors_path",
+    "dir": "out_dir",
+}
+_STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -158,88 +139,40 @@ def parse_config(path: str | Path) -> RunConfig:
             problems.append(f"{section}: unknown section")
             continue
         for key in parser.options(section):
-            if key not in _SECTIONS[section]:
+            if key not in _KEYS or _KEYS[key][0] != section:
                 problems.append(f"{section}.{key}: unknown key")
-    reader = _Reader(parser)
-    prices_raw = reader.get("data", "prices")
-    fmt = reader.get("data", "format", "long")
-    if fmt not in ("long", "wide"):
+    values: dict = {}
+    for key, (section, reader) in _KEYS.items():
+        if parser.has_option(section, key):
+            try:
+                values[key] = reader(parser.get(section, key).strip())
+            except (ValueError, TypeError) as exc:
+                problems.append(f"{section}.{key}: {exc}")
+    fmt = values.get("format")
+    if fmt is not None and fmt not in ("long", "wide"):
         problems.append(f"data.format: expected long or wide, got {fmt!r}")
-    benchmark_ticker = reader.get("data", "benchmark_ticker")
-    benchmark_raw = reader.get("data", "benchmark_prices")
-    sectors_raw = reader.get("data", "sectors")
-    max_missing = reader.typed("data", "max_missing_frac", float, 0.10)
-    seeds = reader.typed("strategy", "seeds", parse_seeds, (132,))
-    strategies = reader.typed("strategy", "strategies", parse_strategies, STRATEGY_NAMES)
-    fixed_weighting = reader.get("strategy", "fixed_weighting", WEIGHTING_VAR)
-    if fixed_weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
-        problems.append(f"strategy.fixed_weighting: unknown weighting {fixed_weighting!r}")
-    min_var_raw = reader.get("strategy", "min_var_history")
-    min_var_history = None
-    if min_var_raw is not None:
-        try:
-            min_var_history = int(min_var_raw)
-        except ValueError as exc:
-            problems.append(f"strategy.min_var_history: {exc}")
-    strategy_kwargs = dict(
-        window=reader.typed("strategy", "window", int, 120),
-        horizon=reader.typed("strategy", "horizon", int, 10),
-        top_k=reader.typed("strategy", "top_k", int, 5),
-        alpha=reader.typed("strategy", "alpha", float, 0.05),
-        initial_capital=reader.typed("strategy", "initial_capital", float, 100_000.0),
-        risk_free=reader.typed("strategy", "risk_free", float, 0.0),
-        seeds=seeds,
-        benchmark_ticker=benchmark_ticker,
-        rebalance_every=reader.typed("strategy", "rebalance_every", int, 1),
-        use_open_prices=reader.typed("strategy", "use_open_prices", _to_bool, True),
-        fevd_mode=reader.get("strategy", "fevd_mode", "orthogonalized"),
-        min_var_history=min_var_history,
-        nnar_lags=reader.typed("forecast", "nnar_lags", int, 5),
-        nnar_hidden=reader.typed("forecast", "nnar_hidden", int, 3),
-        nnar_learning_rate=reader.typed("forecast", "nnar_learning_rate", float, 0.01),
-        nnar_epochs=reader.typed("forecast", "nnar_epochs", int, 500),
-        arima_max_p=reader.typed("forecast", "arima_max_p", int, 2),
-        arima_max_d=reader.typed("forecast", "arima_max_d", int, 1),
-        arima_max_q=reader.typed("forecast", "arima_max_q", int, 2),
-    )
-    problems.extend(reader.problems)
-    if prices_raw is None:
+    weighting = values.get("fixed_weighting")
+    if weighting is not None and weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
+        problems.append(f"strategy.fixed_weighting: unknown weighting {weighting!r}")
+    if "prices" not in values:
         problems.append("data.prices: required path is missing")
-        prices_path = Path("missing")
-    else:
-        prices_path = Path(prices_raw)
-        if not prices_path.exists():
-            problems.append(f"data.prices: file not found: {prices_path}")
-    benchmark_path = None
-    if benchmark_raw is not None:
-        benchmark_path = Path(benchmark_raw)
-        if not benchmark_path.exists():
-            problems.append(f"data.benchmark_prices: file not found: {benchmark_path}")
-    sectors_path = None
-    if sectors_raw is not None:
-        sectors_path = Path(sectors_raw)
-        if not sectors_path.exists():
-            problems.append(f"data.sectors: file not found: {sectors_path}")
-    if not 0.0 <= max_missing <= 1.0:
+    for key in ("prices", "benchmark_prices", "sectors"):
+        if key in values and not values[key].exists():
+            problems.append(f"data.{key}: file not found: {values[key]}")
+    if "max_missing_frac" in values and not 0.0 <= values["max_missing_frac"] <= 1.0:
         problems.append("data.max_missing_frac: must lie in [0, 1]")
     strategy = None
     try:
-        strategy = StrategyConfig(**strategy_kwargs)
+        strategy = StrategyConfig(**{k: v for k, v in values.items() if k in _STRATEGY_FIELDS})
     except ConfigError as exc:
         problems.extend(f"strategy: {p}" for p in exc.problems)
-    if "buy_hold" in strategies and benchmark_ticker is None:
+    strategies = values.get("strategies", RunConfig.strategies)
+    if "buy_hold" in strategies and "benchmark_ticker" not in values:
         problems.append("strategy.strategies: buy_hold requires data.benchmark_ticker")
     if problems:
         raise ConfigError(problems)
     return RunConfig(
-        prices_path=prices_path,
-        fmt=fmt,
-        benchmark_path=benchmark_path,
-        sectors_path=sectors_path,
-        max_missing_frac=max_missing,
         strategy=strategy,
-        strategies=strategies,
-        fixed_weighting=fixed_weighting,
-        out_dir=Path(reader.get("output", "dir", "out")),
         raw_text=raw_text,
+        **{_RUN_FIELDS.get(k, k): v for k, v in values.items() if k not in _STRATEGY_FIELDS},
     )

@@ -114,13 +114,6 @@ def derive_seed(global_seed: int, ticker: str, window_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _difference(y: np.ndarray, d: int) -> np.ndarray:
-    x = y
-    for _ in range(d):
-        x = x[1:] - x[:-1]
-    return x
-
-
 def _ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
@@ -195,7 +188,7 @@ def arima_fit(
     best: tuple[tuple[float, int, int, int, int], ArimaModel] | None = None
     for p, d, q in grid:
         try:
-            x = _difference(y, d)
+            x = np.diff(y, n=d)
             intercept, phi, theta, resid, sse, n_eff = _fit_candidate(x, p, q)
         except (np.linalg.LinAlgError, InsufficientHistory):
             continue
@@ -240,7 +233,7 @@ def arima_forecast(model: ArimaModel, series: np.ndarray) -> float:
     p, d, q = model.order
     if d not in (0, 1):
         raise ValueError("only d in {0, 1} is supported")
-    x = _difference(y, d)
+    x = np.diff(y, n=d)
     if x.size < p:
         raise InsufficientHistory("series shorter than the AR order")
     acc = model.intercept

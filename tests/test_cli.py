@@ -4,6 +4,7 @@ and byte-identical reruns."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from pathlib import Path
@@ -11,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import mstport
-from mstport import backtest, var_fevd
+from mstport import backtest, config, var_fevd
+from mstport.backtest import StrategyConfig
 from mstport.cli import main
-from mstport.config import parse_config, parse_seeds, parse_strategies
+from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
-from mstport.market_data import PriceTable
+from mstport.market_data import PriceTable, drop_tickers, select_tickers
 from synth import random_walk_table, with_flat_start, with_masked, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
@@ -157,6 +159,133 @@ def test_parse_seeds_forms():
     assert parse_strategies("mst_var, buy_hold") == ("mst_var", "buy_hold")
 
 
+# Every config key: the field it sets, a non-default value as written in the
+# file, and that value as parsed.
+ROUND_TRIP = {
+    "prices": ("prices_path", "other.csv", Path("other.csv")),
+    "format": ("fmt", "wide", "wide"),
+    "benchmark_ticker": ("strategy.benchmark_ticker", "SPX", "SPX"),
+    "benchmark_prices": ("benchmark_path", "other.csv", Path("other.csv")),
+    "sectors": ("sectors_path", "other.csv", Path("other.csv")),
+    "max_missing_frac": ("max_missing_frac", "0.25", 0.25),
+    "window": ("strategy.window", "60", 60),
+    "horizon": ("strategy.horizon", "4", 4),
+    "top_k": ("strategy.top_k", "2", 2),
+    "alpha": ("strategy.alpha", "0.1", 0.1),
+    "initial_capital": ("strategy.initial_capital", "5000", 5000.0),
+    "risk_free": ("strategy.risk_free", "0.001", 0.001),
+    "seeds": ("strategy.seeds", "3..5", (3, 4, 5)),
+    "strategies": ("strategies", "mst_var, fixed", ("mst_var", "fixed")),
+    "rebalance_every": ("strategy.rebalance_every", "3", 3),
+    "use_open_prices": ("strategy.use_open_prices", "off", False),
+    "fevd_mode": ("strategy.fevd_mode", "as_written", "as_written"),
+    "fixed_weighting": ("fixed_weighting", "sharpe", "sharpe"),
+    "min_var_history": ("strategy.min_var_history", "60", 60),
+    "nnar_lags": ("strategy.nnar_lags", "4", 4),
+    "nnar_hidden": ("strategy.nnar_hidden", "2", 2),
+    "nnar_learning_rate": ("strategy.nnar_learning_rate", "0.05", 0.05),
+    "nnar_epochs": ("strategy.nnar_epochs", "50", 50),
+    "arima_max_p": ("strategy.arima_max_p", "1", 1),
+    "arima_max_d": ("strategy.arima_max_d", "0", 0),
+    "arima_max_q": ("strategy.arima_max_q", "1", 1),
+    "dir": ("out_dir", "elsewhere", Path("elsewhere")),
+}
+
+
+def field_of(cfg: RunConfig, key: str):
+    return functools.reduce(getattr, ROUND_TRIP[key][0].split("."), cfg)
+
+
+def write_ini(tmp_path: Path, prices: Path, key: str | None = None, raw: str = "") -> Path:
+    """A minimal valid config (prices and the benchmark ticker), plus ``key = raw``."""
+    sections = {"data": {"prices": str(prices), "benchmark_ticker": "IDX"}}
+    if key is not None:
+        sections.setdefault(config._KEYS[key][0], {})[key] = raw
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in sections.items()
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_config_defaults_come_from_the_dataclasses(tmp_path):
+    prices = write_panel(tmp_path)
+    only_prices = tmp_path / "only.ini"
+    only_prices.write_text(f"[data]\nprices = {prices}\n", encoding="utf-8")
+    # The default strategy list holds buy_hold, which needs the ticker.
+    with pytest.raises(ConfigError) as err:
+        parse_config(only_prices)
+    assert err.value.problems == ("strategy.strategies: buy_hold requires data.benchmark_ticker",)
+    cfg_path = write_ini(tmp_path, prices)
+    assert parse_config(cfg_path) == RunConfig(
+        prices_path=prices,
+        strategy=StrategyConfig(benchmark_ticker="IDX"),
+        raw_text=cfg_path.read_text(encoding="utf-8"),
+    )
+
+
+@pytest.mark.parametrize("key", sorted(ROUND_TRIP))
+def test_config_key_round_trip(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    prices = write_panel(tmp_path)
+    (tmp_path / "other.csv").write_text("", encoding="utf-8")
+    _, raw, expected = ROUND_TRIP[key]
+    assert field_of(parse_config(write_ini(tmp_path, prices)), key) != expected
+    assert field_of(parse_config(write_ini(tmp_path, prices, key, raw)), key) == expected
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("window", "abc", "strategy.window: invalid literal for int() with base 10: 'abc'"),
+        ("alpha", "low", "strategy.alpha: could not convert string to float: 'low'"),
+        ("use_open_prices", "maybe", "strategy.use_open_prices: expected a boolean, got 'maybe'"),
+        ("seeds", "5..3", "strategy.seeds: seed range upper bound below lower bound"),
+        ("strategies", "momentum", "strategy.strategies: unknown strategies: momentum"),
+    ],
+)
+def test_config_bad_value_names_its_key(tmp_path, key, raw, message):
+    prices = write_panel(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_ini(tmp_path, prices, key, raw))
+    assert err.value.problems == (message,)
+
+
+def readme_config_lines() -> list[tuple[str, str, str, str]]:
+    """(section, key, value, comment) for each key line of README's ``ini`` block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    lines, section = [], ""
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            key, rest = line.split("=", 1)
+            value, _, comment = rest.partition(";")
+            lines.append((section, key.strip(), value.strip(), comment))
+    return lines
+
+
+def test_readme_config_block_lists_every_key_with_its_default(tmp_path):
+    lines = readme_config_lines()
+    assert sorted((s, k) for s, k, _, _ in lines) == sorted(
+        (section, key) for key, (section, _) in config._KEYS.items()
+    )
+    assert set(ROUND_TRIP) == set(config._KEYS)
+    prices = write_panel(tmp_path)
+    defaults = parse_config(write_ini(tmp_path, prices))
+    for _, key, value, comment in lines:
+        if "optional" in comment or "required" in comment or value == "...":
+            continue
+        assert field_of(parse_config(write_ini(tmp_path, prices, key, value)), key) == field_of(
+            defaults, key
+        ), key
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -219,6 +348,43 @@ def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):
     for command in ("network", "simulate"):
         assert main([command, "--config", str(cfg_path)]) == 2
         assert "empty universe" in capsys.readouterr().err
+
+
+def write_split_panel(tmp_path: Path, benchmark: PriceTable) -> Path:
+    """Prices without IDX, and a config that reads the benchmark from ``benchmark``."""
+    prices = tmp_path / "stocks.csv"
+    write_long_csv(drop_tickers(PANEL, ["IDX"]), prices)
+    bench = tmp_path / "bench.csv"
+    write_long_csv(benchmark, bench)
+    return write_config(
+        tmp_path,
+        prices,
+        tmp_path / "split",
+        strategies="buy_hold,mst_var",
+        name="split.ini",
+        extra_data=f"benchmark_prices = {bench}\n",
+    )
+
+
+def test_simulate_reads_the_benchmark_from_a_separate_file(tmp_path):
+    same = write_config(tmp_path, write_panel(tmp_path), tmp_path / "same", strategies="buy_hold,mst_var")
+    split = write_split_panel(tmp_path, select_tickers(PANEL, ["IDX"]))
+    assert main(["simulate", "--config", str(same)]) == 0
+    assert main(["simulate", "--config", str(split)]) == 0
+    names = sorted(p.name for p in (tmp_path / "same").iterdir() if p.suffix == ".csv")
+    assert len(names) == 2 * 2 + 1
+    assert names == sorted(p.name for p in (tmp_path / "split").iterdir() if p.suffix == ".csv")
+    for name in names:
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "split" / name).read_bytes(), name
+
+
+def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):
+    split = write_split_panel(tmp_path, select_tickers(PANEL, ["S00", "S01"]))
+    assert main(["simulate", "--config", str(split)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "benchmark ticker 'IDX' not found in" in err and str(tmp_path / "bench.csv") in err
+    assert not (tmp_path / "split").exists()
 
 
 def test_simulate_writes_all_result_files(tmp_path):
@@ -339,6 +505,8 @@ def test_cli_rejects_bad_seed_override(tmp_path, capsys):
         ("network", "--rebalance-every", "0", "rebalance_every must be at least 1"),
         ("simulate", "--seeds", "", "--seeds: empty seed list"),
         ("simulate", "--strategies", "", "--strategies: empty strategy list"),
+        ("simulate", "--out", "", "--out: empty path"),
+        ("report", "--out", "", "--out: empty path"),
     ],
 )
 def test_cli_rejects_falsy_overrides(tmp_path, capsys, command, flag, value, message):
