@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -229,6 +229,74 @@ def filter_weights(weights: WeightVector, forecasts: list[Forecast] | tuple[Fore
     return allocation.from_raw(weights.tickers, raws)
 
 
+def _trade(
+    cash: float,
+    held: list[tuple[int, int]],
+    signal: int,
+    targets: list[tuple[int, float]],
+    exec_px: list[float],
+    exec_stale: list[bool],
+    close_px: list[float],
+    close_stale: list[bool],
+    names: Sequence[str],
+) -> tuple[float, list[tuple[int, int]], float, set[int]]:
+    """One trading day on integer columns; the one trading rule of the engine.
+
+    Columns number ``names`` in sorted order and ``held`` holds (column,
+    shares) pairs sorted by column, so the loops meet tickers in name
+    order.  ``exec_px`` and ``close_px`` hold each column's price after the
+    last-known-close fallback, NaN where there is none, and ``exec_stale``
+    and ``close_stale`` flag the columns without a price of the day.
+    ``targets`` are the (column, normalised weight) pairs with a positive
+    weight, in weight order.  Returns the cash, the holdings, the value and
+    the stale columns.
+    """
+    stale: set[int] = set()
+    if signal != 0 and held:
+        proceeds = [cash]
+        for col, shares in held:
+            px = exec_px[col]
+            if px != px:
+                raise DataError(f"no execution price available to sell {names[col]}")
+            if exec_stale[col]:
+                stale.add(col)
+            proceeds.append(shares * px)
+        cash = math.fsum(proceeds)
+        held = []
+    if signal == 1 and targets:
+        total = cash
+        bought: dict[int, int] = {}
+        spent = [total]
+        for col, norm in targets:
+            px = exec_px[col]
+            if px != px:
+                stale.add(col)  # unpriceable target: its allocation stays in cash
+                continue
+            if exec_stale[col]:
+                stale.add(col)
+            shares = int(math.floor(norm * total / px))
+            if shares > 0:
+                bought[col] = shares
+                spent.append(-(shares * px))
+        cash = math.fsum(spent)
+        held = sorted(bought.items())
+    marks = [cash]
+    for col, shares in held:
+        px = close_px[col]
+        if px != px:
+            raise DataError(f"no closing price available to value {names[col]}")
+        if close_stale[col]:
+            stale.add(col)
+        marks.append(shares * px)
+    value = math.fsum(marks)
+    if signal != 0:  # a hold leaves the cash and the holdings as they were
+        if cash < -1e-9:
+            raise DataError("cash account went negative")
+        if any(shares <= 0 for _, shares in held):
+            raise DataError("holdings must be positive integer share counts")
+    return cash, held, value, stale
+
+
 def execute_day(
     state: PortfolioState,
     signal: int,
@@ -247,53 +315,44 @@ def execute_day(
     if signal not in (-1, 0, 1):
         raise DataError("signal must be -1, 0, or +1")
     last_known = last_known or {}
-    stale: set[str] = set()
+    names = sorted(set(state.holdings).union(weights.tickers))
+    col = {ticker: c for c, ticker in enumerate(names)}
+    exec_px, exec_stale = _fallback_prices(exec_prices, last_known, names)
+    close_px, close_stale = _fallback_prices(close_prices, last_known, names)
+    cash, held, value, stale = _trade(
+        state.cash,
+        sorted((col[ticker], shares) for ticker, shares in state.holdings.items()),
+        signal,
+        [(col[ticker], norm) for ticker, _, norm in weights.entries if norm > 0.0],
+        exec_px,
+        exec_stale,
+        close_px,
+        close_stale,
+        names,
+    )
+    return PortfolioState(
+        cash=cash,
+        holdings={names[c]: shares for c, shares in held},
+        value=value,
+        stale=tuple(names[c] for c in sorted(stale)),
+    )
 
-    def lookup(prices: dict[str, float], ticker: str) -> float | None:
+
+def _fallback_prices(
+    prices: dict[str, float], last_known: dict[str, float], names: list[str]
+) -> tuple[list[float], list[bool]]:
+    """Each name's finite price, else its finite last known one, else NaN; and flags of the last two."""
+    out, flags = [], []
+    for ticker in names:
         px = prices.get(ticker)
-        if px is None or not math.isfinite(px):
+        fallback = px is None or not math.isfinite(px)
+        if fallback:
             px = last_known.get(ticker)
             if px is None or not math.isfinite(px):
-                return None
-            stale.add(ticker)
-        return float(px)
-
-    cash = state.cash
-    holdings = dict(state.holdings)
-    if signal != 0 and holdings:
-        proceeds = []
-        for ticker in sorted(holdings):
-            px = lookup(exec_prices, ticker)
-            if px is None:
-                raise DataError(f"no execution price available to sell {ticker}")
-            proceeds.append(holdings[ticker] * px)
-        cash = math.fsum([cash] + proceeds)
-        holdings = {}
-    if signal == 1 and not weights.is_all_zero():
-        total = cash
-        spent = []
-        for ticker, _, norm in weights.entries:
-            if norm <= 0.0:
-                continue
-            px = lookup(exec_prices, ticker)
-            if px is None:
-                stale.add(ticker)  # unpriceable target: its allocation stays in cash
-                continue
-            shares = int(math.floor(norm * total / px))
-            if shares > 0:
-                holdings[ticker] = shares
-                spent.append(shares * px)
-        cash = math.fsum([total] + [-c for c in spent])
-    elif signal == -1:
-        holdings = {}
-    marks = []
-    for ticker in sorted(holdings):
-        px = lookup(close_prices, ticker)
-        if px is None:
-            raise DataError(f"no closing price available to value {ticker}")
-        marks.append(holdings[ticker] * px)
-    value = math.fsum([cash] + marks)
-    return PortfolioState(cash=cash, holdings=holdings, value=value, stale=tuple(sorted(stale)))
+                px = math.nan
+        out.append(float(px))
+        flags.append(fallback)
+    return out, flags
 
 
 def _last_closes(prices: PriceTable) -> np.ndarray:
@@ -302,6 +361,12 @@ def _last_closes(prices: PriceTable) -> np.ndarray:
     rows = np.maximum.accumulate(rows, axis=0)
     last = prices.adj_close[rows, np.arange(len(prices.tickers))]
     return np.where(rows >= 0, last, np.nan)
+
+
+def _fallback_rows(px: np.ndarray, last: np.ndarray) -> tuple[list[list[float]], list[list[bool]]]:
+    """Rows of ``px`` as lists with each NaN cell taken from ``last``, and flags of those cells."""
+    absent = np.isnan(px)
+    return np.where(absent, last, px).tolist(), absent.tolist()
 
 
 def _strip_benchmark(
@@ -580,26 +645,34 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         min_history=cfg.min_var_history,
         risk_free=cfg.risk_free,
     ).tolist()
+    # Execution and closing prices of the columns the schedule ever selects,
+    # one row per schedule day.  The execution prices of price row t sit in
+    # row t - 1: the open, or the prior close where the open is masked or
+    # unused.  A masked price (NaN) falls back to the last close before the day.
+    names = sorted({ticker for day in trading for ticker in day.selection})
+    col = {ticker: c for c, ticker in enumerate(names)}
+    cols = np.array([prices.ticker_index(ticker) for ticker in names], dtype=np.intp)
+    exec_rows = np.array([day.tau + 2 for day in schedule], dtype=np.intp)  # price rows of the execution days
+    on_day, day_before = np.ix_(exec_rows, cols), np.ix_(exec_rows - 1, cols)
     closes = prices.adj_close
-    # Price row t's execution prices sit in row t - 1: the open, or the prior
-    # close where the open is masked or unused.  Masked prices are NaN, which
-    # execute_day treats as absent, as it does a NaN last known close.
     if cfg.use_open_prices and prices.open_px is not None:
-        exec_px = np.where(prices.mask[1:], closes[:-1], prices.open_px[1:])
+        exec_px = np.where(prices.mask[on_day], closes[day_before], prices.open_px[on_day])
     else:
-        exec_px = closes[:-1]
-    last_close = _last_closes(prices)
-    state = PortfolioState(cash=cfg.initial_capital, holdings={}, value=cfg.initial_capital)
+        exec_px = closes[day_before]
+    last_close = _last_closes(prices)[day_before]
+    exec_px, exec_stale = _fallback_rows(exec_px, last_close)
+    close_px, close_stale = _fallback_rows(closes[on_day], last_close)
+    cash, held, value = cfg.initial_capital, [], cfg.initial_capital
+    holdings: tuple[tuple[str, int], ...] = ()
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
     records: list[DayRecord] = []
     warnings: set[str] = set()
     trade_count = 0
     start = 0  # first raw weight of the next trading day
-    for day in schedule:
+    for i, day in enumerate(schedule):
         if day.warning is not None:
             warnings.add(day.warning)
-        exec_row = day.tau + 2  # price row of the execution day
         if not day.trades:
             signal, weights = 0, EMPTY_WEIGHTS
         else:
@@ -616,32 +689,38 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
                     signal = aggregate_signal([f.signal for f in forecasts])
                 else:
                     signal = 1 if not weights.is_all_zero() else -1
-        needed = list(state.holdings)
-        needed += [t for t, _, norm in weights.entries if norm > 0.0 and t not in state.holdings]
-        cols = [prices.ticker_index(t) for t in needed]
-        exec_prices = dict(zip(needed, exec_px[exec_row - 1, cols].tolist()))
-        close_prices = dict(zip(needed, closes[exec_row, cols].tolist()))
-        last_known = dict(zip(needed, last_close[exec_row - 1, cols].tolist()))
-        before = state.holdings
-        state = execute_day(state, signal, weights, exec_prices, close_prices, last_known)
-        if state.holdings != before:
+        before = held
+        cash, held, value, stale_cols = _trade(
+            cash,
+            held,
+            signal,
+            [(col[ticker], norm) for ticker, _, norm in weights.entries if norm > 0.0],
+            exec_px[i],
+            exec_stale[i],
+            close_px[i],
+            close_stale[i],
+            names,
+        )
+        if held != before:
             trade_count += 1
-        if state.stale:
-            warnings.add(
-                "stale prices on " + prices.dates[exec_row].isoformat() + ": " + ",".join(state.stale)
-            )
-        out_dates.append(prices.dates[exec_row])
-        values.append(state.value)
+            holdings = tuple((names[c], shares) for c, shares in held)
+        on = prices.dates[day.tau + 2]
+        stale = ()
+        if stale_cols:
+            stale = tuple(names[c] for c in sorted(stale_cols))
+            warnings.add("stale prices on " + on.isoformat() + ": " + ",".join(stale))
+        out_dates.append(on)
+        values.append(value)
         records.append(
             DayRecord(
-                date=prices.dates[exec_row],
+                date=on,
                 signal=signal,
                 selection=day.selection if day.selection is not None else (),
                 weights=weights,
-                cash=state.cash,
-                holdings=tuple(sorted(state.holdings.items())),
-                value=state.value,
-                stale=state.stale,
+                cash=cash,
+                holdings=holdings,
+                value=value,
+                stale=stale,
             )
         )
     values_arr = np.asarray(values)

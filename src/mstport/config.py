@@ -169,6 +169,8 @@ def parse_config(path: str | Path) -> RunConfig:
     strategies = values.get("strategies", RunConfig.strategies)
     if "buy_hold" in strategies and "benchmark_ticker" not in values:
         problems.append("strategy.strategies: buy_hold requires data.benchmark_ticker")
+    if "benchmark_prices" in values and "benchmark_ticker" not in values:
+        problems.append("data.benchmark_prices requires data.benchmark_ticker")
     if problems:
         raise ConfigError(problems)
     return RunConfig(

@@ -22,11 +22,19 @@ from mstport.market_data import PriceTable, ReturnMatrix
 
 
 @dataclass
+class ReferenceDay:
+    cash: float
+    holdings: tuple[tuple[str, int], ...]  # sorted by ticker
+    stale: tuple[str, ...]  # sorted tickers priced from the last known close, or unpriceable targets
+
+
+@dataclass
 class ReferenceResult:
     dates: tuple[date, ...]
     values: np.ndarray
     trade_count: int
     total_return_pct: float
+    days: tuple[ReferenceDay, ...]
 
 
 def _select_stocks(cfg: StrategyConfig, win: ReturnMatrix) -> tuple[str, ...]:
@@ -97,6 +105,7 @@ def simulate(
     holdings: dict[str, int] = {}
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
+    days: list[ReferenceDay] = []
     trade_count = 0
     selection: tuple[str, ...] | None = None
     step = 0
@@ -132,6 +141,13 @@ def simulate(
                     signal = 1 if not weights.is_all_zero() else -1
 
         exec_row = tau + 2
+        stale: set[str] = set()
+
+        def from_last_known(ticker: str) -> float | None:
+            px = last_known.get(ticker)
+            if px is not None:
+                stale.add(ticker)
+            return px
 
         def exec_price(ticker: str) -> float | None:
             j = col_of[ticker]
@@ -139,13 +155,13 @@ def simulate(
                 return float(opens[exec_row, j])
             if not mask[exec_row - 1, j]:
                 return float(closes[exec_row - 1, j])
-            return last_known.get(ticker)
+            return from_last_known(ticker)
 
         def close_price(ticker: str) -> float | None:
             j = col_of[ticker]
             if not mask[exec_row, j]:
                 return float(closes[exec_row, j])
-            return last_known.get(ticker)
+            return from_last_known(ticker)
 
         before = dict(holdings)
         if signal != 0 and holdings:
@@ -162,6 +178,7 @@ def simulate(
                     continue
                 px = exec_price(ticker)
                 if px is None:
+                    stale.add(ticker)
                     continue
                 shares = int(math.floor(norm * total / px))
                 if shares > 0:
@@ -180,6 +197,7 @@ def simulate(
         remember_closes(exec_row)
         out_dates.append(prices.dates[exec_row])
         values.append(value)
+        days.append(ReferenceDay(cash, tuple(sorted(holdings.items())), tuple(sorted(stale))))
         step += 1
     arr = np.asarray(values)
     return ReferenceResult(
@@ -187,4 +205,5 @@ def simulate(
         values=arr,
         trade_count=trade_count,
         total_return_pct=float((arr[-1] / arr[0] - 1.0) * 100.0),
+        days=tuple(days),
     )

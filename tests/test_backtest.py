@@ -3,6 +3,7 @@ and a bit-for-bit comparison against the scalar reference simulator."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace as dataclass_replace
 
@@ -217,6 +218,99 @@ def test_execute_day_keeps_the_books(day):
         assert after.holdings == {}
 
 
+def scalar_execute_day(state, signal, weights, exec_prices, close_prices, last_known=None):
+    """The dict-and-closure trading day the column kernel replaced, kept as its oracle."""
+    if signal not in (-1, 0, 1):
+        raise DataError("signal must be -1, 0, or +1")
+    last_known = last_known or {}
+    stale: set[str] = set()
+
+    def lookup(prices: dict[str, float], ticker: str) -> float | None:
+        px = prices.get(ticker)
+        if px is None or not math.isfinite(px):
+            px = last_known.get(ticker)
+            if px is None or not math.isfinite(px):
+                return None
+            stale.add(ticker)
+        return float(px)
+
+    cash = state.cash
+    holdings = dict(state.holdings)
+    if signal != 0 and holdings:
+        proceeds = []
+        for ticker in sorted(holdings):
+            px = lookup(exec_prices, ticker)
+            if px is None:
+                raise DataError(f"no execution price available to sell {ticker}")
+            proceeds.append(holdings[ticker] * px)
+        cash = math.fsum([cash] + proceeds)
+        holdings = {}
+    if signal == 1 and not weights.is_all_zero():
+        total = cash
+        spent = []
+        for ticker, _, norm in weights.entries:
+            if norm <= 0.0:
+                continue
+            px = lookup(exec_prices, ticker)
+            if px is None:
+                stale.add(ticker)
+                continue
+            shares = int(math.floor(norm * total / px))
+            if shares > 0:
+                holdings[ticker] = shares
+                spent.append(shares * px)
+        cash = math.fsum([total] + [-c for c in spent])
+    elif signal == -1:
+        holdings = {}
+    marks = []
+    for ticker in sorted(holdings):
+        px = lookup(close_prices, ticker)
+        if px is None:
+            raise DataError(f"no closing price available to value {ticker}")
+        marks.append(holdings[ticker] * px)
+    value = math.fsum([cash] + marks)
+    return PortfolioState(cash=cash, holdings=holdings, value=value, stale=tuple(sorted(stale)))
+
+
+GAP = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def oracle_days(draw):
+    """Any day: prices absent, NaN or infinite, with or without last known closes."""
+
+    def price_map() -> dict[str, float]:
+        kinds = {t: draw(st.integers(0, 4)) for t in TICKERS}  # 4 absent, 3 a gap, else a price
+        return {t: draw(GAP if kind == 3 else PRICE) for t, kind in kinds.items() if kind != 4}
+
+    held = draw(st.lists(st.sampled_from(TICKERS), unique=True))
+    holdings = {t: draw(st.integers(1, 10_000)) for t in held}
+    exec_prices, close_prices = price_map(), price_map()
+    last_known = price_map() if draw(st.booleans()) else None
+    targets = draw(st.lists(st.sampled_from(TICKERS), min_size=1, unique=True))
+    raws = [0.0 if draw(st.integers(0, 3)) == 3 else draw(st.floats(0.01, 10.0)) for _ in targets]
+    if draw(st.integers(0, 3)) == 3:
+        raws = [0.0] * len(targets)
+    cash = draw(st.floats(0.0, 1e7))
+    state = PortfolioState(cash=cash, holdings=holdings, value=cash)
+    signal = draw(st.sampled_from((1, 0, -1)))
+    return state, signal, from_raw(tuple(targets), raws), exec_prices, close_prices, last_known
+
+
+def day_outcome(trade, day):
+    try:
+        after = trade(*day)
+    except DataError as exc:
+        return "DataError: " + str(exc)
+    return repr(after.cash), after.holdings, repr(after.value), after.stale
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_days())
+def test_execute_day_equals_the_scalar_oracle(day):
+    assert day_outcome(execute_day, day) == day_outcome(scalar_execute_day, day)
+
+
 def last_close_by_rows(prices, through_row: int) -> np.ndarray:
     """Row-by-row scan: each unmasked close overwrites its ticker's last value."""
     last = np.full(len(prices.tickers), np.nan)
@@ -373,6 +467,15 @@ def test_simulation_accounting_identity_holds_every_day():
         assert_accounting_identity(market_data.drop_tickers(PANEL, ["IDX"]), result)
 
 
+def assert_days_match(engine, reference) -> None:
+    """Each day's cash, holdings and stale tickers equal the reference's."""
+    assert len(engine.days) == len(reference.days)
+    for rec, want in zip(engine.days, reference.days):
+        assert repr(rec.cash) == repr(want.cash), rec.date
+        assert rec.holdings == want.holdings, rec.date
+        assert rec.stale == want.stale, rec.date
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -394,6 +497,7 @@ def test_engine_matches_reference_simulator(name):
         assert np.array_equal(engine.values, reference.values)
         assert engine.trade_count == reference.trade_count
         assert engine.total_return_pct == reference.total_return_pct
+        assert_days_match(engine, reference)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +538,7 @@ def test_engine_matches_reference_with_close_execution():
     engine = run_simulation(cfg, PANEL, RETURNS)
     reference = reference_sim.simulate(cfg, PANEL, RETURNS)
     assert np.array_equal(engine.values, reference.values)
+    assert_days_match(engine, reference)
 
 
 def test_open_execution_changes_fills():
@@ -504,6 +609,62 @@ def test_masked_close_marks_stale_and_recovers():
     assert any(w.startswith("stale prices on") for w in result.warnings)
     assert all(rec.stale == () for rec in result.days if rec.date != stale_day)
     assert_accounting_identity(table, result)
+
+
+# Digests of values.tobytes() and repr(days), trade counts and final values,
+# as the dict-based day loop gave them before the column kernel.
+UNPRICED_PINS = {
+    "mst_var": (
+        "1636f14f3c738e54b079a647d8fa9edda240cb0ae0f42966ded7f1f9e64c8141",
+        "c5fe7b51b4f0ae5c62020e6bde659726448a4eb63168e2362a1bcfc118ce28a6",
+        138,
+        105906.11950416732,
+    ),
+    "mst_sharpe": (
+        "29fc8a936881196f8c79bdfb4e0c0d0ebcf108e6235d463de3184042934b94ee",
+        "98315414c1a728becb1562e85e35bfe2d907d07512f74faffd8d8d887d0719ea",
+        123,
+        95091.27580923811,
+    ),
+    "fixed": (
+        "49818e887697dd3eb6223ff8ea27b8950bbb39c4463afc01c0daff7e43607095",
+        "11c2e5989275532838646dbc5cadefa4e56417e48b4c10fcdf670520b6a2dc44",
+        1,
+        108026.9466109078,
+    ),
+    "dynamic_var": (
+        "ae80bac25b879db0678e9cd97235ed4aaae80aaa29eb1c85faf96fd833a492bc",
+        "4e7c455c994e1deed8477403ec399a23ed4c7b56365729baefe144c7731ef13f",
+        137,
+        109274.81548042956,
+    ),
+}
+
+
+def test_unpriceable_selected_stock_stays_in_cash():
+    # The library applies no quality filter, so a never-priced stock can be
+    # selected; its last-close column is all NaN.
+    table = random_walk_table(6, 200, seed=21)
+    s02 = table.tickers.index("S02")
+    table = with_masked(table, [(row, s02) for row in range(200)])
+    cfg = StrategyConfig(window=60, top_k=3)
+    multi = run_multi_seed(cfg, table, market_data.compute_returns(table), strategies=tuple(UNPRICED_PINS))
+    for name, (values_sha, days_sha, trades, final) in UNPRICED_PINS.items():
+        result = multi.results[(name, cfg.seeds[0])]
+        assert hashlib.sha256(result.values.tobytes()).hexdigest() == values_sha, name
+        assert hashlib.sha256(repr(result.days).encode()).hexdigest() == days_sha, name
+        assert result.trade_count == trades, name
+        assert result.values[-1] == final, name
+        picked = [rec for rec in result.days if "S02" in rec.selection]
+        # fixed and dynamic_var keep a first selection without S02
+        assert len(picked) == (4 if name.startswith("mst_") else 0), name
+        assert all("S02" not in dict(rec.holdings) for rec in result.days), name
+        if name == "mst_var":
+            assert all(rec.stale == ("S02",) for rec in picked)
+            assert [rec.date for rec in result.days if rec.stale] == [rec.date for rec in picked]
+            assert result.warnings == tuple(f"stale prices on {rec.date.isoformat()}: S02" for rec in picked)
+        else:
+            assert result.warnings == () and not any(rec.stale for rec in result.days), name
 
 
 def test_flat_market_returns_exactly_zero_for_every_strategy():

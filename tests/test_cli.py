@@ -387,6 +387,25 @@ def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "split").exists()
 
 
+def test_benchmark_file_needs_the_benchmark_ticker_key(tmp_path, capsys):
+    prices = tmp_path / "stocks.csv"
+    write_long_csv(drop_tickers(PANEL, ["IDX"]), prices)
+    bench = tmp_path / "bench.csv"
+    write_long_csv(select_tickers(PANEL, ["S00", "S01"]), bench)
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        f"[data]\nprices = {prices}\nbenchmark_prices = {bench}\n\n"
+        f"[strategy]\nwindow = 30\nstrategies = mst_var\n\n[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    for command in ("ingest", "network", "simulate"):
+        assert main([command, "--config", str(cfg_path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "data.benchmark_prices requires data.benchmark_ticker" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_writes_all_result_files(tmp_path):
     prices = write_panel(tmp_path)
     out_dir = tmp_path / "out"
