@@ -217,18 +217,6 @@ def aggregate_signal(signals: list[int] | tuple[int, ...]) -> int:
     return 1 if total > 0 else -1
 
 
-def filter_weights(weights: WeightVector, forecasts: list[Forecast] | tuple[Forecast, ...]) -> WeightVector:
-    """Zero the raw weight of stocks with non-positive forecasts, renormalise."""
-    by_ticker = {f.ticker: f for f in forecasts}
-    if set(by_ticker) != set(weights.tickers) or len(forecasts) != len(weights.entries):
-        raise DataError("forecasts and weights cover different tickers")
-    raws = [
-        raw if by_ticker[t].r_hat > 0.0 else 0.0
-        for t, raw, _ in weights.entries
-    ]
-    return allocation.from_raw(weights.tickers, raws)
-
-
 def _trade(
     cash: float,
     held: list[tuple[int, int]],
@@ -310,15 +298,18 @@ def execute_day(
     Signal +1 liquidates at the execution prices and re-buys the weight
     targets with the floor rule (all-zero weights leave everything in
     cash); -1 liquidates to cash; 0 holds.  A ticker missing from a price
-    map falls back to ``last_known`` and is flagged as stale.
+    map, or priced at a non-finite value, falls back to ``last_known`` and
+    is flagged as stale, by the day loop's own fallback.
     """
     if signal not in (-1, 0, 1):
         raise DataError("signal must be -1, 0, or +1")
-    last_known = last_known or {}
     names = sorted(set(state.holdings).union(weights.tickers))
     col = {ticker: c for c, ticker in enumerate(names)}
-    exec_px, exec_stale = _fallback_prices(exec_prices, last_known, names)
-    close_px, close_stale = _fallback_prices(close_prices, last_known, names)
+    maps = (exec_prices, close_prices, last_known or {})
+    px = np.array([[prices.get(ticker, math.nan) for ticker in names] for prices in maps], dtype=float)
+    px[~np.isfinite(px)] = math.nan
+    exec_px, exec_stale = _fallback_rows(px[0], px[2])
+    close_px, close_stale = _fallback_rows(px[1], px[2])
     cash, held, value, stale = _trade(
         state.cash,
         sorted((col[ticker], shares) for ticker, shares in state.holdings.items()),
@@ -336,23 +327,6 @@ def execute_day(
         value=value,
         stale=tuple(names[c] for c in sorted(stale)),
     )
-
-
-def _fallback_prices(
-    prices: dict[str, float], last_known: dict[str, float], names: list[str]
-) -> tuple[list[float], list[bool]]:
-    """Each name's finite price, else its finite last known one, else NaN; and flags of the last two."""
-    out, flags = [], []
-    for ticker in names:
-        px = prices.get(ticker)
-        fallback = px is None or not math.isfinite(px)
-        if fallback:
-            px = last_known.get(ticker)
-            if px is None or not math.isfinite(px):
-                px = math.nan
-        out.append(float(px))
-        flags.append(fallback)
-    return out, flags
 
 
 def _last_closes(prices: PriceTable) -> np.ndarray:
@@ -392,23 +366,6 @@ def window_tree(win: ReturnMatrix, cfg: StrategyConfig) -> tuple[CostMatrix, Mst
     return costs, network.prim_mst(costs)
 
 
-# Fields that decide the selections and forecasts a DecisionPath shares.
-_UPSTREAM_FIELDS = (
-    "window",
-    "horizon",
-    "top_k",
-    "rebalance_every",
-    "fevd_mode",
-    "benchmark_ticker",
-    "nnar_lags",
-    "nnar_hidden",
-    "nnar_learning_rate",
-    "nnar_epochs",
-    "arima_max_p",
-    "arima_max_d",
-    "arima_max_q",
-)
-
 # NNAR fits trained as one stack.  An epoch costs a fixed numpy call
 # overhead plus a share per member, so a fit in a stack of 2 runs at about
 # the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
@@ -433,14 +390,14 @@ class DecisionPath:
     A window's top-k selection depends only on the prices and the base
     config's upstream fields, and a forecast additionally on the
     forecaster, the ticker and (for NNAR only) the seed; neither depends on
-    a strategy's weighting, signal or accounting.  The path also holds the
-    rule that turns selections into each day's held selection, per
-    portfolio mode.  Each selection and forecast is kept once computed,
-    failure message included, so a run builds each window's network and
-    fits each forecast once.  Windows and ARIMA forecasts are computed the
-    first time a strategy asks for them; the first NNAR request fits, as
-    stacked batches, every NNAR forecast a strategy of that portfolio mode
-    will ask for over the run's seeds.
+    a strategy's weighting, signal or accounting, so strategies read those
+    fields from ``base``.  The path also holds the rule that turns
+    selections into each day's held selection, per portfolio mode.  Each
+    selection and forecast is kept once computed, failure message included,
+    so a run builds each window's network and fits each forecast once.
+    Windows are computed the first time a strategy asks for them; a
+    forecaster's first request fits every forecast a strategy of that
+    portfolio mode will ask for over the run's seeds, NNAR in stacks.
     """
 
     def __init__(
@@ -459,12 +416,6 @@ class DecisionPath:
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._schedules: dict[str, tuple[Decision, ...]] = {}
         self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
-
-    def check(self, cfg: StrategyConfig) -> None:
-        """Refuse a strategy whose upstream fields differ from the base config."""
-        differ = [f for f in _UPSTREAM_FIELDS if getattr(cfg, f) != getattr(self.base, f)]
-        if differ:
-            raise ConfigError([f"strategy {cfg.name!r} differs from the shared {f}" for f in differ])
 
     def selection_at(self, tau: int) -> tuple[tuple[str, ...] | None, str | None]:
         """Top-k central tickers of the window ending at return row ``tau``.
@@ -528,29 +479,31 @@ class DecisionPath:
         cols = np.array([self.returns.ticker_index(t) for d in days for t in d.selection], dtype=np.intp)
         taus = np.array([d.tau for d in days], dtype=np.intp)
         ends = np.repeat(taus + 1, [len(d.selection) for d in days])  # one past each window's last row
-        clean = self._masked_above[ends, cols] == self._masked_above[ends - w, cols]
+        clean = self._unmasked(ends, cols)
         windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
         return windows, clean
+
+    def _unmasked(self, ends: int | np.ndarray, cols: int | np.ndarray) -> bool | np.ndarray:
+        """True where the column's window ending just before row ``ends`` has no masked return."""
+        return self._masked_above[ends, cols] == self._masked_above[ends - self.base.window, cols]
 
     def forecasts(self, cfg: StrategyConfig, day: Decision, seed: int) -> tuple[list[Forecast], list[str]]:
         """``cfg.forecaster``'s one-step forecasts of the day's selection, and failure messages.
 
         A ticker with a masked return in the window, or whose fit fails,
         gets a neutral forecast, so the filter drops it.  ARIMA ignores the
-        seed, so its forecasts are shared across seeds too.
+        seed, so its forecasts are shared across seeds too.  ``day`` must be
+        a trading day of the schedule of ``cfg.portfolio_mode``.
         """
         keys = [self._key(cfg.forecaster, ticker, day.tau, seed) for ticker in day.selection]
         if any(key not in self._forecasts for key in keys):
-            if cfg.forecaster == FORECASTER_NNAR:
-                days = [d for d in self.schedule(cfg.portfolio_mode) if d.trades]
-                self._fit(
-                    self._key(cfg.forecaster, ticker, d.tau, s)
-                    for d in days
-                    for ticker in d.selection
-                    for s in self.seeds
-                )
-            else:
-                self._fit(keys)
+            days = [d for d in self.schedule(cfg.portfolio_mode) if d.trades]
+            self._fit(
+                self._key(cfg.forecaster, ticker, d.tau, s)
+                for d in days
+                for ticker in d.selection
+                for s in self.seeds
+            )
         out, failures = [], []
         for key in keys:
             fc, failure = self._forecasts[key]
@@ -572,9 +525,8 @@ class DecisionPath:
             if key in self._forecasts:
                 continue
             j = self.returns.ticker_index(ticker)
-            rows = slice(tau - w + 1, tau + 1)
-            series = self.returns.returns[rows, j]
-            if self.returns.mask[rows, j].any():
+            series = self.returns.returns[tau - w + 1 : tau + 1, j]
+            if not self._unmasked(tau + 1, j):
                 # Insufficient history: stay neutral so the filter drops the stock.
                 self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), None)
             elif forecaster == FORECASTER_NNAR:
@@ -624,11 +576,10 @@ def run_simulation(
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
-    path.check(cfg)
     if seed not in path.seeds:
         raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
     prices = path.prices
-    w = cfg.window
+    w = path.base.window
     n_dates = len(prices.dates)
     if n_dates < w + 1:
         raise InsufficientHistory(f"need at least window + 1 = {w + 1} price dates, got {n_dates}")
@@ -677,18 +628,17 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
             signal, weights = 0, EMPTY_WEIGHTS
         else:
             stop = start + len(day.selection)
-            weights = allocation.from_raw(day.selection, raws[start:stop])
+            raw = raws[start:stop]
             start = stop
-            if cfg.forecaster == FORECASTER_NONE:
-                signal = 1 if not weights.is_all_zero() else -1
-            else:
+            if cfg.forecaster != FORECASTER_NONE:
                 forecasts, failures = path.forecasts(cfg, day, seed)
                 warnings.update(failures)
-                weights = filter_weights(weights, forecasts)
-                if cfg.signal_mode == SIGNAL_ALL_AGREE:
-                    signal = aggregate_signal([f.signal for f in forecasts])
-                else:
-                    signal = 1 if not weights.is_all_zero() else -1
+                raw = [r if f.r_hat > 0.0 else 0.0 for r, f in zip(raw, forecasts)]
+            weights = allocation.from_raw(day.selection, raw)
+            if cfg.signal_mode == SIGNAL_ALL_AGREE:
+                signal = aggregate_signal([f.signal for f in forecasts])
+            else:
+                signal = 1 if not weights.is_all_zero() else -1
         before = held
         cash, held, value, stale_cols = _trade(
             cash,

@@ -109,12 +109,11 @@ def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.Pri
 def _load_sectors(path: Path | None) -> dict[str, str] | None:
     if path is None:
         return None
-    labels: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if len(row) >= 2 and row[0].strip() and row[0].strip().lower() != "ticker":
-                labels[row[0].strip()] = row[1].strip()
-    return labels
+    return {
+        row[0].strip(): row[1].strip()
+        for row in market_data._read_rows(path)
+        if len(row) >= 2 and row[0].strip() and row[0].strip().lower() != "ticker"
+    }
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -298,16 +297,26 @@ def cmd_report(out_dir: Path) -> int:
     summary_path = out_dir / "summary.json"
     if not summary_path.exists():
         raise ConfigError(f"no summary.json under {out_dir}")
-    blob = json.loads(summary_path.read_text(encoding="utf-8"))
-    strategies = list(blob["strategies"])
-    seeds = [int(s) for s in blob["seeds"]]
-    table = np.array(
-        [
-            [blob["strategies"][name]["seeds"][str(seed)]["total_return_pct"] for name in strategies]
-            for seed in seeds
-        ]
-    )
-    means = np.array([blob["strategies"][name]["mean_total_return_pct"] for name in strategies])
+    try:
+        blob = json.loads(summary_path.read_text(encoding="utf-8"))
+        strategies = list(blob["strategies"])
+        seeds = [int(s) for s in blob["seeds"]]
+        table = np.array(
+            [
+                [blob["strategies"][name]["seeds"][str(seed)]["total_return_pct"] for name in strategies]
+                for seed in seeds
+            ],
+            dtype=float,
+        )
+        means = np.array(
+            [blob["strategies"][name]["mean_total_return_pct"] for name in strategies], dtype=float
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{summary_path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, undecodable, not JSON, wrong shape
+        raise ConfigError(f"{summary_path}: not a simulate summary: {exc}") from exc
+    if not strategies:
+        raise ConfigError(f"{summary_path}: lists no strategies")
     summary = backtest.MultiSeedResult(
         seeds=tuple(seeds),
         strategies=tuple(strategies),

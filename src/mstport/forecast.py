@@ -132,32 +132,23 @@ def _fit_candidate(x: np.ndarray, p: int, q: int) -> tuple[float, np.ndarray, np
     n_eff = m - p - q
     if n_eff < p + q + 2:
         raise InsufficientHistory("too few observations for candidate order")
-    # Stage one: innovation proxies from an AR(p) regression (intercept-only
-    # when p == 0, i.e. proxies are the demeaned series).
+    # Stage one: an AR(p) regression (intercept-only when p == 0, i.e. the
+    # demeaned series).  It is the fit when q == 0; otherwise its residuals
+    # are the innovation proxies.
     if p > 0:
         rows1 = np.arange(p, m)
         design1 = np.column_stack([np.ones(rows1.size)] + _lag_columns(x, rows1, p))
-        _, resid1 = _ols(design1, x[rows1])
-        proxy_start = p
+        beta1, resid1 = _ols(design1, x[rows1])
     else:
-        resid1 = x - x.mean()
-        proxy_start = 0
+        beta1, resid1 = np.array([x.mean()]), x - x.mean()
     if q == 0:
-        if p == 0:
-            intercept = float(x.mean())
-            resid = x - intercept
-            sse = float(resid @ resid)
-            return intercept, np.empty(0), np.empty(0), resid, sse, m
-        rows = np.arange(p, m)
-        design = np.column_stack([np.ones(rows.size)] + _lag_columns(x, rows, p))
-        beta, resid = _ols(design, x[rows])
-        sse = float(resid @ resid)
-        return float(beta[0]), beta[1:], np.empty(0), resid, sse, rows.size
+        sse = float(resid1 @ resid1)
+        return float(beta1[0]), beta1[1:], np.empty(0), resid1, sse, resid1.size
     # Stage two: joint regression on AR lags and lagged innovation proxies.
     rows = np.arange(p + q, m)
     cols = [np.ones(rows.size)]
     cols += _lag_columns(x, rows, p)
-    cols += [resid1[rows - lag - proxy_start] for lag in range(1, q + 1)]
+    cols += [resid1[rows - lag - p] for lag in range(1, q + 1)]
     design = np.column_stack(cols)
     beta, resid = _ols(design, x[rows])
     sse = float(resid @ resid)

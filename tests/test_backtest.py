@@ -21,13 +21,11 @@ from mstport.backtest import (
     aggregate_signal,
     benchmark_buy_hold,
     execute_day,
-    filter_weights,
     make_strategy,
     run_multi_seed,
     run_simulation,
 )
 from mstport.errors import ConfigError, DataError, InsufficientHistory
-from mstport.forecast import make_forecast
 from synth import day_range, flat_table, random_walk_table, with_masked
 
 PANEL = random_walk_table(8, 140, seed=41, extra_tickers=("IDX",))
@@ -343,7 +341,7 @@ def test_portfolio_state_invariants():
 
 
 # ---------------------------------------------------------------------------
-# Signals and forecast filtering
+# Signals
 
 
 def test_aggregate_signal_majority_rules():
@@ -356,31 +354,6 @@ def test_aggregate_signal_majority_rules():
         aggregate_signal([])
     with pytest.raises(DataError):
         aggregate_signal([2])
-
-
-def test_filter_weights_zeroes_non_positive_forecasts():
-    weights = from_raw(("A", "B", "C"), (2.0, 1.0, 1.0))
-    forecasts = [
-        make_forecast("A", 0.01),
-        make_forecast("B", -0.02),
-        make_forecast("C", 0.005),
-    ]
-    filtered = filter_weights(weights, forecasts)
-    assert filtered.tickers == ("A", "B", "C")
-    assert filtered.normalized == pytest.approx((2.0 / 3.0, 0.0, 1.0 / 3.0), abs=1e-15)
-
-
-def test_filter_weights_all_negative_goes_all_zero():
-    weights = from_raw(("A", "B"), (1.0, 1.0))
-    forecasts = [make_forecast("A", -0.01), make_forecast("B", 0.0)]
-    filtered = filter_weights(weights, forecasts)
-    assert filtered.is_all_zero()
-
-
-def test_filter_weights_rejects_mismatched_tickers():
-    weights = from_raw(("A", "B"), (1.0, 1.0))
-    with pytest.raises(DataError):
-        filter_weights(weights, [make_forecast("A", 0.1), make_forecast("X", 0.1)])
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +463,8 @@ def assert_days_match(engine, reference) -> None:
 )
 def test_engine_matches_reference_simulator(name):
     cfg = make_strategy(BASE, name, fixed_weighting="sharpe")
+    unfiltered = dataclass_replace(cfg, forecaster="none", signal_mode="per_stock_filter")
+    seen = set()
     for prices, returns in ((PANEL, RETURNS), (GAPPY, GAPPY_RETURNS)):
         engine = run_simulation(cfg, prices, returns)
         reference = reference_sim.simulate(cfg, prices, returns)
@@ -498,6 +473,14 @@ def test_engine_matches_reference_simulator(name):
         assert engine.trade_count == reference.trade_count
         assert engine.total_return_pct == reference.total_return_pct
         assert_days_match(engine, reference)
+        if cfg.forecaster != "none":
+            # the forecast filter zeroes some of a day's stocks, and on other days all of them
+            for rec, plain in zip(engine.days, run_simulation(unfiltered, prices, returns).days):
+                pairs = zip(rec.weights.entries, plain.weights.entries)
+                dropped = [raw == 0.0 < plain_raw for (_, raw, _), (_, plain_raw, _) in pairs]
+                if any(dropped):
+                    seen.add("all" if rec.weights.is_all_zero() else "some")
+    assert seen == ({"some", "all"} if cfg.forecaster != "none" else set())
 
 
 @pytest.mark.parametrize(

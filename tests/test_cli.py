@@ -350,6 +350,32 @@ def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):
         assert "empty universe" in capsys.readouterr().err
 
 
+def test_network_labels_nodes_from_the_sectors_file(tmp_path):
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text("Ticker,Sector\n S00 , Energy \n\nS01,Tech\nS02\n", encoding="utf-8")
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "net", extra_data=f"sectors = {sectors}\n")
+    assert main(["network", "--config", str(cfg_path), "--rebalance-every", "70"]) == 0
+    (dot,) = (tmp_path / "net").glob("mst_*.dot")
+    text = dot.read_text(encoding="utf-8")
+    assert '"S00" [sector="Energy"];' in text and '"S01" [sector="Tech"];' in text
+    assert '"S02";' in text  # a row without a sector labels nothing
+
+
+@pytest.mark.parametrize("kind, message", [("directory", "cannot read"), ("not_utf8", "cannot decode")])
+def test_network_reports_an_unreadable_sectors_file(tmp_path, capsys, kind, message):
+    sectors = tmp_path / "sectors.csv"
+    if kind == "directory":
+        sectors.mkdir()
+    else:
+        sectors.write_bytes("ticker,sector\nS00,Caf\xe9s\n".encode("latin-1"))
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "net", extra_data=f"sectors = {sectors}\n")
+    assert main(["network", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and str(sectors) in err
+
+
 def write_split_panel(tmp_path: Path, benchmark: PriceTable) -> Path:
     """Prices without IDX, and a config that reads the benchmark from ``benchmark``."""
     prices = tmp_path / "stocks.csv"
@@ -500,6 +526,27 @@ def test_report_rebuilds_seed_table(tmp_path, capsys):
 def test_report_errors_without_summary(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe not utf-8", "not a simulate summary"),
+        (b"{not json", "not a simulate summary"),
+        (b"[]", "not a simulate summary"),
+        (b'{"seeds": [1]}', "missing key 'strategies'"),
+        (b'{"strategies": {"mst_var": {"seeds": {}, "mean_total_return_pct": 0.0}}}', "missing key 'seeds'"),
+        (b'{"seeds": [1], "strategies": {"mst_var": {"mean_total_return_pct": 0.0}}}', "missing key 'seeds'"),
+        (b'{"seeds": [1], "strategies": {}}', "lists no strategies"),
+    ],
+    ids=["not_utf8", "not_json", "list", "no_strategies_key", "no_seeds_key", "strategy_without_seeds", "empty"],
+)
+def test_report_rejects_a_malformed_summary(tmp_path, capsys, content, message):
+    (tmp_path / "summary.json").write_bytes(content)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "summary.json") in err and message in err
+    assert not (tmp_path / "seeds_table.csv").exists()
 
 
 def test_cli_reports_config_errors_with_exit_code(tmp_path, capsys):

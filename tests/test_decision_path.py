@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from mstport import forecast, market_data, var_fevd
 from mstport.backtest import (
@@ -23,7 +22,6 @@ from mstport.backtest import (
     run_multi_seed,
     run_simulation,
 )
-from mstport.errors import ConfigError
 from synth import random_walk_table, with_flat_start, with_masked
 
 # The backtest tests' panel, shortened and with shorter NNAR training: the
@@ -154,11 +152,3 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
             neutral += 1
     assert neutral > 0
     assert fitted and all(np.isfinite(series).all() for series in fitted)
-
-
-def test_path_refuses_a_strategy_with_other_upstream_fields():
-    path = DecisionPath(BASE, PANEL, RETURNS)
-    for name in STRATEGY_NAMES:
-        path.check(make_strategy(BASE, name))
-    with pytest.raises(ConfigError, match="horizon"):
-        path.check(replace(BASE, horizon=BASE.horizon + 1))
