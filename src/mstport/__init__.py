@@ -21,7 +21,7 @@ from .backtest import (
 )
 from .market_data import PriceTable, ReturnMatrix, compute_returns, load_prices, quality_filter, window
 from .network import degree_centrality, export_dot, prim_mst, select_top_k
-from .var_fevd import fevd, fit_var1, impulse_responses, influence_matrix, to_cost
+from .var_fevd import fevd, fit_var1, influence_matrix, to_cost
 
 __all__ = [
     "__version__",
@@ -38,7 +38,6 @@ __all__ = [
     "fevd",
     "fit_var1",
     "historical_var",
-    "impulse_responses",
     "influence_matrix",
     "load_prices",
     "prim_mst",

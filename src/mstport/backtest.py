@@ -329,14 +329,6 @@ def execute_day(
     )
 
 
-def _last_closes(prices: PriceTable) -> np.ndarray:
-    """Row t holds each ticker's last unmasked close over rows [0, t], NaN before its first."""
-    rows = np.where(prices.mask, -1, np.arange(len(prices.dates))[:, None])
-    rows = np.maximum.accumulate(rows, axis=0)
-    last = prices.adj_close[rows, np.arange(len(prices.tickers))]
-    return np.where(rows >= 0, last, np.nan)
-
-
 def _fallback_rows(px: np.ndarray, last: np.ndarray) -> tuple[list[list[float]], list[list[bool]]]:
     """Rows of ``px`` as lists with each NaN cell taken from ``last``, and flags of those cells."""
     absent = np.isnan(px)
@@ -349,7 +341,7 @@ def _strip_benchmark(
     if cfg.benchmark_ticker and cfg.benchmark_ticker in prices.tickers:
         prices = market_data.drop_tickers(prices, [cfg.benchmark_ticker])
     if tuple(returns.tickers) != tuple(prices.tickers):
-        returns = market_data.select_return_tickers(returns, prices.tickers)
+        returns = market_data.select_tickers(returns, prices.tickers)
     if returns.dates != prices.dates[1:]:
         raise DataError("returns are not aligned to the price panel")
     return prices, returns
@@ -610,7 +602,7 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         exec_px = np.where(prices.mask[on_day], closes[day_before], prices.open_px[on_day])
     else:
         exec_px = closes[day_before]
-    last_close = _last_closes(prices)[day_before]
+    last_close = market_data.last_known(closes, prices.mask)[day_before]
     exec_px, exec_stale = _fallback_rows(exec_px, last_close)
     close_px, close_stale = _fallback_rows(closes[on_day], last_close)
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
@@ -704,29 +696,19 @@ def benchmark_buy_hold(
     if initial_capital <= 0.0:
         raise DataError("initial capital must be positive")
     masked = np.asarray(mask, dtype=bool) if mask is not None else ~np.isfinite(closes)
-    warnings: set[str] = set()
-    anchor = None
-    last = None
-    values = []
-    for t in range(closes.size):
-        if not masked[t]:
-            last = float(closes[t])
-            if anchor is None:
-                anchor = last
-        else:
-            warnings.add(f"benchmark price missing on {dates[t].isoformat()}")
-        if anchor is None or last == anchor:
-            # C_0 * P_0 / P_0 can round one ulp away from C_0.
-            values.append(initial_capital)
-        else:
-            values.append(initial_capital * last / anchor)
-    values_arr = np.asarray(values)
-    total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
+    last = market_data.last_known(closes, masked)
+    seen = np.logical_or.accumulate(~masked)
+    anchor = closes[np.argmax(seen)]
+    # C_0 * P_0 / P_0 can round one ulp away from C_0, so a return to the
+    # anchor price is C_0 itself.
+    values = np.where(~seen | (last == anchor), initial_capital, initial_capital * last / anchor)
+    warnings = {f"benchmark price missing on {dates[t].isoformat()}" for t in np.flatnonzero(masked)}
+    total = (values[-1] / values[0] - 1.0) * 100.0
     return SimulationResult(
         strategy=BENCHMARK_STRATEGY,
         seed=seed,
         dates=tuple(dates),
-        values=values_arr,
+        values=values,
         total_return_pct=float(total),
         trade_count=1,
         days=(),

@@ -317,6 +317,8 @@ def cmd_report(out_dir: Path) -> int:
         raise ConfigError(f"{summary_path}: not a simulate summary: {exc}") from exc
     if not strategies:
         raise ConfigError(f"{summary_path}: lists no strategies")
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(means))):
+        raise ConfigError(f"{summary_path}: a total return is null or not finite")
     summary = backtest.MultiSeedResult(
         seeds=tuple(seeds),
         strategies=tuple(strategies),

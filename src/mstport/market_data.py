@@ -14,9 +14,10 @@ import csv
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -29,14 +30,6 @@ FORMAT_LONG = "long"
 FORMAT_WIDE = "wide"
 
 
-def _column_map(tickers: tuple[str, ...]) -> dict[str, int]:
-    """Column of each ticker; a repeated name maps to its first column, as ``tuple.index`` does."""
-    columns: dict[str, int] = {}
-    for j, ticker in enumerate(tickers):
-        columns.setdefault(ticker, j)
-    return columns
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
@@ -44,48 +37,42 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PriceTable:
-    """Aligned date-by-ticker panel of adjusted closes and optional opens.
+class _Panel:
+    """Date-by-ticker grids under one mask, read-only once built.
 
     ``mask[t, i]`` is True where the cell is missing or invalid; masked
-    cells hold NaN in the price arrays.  When an open matrix is present it
-    shares the close matrix's shape and mask: a cell with either price
-    missing is masked as a whole.
+    cells hold NaN in every grid.  A subclass declares its grids, then
+    ``mask``, as fields and lists each grid in ``_GRIDS`` with the texts of
+    its shape and value errors.  Unmasked cells must be finite, and above
+    zero where ``_POSITIVE`` is set; a grid left as None is skipped.
     """
+
+    _GRIDS: ClassVar[tuple[tuple[str, str, str], ...]]
+    _POSITIVE: ClassVar[bool]
 
     dates: tuple[date, ...]
     tickers: tuple[str, ...]
-    adj_close: np.ndarray
-    mask: np.ndarray
-    open_px: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n_d, n_t = len(self.dates), len(self.tickers)
-        if any(self.dates[i] >= self.dates[i + 1] for i in range(n_d - 1)):
-            raise DataError("dates must be strictly increasing")
-        columns = _column_map(self.tickers)
-        if len(columns) != n_t:
+        columns = {ticker: j for j, ticker in enumerate(self.tickers)}
+        if len(columns) != len(self.tickers):
             raise DataError("duplicate tickers")
         object.__setattr__(self, "_columns", columns)
-        closes = np.asarray(self.adj_close, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
-        if closes.shape != (n_d, n_t) or mask.shape != (n_d, n_t):
-            raise DataError("price/mask shape does not match dates x tickers")
-        closes = np.where(mask, np.nan, closes)
-        good = closes[~mask]
-        if good.size and (not np.all(np.isfinite(good)) or np.any(good <= 0.0)):
-            raise DataError("unmasked prices must be finite and strictly positive")
-        object.__setattr__(self, "adj_close", _freeze(closes))
+        rule = "finite and strictly positive" if self._POSITIVE else "finite"
+        for name, shape_error, cells in self._GRIDS:
+            grid = getattr(self, name)
+            if grid is None:
+                continue
+            grid = np.asarray(grid, dtype=float)
+            if grid.shape != self.shape or mask.shape != self.shape:
+                raise DataError(shape_error)
+            grid = np.where(mask, np.nan, grid)
+            good = grid[~mask]
+            if good.size and (not np.all(np.isfinite(good)) or (self._POSITIVE and np.any(good <= 0.0))):
+                raise DataError(f"{cells} must be {rule}")
+            object.__setattr__(self, name, _freeze(grid))
         object.__setattr__(self, "mask", _freeze(mask))
-        if self.open_px is not None:
-            opens = np.asarray(self.open_px, dtype=float)
-            if opens.shape != (n_d, n_t):
-                raise DataError("open matrix shape does not match closes")
-            opens = np.where(mask, np.nan, opens)
-            good = opens[~mask]
-            if good.size and (not np.all(np.isfinite(good)) or np.any(good <= 0.0)):
-                raise DataError("unmasked open prices must be finite and strictly positive")
-            object.__setattr__(self, "open_px", _freeze(opens))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -99,37 +86,53 @@ class PriceTable:
 
 
 @dataclass(frozen=True, eq=False)
-class ReturnMatrix:
+class PriceTable(_Panel):
+    """Aligned date-by-ticker panel of adjusted closes and optional opens.
+
+    When an open matrix is present it shares the close matrix's shape and
+    mask: a cell with either price missing is masked as a whole.
+    """
+
+    _GRIDS = (
+        ("adj_close", "price/mask shape does not match dates x tickers", "unmasked prices"),
+        ("open_px", "open matrix shape does not match closes", "unmasked open prices"),
+    )
+    _POSITIVE = True
+
+    adj_close: np.ndarray
+    mask: np.ndarray
+    open_px: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if any(self.dates[i] >= self.dates[i + 1] for i in range(len(self.dates) - 1)):
+            raise DataError("dates must be strictly increasing")
+        super().__post_init__()
+
+
+@dataclass(frozen=True, eq=False)
+class ReturnMatrix(_Panel):
     """Simple daily returns aligned to the price panel's dates[1:]."""
 
-    dates: tuple[date, ...]
-    tickers: tuple[str, ...]
+    _GRIDS = (("returns", "return/mask shape does not match dates x tickers", "unmasked returns"),)
+    _POSITIVE = False
+
     returns: np.ndarray
     mask: np.ndarray
 
-    def __post_init__(self) -> None:
-        n_d, n_t = len(self.dates), len(self.tickers)
-        rets = np.asarray(self.returns, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
-        if rets.shape != (n_d, n_t) or mask.shape != (n_d, n_t):
-            raise DataError("return/mask shape does not match dates x tickers")
-        rets = np.where(mask, np.nan, rets)
-        good = rets[~mask]
-        if good.size and not np.all(np.isfinite(good)):
-            raise DataError("unmasked returns must be finite")
-        object.__setattr__(self, "returns", _freeze(rets))
-        object.__setattr__(self, "mask", _freeze(mask))
-        object.__setattr__(self, "_columns", _column_map(self.tickers))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.dates), len(self.tickers))
+_PanelT = TypeVar("_PanelT", bound=_Panel)
 
-    def ticker_index(self, ticker: str) -> int:
-        try:
-            return self._columns[ticker]
-        except KeyError:
-            raise DataError(f"unknown ticker {ticker!r}") from None
+
+def last_known(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each cell's last unmasked value at or before its row, NaN before the first.
+
+    ``values`` and ``mask`` are one series (1-D) or a dates x tickers grid
+    (2-D); rows run along the first axis.
+    """
+    rows = np.arange(len(values)).reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    rows = np.maximum.accumulate(np.where(mask, -1, rows), axis=0)
+    last = np.take_along_axis(values, rows, axis=0)
+    return np.where(rows >= 0, last, np.nan)
 
 
 def _to_float(text: str) -> float:
@@ -307,17 +310,15 @@ def quality_filter(table: PriceTable, max_missing_frac: float) -> PriceTable:
     return select_tickers(table, [table.tickers[j] for j in keep])
 
 
-def select_tickers(table: PriceTable, tickers: list[str] | tuple[str, ...]) -> PriceTable:
-    """Restrict the panel to the given tickers (original date axis kept)."""
-    idx = [table.ticker_index(t) for t in tickers]
-    opens = table.open_px[:, idx] if table.open_px is not None else None
-    return PriceTable(
-        table.dates,
-        tuple(table.tickers[j] for j in idx),
-        table.adj_close[:, idx],
-        table.mask[:, idx],
-        opens,
-    )
+def select_tickers(panel: _PanelT, tickers: list[str] | tuple[str, ...]) -> _PanelT:
+    """Restrict prices or returns to the given tickers (date axis kept)."""
+    idx = [panel.ticker_index(t) for t in tickers]
+    grids = {
+        f.name: grid[:, idx]
+        for f in fields(panel)
+        if isinstance(grid := getattr(panel, f.name), np.ndarray)
+    }
+    return replace(panel, tickers=tuple(panel.tickers[j] for j in idx), **grids)
 
 
 def drop_tickers(table: PriceTable, tickers: set[str] | list[str]) -> PriceTable:
@@ -326,19 +327,6 @@ def drop_tickers(table: PriceTable, tickers: set[str] | list[str]) -> PriceTable
     if not keep:
         raise DataError("cannot drop every ticker")
     return select_tickers(table, keep)
-
-
-def select_return_tickers(
-    returns: ReturnMatrix, tickers: list[str] | tuple[str, ...]
-) -> ReturnMatrix:
-    """Restrict a return matrix to the given tickers (date axis kept)."""
-    idx = [returns.ticker_index(t) for t in tickers]
-    return ReturnMatrix(
-        returns.dates,
-        tuple(returns.tickers[j] for j in idx),
-        returns.returns[:, idx],
-        returns.mask[:, idx],
-    )
 
 
 def compute_returns(table: PriceTable) -> ReturnMatrix:

@@ -58,17 +58,6 @@ class VarModel:
 
 
 @dataclass(frozen=True, eq=False)
-class ImpulseResponseSet:
-    """Impulse response matrices Phi_0 .. Phi_{h-1} with Phi_s = A1^s."""
-
-    phis: np.ndarray  # (h, 2, 2)
-
-    @property
-    def horizon(self) -> int:
-        return self.phis.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class FevdResult:
     """2x2 variance shares; rows respond, columns source.
 
@@ -156,17 +145,6 @@ def fit_var1(pair: np.ndarray, min_window: int = 30) -> VarModel:
     sigma = (sigma + sigma.T) / 2.0
     sigma[np.diag_indices_from(sigma)] = np.maximum(np.diag(sigma), 0.0)
     return VarModel(a0=a0, a1=a1, sigma_u=sigma, n_obs=n_obs)
-
-
-def impulse_responses(model: VarModel, horizon: int) -> ImpulseResponseSet:
-    """Powers of the companion matrix: Phi_s = A1^s for s = 0 .. horizon-1."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    phis = np.empty((horizon, 2, 2))
-    phis[0] = np.eye(2)
-    for s in range(1, horizon):
-        phis[s] = phis[s - 1] @ model.a1
-    return ImpulseResponseSet(phis=phis)
 
 
 def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str) -> tuple[np.ndarray, np.ndarray]:

@@ -85,7 +85,7 @@ def simulate(
     seed = cfg.seeds[0] if seed is None else seed
     if cfg.benchmark_ticker and cfg.benchmark_ticker in prices.tickers:
         prices = market_data.drop_tickers(prices, [cfg.benchmark_ticker])
-        returns = market_data.select_return_tickers(returns, prices.tickers)
+        returns = market_data.select_tickers(returns, prices.tickers)
     w = cfg.window
     closes, opens, mask = prices.adj_close, prices.open_px, prices.mask
     use_opens = cfg.use_open_prices and opens is not None

@@ -327,10 +327,14 @@ def test_last_closes_match_the_row_scan():
         # column 2 has no price through ``through`` and must stay NaN
         cells += [(row, 2) for row in range(through + 1)]
         masked = with_masked(table, cells)
-        got = backtest._last_closes(masked)
+        got = market_data.last_known(masked.adj_close, masked.mask)
         for row in range(40):
             assert np.array_equal(got[row], last_close_by_rows(masked, row), equal_nan=True)
         assert np.isnan(got[through, 2])
+        # one series alone gives its column of the grid
+        for j in range(7):
+            series = market_data.last_known(masked.adj_close[:, j], masked.mask[:, j])
+            assert series.tobytes() == got[:, j].tobytes()
 
 
 def test_portfolio_state_invariants():
@@ -713,6 +717,59 @@ def test_benchmark_buy_hold_starts_at_exactly_the_initial_capital():
     assert result.values[0] == 100_000.0
     assert result.values[1] == 100_000.0 * 370.0 / p0
     assert result.values[2] == 100_000.0
+
+
+def buy_hold_by_dates(dates, closes, initial_capital, mask=None):
+    """Date-by-date scan of the buy-and-hold value path and its warnings."""
+    closes = np.asarray(closes, dtype=float)
+    masked = np.asarray(mask, dtype=bool) if mask is not None else ~np.isfinite(closes)
+    warnings: set[str] = set()
+    anchor = None
+    last = None
+    values = []
+    for t in range(closes.size):
+        if not masked[t]:
+            last = float(closes[t])
+            if anchor is None:
+                anchor = last
+        else:
+            warnings.add(f"benchmark price missing on {dates[t].isoformat()}")
+        if anchor is None or last == anchor:
+            values.append(initial_capital)
+        else:
+            values.append(initial_capital * last / anchor)
+    return np.asarray(values), tuple(sorted(warnings))
+
+
+@st.composite
+def benchmark_series(draw):
+    size = draw(st.integers(2, 30))
+    # few distinct prices, so the path often returns to its anchor price
+    levels = draw(st.lists(PRICE, min_size=1, max_size=4))
+    closes = np.array(draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size)))
+    # without a mask a non-finite close is the missing one; with one, an
+    # unmasked NaN is taken as the price
+    for t in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        closes[t] = np.nan
+    cut = draw(st.sampled_from(["none", "all", "first", "random"]))
+    if cut == "none":
+        mask = None
+    elif cut == "all":
+        mask = np.ones(size, dtype=bool)
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        mask[0] |= cut == "first"
+    capital = draw(st.floats(1.0, 1e7, allow_nan=False, allow_infinity=False))
+    return day_range(size), closes, capital, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(benchmark_series())
+def test_benchmark_buy_hold_equals_the_date_scan(series):
+    result = benchmark_buy_hold(*series)
+    values, warnings = buy_hold_by_dates(*series)
+    assert result.values.tobytes() == values.tobytes()
+    assert result.warnings == warnings
 
 
 def test_benchmark_buy_hold_rejects_bad_series():

@@ -538,8 +538,28 @@ def test_report_errors_without_summary(tmp_path, capsys):
         (b'{"strategies": {"mst_var": {"seeds": {}, "mean_total_return_pct": 0.0}}}', "missing key 'seeds'"),
         (b'{"seeds": [1], "strategies": {"mst_var": {"mean_total_return_pct": 0.0}}}', "missing key 'seeds'"),
         (b'{"seeds": [1], "strategies": {}}', "lists no strategies"),
+        (
+            b'{"seeds": [1], "strategies": {"mst_var": {"seeds": {"1": {"total_return_pct": null}},'
+            b' "mean_total_return_pct": null}}}',
+            "null or not finite",
+        ),
+        (
+            b'{"seeds": [1], "strategies": {"mst_var": {"seeds": {"1": {"total_return_pct": 1.5}},'
+            b' "mean_total_return_pct": NaN}}}',
+            "null or not finite",
+        ),
     ],
-    ids=["not_utf8", "not_json", "list", "no_strategies_key", "no_seeds_key", "strategy_without_seeds", "empty"],
+    ids=[
+        "not_utf8",
+        "not_json",
+        "list",
+        "no_strategies_key",
+        "no_seeds_key",
+        "strategy_without_seeds",
+        "empty",
+        "null_return",
+        "nan_mean",
+    ],
 )
 def test_report_rejects_a_malformed_summary(tmp_path, capsys, content, message):
     (tmp_path / "summary.json").write_bytes(content)

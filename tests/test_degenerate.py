@@ -147,7 +147,7 @@ def library_outcome(entry: str, table: PriceTable) -> tuple[str, str]:
             outcomes = {from_warnings(list(result.warnings)) for result in simulated}
             assert len(outcomes) == 1, outcomes  # every strategy classifies the input alike
             return outcomes.pop()
-        stocks = market_data.select_return_tickers(returns, [t for t in returns.tickers if t != "IDX"])
+        stocks = market_data.select_tickers(returns, [t for t in returns.tickers if t != "IDX"])
         var_fevd.influence_matrix(market_data.window(stocks, WINDOW - 1, WINDOW), CFG.horizon, CFG.fevd_mode)
         return OK
     except (ConfigError, DataError, EstimationError, InsufficientHistory) as exc:

@@ -189,6 +189,12 @@ def test_table_rejects_unsorted_dates_and_duplicate_tickers():
         md.PriceTable(days, ("A", "A"), grid, mask)
 
 
+def test_return_matrix_rejects_duplicate_tickers():
+    days = synth.day_range(2)
+    with pytest.raises(errors.DataError, match="duplicate tickers"):
+        md.ReturnMatrix(days, ("A", "A"), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+
+
 def test_table_rejects_nonpositive_unmasked_price():
     days = synth.day_range(2)
     grid = np.array([[10.0, -1.0], [10.0, 2.0]])
@@ -251,6 +257,32 @@ def test_select_and_drop_tickers():
         md.drop_tickers(table, set(table.tickers))
     with pytest.raises(errors.DataError, match="unknown ticker"):
         md.select_tickers(table, ["S99"])
+
+
+def select_return_columns(returns, tickers):
+    """A return matrix restricted to ``tickers`` by its own constructor call."""
+    idx = [returns.ticker_index(t) for t in tickers]
+    return md.ReturnMatrix(
+        returns.dates,
+        tuple(returns.tickers[j] for j in idx),
+        returns.returns[:, idx],
+        returns.mask[:, idx],
+    )
+
+
+@pytest.mark.parametrize("tickers", [["S02", "S00"], ["S03"], ["S00", "S01", "S02", "S03"], []])
+def test_select_tickers_on_returns_equals_the_column_pick(tickers):
+    table = synth.with_masked(synth.random_walk_table(4, 12, seed=5), [(3, 1), (7, 2)])
+    returns = md.compute_returns(table)
+    got = md.select_tickers(returns, tickers)
+    want = select_return_columns(returns, tickers)
+    assert type(got) is md.ReturnMatrix
+    assert got.dates == want.dates and got.tickers == want.tickers
+    assert got.returns.tobytes() == want.returns.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert [got.ticker_index(t) for t in tickers] == list(range(len(tickers)))
+    with pytest.raises(errors.DataError, match="unknown ticker"):
+        md.select_tickers(returns, ["S99"])
 
 
 # ---------------------------------------------------------------------------

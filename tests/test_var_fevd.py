@@ -78,23 +78,6 @@ def test_fit_rejects_nonfinite_and_bad_shape():
 
 
 # ---------------------------------------------------------------------------
-# impulse responses
-# ---------------------------------------------------------------------------
-
-
-def test_impulse_responses_are_matrix_powers():
-    a1 = np.array([[0.3, 0.2], [0.1, 0.4]])
-    model = vf.VarModel(a0=np.zeros(2), a1=a1, sigma_u=np.eye(2) * 0.01, n_obs=100)
-    irf = vf.impulse_responses(model, 6)
-    assert irf.phis.shape == (6, 2, 2)
-    np.testing.assert_array_equal(irf.phis[0], np.eye(2))
-    np.testing.assert_array_equal(irf.phis[1], a1)
-    np.testing.assert_allclose(irf.phis[2], [[0.11, 0.14], [0.07, 0.18]], atol=1e-15)
-    for s in range(6):
-        np.testing.assert_allclose(irf.phis[s], np.linalg.matrix_power(a1, s), atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # variance decomposition
 # ---------------------------------------------------------------------------
 
