@@ -688,7 +688,8 @@ def benchmark_buy_hold(
 ) -> SimulationResult:
     """Buy-and-hold value path of an index series: C_t = C_0 * P_t / P_0.
 
-    Masked prices carry the previous value forward and are flagged.
+    Masked prices carry the previous value forward and are flagged; an
+    unmasked price must be finite and strictly positive, as in a PriceTable.
     """
     closes = np.asarray(closes, dtype=float)
     if closes.ndim != 1 or closes.size != len(dates) or closes.size < 2:
@@ -696,6 +697,8 @@ def benchmark_buy_hold(
     if initial_capital <= 0.0:
         raise DataError("initial capital must be positive")
     masked = np.asarray(mask, dtype=bool) if mask is not None else ~np.isfinite(closes)
+    if np.any(~masked & ~(np.isfinite(closes) & (closes > 0.0))):
+        raise DataError("unmasked prices must be finite and strictly positive")
     last = market_data.last_known(closes, masked)
     seen = np.logical_or.accumulate(~masked)
     anchor = closes[np.argmax(seen)]

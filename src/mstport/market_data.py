@@ -11,11 +11,13 @@ gaps.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import ClassVar, TypeVar
 
@@ -59,6 +61,9 @@ class _Panel:
             raise DataError("duplicate tickers")
         object.__setattr__(self, "_columns", columns)
         mask = np.asarray(self.mask, dtype=bool)
+        if mask.flags.writeable:
+            # Freezing a caller's own array would make it read-only for them.
+            mask = mask.copy()
         rule = "finite and strictly positive" if self._POSITIVE else "finite"
         for name, shape_error, cells in self._GRIDS:
             grid = getattr(self, name)
@@ -121,6 +126,7 @@ class ReturnMatrix(_Panel):
 
 
 _PanelT = TypeVar("_PanelT", bound=_Panel)
+_K = TypeVar("_K", date, str)
 
 
 def last_known(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -158,19 +164,29 @@ def _parse_prices(cells: Sequence[str]) -> np.ndarray:
     return np.where(np.isfinite(values) & (values > 0.0), values, np.nan)
 
 
-def _read_rows(path: Path) -> list[tuple[str, ...]]:
-    """The file's CSV rows, without blank ones.
-
-    Rows are tuples: a tuple of strings drops out of the garbage collector's
-    tracking, so a long file's rows are not rescanned by every collection.
-    """
+def _read_text(path: Path) -> str:
+    """The whole file decoded as UTF-8, its line ends kept as they are."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [tuple(row) for row in csv.reader(fh) if "".join(row).strip()]
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path}: {exc}") from exc
+
+
+def _csv_rows(text: str) -> list[tuple[str, ...]]:
+    """The CSV rows of ``text``, without blank ones.
+
+    Rows are tuples: a tuple of strings drops out of the garbage collector's
+    tracking, so a long file's rows are not rescanned by every collection.
+    """
+    return [tuple(row) for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
+
+
+def _read_rows(path: Path) -> list[tuple[str, ...]]:
+    """The file's CSV rows, without blank ones."""
+    return _csv_rows(_read_text(path))
 
 
 def _parse_dates(texts: list[str]) -> dict[str, date | None]:
@@ -184,43 +200,98 @@ def _parse_dates(texts: list[str]) -> dict[str, date | None]:
     return parsed
 
 
+def _splits_plainly(body: str) -> bool:
+    """True when splitting ``body`` on newlines and commas gives csv.reader's rows.
+
+    That holds when no cell is quoted, no line ends in a CR, every line
+    has four cells, and nothing is there for csv.reader to reject: a NUL
+    (before Python 3.11) or a line, and so maybe a cell, longer than its
+    field size limit.  The first line must not be blank, because a blank
+    row is dropped before the header is read.
+    """
+    if any(char in body for char in '"\r\0'):
+        return False
+    lines = body.split("\n")
+    return (
+        set(map(str.count, lines, repeat(","))) == {3}
+        and max(map(len, lines)) <= csv.field_size_limit()
+        and bool(lines[0].replace(",", "").strip())
+    )
+
+
 def _load_long(path: Path) -> PriceTable:
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = tuple(cell.strip().lower() for cell in rows[0])
-    if header != LONG_HEADER:
+    text = _read_text(path)
+    body = text[:-1] if text.endswith("\n") else text
+    if _splits_plainly(body):
+        cells = body.replace("\n", ",").split(",")
+        header, columns, short = cells[:4], [cells[c + 4 :: 4] for c in range(4)], 0
+    else:
+        rows = _csv_rows(text)
+        if not rows:
+            raise DataError(f"{path}: empty file")
+        # A short row is malformed, and so is one whose first four cells are
+        # blank and a later one is not: _long_table takes it for a blank row.
+        full = [row for row in rows[1:] if len(row) >= 4 and "".join(row[:4]).strip()]
+        header, short = rows[0], len(rows) - 1 - len(full)
+        columns = [[row[c] for row in full] for c in range(4)]
+    if tuple(cell.strip().lower() for cell in header) != LONG_HEADER:
         raise DataError(f"{path}: expected header {','.join(LONG_HEADER)}")
-    # A row is malformed when it is short, its date does not parse or its
-    # ticker is blank; extra cells are ignored.
-    full = [row for row in rows[1:] if len(row) >= 4]
-    day_text, ticker_text, open_text, close_text = ([row[c] for row in full] for c in range(4))
-    days = _parse_dates(day_text)
-    tickers_of = [t.strip() for t in ticker_text]
-    valid = [r for r, (d, t) in enumerate(zip(day_text, tickers_of)) if t and days[d] is not None]
-    skipped = len(rows) - 1 - len(valid)
-    if not valid:
+    return _long_table(path, columns, short)
+
+
+def _codes(column: list[str], key_of: dict[str, _K | None]) -> tuple[list[_K], np.ndarray]:
+    """The sorted distinct keys of ``column``'s cells, and each row's index
+    among them: -1 where ``key_of`` maps its cell to None or blank."""
+    keys = sorted({key for key in key_of.values() if key})
+    index = {key: i for i, key in enumerate(keys)}
+    code = {text: index.get(key, -1) for text, key in key_of.items()}
+    return keys, np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+
+
+def _used(keys: list[_K], codes: np.ndarray) -> tuple[tuple[_K, ...], np.ndarray]:
+    """The keys that ``codes`` use, in order, and the codes renumbered among them."""
+    used = np.bincount(codes, minlength=len(keys)) > 0
+    return tuple(key for key, u in zip(keys, used) if u), (np.cumsum(used) - 1)[codes]
+
+
+def _long_table(path: Path, columns: list[list[str]], short: int) -> PriceTable:
+    """The table of a long file's data rows, given as their four columns.
+
+    ``short`` rows were dropped already as malformed.  Of the rest, a row
+    is malformed when its date does not parse or its ticker is blank,
+    unless all four of its cells are blank: then it is a blank row.
+    """
+    day_text, ticker_text, open_text, close_text = columns
+    days, day = _codes(day_text, _parse_dates(day_text))
+    tickers, ticker = _codes(ticker_text, {text: text.strip() for text in set(ticker_text)})
+    valid = (day >= 0) & (ticker >= 0)
+    skipped = short
+    if not valid.all():
+        bad = np.flatnonzero(~valid).tolist()
+        skipped += sum(1 for r in bad if (day_text[r] + ticker_text[r] + open_text[r] + close_text[r]).strip())
+        day, ticker = day[valid], ticker[valid]
+        rows = np.flatnonzero(valid).tolist()
+        open_text, close_text = [open_text[r] for r in rows], [close_text[r] for r in rows]
+    if not day.size:
         raise DataError(f"{path}: zero valid rows")
-    dates = tuple(sorted({days[day_text[r]] for r in valid}))
-    tickers = tuple(sorted({tickers_of[r] for r in valid}))
-    d_idx = {d: i for i, d in enumerate(dates)}
-    t_idx = {t: j for j, t in enumerate(tickers)}
-    grid_row = {text: d_idx[day] for text, day in days.items() if day in d_idx}
-    flat = np.array([grid_row[day_text[r]] * len(tickers) + t_idx[tickers_of[r]] for r in valid])
+    dates, day = _used(days, day)
+    tickers, ticker = _used(tickers, ticker)
+    flat = day * len(tickers) + ticker
     n_cells = len(dates) * len(tickers)
     if np.bincount(flat, minlength=n_cells).max() > 1:
         seen = set()
-        for r, cell in zip(valid, flat.tolist()):
+        for cell in flat.tolist():
             if cell in seen:
-                key = (days[day_text[r]], tickers_of[r])
+                d, t = divmod(cell, len(tickers))
+                key = (dates[d], tickers[t])
                 raise DataError(f"{path}: duplicate (date, ticker) pair {key}")
             seen.add(cell)
     if skipped:
         log.warning("%s: skipped %d malformed rows", path, skipped)
     closes = np.full(n_cells, np.nan)
     opens = np.full(n_cells, np.nan)
-    closes[flat] = _parse_prices([close_text[r] for r in valid])
-    opens[flat] = _parse_prices([open_text[r] for r in valid])
+    closes[flat] = _parse_prices(close_text)
+    opens[flat] = _parse_prices(open_text)
     closes = closes.reshape(len(dates), len(tickers))
     opens = opens.reshape(closes.shape)
     has_opens = bool(np.any(np.isfinite(opens)))

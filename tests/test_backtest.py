@@ -748,7 +748,7 @@ def benchmark_series(draw):
     levels = draw(st.lists(PRICE, min_size=1, max_size=4))
     closes = np.array(draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size)))
     # without a mask a non-finite close is the missing one; with one, an
-    # unmasked NaN is taken as the price
+    # unmasked NaN is an invalid price
     for t in draw(st.lists(st.integers(0, size - 1), max_size=size)):
         closes[t] = np.nan
     cut = draw(st.sampled_from(["none", "all", "first", "random"]))
@@ -766,6 +766,11 @@ def benchmark_series(draw):
 @settings(max_examples=400, deadline=None)
 @given(benchmark_series())
 def test_benchmark_buy_hold_equals_the_date_scan(series):
+    _, closes, _, mask = series
+    if mask is not None and np.any(~mask & np.isnan(closes)):
+        with pytest.raises(DataError, match="unmasked prices must be finite and strictly positive"):
+            benchmark_buy_hold(*series)
+        return
     result = benchmark_buy_hold(*series)
     values, warnings = buy_hold_by_dates(*series)
     assert result.values.tobytes() == values.tobytes()
@@ -777,6 +782,16 @@ def test_benchmark_buy_hold_rejects_bad_series():
         benchmark_buy_hold(day_range(1), np.array([100.0]), 1000.0)
     with pytest.raises(DataError):
         benchmark_buy_hold(day_range(2), np.array([100.0, 101.0]), 0.0)
+
+
+@pytest.mark.parametrize("closes", [[0.0, 1.0, 2.0], [1.0, -1.0, 2.0]])
+def test_benchmark_buy_hold_rejects_a_nonpositive_unmasked_close(closes):
+    with pytest.raises(DataError, match="^unmasked prices must be finite and strictly positive$"):
+        benchmark_buy_hold(day_range(3), np.array(closes), 1000.0)
+    # the same close masked is a missing price
+    mask = np.array(closes) <= 0.0
+    result = benchmark_buy_hold(day_range(3), np.array(closes), 1000.0, mask)
+    assert np.all(np.isfinite(result.values)) and np.all(result.values > 0.0)
 
 
 # ---------------------------------------------------------------------------

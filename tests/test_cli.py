@@ -413,6 +413,17 @@ def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "split").exists()
 
 
+def test_undecodable_prices_exit_2_naming_the_file(tmp_path, capsys):
+    prices = write_panel(tmp_path)
+    # the bad byte ends a 24,000-byte file, past the first read chunk
+    prices.write_bytes(prices.read_bytes()[:23_999] + b"\xff")
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out")
+    assert main(["ingest", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode {prices}: ")
+    assert "in position 23999:" in err
+
+
 def test_benchmark_file_needs_the_benchmark_ticker_key(tmp_path, capsys):
     prices = tmp_path / "stocks.csv"
     write_long_csv(drop_tickers(PANEL, ["IDX"]), prices)

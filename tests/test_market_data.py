@@ -2,9 +2,11 @@
 
 import csv
 import logging
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,6 +213,18 @@ def test_table_arrays_are_frozen():
     table = synth.flat_table(2, 3)
     with pytest.raises(ValueError):
         table.adj_close[0, 0] = 1.0
+
+
+def test_constructors_leave_the_callers_mask_writeable():
+    days = synth.day_range(2)
+    m = np.zeros((2, 2), dtype=bool)
+    table = md.PriceTable(days, ("A", "B"), np.full((2, 2), 10.0), m)
+    returns = md.ReturnMatrix(days, ("A", "B"), np.zeros((2, 2)), m)
+    assert m.flags.writeable
+    m[0, 0] = True
+    assert not table.mask.any() and not returns.mask.any()
+    # a read-only slice of a panel's own mask is shared, not copied
+    assert np.shares_memory(md.window(returns, 1, 1).mask, returns.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +604,103 @@ def test_long_loader_matches_row_oracle(header, junk, data):
     assert_same_load(got, want)
 
 
+# Cells with no comma or quote, for files that split on commas alone.
+PLAIN_PRICE_CELLS = tuple(c for c in PRICE_CELLS if not any(ch in c for ch in ',"'))
+
+
+@st.composite
+def plain_long_text(draw, junk):
+    """A long file of four unquoted cells a line and ``\n`` line ends,
+    with blank (``,,,``) and whitespace rows, with or without a final
+    line end; now and then it starts with a blank ``,,,`` line."""
+    header = draw(st.sampled_from(
+        ("date,ticker,open,adj_close",) * 3 + (" Date , TICKER ,Open,ADJ_CLOSE", ",,,\ndate,ticker,open,adj_close", ",,,")
+    ))
+    pool = PLAIN_PRICE_CELLS if junk else NUMERIC_CELLS
+    lines = [header]
+    for day, ticker in draw(LONG_LEADS):
+        kind = draw(st.sampled_from(("row",) * 8 + ("blank", "spaces")))
+        if kind == "row":
+            lines.append(",".join((day, ticker, draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))))
+        else:
+            lines.append(",,," if kind == "blank" else " ,\t, , ")
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(junk=st.booleans(), data=st.data())
+def test_plain_long_loader_matches_row_oracle(junk, data):
+    text = data.draw(plain_long_text(junk))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            got, want = load_both(path, md.FORMAT_LONG)
+    assert_same_load(got, want)
+    # The oracle reads through csv.reader once; the loader only when the
+    # file starts with a blank line.
+    assert reader.call_count == 1 + text.startswith(",,,")
+
+
+def benchmark_shaped_text(quoted=False, line_end="\n"):
+    """A long panel written as the benchmark writes one: an index row and
+    then each ticker's row per day, some missing, six decimals a price."""
+    lines = ["date,ticker,open,adj_close"]
+    for i, day in enumerate(synth.day_range(40)):
+        lines.append(f"{day.isoformat()},^IDX,{3000 + i:.6f},{3001 + i:.6f}")
+        for j in range(5):
+            if (i * 5 + j) % 17:
+                ticker = f'"S{j:02d}"' if quoted and j == 2 else f"S{j:02d}"
+                lines.append(f"{day.isoformat()},{ticker},{10 + i * 0.1 + j:.6f},{10.5 + i * 0.1 + j:.6f}")
+    return line_end.join(lines) + line_end
+
+
+def test_a_plain_long_file_never_reaches_csv_reader(tmp_path, monkeypatch):
+    path = tmp_path / "prices.csv"
+    path.write_text(benchmark_shaped_text(), encoding="utf-8")
+    want = oracle_load_long(path, [])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    monkeypatch.setattr(md.csv, "reader", refuse)
+    assert_same_load((md.load_prices(path), []), (want, []))
+    assert want.shape == (40, 6) and int(want.mask.sum()) == 12
+
+
+@pytest.mark.parametrize("quoted, line_end", [(True, "\n"), (False, "\r\n"), (True, "\r\n")])
+def test_a_quoted_or_crlf_long_file_reaches_csv_reader(tmp_path, quoted, line_end):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(benchmark_shaped_text(), encoding="utf-8")
+    path = tmp_path / "prices.csv"
+    path.write_bytes(benchmark_shaped_text(quoted, line_end).encode("utf-8"))
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        table = md.load_prices(path)
+    assert reader.call_count == 1
+    assert_same_load((table, []), (md.load_prices(plain), []))
+
+
+def test_a_line_past_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text(benchmark_shaped_text().replace(",^IDX,", ",^IDX" + " " * 60 + ",", 1), encoding="utf-8")
+    limit = csv.field_size_limit(50)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            oracle_read_rows(path)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            md.load_prices(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_decode_error_counts_its_position_from_the_start_of_the_file(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_bytes((benchmark_shaped_text() * 3).encode("utf-8")[:23_999] + b"\xff")
+    for fmt in (md.FORMAT_LONG, md.FORMAT_WIDE):
+        with pytest.raises(errors.DataError, match=rf"^cannot decode {re.escape(str(path))}: .* in position 23999: "):
+            md.load_prices(path, fmt)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     first=st.sampled_from(("date",) * 4 + (" DATE ", "day")),
@@ -650,3 +761,11 @@ def test_long_skipped_rows_are_counted_and_logged(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger=md.__name__):
         md.load_prices(path)
     assert caplog.messages == [f"{path}: skipped 3 malformed rows"]
+
+
+def test_long_row_of_four_blank_cells_and_more_is_malformed(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,ticker,open,adj_close\n2021-01-04,A,1,2\n,,,,x\n,,,, \n,,,\n")
+    got, want = load_both(path, md.FORMAT_LONG)
+    assert_same_load(got, want)
+    assert got[1] == [f"{path}: skipped 1 malformed rows"]
