@@ -46,19 +46,26 @@ MODE_DYNAMIC_VAR_ONLY = "dynamic_var_only"
 
 BENCHMARK_STRATEGY = "buy_hold"
 
-# Registry order doubles as the column order of the seeds table.
-STRATEGY_NAMES = (
-    "buy_hold",
-    "mst_var",
-    "mst_sharpe",
-    "mst_arima_var",
-    "mst_arima_sharpe",
-    "mst_nnar_var",
-    "mst_nnar_sharpe",
-    "mst_allagree_var",
-    "mst_allagree_sharpe",
-    "fixed",
-    "dynamic_var",
+# Each variant's (weighting, forecaster, signal mode, portfolio mode); a None
+# weighting is the run's fixed_weighting.  Registry order doubles as the
+# column order of the seeds table.
+_VARIANTS = {
+    "mst_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_sharpe": (WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_arima_var": (WEIGHTING_VAR, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_arima_sharpe": (WEIGHTING_SHARPE, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_nnar_var": (WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_nnar_sharpe": (WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_allagree_var": (WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
+    "mst_allagree_sharpe": (WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
+    "fixed": (None, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_FIXED),
+    "dynamic_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC_VAR_ONLY),
+}
+STRATEGY_NAMES = (BENCHMARK_STRATEGY, *_VARIANTS)
+
+# The least value of each integer setting that has one.
+_MINIMUMS = dict(
+    window=30, horizon=1, top_k=1, nnar_lags=1, nnar_hidden=1, nnar_epochs=0, arima_max_p=0, arima_max_q=0
 )
 
 
@@ -92,13 +99,7 @@ class StrategyConfig:
     name: str = "strategy"
 
     def __post_init__(self) -> None:
-        problems = []
-        if self.window < 30:
-            problems.append("window must be at least 30")
-        if self.horizon < 1:
-            problems.append("horizon must be at least 1")
-        if self.top_k < 1:
-            problems.append("top_k must be at least 1")
+        problems = [f"{key} must be at least {low}" for key, low in _MINIMUMS.items() if getattr(self, key) < low]
         if not 0.0 < self.alpha <= 0.5:
             problems.append("alpha must lie in (0, 0.5]")
         if self.initial_capital <= 0.0:
@@ -119,6 +120,10 @@ class StrategyConfig:
             problems.append("all_agree signal mode requires a forecaster")
         if self.fevd_mode not in (var_fevd.MODE_ORTHOGONALIZED, var_fevd.MODE_AS_WRITTEN):
             problems.append(f"unknown fevd mode {self.fevd_mode!r}")
+        if not 0.0 < self.nnar_learning_rate < math.inf:
+            problems.append("nnar_learning_rate must be finite and positive")
+        if self.arima_max_d not in (0, 1):
+            problems.append("arima_max_d must be 0 or 1")
         if self.forecaster == FORECASTER_NNAR and self.nnar_lags + 20 > self.window:
             problems.append("window too short for the configured NNAR lag count")
         if problems:
@@ -127,34 +132,18 @@ class StrategyConfig:
 
 def make_strategy(base: StrategyConfig, name: str, fixed_weighting: str = WEIGHTING_VAR) -> StrategyConfig:
     """Instantiate one of the named strategy variants from a base config."""
-    variants = {
-        "mst_var": dict(weighting=WEIGHTING_VAR, forecaster=FORECASTER_NONE),
-        "mst_sharpe": dict(weighting=WEIGHTING_SHARPE, forecaster=FORECASTER_NONE),
-        "mst_arima_var": dict(weighting=WEIGHTING_VAR, forecaster=FORECASTER_ARIMA),
-        "mst_arima_sharpe": dict(weighting=WEIGHTING_SHARPE, forecaster=FORECASTER_ARIMA),
-        "mst_nnar_var": dict(weighting=WEIGHTING_VAR, forecaster=FORECASTER_NNAR),
-        "mst_nnar_sharpe": dict(weighting=WEIGHTING_SHARPE, forecaster=FORECASTER_NNAR),
-        "mst_allagree_var": dict(
-            weighting=WEIGHTING_VAR, forecaster=FORECASTER_NNAR, signal_mode=SIGNAL_ALL_AGREE
-        ),
-        "mst_allagree_sharpe": dict(
-            weighting=WEIGHTING_SHARPE, forecaster=FORECASTER_NNAR, signal_mode=SIGNAL_ALL_AGREE
-        ),
-        "fixed": dict(weighting=fixed_weighting, forecaster=FORECASTER_NONE, portfolio_mode=MODE_FIXED),
-        "dynamic_var": dict(
-            weighting=WEIGHTING_VAR, forecaster=FORECASTER_NONE, portfolio_mode=MODE_DYNAMIC_VAR_ONLY
-        ),
-    }
     if name == BENCHMARK_STRATEGY:
         return replace(base, name=name)
-    if name not in variants:
+    if name not in _VARIANTS:
         raise ConfigError(f"unknown strategy {name!r}")
+    weighting, forecaster, signal_mode, portfolio_mode = _VARIANTS[name]
     return replace(
         base,
         name=name,
-        signal_mode=variants[name].get("signal_mode", SIGNAL_PER_STOCK),
-        portfolio_mode=variants[name].get("portfolio_mode", MODE_DYNAMIC),
-        **{k: v for k, v in variants[name].items() if k in ("weighting", "forecaster")},
+        weighting=weighting or fixed_weighting,
+        forecaster=forecaster,
+        signal_mode=signal_mode,
+        portfolio_mode=portfolio_mode,
     )
 
 

@@ -89,18 +89,14 @@ def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.Pri
     The benchmark ticker is removed from the trading universe before the
     quality filter so index data never competes with stocks.
     """
-    table = market_data.load_prices(cfg.prices_path, cfg.fmt)
-    benchmark = None
+    table = source = market_data.load_prices(cfg.prices_path, cfg.fmt)
     ticker = cfg.strategy.benchmark_ticker
     if cfg.benchmark_path is not None:
-        benchmark = market_data.load_prices(cfg.benchmark_path, cfg.fmt)
-        if ticker:
-            if ticker not in benchmark.tickers:
-                raise DataError(f"benchmark ticker {ticker!r} not found in {cfg.benchmark_path}")
-            benchmark = market_data.select_tickers(benchmark, [ticker])
-    elif ticker and ticker in table.tickers:
-        benchmark = market_data.select_tickers(table, [ticker])
-    if ticker and ticker in table.tickers:
+        source = market_data.load_prices(cfg.benchmark_path, cfg.fmt)
+        if ticker not in source.tickers:
+            raise DataError(f"benchmark ticker {ticker!r} not found in {cfg.benchmark_path}")
+    benchmark = market_data.select_tickers(source, [ticker]) if ticker in source.tickers else None
+    if ticker in table.tickers:
         table = market_data.drop_tickers(table, [ticker])
     filtered = market_data.quality_filter(table, cfg.max_missing_frac)
     return filtered, benchmark
@@ -211,8 +207,6 @@ def _write_seeds_table(path: Path, summary: backtest.MultiSeedResult) -> None:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    strat = dataclasses.asdict(cfg.strategy)
-    strat["seeds"] = list(cfg.strategy.seeds)
     return {
         "prices": str(cfg.prices_path),
         "format": cfg.fmt,
@@ -221,35 +215,25 @@ def _config_dict(cfg: RunConfig) -> dict:
         "max_missing_frac": cfg.max_missing_frac,
         "strategies": list(cfg.strategies),
         "fixed_weighting": cfg.fixed_weighting,
-        "strategy": strat,
+        "strategy": dataclasses.asdict(cfg.strategy),
     }
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     table, benchmark = _load_panel(cfg)
     strat = cfg.strategy
-    if benchmark is not None and strat.benchmark_ticker:
-        # Re-attach the benchmark column so the engine can slice it out.
+    if benchmark is not None:
+        # Append the benchmark column for the engine to find by name.  It reads
+        # only the column's closes and mask, so the closes stand in for opens.
         if benchmark.dates != table.dates:
             raise DataError("benchmark dates do not align with the trading panel")
-        merged_tickers = table.tickers + (strat.benchmark_ticker,)
-        closes = np.column_stack([table.adj_close, benchmark.adj_close[:, 0]])
-        mask = np.column_stack([table.mask, benchmark.mask[:, 0]])
-        opens = None
-        if table.open_px is not None:
-            bench_open = (
-                benchmark.open_px[:, 0]
-                if benchmark.open_px is not None
-                else benchmark.adj_close[:, 0]
-            )
-            opens = np.column_stack([table.open_px, bench_open])
-        order = np.argsort(merged_tickers)
+        close = benchmark.adj_close
         table = market_data.PriceTable(
             table.dates,
-            tuple(merged_tickers[i] for i in order),
-            closes[:, order],
-            mask[:, order],
-            opens[:, order] if opens is not None else None,
+            table.tickers + benchmark.tickers,
+            np.hstack([table.adj_close, close]),
+            np.hstack([table.mask, benchmark.mask]),
+            None if table.open_px is None else np.hstack([table.open_px, close]),
         )
     returns = market_data.compute_returns(table)
     summary = backtest.run_multi_seed(
@@ -333,14 +317,7 @@ def cmd_report(out_dir: Path) -> int:
     return 0
 
 
-def run(cfg: RunConfig, command: str) -> int:
-    if command == "ingest":
-        return cmd_ingest(cfg)
-    if command == "network":
-        return cmd_network(cfg)
-    if command == "simulate":
-        return cmd_simulate(cfg)
-    raise ConfigError(f"unknown command {command!r}")
+_COMMANDS = {"ingest": cmd_ingest, "network": cmd_network, "simulate": cmd_simulate}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(out_dir)
         cfg = parse_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        return run(cfg, args.command)
+        return _COMMANDS[args.command](cfg)
     except (ConfigError, DataError, InsufficientHistory, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

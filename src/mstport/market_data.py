@@ -175,18 +175,21 @@ def _read_text(path: Path) -> str:
         raise DataError(f"cannot decode {path}: {exc}") from exc
 
 
-def _csv_rows(text: str) -> list[tuple[str, ...]]:
-    """The CSV rows of ``text``, without blank ones.
+def _csv_rows(path: Path, text: str) -> list[tuple[str, ...]]:
+    """The CSV rows of ``text``, read from ``path``, without blank ones.
 
     Rows are tuples: a tuple of strings drops out of the garbage collector's
     tracking, so a long file's rows are not rescanned by every collection.
     """
-    return [tuple(row) for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
+    try:
+        return [tuple(row) for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
+    except csv.Error as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from exc
 
 
 def _read_rows(path: Path) -> list[tuple[str, ...]]:
     """The file's CSV rows, without blank ones."""
-    return _csv_rows(_read_text(path))
+    return _csv_rows(path, _read_text(path))
 
 
 def _parse_dates(texts: list[str]) -> dict[str, date | None]:
@@ -226,7 +229,7 @@ def _load_long(path: Path) -> PriceTable:
         cells = body.replace("\n", ",").split(",")
         header, columns, short = cells[:4], [cells[c + 4 :: 4] for c in range(4)], 0
     else:
-        rows = _csv_rows(text)
+        rows = _csv_rows(path, text)
         if not rows:
             raise DataError(f"{path}: empty file")
         # A short row is malformed, and so is one whose first four cells are
@@ -293,13 +296,13 @@ def _long_table(path: Path, columns: list[list[str]], short: int) -> PriceTable:
     closes[flat] = _parse_prices(close_text)
     opens[flat] = _parse_prices(open_text)
     closes = closes.reshape(len(dates), len(tickers))
-    opens = opens.reshape(closes.shape)
-    has_opens = bool(np.any(np.isfinite(opens)))
-    if has_opens:
-        mask = ~(np.isfinite(closes) & np.isfinite(opens))
-    else:
-        mask = ~np.isfinite(closes)
-    return PriceTable(dates, tickers, closes, mask, opens if has_opens else None)
+    opens = opens.reshape(closes.shape) if np.isfinite(opens).any() else None
+    return PriceTable(dates, tickers, closes, _unpriced(closes, opens), opens)
+
+
+def _unpriced(closes: np.ndarray, opens: np.ndarray | None) -> np.ndarray:
+    """The mask of a loaded file: no close, or no open where the file gives opens."""
+    return ~np.isfinite(closes) if opens is None else ~(np.isfinite(closes) & np.isfinite(opens))
 
 
 def _parse_wide_grid(path: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
@@ -343,15 +346,10 @@ def _load_wide(path: Path) -> PriceTable:
     opens = None
     opens_path = path.with_name(path.stem + ".open" + path.suffix)
     if opens_path.exists():
-        o_dates, o_tickers, o_grid = _parse_wide_grid(opens_path)
+        o_dates, o_tickers, opens = _parse_wide_grid(opens_path)
         if o_dates != dates or o_tickers != tickers:
             raise DataError(f"{opens_path}: dates/tickers do not match {path}")
-        opens = o_grid
-    if opens is None:
-        mask = ~np.isfinite(closes)
-    else:
-        mask = ~(np.isfinite(closes) & np.isfinite(opens))
-    return PriceTable(dates, tickers, closes, mask, opens)
+    return PriceTable(dates, tickers, closes, _unpriced(closes, opens), opens)
 
 
 def load_prices(path: str | Path, fmt: str = FORMAT_LONG) -> PriceTable:

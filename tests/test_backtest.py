@@ -381,34 +381,59 @@ def test_strategy_config_rejects_bad_values():
         dict(signal_mode="all_agree", forecaster="none"),
         dict(fevd_mode="generalized"),
         dict(forecaster="nnar", window=30, nnar_lags=15),
+        dict(nnar_lags=0),
+        dict(nnar_hidden=0),
+        dict(nnar_epochs=-1),
+        dict(nnar_learning_rate=0.0),
+        dict(nnar_learning_rate=-0.01),
+        dict(nnar_learning_rate=math.inf),
+        dict(nnar_learning_rate=math.nan),
+        dict(arima_max_p=-1),
+        dict(arima_max_q=-1),
+        dict(arima_max_d=-1),
+        dict(arima_max_d=2),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             StrategyConfig(**kwargs)
 
 
+# README's Strategies table, row by row: (weighting, forecaster, signal mode,
+# portfolio mode) of each variant at fixed_weighting = var.
+VARIANT_ROWS = {
+    "mst_var": ("var", "none", "per_stock_filter", "dynamic"),
+    "mst_sharpe": ("sharpe", "none", "per_stock_filter", "dynamic"),
+    "mst_arima_var": ("var", "arima", "per_stock_filter", "dynamic"),
+    "mst_arima_sharpe": ("sharpe", "arima", "per_stock_filter", "dynamic"),
+    "mst_nnar_var": ("var", "nnar", "per_stock_filter", "dynamic"),
+    "mst_nnar_sharpe": ("sharpe", "nnar", "per_stock_filter", "dynamic"),
+    "mst_allagree_var": ("var", "nnar", "all_agree", "dynamic"),
+    "mst_allagree_sharpe": ("sharpe", "nnar", "all_agree", "dynamic"),
+    "fixed": ("var", "none", "per_stock_filter", "fixed"),
+    "dynamic_var": ("var", "none", "per_stock_filter", "dynamic_var_only"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_ROWS))
+def test_make_strategy_sets_its_variants_row(name):
+    # A base whose four variant fields all differ from every row's.
+    base = StrategyConfig(
+        window=60, weighting="sharpe", forecaster="arima", signal_mode="all_agree", portfolio_mode="fixed"
+    )
+    got = make_strategy(base, name)
+    fields = ("weighting", "forecaster", "signal_mode", "portfolio_mode")
+    assert tuple(getattr(got, f) for f in fields) == VARIANT_ROWS[name]
+    assert got == dataclass_replace(base, name=name, **dict(zip(fields, VARIANT_ROWS[name])))
+
+
 def test_make_strategy_variant_mapping():
-    base = StrategyConfig(window=60)
-    nnar_sharpe = make_strategy(base, "mst_nnar_sharpe")
-    assert (nnar_sharpe.weighting, nnar_sharpe.forecaster) == ("sharpe", "nnar")
-    assert nnar_sharpe.signal_mode == "per_stock_filter"
-    assert nnar_sharpe.portfolio_mode == "dynamic"
-
-    allagree = make_strategy(base, "mst_allagree_var")
-    assert (allagree.weighting, allagree.forecaster) == ("var", "nnar")
-    assert allagree.signal_mode == "all_agree"
-
-    fixed = make_strategy(base, "fixed", fixed_weighting="sharpe")
-    assert fixed.portfolio_mode == "fixed"
-    assert fixed.weighting == "sharpe"
-    assert fixed.forecaster == "none"
-
-    dynamic = make_strategy(base, "dynamic_var")
-    assert dynamic.portfolio_mode == "dynamic_var_only"
-    assert dynamic.weighting == "var"
-
-    bench = make_strategy(base, "buy_hold")
-    assert bench.name == "buy_hold"
+    assert backtest.STRATEGY_NAMES == ("buy_hold", *VARIANT_ROWS)
+    base = StrategyConfig(window=60, weighting="sharpe", forecaster="arima", nnar_epochs=7)
+    assert make_strategy(base, "buy_hold") == dataclass_replace(base, name="buy_hold")
+    for weighting in ("var", "sharpe"):
+        for name in VARIANT_ROWS:
+            got = make_strategy(base, name, fixed_weighting=weighting)
+            assert got.weighting == (weighting if name == "fixed" else VARIANT_ROWS[name][0])
 
     with pytest.raises(ConfigError):
         make_strategy(base, "momentum")

@@ -7,8 +7,10 @@ import csv
 import functools
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mstport
@@ -17,7 +19,7 @@ from mstport.backtest import StrategyConfig
 from mstport.cli import main
 from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
-from mstport.market_data import PriceTable, drop_tickers, select_tickers
+from mstport.market_data import PriceTable, compute_returns, drop_tickers, select_tickers
 from synth import random_walk_table, with_flat_start, with_masked, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
@@ -246,6 +248,14 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
         ("use_open_prices", "maybe", "strategy.use_open_prices: expected a boolean, got 'maybe'"),
         ("seeds", "5..3", "strategy.seeds: seed range upper bound below lower bound"),
         ("strategies", "momentum", "strategy.strategies: unknown strategies: momentum"),
+        ("nnar_lags", "0", "strategy: nnar_lags must be at least 1"),
+        ("nnar_hidden", "0", "strategy: nnar_hidden must be at least 1"),
+        ("nnar_epochs", "-1", "strategy: nnar_epochs must be at least 0"),
+        ("nnar_learning_rate", "0", "strategy: nnar_learning_rate must be finite and positive"),
+        ("nnar_learning_rate", "inf", "strategy: nnar_learning_rate must be finite and positive"),
+        ("arima_max_p", "-1", "strategy: arima_max_p must be at least 0"),
+        ("arima_max_q", "-1", "strategy: arima_max_q must be at least 0"),
+        ("arima_max_d", "2", "strategy: arima_max_d must be 0 or 1"),
     ],
 )
 def test_config_bad_value_names_its_key(tmp_path, key, raw, message):
@@ -362,13 +372,18 @@ def test_network_labels_nodes_from_the_sectors_file(tmp_path):
     assert '"S02";' in text  # a row without a sector labels nothing
 
 
-@pytest.mark.parametrize("kind, message", [("directory", "cannot read"), ("not_utf8", "cannot decode")])
+@pytest.mark.parametrize(
+    "kind, message",
+    [("directory", "cannot read"), ("not_utf8", "cannot decode"), ("huge_cell", "cannot parse")],
+)
 def test_network_reports_an_unreadable_sectors_file(tmp_path, capsys, kind, message):
     sectors = tmp_path / "sectors.csv"
     if kind == "directory":
         sectors.mkdir()
-    else:
+    elif kind == "not_utf8":
         sectors.write_bytes("ticker,sector\nS00,Caf\xe9s\n".encode("latin-1"))
+    else:
+        sectors.write_text(f"ticker,sector\nS00,{'x' * 200_000}\n", encoding="utf-8")
     prices = write_panel(tmp_path)
     cfg_path = write_config(tmp_path, prices, tmp_path / "net", extra_data=f"sectors = {sectors}\n")
     assert main(["network", "--config", str(cfg_path)]) == 2
@@ -394,14 +409,31 @@ def write_split_panel(tmp_path: Path, benchmark: PriceTable) -> Path:
 
 def test_simulate_reads_the_benchmark_from_a_separate_file(tmp_path):
     same = write_config(tmp_path, write_panel(tmp_path), tmp_path / "same", strategies="buy_hold,mst_var")
-    split = write_split_panel(tmp_path, select_tickers(PANEL, ["IDX"]))
     assert main(["simulate", "--config", str(same)]) == 0
-    assert main(["simulate", "--config", str(split)]) == 0
     names = sorted(p.name for p in (tmp_path / "same").iterdir() if p.suffix == ".csv")
     assert len(names) == 2 * 2 + 1
-    assert names == sorted(p.name for p in (tmp_path / "split").iterdir() if p.suffix == ".csv")
-    for name in names:
-        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "split" / name).read_bytes(), name
+    # The second benchmark file leaves its opens blank while the prices keep theirs.
+    idx = select_tickers(PANEL, ["IDX"])
+    for k, benchmark in enumerate((idx, replace(idx, open_px=None))):
+        run_dir = tmp_path / f"bench{k}"
+        run_dir.mkdir()
+        assert main(["simulate", "--config", str(write_split_panel(run_dir, benchmark))]) == 0
+        assert names == sorted(p.name for p in (run_dir / "split").iterdir() if p.suffix == ".csv")
+        for name in names:
+            assert (tmp_path / "same" / name).read_bytes() == (run_dir / "split" / name).read_bytes(), name
+
+
+def test_simulate_matches_the_library_run_on_the_loaded_panel(tmp_path):
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out", strategies="buy_hold,mst_var")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    cfg = parse_config(cfg_path)
+    returns = compute_returns(PANEL)
+    want = backtest.run_multi_seed(cfg.strategy, PANEL, returns, strategies=cfg.strategies)
+    for (name, seed), result in want.results.items():
+        assert (tmp_path / "out" / f"values_{name}_{seed}.csv").read_bytes() == oracle_values_csv(result)
+    # The panel's opens reach the engine: trading at closes gives other values.
+    at_close = backtest.run_multi_seed(replace(cfg.strategy, use_open_prices=False), PANEL, returns)
+    assert not np.array_equal(at_close.results[("mst_var", 11)].values, want.results[("mst_var", 11)].values)
 
 
 def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):

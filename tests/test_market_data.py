@@ -687,10 +687,32 @@ def test_a_line_past_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):
     try:
         with pytest.raises(csv.Error, match="field larger than field limit"):
             oracle_read_rows(path)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        # Where csv.reader fails, the loader fails too, with a DataError
+        # that names the file.
+        with pytest.raises(
+            errors.DataError, match=rf"^cannot parse {re.escape(str(path))}: field larger than field limit \(50\)$"
+        ):
             md.load_prices(path)
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        (md.FORMAT_WIDE, "date,AAA\n2021-01-04,{big}\n"),
+        (md.FORMAT_LONG, 'date,ticker,open,adj_close\n2021-01-04,"AAA",1.5,{big}\n'),
+    ],
+    ids=["wide", "quoted_long"],
+)
+def test_a_cell_past_the_csv_field_limit_is_a_data_error_naming_the_file(tmp_path, fmt, text):
+    path = tmp_path / "prices.csv"
+    path.write_text(text.format(big="1" * 200_000), encoding="utf-8")
+    limit = csv.field_size_limit()
+    with pytest.raises(
+        errors.DataError, match=rf"^cannot parse {re.escape(str(path))}: field larger than field limit \({limit}\)$"
+    ):
+        md.load_prices(path, fmt)
 
 
 def test_decode_error_counts_its_position_from_the_start_of_the_file(tmp_path):
