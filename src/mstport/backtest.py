@@ -350,9 +350,11 @@ def window_tree(win: ReturnMatrix, cfg: StrategyConfig) -> tuple[CostMatrix, Mst
 # NNAR fits trained as one stack.  An epoch costs a fixed numpy call
 # overhead plus a share per member, so a fit in a stack of 2 runs at about
 # the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
-# one core) a fit took 27.9 ms alone and, per member, 14.1 / 12.0 / 8.7 /
-# 7.5 / 7.9 / 7.7 ms in stacks of 4 / 8 / 16 / 24 / 32 / 48.
-NNAR_CHUNK = 24
+# one AMD EPYC core, OpenBLAS on 1 thread) a fit took 11.7 ms alone and, per
+# member, 3.9 / 2.6 / 2.0 / 1.8 / 1.6 / 1.4 ms in stacks of 4 / 8 / 16 / 24 /
+# 32 / 48; 240 fits split into stacks of 24 / 48 / 64 / 96 took 1.67 / 1.48 /
+# 1.44 / 1.46 ms per fit.
+NNAR_CHUNK = 48
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,103 @@ def test_sigmoid_is_bit_identical_to_split_by_sign_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# The scalar trainer: one net, one epoch at a time.  The stacked trainer
-# must give every member exactly what this loop gives it alone.
+# The frozen NNAR kernel: the plain broadcast form of the sigmoid, the
+# forward pass and the backward pass.  The engine's kernel must match it
+# bit for bit, and the scalar trainer below trains on it, so a change to
+# the engine's rounding fails here even when it moves the stacked and the
+# lone fit alike.
+
+
+def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) <= 1 never overflows; each sign takes the form that keeps
+    # full precision for large |z|.
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
+
+
+def oracle_forward(
+    x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray, w_out: np.ndarray, b_out
+) -> tuple[np.ndarray, np.ndarray]:
+    hidden = oracle_sigmoid(x @ np.swapaxes(w_hidden, -1, -2) + b_hidden[..., None, :])
+    return (hidden @ w_out[..., None])[..., 0] + np.asarray(b_out)[..., None], hidden
+
+
+def oracle_loss_and_grads(
+    x: np.ndarray,
+    target: np.ndarray,
+    w_hidden: np.ndarray,
+    b_hidden: np.ndarray,
+    w_out: np.ndarray,
+    b_out,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    pred, hidden = oracle_forward(x, w_hidden, b_hidden, w_out, b_out)
+    err = pred - target
+    n = target.shape[-1]
+    loss = (err[..., None, :] @ err[..., :, None])[..., 0, 0] / n
+    g_pred = 2.0 * err / n
+    g_w_out = (np.swapaxes(hidden, -1, -2) @ g_pred[..., None])[..., 0]
+    g_b_out = g_pred.sum(axis=-1)
+    g_hidden = g_pred[..., :, None] * w_out[..., None, :]
+    g_act = g_hidden * hidden * (1.0 - hidden)
+    g_w_hidden = np.swapaxes(g_act, -1, -2) @ x
+    g_b_hidden = g_act.sum(axis=-2)
+    return loss, g_w_hidden, g_b_hidden, g_w_out, g_b_out
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_net(rng, batch, n, p, k, scale):
+    """Inputs and weights of one net (``batch`` None) or a stack of ``batch``."""
+    lead = () if batch is None else (batch,)
+    x = rng.normal(0.0, scale, lead + (n, p))
+    target = rng.normal(0.0, scale, lead + (n,))
+    w_hidden = rng.uniform(-2.0, 2.0, lead + (k, p)) / scale
+    b_hidden = rng.uniform(-2.0, 2.0, lead + (k,))
+    w_out = rng.uniform(-2.0, 2.0, lead + (k,))
+    b_out = float(rng.uniform(-2.0, 2.0)) if batch is None else rng.uniform(-2.0, 2.0, batch)
+    return x, target, w_hidden, b_hidden, w_out, b_out
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2, 24])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kernel_matches_frozen_oracle_bit_for_bit(batch, k):
+    rng = np.random.default_rng(1000 * k + (batch or 0))
+    for p in range(1, 7):
+        n = int(rng.integers(20, 251))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        net = random_net(rng, batch, n, p, k, scale)
+        got, want = fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        x, _, *weights = net
+        for a, b in zip(fc._nnar_forward(x, *weights), oracle_forward(x, *weights)):
+            assert_same_bits(a, b)
+        # A zero output weight and exactly fitted rows give signed zeros.
+        x, target, w_hidden, b_hidden, w_out, b_out = net
+        w_out[..., 0] = 0.0
+        target[..., :3] = oracle_forward(x, w_hidden, b_hidden, w_out, b_out)[0][..., :3]
+        for a, b in zip(fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)):
+            assert_same_bits(a, b)
+    # An overflowing step, as the trainer takes one on its way to a
+    # non-finite loss: inf and nan must come out where the oracle has them.
+    x, target, w_hidden, b_hidden, w_out, b_out = random_net(rng, batch, 60, 3, k, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in (1e160, 1e300):
+            net = (x, target, w_hidden * step, b_hidden * step, w_out * step, b_out)
+            got, want = fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)
+            assert not np.all(np.isfinite(want[0]))
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
+
+
+# The scalar trainer: one net, one epoch at a time, on the frozen kernel.
+# The stacked trainer must give every member exactly what this loop gives
+# it alone.
 
 
 def scalar_train(x, target, p, k, seed, learning_rate, epochs, tol, patience):
@@ -250,7 +345,7 @@ def scalar_train(x, target, p, k, seed, learning_rate, epochs, tol, patience):
     b_hidden = rng.uniform(-0.5, 0.5, size=k)
     w_out = rng.uniform(-0.5, 0.5, size=k)
     b_out = float(rng.uniform(-0.5, 0.5))
-    loss, g_wh, g_bh, g_wo, g_bo = fc._nnar_loss_and_grads(x, target, w_hidden, b_hidden, w_out, b_out)
+    loss, g_wh, g_bh, g_wo, g_bo = oracle_loss_and_grads(x, target, w_hidden, b_hidden, w_out, b_out)
     if not math.isfinite(loss):
         return None
     history = [float(loss)]
@@ -262,7 +357,7 @@ def scalar_train(x, target, p, k, seed, learning_rate, epochs, tol, patience):
             new_bh = b_hidden - learning_rate * g_bh
             new_wo = w_out - learning_rate * g_wo
             new_bo = b_out - learning_rate * float(g_bo)
-            new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = fc._nnar_loss_and_grads(
+            new_loss, n_g_wh, n_g_bh, n_g_wo, n_g_bo = oracle_loss_and_grads(
                 x, target, new_wh, new_bh, new_wo, new_bo
             )
             if not math.isfinite(new_loss):
@@ -393,6 +488,40 @@ def test_stacked_trainer_groups_series_of_different_lengths():
 def test_stacked_trainer_refuses_mismatched_seeds():
     with pytest.raises(ValueError, match="one seed per series"):
         fc.nnar_fit_batch([ar1_series(0.3, 60, 1)], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ({"epochs": -1}, "epochs must be at least 0"),
+        ({"patience": -3}, "patience must be at least 1"),
+        ({"patience": 0}, "patience must be at least 1"),
+        ({"learning_rate": -0.01}, "learning_rate must be finite and positive"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and positive"),
+        ({"learning_rate": math.inf}, "learning_rate must be finite and positive"),
+        ({"learning_rate": math.nan}, "learning_rate must be finite and positive"),
+        ({"tol": math.nan}, "tol must be finite and non-negative"),
+        ({"tol": math.inf}, "tol must be finite and non-negative"),
+        ({"tol": -1e-9}, "tol must be finite and non-negative"),
+    ],
+)
+def test_stacked_trainer_refuses_bad_settings_before_training(monkeypatch, setting, match):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(fc, "_train_stack", no_training)
+    series = ar1_series(0.3, 60, 1)
+    with pytest.raises(ValueError, match=match):
+        fc.nnar_fit_batch([series], [1], **setting)
+    with pytest.raises(ValueError, match=match):
+        fc.nnar_fit(series, **setting)
+
+
+def test_stacked_trainer_accepts_the_edges_of_its_settings():
+    series = ar1_series(0.3, 60, 1)
+    (model,) = fc.nnar_fit_batch([series], [1], epochs=0, patience=1, tol=0.0)
+    assert model.epochs_run == 0
+    assert fc.nnar_fit(series, seed=1, epochs=30, patience=1, tol=0.0).epochs_run >= 1
 
 
 def test_single_unit_network_hand_evaluation():
