@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -62,6 +63,12 @@ _VARIANTS = {
     "dynamic_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC_VAR_ONLY),
 }
 STRATEGY_NAMES = (BENCHMARK_STRATEGY, *_VARIANTS)
+
+
+def repeats(items: Iterable) -> list:
+    """The items that occur more than once, each once, in first-seen order."""
+    return [item for item, count in Counter(items).items() if count > 1]
+
 
 # The least value of each integer setting that has one.
 _MINIMUMS = dict(
@@ -744,6 +751,11 @@ def run_multi_seed(
     unknown = [n for n in names if n not in STRATEGY_NAMES]
     if unknown:
         raise ConfigError([f"unknown strategy {n!r}" for n in unknown])
+    # A repeat would give one summary key but two table columns or rows.
+    repeated = [f"repeated seed {s}" for s in repeats(seeds)]
+    repeated += [f"repeated strategy {n!r}" for n in repeats(names)]
+    if repeated:
+        raise ConfigError(repeated)
     finished: dict[tuple[str, int | None], SimulationResult] = {}
     if BENCHMARK_STRATEGY in names:
         if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:

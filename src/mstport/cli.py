@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import json
 import logging
@@ -284,6 +285,12 @@ def cmd_report(out_dir: Path) -> int:
     try:
         blob = json.loads(summary_path.read_text(encoding="utf-8"))
         strategies = list(blob["strategies"])
+        # json.dump sorted the strategy keys; the table's columns keep the
+        # run's order, which the config echo lists.
+        listed = list(blob.get("config", {}).get("strategies", strategies))
+        if sorted(listed) != sorted(strategies):
+            raise ValueError(f"config lists strategies {listed}, results hold {strategies}")
+        strategies = listed
         seeds = [int(s) for s in blob["seeds"]]
         table = np.array(
             [
@@ -297,7 +304,7 @@ def cmd_report(out_dir: Path) -> int:
         )
     except KeyError as exc:
         raise ConfigError(f"{summary_path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:  # unreadable, undecodable, not JSON, wrong shape
+    except (OSError, ValueError, TypeError, AttributeError) as exc:  # unreadable, undecodable, not JSON, wrong shape
         raise ConfigError(f"{summary_path}: not a simulate summary: {exc}") from exc
     if not strategies:
         raise ConfigError(f"{summary_path}: lists no strategies")
@@ -321,6 +328,12 @@ _COMMANDS = {"ingest": cmd_ingest, "network": cmd_network, "simulate": cmd_simul
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Every module a run needs is imported by now, and those objects live
+    # until exit.  Freezing them once per process keeps every later full
+    # collection, mid-run and at interpreter exit, from walking them again;
+    # objects made after this point are collected as before.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING - 10 * min(args.verbose, 2),

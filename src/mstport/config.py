@@ -23,7 +23,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backtest import STRATEGY_NAMES, WEIGHTING_SHARPE, WEIGHTING_VAR, StrategyConfig
+from .backtest import STRATEGY_NAMES, WEIGHTING_SHARPE, WEIGHTING_VAR, StrategyConfig, repeats
 from .errors import ConfigError
 
 
@@ -55,6 +55,9 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     seeds = tuple(int(part) for part in text.split(",") if part.strip())
     if not seeds:
         raise ValueError("empty seed list")
+    repeated = repeats(seeds)
+    if repeated:
+        raise ValueError(f"repeated seeds: {', '.join(map(str, repeated))}")
     return seeds
 
 
@@ -65,6 +68,9 @@ def parse_strategies(text: str) -> tuple[str, ...]:
         raise ValueError(f"unknown strategies: {', '.join(unknown)}")
     if not names:
         raise ValueError("empty strategy list")
+    repeated = repeats(names)
+    if repeated:
+        raise ValueError(f"repeated strategies: {', '.join(repeated)}")
     return names
 
 

@@ -854,6 +854,10 @@ def test_run_multi_seed_validates_inputs():
         run_multi_seed(BASE, PANEL, RETURNS, seeds=())
     with pytest.raises(ConfigError):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("momentum",))
+    with pytest.raises(ConfigError, match="repeated seed 7"):
+        run_multi_seed(BASE, PANEL, RETURNS, seeds=(7, 8, 7), strategies=("mst_var",))
+    with pytest.raises(ConfigError, match="repeated strategy 'mst_var'"):
+        run_multi_seed(BASE, PANEL, RETURNS, strategies=("mst_var", "mst_var", "buy_hold"))
     no_bench = dataclass_replace(BASE, benchmark_ticker=None)
     with pytest.raises(ConfigError):
         run_multi_seed(no_bench, PANEL, RETURNS, strategies=("buy_hold",))

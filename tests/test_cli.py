@@ -7,6 +7,9 @@ import csv
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +251,8 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
         ("use_open_prices", "maybe", "strategy.use_open_prices: expected a boolean, got 'maybe'"),
         ("seeds", "5..3", "strategy.seeds: seed range upper bound below lower bound"),
         ("strategies", "momentum", "strategy.strategies: unknown strategies: momentum"),
+        ("seeds", "132,132", "strategy.seeds: repeated seeds: 132"),
+        ("strategies", "mst_var,mst_var,buy_hold", "strategy.strategies: repeated strategies: mst_var"),
         ("nnar_lags", "0", "strategy: nnar_lags must be at least 1"),
         ("nnar_hidden", "0", "strategy: nnar_hidden must be at least 1"),
         ("nnar_epochs", "-1", "strategy: nnar_epochs must be at least 0"),
@@ -566,6 +571,18 @@ def test_report_rebuilds_seed_table(tmp_path, capsys):
     assert (out_dir / "seeds_table.csv").read_bytes() == table_bytes
 
 
+def test_report_keeps_the_run_column_and_row_order(tmp_path):
+    # summary.json sorts its strategy keys; the table follows the run's list.
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), out_dir, seeds="12,11", strategies="mst_var,buy_hold")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    table_bytes = (out_dir / "seeds_table.csv").read_bytes()
+    assert table_bytes.startswith(b"seed,mst_var,buy_hold\r\n12,")
+    (out_dir / "seeds_table.csv").unlink()
+    assert main(["report", "--out", str(out_dir)]) == 0
+    assert (out_dir / "seeds_table.csv").read_bytes() == table_bytes
+
+
 def test_report_errors_without_summary(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -591,6 +608,16 @@ def test_report_errors_without_summary(tmp_path, capsys):
             b' "mean_total_return_pct": NaN}}}',
             "null or not finite",
         ),
+        (
+            b'{"config": {"strategies": ["fixed", "mst_var"]}, "seeds": [1], "strategies": {"mst_var":'
+            b' {"seeds": {"1": {"total_return_pct": 1.5}}, "mean_total_return_pct": 1.5}}}',
+            "config lists strategies ['fixed', 'mst_var'], results hold ['mst_var']",
+        ),
+        (
+            b'{"config": [], "seeds": [1], "strategies": {"mst_var":'
+            b' {"seeds": {"1": {"total_return_pct": 1.5}}, "mean_total_return_pct": 1.5}}}',
+            "not a simulate summary",
+        ),
     ],
     ids=[
         "not_utf8",
@@ -602,6 +629,8 @@ def test_report_errors_without_summary(tmp_path, capsys):
         "empty",
         "null_return",
         "nan_mean",
+        "config_lists_other_strategies",
+        "config_not_an_object",
     ],
 )
 def test_report_rejects_a_malformed_summary(tmp_path, capsys, content, message):
@@ -647,6 +676,64 @@ def test_cli_rejects_falsy_overrides(tmp_path, capsys, command, flag, value, mes
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "132,132", "--seeds: repeated seeds: 132"),
+        ("--strategies", "mst_var,mst_var,buy_hold", "--strategies: repeated strategies: mst_var"),
+    ],
+)
+def test_cli_rejects_repeated_seeds_and_strategies(tmp_path, capsys, flag, value, message):
+    # A repeat would write one summary.json key but two seeds_table.csv
+    # rows or columns, so report would re-render a different table.
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out")
+    assert main(["simulate", "--config", str(cfg_path), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# Run in a fresh interpreter: the test process itself is frozen by the
+# first ``main`` call of any earlier test.
+FREEZE_PROBE = """
+import gc, json, sys, weakref
+import mstport.cli
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    assert mstport.cli.main(["ingest", "--config", sys.argv[1]]) == 0
+    counts.append(gc.get_freeze_count())
+class Node:
+    pass
+node = Node()
+node.cycle = node
+alive = weakref.ref(node)
+del node
+gc.collect()
+print(json.dumps({"counts": counts, "cycle_reclaimed": alive() is None}))
+"""
+
+
+def test_main_freezes_the_import_time_heap_once_per_process(tmp_path):
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
+    src = str(Path(mstport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, str(cfg_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.strip().splitlines()[-1])
+    imported, first, second = got["counts"]
+    assert imported == 0  # importing the engine freezes nothing
+    assert first > 0
+    assert second == first  # a second call does not freeze its leftovers
+    assert got["cycle_reclaimed"]
 
 
 # ---------------------------------------------------------------------------
