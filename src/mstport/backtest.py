@@ -72,7 +72,15 @@ def repeats(items: Iterable) -> list:
 
 # The least value of each integer setting that has one.
 _MINIMUMS = dict(
-    window=30, horizon=1, top_k=1, nnar_lags=1, nnar_hidden=1, nnar_epochs=0, arima_max_p=0, arima_max_q=0
+    window=30,
+    horizon=1,
+    top_k=1,
+    rebalance_every=1,
+    nnar_lags=1,
+    nnar_hidden=1,
+    nnar_epochs=0,
+    arima_max_p=0,
+    arima_max_q=0,
 )
 
 
@@ -113,8 +121,6 @@ class StrategyConfig:
             problems.append("initial_capital must be positive")
         if not self.seeds:
             problems.append("at least one seed is required")
-        if self.rebalance_every < 1:
-            problems.append("rebalance_every must be at least 1")
         if self.weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
             problems.append(f"unknown weighting {self.weighting!r}")
         if self.forecaster not in (FORECASTER_NONE, FORECASTER_ARIMA, FORECASTER_NNAR):

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,19 @@ def _csv_line(fields: list[str]) -> str:
     return ",".join(map(_csv_field, fields)) + "\r\n"
 
 
+def _cost_lines(costs: var_fevd.CostMatrix, window_end) -> Iterator[str]:
+    """One window's ``costs.csv`` text, one string per ``cost_records`` block.
+
+    The stamp and each ticker are quoted once per window, not once per row.
+    A block's rows share their stamp-and-ticker head; each row adds the later
+    ticker's field and the cost's ``repr``, the bytes ``csv.writer`` writes.
+    """
+    field = {name: _csv_field(name) + "," for name in (window_end.isoformat(), *costs.tickers)}
+    for stamp, ti, later, block in var_fevd.cost_records(costs, window_end):
+        head = field[stamp] + field[ti]
+        yield head + ("\r\n" + head).join(map(str.__add__, map(field.__getitem__, later), map(repr, block))) + "\r\n"
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     table, benchmark = _load_panel(cfg)
     returns = market_data.compute_returns(table)
@@ -157,8 +171,8 @@ def cmd_network(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sectors = _load_sectors(cfg.sectors_path)
     n_windows = 0
-    # Each window's rows are written as one block and dropped, so memory
-    # holds one window's N(N-1)/2 rows, not every window's.
+    # Each source ticker's rows are written as one string and dropped, so
+    # memory holds one row of the cost matrix, not a window's N(N-1)/2 rows.
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["window_end", "ticker_i", "ticker_j", "cost"]))
         for tau in range(strat.window - 1, n_returns, strat.rebalance_every):
@@ -170,14 +184,7 @@ def cmd_network(cfg: RunConfig) -> int:
                 # Same policy as simulate's hold: an unestimable window is skipped.
                 print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)
                 continue
-            fh.write(
-                "".join(
-                    [
-                        f"{_csv_field(stamp)},{_csv_field(ti)},{_csv_field(tj)},{cost!r}\r\n"
-                        for stamp, ti, tj, cost in var_fevd.cost_records(costs, window_end)
-                    ]
-                )
-            )
+            fh.writelines(_cost_lines(costs, window_end))
             dot_path = out / f"mst_{window_end.isoformat()}.dot"
             dot_path.write_text(network.export_dot(tree, sectors), encoding="utf-8")
             n_windows += 1

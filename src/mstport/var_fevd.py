@@ -305,12 +305,14 @@ def to_cost(influence: InfluenceMatrix) -> CostMatrix:
     return CostMatrix(tickers=influence.tickers, directed=directed, symmetric=symmetric)
 
 
-def cost_records(cost: CostMatrix, window_end) -> list[tuple[str, str, str, float]]:
-    """Rows ``(window_end, ticker_i, ticker_j, cost)`` for the audit dump."""
+def cost_records(cost: CostMatrix, window_end) -> list[tuple[str, str, tuple[str, ...], list[float]]]:
+    """The audit dump's upper triangle, one block per source ticker.
+
+    Block i is ``(window_end, ticker_i, tickers[i+1:], costs[i, i+1:])``:
+    its rows are ``(window_end, ticker_i, ticker_j, cost)`` for every later
+    ticker j, so the blocks in order give the rows in source-major order.
+    The costs are Python floats, whose ``repr`` is the dump's text.
+    """
     stamp = window_end.isoformat()
-    i, j = np.triu_indices(len(cost.tickers), k=1)
     names = cost.tickers
-    return [
-        (stamp, names[a], names[b], c)
-        for a, b, c in zip(i.tolist(), j.tolist(), cost.symmetric[i, j].tolist())
-    ]
+    return [(stamp, names[i], names[i + 1 :], cost.symmetric[i, i + 1 :].tolist()) for i in range(len(names) - 1)]

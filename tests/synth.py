@@ -170,3 +170,8 @@ def write_wide_csv(table: PriceTable, path: Path) -> None:
     write_grid(table.adj_close, path)
     if table.open_px is not None:
         write_grid(table.open_px, path.with_name(path.stem + ".open" + path.suffix))
+
+
+def flat_cost_rows(blocks) -> list[tuple[str, str, str, float]]:
+    """The ``(window_end, ticker_i, ticker_j, cost)`` rows of ``cost_records`` blocks, in order."""
+    return [(stamp, ti, tj, cost) for stamp, ti, later, costs in blocks for tj, cost in zip(later, costs, strict=True)]

@@ -11,19 +11,21 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mstport
-from mstport import backtest, config, var_fevd
+from mstport import backtest, cli, config, var_fevd
 from mstport.backtest import StrategyConfig
 from mstport.cli import main
 from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
 from mstport.market_data import PriceTable, compute_returns, drop_tickers, select_tickers
-from synth import random_walk_table, with_flat_start, with_masked, write_long_csv
+from synth import flat_cost_rows, random_walk_table, with_flat_start, with_masked, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
 
@@ -253,6 +255,7 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
         ("strategies", "momentum", "strategy.strategies: unknown strategies: momentum"),
         ("seeds", "132,132", "strategy.seeds: repeated seeds: 132"),
         ("strategies", "mst_var,mst_var,buy_hold", "strategy.strategies: repeated strategies: mst_var"),
+        ("rebalance_every", "0", "strategy: rebalance_every must be at least 1"),
         ("nnar_lags", "0", "strategy: nnar_lags must be at least 1"),
         ("nnar_hidden", "0", "strategy: nnar_hidden must be at least 1"),
         ("nnar_epochs", "-1", "strategy: nnar_epochs must be at least 0"),
@@ -792,9 +795,9 @@ def test_outputs_match_the_csv_writer_oracle_on_names_that_need_quoting(tmp_path
     cost_records = var_fevd.cost_records
 
     def recorded_cost_records(*args, **kwargs):
-        block = cost_records(*args, **kwargs)
-        rows.extend(block)
-        return block
+        blocks = cost_records(*args, **kwargs)
+        rows.extend(flat_cost_rows(blocks))
+        return blocks
 
     monkeypatch.setattr(var_fevd, "cost_records", recorded_cost_records)
     assert main(["network", "--config", str(cfg_path), "--rebalance-every", "20"]) == 0
@@ -818,3 +821,38 @@ def test_outputs_match_the_csv_writer_oracle_on_names_that_need_quoting(tmp_path
     for (name, seed), result in summary.results.items():
         assert (out_dir / f"values_{name}_{seed}.csv").read_bytes() == oracle_values_csv(result)
     assert (out_dir / "seeds_table.csv").read_bytes() == oracle_seeds_table(summary)
+
+
+# Characters that ``csv.writer`` quotes or doubles (comma, quote, CR, LF),
+# spaces it keeps as they are, non-ASCII text, and both cases of a letter.
+NAME_TEXT = st.text(st.sampled_from(list(',"\r\n aAbBé中')), min_size=1, max_size=5)
+EDGE_COSTS = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def cost_matrices(draw) -> tuple[tuple[str, ...], list[float]]:
+    """Sorted distinct tickers and the upper triangle of their costs, row by row."""
+    tickers = tuple(sorted(draw(st.lists(NAME_TEXT, min_size=2, max_size=12, unique=True))))
+    pairs = len(tickers) * (len(tickers) - 1) // 2
+    upper = draw(st.lists(st.sampled_from(EDGE_COSTS) | st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
+    return tickers, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost_matrices(), st.dates())
+@example((("A", "B", "a", "aB"), EDGE_COSTS + [0.25, 0.75]), date(2021, 1, 4))
+@example(((" a ", "a,b", 'a"b', "a\r\nb", "é中"), EDGE_COSTS * 2 + [0.5, 0.125]), date(1999, 12, 31))
+def test_cost_lines_match_the_csv_writer_oracle(matrix, window_end):
+    tickers, upper = matrix
+    n = len(tickers)
+    symmetric = np.full((n, n), np.inf)
+    symmetric[np.triu_indices(n, k=1)] = upper
+    symmetric.T[np.triu_indices(n, k=1)] = upper
+    cost = var_fevd.CostMatrix(tickers=tickers, directed=symmetric, symmetric=symmetric)
+    rows = [
+        (window_end.isoformat(), tickers[i], tickers[j], float(symmetric[i, j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    got = "window_end,ticker_i,ticker_j,cost\r\n" + "".join(cli._cost_lines(cost, window_end))
+    assert got.encode("utf-8") == oracle_costs_csv(rows)

@@ -1,7 +1,8 @@
 """Metamorphic tests: a run's results do not depend on the column order of
 the price panel, on the tickers' names beyond their sort order, on a
-ticker that the quality filter removes, on the row order of a long CSV, or
-on whether the panel comes as a long or a wide CSV."""
+ticker that the quality filter removes, on the row order of a long CSV, on
+whether the panel comes as a long or a wide CSV, or on the rows after the
+last day it reaches; and a rerun writes the same bytes."""
 
 from __future__ import annotations
 
@@ -204,3 +205,77 @@ def test_wide_csv_gives_the_files_of_a_long_csv_without_opens(tmp_path):
     ]
     assert [b.split(b":")[0].strip() for _, b in changed] == [b'"format"', b'"config_echo"']
     assert json.loads(summary_got)["config"]["format"] == "wide"
+
+
+# A gapless panel, and the same panel with 1% of its stock cells missing.
+GAPLESS = random_walk_table(8, 120, seed=43, extra_tickers=("IDX",))
+GAPPY = with_masked(
+    GAPLESS,
+    [(int(r), int(c)) for r, c in zip(*np.nonzero(np.random.default_rng(5).random((120, 8)) < 0.01))],
+)
+
+
+def cut_after(table: PriceTable, day: int) -> PriceTable:
+    """The panel's rows up to and including row ``day``."""
+    rows = slice(0, day + 1)
+    return PriceTable(table.dates[rows], table.tickers, table.adj_close[rows], table.mask[rows], table.open_px[rows])
+
+
+@pytest.mark.parametrize("table", [GAPLESS, GAPPY], ids=["gapless", "gaps"])
+def test_a_panel_cut_after_a_day_leaves_every_earlier_day_unchanged(table):
+    # A decision reads no later row: every (strategy, seed) run of the cut
+    # panel is a prefix of the full panel's, value for value and day for day.
+    assert table is GAPLESS or 5 <= int(table.mask.sum()) <= 15
+    base = dataclasses.replace(BASE, seeds=(132, 133))
+    want = run_multi_seed(base, table, market_data.compute_returns(table))
+    for day in (75, 100):
+        cut = cut_after(table, day)
+        got = run_multi_seed(base, cut, market_data.compute_returns(cut))
+        assert got.results.keys() == want.results.keys()
+        for key, res in want.results.items():
+            part = got.results[key]
+            n = len(part.dates)
+            assert 0 < n < len(res.dates), (key, day)
+            assert part.dates == res.dates[:n], (key, day)
+            assert np.array_equal(part.values, res.values[:n]), (key, day)
+            assert part.days == res.days[: len(part.days)], (key, day)
+        assert sum(len(res.days) for res in got.results.values()) > 0
+
+
+def network(tmp_path: Path, table: PriceTable) -> dict[str, bytes]:
+    """Every output file of ``mstport network`` on the panel, by name."""
+    return outputs(tmp_path, "network", functools.partial(write_long_csv, table))
+
+
+def test_network_reruns_write_identical_files(tmp_path):
+    first = network(tmp_path, GAPLESS)
+    assert len(first) == 1 + 90  # costs.csv and the trees of return rows 29..118
+    assert network(tmp_path, GAPLESS) == first
+
+
+def test_network_of_a_panel_cut_after_a_day_is_a_prefix_of_the_full_run(tmp_path):
+    # Cut after price row 80, the run keeps the windows ending at return
+    # rows 29..79, each with the C(8, 2) pairs of the eight stocks.
+    full = network(tmp_path, GAPLESS)
+    cut = network(tmp_path, cut_after(GAPLESS, 80))
+    costs = cut.pop("costs.csv")
+    assert full["costs.csv"].startswith(costs) and len(costs) < len(full["costs.csv"])
+    assert costs.count(b"\r\n") == 1 + 51 * 28
+    assert len(cut) == 51
+    assert {name: full[name] for name in cut} == cut
+
+
+def test_the_quality_cut_counts_gaps_over_the_whole_file(tmp_path, capsys):
+    # Whole-sample preprocessing, as the paper's fixed universe: a ticker
+    # whose gaps all fall in the file's last 30 days misses 15% of 200 days
+    # and is left out, though the same file cut at day 170 keeps it.
+    table = random_walk_table(3, 200, seed=8)
+    late_gaps = with_masked(table, [(row, 2) for row in range(170, 200)])
+    kept = []
+    for panel in (late_gaps, cut_after(late_gaps, 169)):
+        prices, config = tmp_path / "prices.csv", tmp_path / "run.ini"
+        write_long_csv(panel, prices)
+        config.write_text(f"[data]\nprices = {prices}\n\n[strategy]\nstrategies = mst_var\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        kept.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("tickers kept")])
+    assert kept == [["tickers kept (missing fraction < 0.1): 2"], ["tickers kept (missing fraction < 0.1): 3"]]

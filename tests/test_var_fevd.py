@@ -392,7 +392,9 @@ def test_cost_rejects_shares_outside_unit_interval():
 def test_cost_records_upper_triangle_rows():
     theta = np.array([[0.0, 0.2, 0.1], [0.3, 0.0, 0.5], [0.4, 0.6, 0.0]])
     cost = vf.to_cost(vf.InfluenceMatrix(tickers=("A", "B", "C"), theta=theta))
-    records = vf.cost_records(cost, synth.day_range(1)[0])
+    blocks = vf.cost_records(cost, synth.day_range(1)[0])
+    assert [(b[1], b[2]) for b in blocks] == [("A", ("B", "C")), ("B", ("C",))]
+    records = synth.flat_cost_rows(blocks)
     assert [(r[1], r[2]) for r in records] == [("A", "B"), ("A", "C"), ("B", "C")]
     assert all(r[0] == "2021-01-04" for r in records)
     np.testing.assert_allclose(
@@ -412,6 +414,6 @@ def test_cost_records_equal_the_per_pair_loop():
         for i in range(17)
         for j in range(i + 1, 17)
     ]
-    got = vf.cost_records(cost, synth.day_range(1)[0])
+    got = synth.flat_cost_rows(vf.cost_records(cost, synth.day_range(1)[0]))
     assert got == want
     assert all(type(row[3]) is float for row in got)  # repr gives the CSV text
