@@ -75,12 +75,10 @@ def parse_strategies(text: str) -> tuple[str, ...]:
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 # Every config key, once: INI key -> (section, reader).  A key sets the

@@ -9,7 +9,10 @@ lagged proxies jointly).  Candidates are scored with
     AIC = n * ln(SSE / n) + 2 * (p + q + 1)
 
 where n is the number of observations entering the candidate's final
-regression, and ties break toward smaller p + d + q.  If every candidate
+regression, and ties break toward smaller p + d + q.  The search shares
+each stage: one difference per d, and one stage-one regression per
+(p, d), which is the q = 0 fit and supplies the proxies of every q > 0.
+Grid settings out of range raise ``ValueError``.  If every candidate
 fails the fallback is a flagged (0, 0, 0) model whose intercept is the
 sample mean.
 
@@ -24,7 +27,6 @@ the recorded loss history is non-increasing.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -126,35 +128,6 @@ def _lag_columns(x: np.ndarray, rows: np.ndarray, n_lags: int) -> list[np.ndarra
     return [x[rows - lag] for lag in range(1, n_lags + 1)]
 
 
-def _fit_candidate(x: np.ndarray, p: int, q: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Conditional least squares for one (p, q) on the differenced series."""
-    m = x.size
-    n_eff = m - p - q
-    if n_eff < p + q + 2:
-        raise InsufficientHistory("too few observations for candidate order")
-    # Stage one: an AR(p) regression (intercept-only when p == 0, i.e. the
-    # demeaned series).  It is the fit when q == 0; otherwise its residuals
-    # are the innovation proxies.
-    if p > 0:
-        rows1 = np.arange(p, m)
-        design1 = np.column_stack([np.ones(rows1.size)] + _lag_columns(x, rows1, p))
-        beta1, resid1 = _ols(design1, x[rows1])
-    else:
-        beta1, resid1 = np.array([x.mean()]), x - x.mean()
-    if q == 0:
-        sse = float(resid1 @ resid1)
-        return float(beta1[0]), beta1[1:], np.empty(0), resid1, sse, resid1.size
-    # Stage two: joint regression on AR lags and lagged innovation proxies.
-    rows = np.arange(p + q, m)
-    cols = [np.ones(rows.size)]
-    cols += _lag_columns(x, rows, p)
-    cols += [resid1[rows - lag - p] for lag in range(1, q + 1)]
-    design = np.column_stack(cols)
-    beta, resid = _ols(design, x[rows])
-    sse = float(resid @ resid)
-    return float(beta[0]), beta[1 : 1 + p], beta[1 + p :], resid, sse, rows.size
-
-
 def arima_fit(
     series: np.ndarray,
     max_p: int = 2,
@@ -162,7 +135,15 @@ def arima_fit(
     max_q: int = 2,
     order: tuple[int, int, int] | None = None,
 ) -> ArimaModel:
-    """Grid-search ARIMA fit; pass ``order`` to force a single candidate."""
+    """Grid-search ARIMA fit; pass ``order`` to force a single candidate.
+
+    ``max_p`` or ``max_q`` below 0, ``max_d`` outside {0, 1}, or an
+    ``order`` with the same problems raises ``ValueError`` before any fit.
+    """
+    if min(max_p, max_q) < 0 or max_d not in (0, 1):
+        raise ValueError(f"max_p and max_q must be at least 0 and max_d 0 or 1, got {(max_p, max_d, max_q)}")
+    if order is not None and (min(order[0], order[2]) < 0 or order[1] not in (0, 1)):
+        raise ValueError(f"order needs p and q at least 0 and d 0 or 1, got {order}")
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ValueError("series must be one-dimensional")
@@ -170,39 +151,56 @@ def arima_fit(
         raise InsufficientHistory(f"ARIMA needs at least {ARIMA_MIN_OBS} observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("series contains non-finite values")
-    if order is not None:
-        grid = [order]
-    else:
-        grid = list(
-            itertools.product(range(max_p + 1), range(max_d + 1), range(max_q + 1))
-        )
-    best: tuple[tuple[float, int, int, int, int], ArimaModel] | None = None
-    for p, d, q in grid:
-        try:
-            x = np.diff(y, n=d)
-            intercept, phi, theta, resid, sse, n_eff = _fit_candidate(x, p, q)
-        except (np.linalg.LinAlgError, InsufficientHistory):
-            continue
-        if not np.isfinite(sse):
-            continue
-        aic = n_eff * math.log(max(sse / n_eff, _LOG_FLOOR)) + 2.0 * (p + q + 1)
-        # Equal-score ties prefer the autoregressive parameterization: at the
-        # forecast step AR terms read observed values while MA terms read
-        # estimated innovation proxies.
-        key = (aic, p + d + q, d, q, p)
-        model = ArimaModel(
-            order=(p, d, q),
-            intercept=intercept,
-            phi=np.asarray(phi, dtype=float),
-            theta_ma=np.asarray(theta, dtype=float),
-            residuals=np.asarray(resid, dtype=float),
-            aic=aic,
-            n_obs=n_eff,
-        )
-        if best is None or key < best[0]:
-            best = (key, model)
+    ps, ds, qs = (range(k + 1) for k in (max_p, max_d, max_q)) if order is None else ([k] for k in order)
+    best = None
+    for d in ds:
+        x = np.diff(y, n=d)
+        m = x.size
+        for p in ps:
+            # A (p, q) candidate needs m - p - q >= p + q + 2 observations,
+            # so too few for q == 0 is too few for every q.
+            if m - p < p + 2:
+                continue
+            # Stage one: an AR(p) regression (intercept-only when p == 0, i.e.
+            # the demeaned series).  It is the fit when q == 0, and its
+            # residuals are the innovation proxies of every q > 0, so its
+            # failure fails them all.
+            if p > 0:
+                rows1 = np.arange(p, m)
+                try:
+                    beta1, resid1 = _ols(np.column_stack([np.ones(rows1.size)] + _lag_columns(x, rows1, p)), x[rows1])
+                except np.linalg.LinAlgError:
+                    continue
+            else:
+                beta1, resid1 = np.array([x.mean()]), x - x.mean()
+            for q in qs:
+                if q == 0:
+                    beta, resid = beta1, resid1
+                elif m - p - q < p + q + 2:
+                    continue
+                else:
+                    # Stage two: joint regression on AR lags and lagged
+                    # innovation proxies.
+                    rows = np.arange(p + q, m)
+                    cols = [np.ones(rows.size)] + _lag_columns(x, rows, p)
+                    cols += [resid1[rows - lag - p] for lag in range(1, q + 1)]
+                    try:
+                        beta, resid = _ols(np.column_stack(cols), x[rows])
+                    except np.linalg.LinAlgError:
+                        continue
+                sse = float(resid @ resid)
+                if not np.isfinite(sse):
+                    continue
+                aic = resid.size * math.log(max(sse / resid.size, _LOG_FLOOR)) + 2.0 * (p + q + 1)
+                # Equal-score ties prefer the autoregressive parameterization:
+                # at the forecast step AR terms read observed values while MA
+                # terms read estimated innovation proxies.
+                key = (aic, p + d + q, d, q, p)
+                if best is None or key < best[0]:
+                    best = (key, beta, resid)
     if best is not None:
-        return best[1]
+        (aic, _, d, q, p), beta, resid = best
+        return ArimaModel((p, d, q), float(beta[0]), beta[1 : 1 + p], beta[1 + p :], resid, aic, resid.size)
     log.warning("all ARIMA candidates failed; falling back to flagged (0,0,0)")
     intercept = float(y.mean())
     resid = y - intercept

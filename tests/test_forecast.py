@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_arima
 from mstport import errors, forecast as fc
 
 
@@ -143,18 +145,46 @@ def test_arima_rejects_non_finite_series():
         fc.arima_fit(x)
 
 
-def test_all_candidates_failing_yields_flagged_mean_model(monkeypatch):
-    def boom(x, p, q):
-        raise np.linalg.LinAlgError("forced")
+# Every candidate's sum of squared residuals overflows to inf.
+OVERFLOW_SERIES = np.tile([3e160, -1e160], 20)
 
-    monkeypatch.setattr(fc, "_fit_candidate", boom)
-    rng = np.random.default_rng(19)
-    x = rng.normal(0.002, 0.01, 50)
-    model = fc.arima_fit(x)
+
+def test_all_candidates_failing_yields_flagged_mean_model():
+    x = OVERFLOW_SERIES
+    with np.errstate(over="ignore"):
+        model = fc.arima_fit(x)
     assert model.fallback
     assert model.order == (0, 0, 0)
     assert model.intercept == pytest.approx(float(x.mean()))
     assert fc.arima_forecast(model, x) == pytest.approx(float(x.mean()))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_p=-1), "max_p and max_q must be at least 0 and max_d 0 or 1"),
+        (dict(max_q=-1), "max_p and max_q must be at least 0 and max_d 0 or 1"),
+        (dict(max_d=-1), "max_p and max_q must be at least 0 and max_d 0 or 1"),
+        (dict(max_d=2), "max_p and max_q must be at least 0 and max_d 0 or 1"),
+        (dict(order=(-1, 0, 0)), "order needs p and q at least 0 and d 0 or 1"),
+        (dict(order=(0, 0, -1)), "order needs p and q at least 0 and d 0 or 1"),
+        (dict(order=(0, -1, 0)), "order needs p and q at least 0 and d 0 or 1"),
+        (dict(order=(0, 3, 0)), "order needs p and q at least 0 and d 0 or 1"),
+    ],
+)
+def test_arima_rejects_grid_settings_out_of_range(kwargs, message):
+    x = np.random.default_rng(18).normal(0.0, 0.01, 60)
+    # x[:10] is too short to fit: the settings are checked before the series.
+    for series in (x, x[:10]):
+        with pytest.raises(ValueError, match=message) as err:
+            fc.arima_fit(series, **kwargs)
+        assert not isinstance(err.value, errors.InsufficientHistory)
+
+
+def test_arima_accepts_the_edges_of_its_grid_settings():
+    x = np.random.default_rng(18).normal(0.0, 0.01, 60)
+    assert fc.arima_fit(x, 0, 0, 0).order == (0, 0, 0)
+    assert fc.arima_fit(x, order=(0, 1, 0)).order == (0, 1, 0)
 
 
 def test_aic_prefers_parsimony_on_ties():
@@ -164,6 +194,72 @@ def test_aic_prefers_parsimony_on_ties():
     model = fc.arima_fit(x)
     best = model.order
     assert sum(best) <= 1
+
+
+def assert_same_arima(got: fc.ArimaModel, want: fc.ArimaModel) -> None:
+    """Every field equal bit for bit: floats by their bytes, arrays by shape and bytes."""
+    assert got.order == want.order
+    assert (got.n_obs, got.fallback) == (want.n_obs, want.fallback)
+    for name in ("intercept", "aic"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    for name in ("phi", "theta_ma", "residuals"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def arima_oracle_cases():
+    rng = np.random.default_rng(61)
+    noise = [rng.normal(0.0, 0.01, n) for n in (30, 45, 120, 250)]
+    walks = [100.0 + np.cumsum(rng.normal(0.0, 1.0, n)) for n in (30, 60, 120)]
+    cases = [pytest.param(x, (), id=f"white-noise-{x.size}") for x in noise]
+    cases += [pytest.param(x, (), id=f"random-walk-{x.size}") for x in walks]
+    cases += [
+        pytest.param(noise[2], (3, 1, 3), id="white-noise-wide-grid"),
+        pytest.param(walks[2], (1, 0, 2), id="random-walk-no-difference"),
+        # stage one is rank deficient for every p > 0
+        pytest.param(np.full(60, 0.01), (), id="constant"),
+        # the first difference is constant, so stage two fails at d = 1
+        pytest.param(1.0 + 0.5 * np.arange(60), (), id="linear-trend"),
+        # too few observations for the high orders
+        pytest.param(noise[0], (14, 1, 2), id="thirty-points-max-p-14"),
+        pytest.param(OVERFLOW_SERIES, (), id="every-candidate-fails"),
+    ]
+    for order in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 2), (14, 1, 0)):
+        cases.append(pytest.param(walks[1], dict(order=order), id=f"order-{order}"))
+    cases.append(pytest.param(np.full(60, 0.01), dict(order=(1, 0, 0)), id="order-fails"))
+    return cases
+
+
+@pytest.mark.parametrize("series, grid", arima_oracle_cases())
+def test_arima_fit_matches_the_per_candidate_oracle(series, grid):
+    args, kwargs = (grid, {}) if isinstance(grid, tuple) else ((), grid)
+    with np.errstate(over="ignore"):
+        assert_same_arima(fc.arima_fit(series, *args, **kwargs), reference_arima.arima_fit(series, *args, **kwargs))
+
+
+@st.composite
+def arima_problems(draw):
+    n = draw(st.integers(30, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), n)
+    kind = draw(st.sampled_from(["noise", "walk", "rounded", "repeats"]))
+    if kind == "walk":
+        x = np.cumsum(x)
+    elif kind == "rounded":
+        x = np.round(x, draw(st.integers(-3, 1)))
+    elif kind == "repeats":
+        x = np.repeat(x[: n // 3 + 1], 3)[:n]
+    if draw(st.booleans()):
+        return x, (), dict(order=(draw(st.integers(0, 4)), draw(st.integers(0, 1)), draw(st.integers(0, 3))))
+    return x, (draw(st.integers(0, 5)), draw(st.integers(0, 1)), draw(st.integers(0, 3))), {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(arima_problems())
+def test_arima_fit_matches_the_per_candidate_oracle_on_drawn_series(problem):
+    series, args, kwargs = problem
+    assert_same_arima(fc.arima_fit(series, *args, **kwargs), reference_arima.arima_fit(series, *args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
