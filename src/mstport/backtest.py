@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -349,17 +349,6 @@ def _strip_benchmark(
     return prices, returns
 
 
-def window_tree(win: ReturnMatrix, cfg: StrategyConfig) -> tuple[CostMatrix, MstTree]:
-    """Edge costs of one return window's influence network and their spanning tree.
-
-    Raises :class:`EstimationError` or :class:`DataError` when the window
-    has no estimable network (e.g. a flat market).
-    """
-    influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode)
-    costs = var_fevd.to_cost(influence)
-    return costs, network.prim_mst(costs)
-
-
 # NNAR fits trained as one stack.  An epoch costs a fixed numpy call
 # overhead plus a share per member, so a fit in a stack of 2 runs at about
 # the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
@@ -383,17 +372,18 @@ class Decision:
 class DecisionPath:
     """Upstream decisions of one run, shared by every strategy and seed.
 
-    A window's top-k selection depends only on the prices and the base
+    The path is the one route from a return window to what is decided on
+    it: the window's network and spanning tree (:meth:`tree_at`), its top-k
+    selection, the rule that turns selections into each day's held
+    selection per portfolio mode, the weighted stocks' windows and their
+    forecasts.  A selection depends only on the prices and the base
     config's upstream fields, and a forecast additionally on the
-    forecaster, the ticker and (for NNAR only) the seed; neither depends on
-    a strategy's weighting, signal or accounting, so strategies read those
-    fields from ``base``.  The path also holds the rule that turns
-    selections into each day's held selection, per portfolio mode.  Each
-    selection and forecast is kept once computed, failure message included,
-    so a run builds each window's network and fits each forecast once.
-    Windows are computed the first time a strategy asks for them; a
-    forecaster's first request fits every forecast a strategy of that
-    portfolio mode will ask for over the run's seeds, NNAR in stacks.
+    forecaster and (for NNAR only) the seed; neither depends on a
+    strategy's weighting, signal or accounting, so strategies read those
+    fields from ``base``.  Each selection, schedule and forecast list is
+    kept once computed, failure messages included, so a run builds each
+    window's network and fits each forecast once.  The constructor rejects
+    a panel with fewer than ``window`` return rows or two tickers.
     """
 
     def __init__(
@@ -406,12 +396,28 @@ class DecisionPath:
         self.base = cfg
         self.seeds = tuple(seeds) if seeds is not None else cfg.seeds
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
+        n_dates = len(self.prices.dates)
+        if n_dates < cfg.window + 1:
+            raise InsufficientHistory(f"need at least window + 1 = {cfg.window + 1} price dates, got {n_dates}")
+        if len(self.prices.tickers) < 2:
+            raise DataError("empty universe after filtering")
         # Masked returns of each ticker above each row; a window's count is a difference.
         counts = np.cumsum(self.returns.mask, axis=0)
         self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._schedules: dict[str, tuple[Decision, ...]] = {}
-        self._forecasts: dict[tuple[str, str, int, int | None], tuple[Forecast, str | None]] = {}
+        self._forecasts: dict[tuple[str, str], dict[int | None, list[tuple[Forecast, str | None]]]] = {}
+
+    def tree_at(self, tau: int) -> tuple[CostMatrix, MstTree]:
+        """Edge costs of the window ending at return row ``tau`` and their spanning tree.
+
+        Raises :class:`EstimationError` or :class:`DataError` when the window
+        has no estimable network (e.g. a flat market).
+        """
+        win = market_data.window(self.returns, tau, self.base.window)
+        influence = var_fevd.influence_matrix(win, self.base.horizon, self.base.fevd_mode)
+        costs = var_fevd.to_cost(influence)
+        return costs, network.prim_mst(costs)
 
     def selection_at(self, tau: int) -> tuple[tuple[str, ...] | None, str | None]:
         """Top-k central tickers of the window ending at return row ``tau``.
@@ -420,9 +426,8 @@ class DecisionPath:
         window's network cannot be estimated.
         """
         if tau not in self._selections:
-            win = market_data.window(self.returns, tau, self.base.window)
             try:
-                _, tree = window_tree(win, self.base)
+                _, tree = self.tree_at(tau)
                 ranking = network.degree_centrality(tree)
                 self._selections[tau] = (network.select_top_k(ranking, self.base.top_k), None)
             except (EstimationError, DataError) as exc:
@@ -463,7 +468,7 @@ class DecisionPath:
         return self._schedules[mode]
 
     def weight_windows(self, days: list[Decision]) -> tuple[np.ndarray, np.ndarray]:
-        """The return windows of every stock the days select, for weighting them at once.
+        """The return windows of every stock the days select, to weight and forecast them at once.
 
         Returns ``(windows, clean)``.  ``clean`` has one entry per selected
         stock, day after day in selection order, True where the stock's
@@ -475,84 +480,62 @@ class DecisionPath:
         cols = np.array([self.returns.ticker_index(t) for d in days for t in d.selection], dtype=np.intp)
         taus = np.array([d.tau for d in days], dtype=np.intp)
         ends = np.repeat(taus + 1, [len(d.selection) for d in days])  # one past each window's last row
-        clean = self._unmasked(ends, cols)
+        clean = self._masked_above[ends, cols] == self._masked_above[ends - w, cols]
         windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
         return windows, clean
 
-    def _unmasked(self, ends: int | np.ndarray, cols: int | np.ndarray) -> bool | np.ndarray:
-        """True where the column's window ending just before row ``ends`` has no masked return."""
-        return self._masked_above[ends, cols] == self._masked_above[ends - self.base.window, cols]
+    def forecasts(self, cfg: StrategyConfig, seed: int) -> list[tuple[Forecast, str | None]]:
+        """``cfg.forecaster``'s one-step forecast and failure message for each weight row.
 
-    def forecasts(self, cfg: StrategyConfig, day: Decision, seed: int) -> tuple[list[Forecast], list[str]]:
-        """``cfg.forecaster``'s one-step forecasts of the day's selection, and failure messages.
-
-        A ticker with a masked return in the window, or whose fit fails,
-        gets a neutral forecast, so the filter drops it.  ARIMA ignores the
-        seed, so its forecasts are shared across seeds too.  ``day`` must be
-        a trading day of the schedule of ``cfg.portfolio_mode``.
+        There is one entry per row of :meth:`weight_windows` over the
+        trading days of ``cfg.portfolio_mode``'s schedule, fitted on that
+        row's window.  A row that is not clean (a masked return in the
+        window) gets a neutral forecast without a fit, and one whose fit
+        fails a neutral forecast and the failure, so the filter drops the
+        stock.  The list is computed once per forecaster and portfolio mode,
+        NNAR over all of the path's seeds in stacks of ``NNAR_CHUNK``; ARIMA
+        ignores the seed, so its list serves every seed.
         """
-        keys = [self._key(cfg.forecaster, ticker, day.tau, seed) for ticker in day.selection]
-        if any(key not in self._forecasts for key in keys):
+        key = (cfg.forecaster, cfg.portfolio_mode)
+        if key not in self._forecasts:
             days = [d for d in self.schedule(cfg.portfolio_mode) if d.trades]
-            self._fit(
-                self._key(cfg.forecaster, ticker, d.tau, s)
-                for d in days
-                for ticker in d.selection
-                for s in self.seeds
-            )
-        out, failures = [], []
-        for key in keys:
-            fc, failure = self._forecasts[key]
-            if failure is not None:
-                failures.append(f"forecast failed for {fc.ticker}: {failure}")
-            out.append(fc)
-        return out, failures
+            self._forecasts[key] = self._fit(cfg.forecaster, days)
+        return self._forecasts[key][seed if cfg.forecaster == FORECASTER_NNAR else None]
 
-    @staticmethod
-    def _key(forecaster: str, ticker: str, tau: int, seed: int) -> tuple[str, str, int, int | None]:
-        return (forecaster, ticker, tau, None if forecaster == FORECASTER_ARIMA else seed)
-
-    def _fit(self, keys: Iterable[tuple[str, str, int, int | None]]) -> None:
-        """Compute the forecasts of ``keys`` not yet kept; NNAR fits train in stacks."""
-        cfg, w = self.base, self.base.window
-        nnar: list[tuple[tuple[str, str, int, int | None], np.ndarray]] = []
-        for key in dict.fromkeys(keys):
-            forecaster, ticker, tau, _ = key
-            if key in self._forecasts:
-                continue
-            j = self.returns.ticker_index(ticker)
-            series = self.returns.returns[tau - w + 1 : tau + 1, j]
-            if not self._unmasked(tau + 1, j):
-                # Insufficient history: stay neutral so the filter drops the stock.
-                self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), None)
-            elif forecaster == FORECASTER_NNAR:
-                nnar.append((key, series))
-            else:
-                orders = (cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
-                self._settle(key, lambda: forecast.arima_forecast(forecast.arima_fit(series, *orders), series))
-        for start in range(0, len(nnar), NNAR_CHUNK):
-            chunk = nnar[start : start + NNAR_CHUNK]
-            models = forecast.nnar_fit_batch(
-                [series for _, series in chunk],
-                [forecast.derive_seed(seed, ticker, tau) for (_, ticker, tau, seed), _ in chunk],
-                cfg.nnar_lags,
-                cfg.nnar_hidden,
-                learning_rate=cfg.nnar_learning_rate,
-                epochs=cfg.nnar_epochs,
-            )
-            for (key, series), model in zip(chunk, models):
-                if isinstance(model, Exception):
-                    self._forecasts[key] = (forecast.make_forecast(key[1], 0.0), str(model))
+    def _fit(self, forecaster: str, days: list[Decision]) -> dict[int | None, list[tuple[Forecast, str | None]]]:
+        """Each seed's (None for ARIMA) forecasts of the weight rows of ``days``."""
+        cfg = self.base
+        rows = [(ticker, d.tau) for d in days for ticker in d.selection]
+        windows, clean = self.weight_windows(days)
+        seeds = self.seeds if forecaster == FORECASTER_NNAR else (None,)
+        out = {s: [(forecast.make_forecast(ticker, 0.0), None) for ticker, _ in rows] for s in seeds}
+        fits = [(i, series, s) for i, series in zip(np.flatnonzero(clean).tolist(), windows) for s in seeds]
+        orders = (cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
+        models: list = []
+        if forecaster == FORECASTER_NNAR:
+            for start in range(0, len(fits), NNAR_CHUNK):
+                chunk = fits[start : start + NNAR_CHUNK]
+                models += forecast.nnar_fit_batch(
+                    [series for _, series, _ in chunk],
+                    [forecast.derive_seed(s, *rows[i]) for i, _, s in chunk],
+                    cfg.nnar_lags,
+                    cfg.nnar_hidden,
+                    learning_rate=cfg.nnar_learning_rate,
+                    epochs=cfg.nnar_epochs,
+                )
+        for n, (i, series, s) in enumerate(fits):
+            ticker = rows[i][0]
+            try:
+                if forecaster == FORECASTER_NNAR:
+                    if isinstance(models[n], Exception):
+                        raise models[n]
+                    r_hat = forecast.nnar_forecast(models[n], series[-cfg.nnar_lags :])
                 else:
-                    self._settle(key, lambda: forecast.nnar_forecast(model, series[-cfg.nnar_lags :]))
-
-    def _settle(self, key: tuple[str, str, int, int | None], r_hat: Callable[[], float]) -> None:
-        """Keep the forecast ``r_hat()`` for ``key``, or a neutral one and the failure."""
-        ticker = key[1]
-        try:
-            self._forecasts[key] = (forecast.make_forecast(ticker, r_hat()), None)
-        except (EstimationError, ValueError) as exc:
-            self._forecasts[key] = (forecast.make_forecast(ticker, 0.0), str(exc))
+                    r_hat = forecast.arima_forecast(forecast.arima_fit(series, *orders), series)
+                out[s][i] = (forecast.make_forecast(ticker, r_hat), None)
+            except (EstimationError, ValueError) as exc:
+                out[s][i] = (forecast.make_forecast(ticker, 0.0), str(exc))
+        return out
 
 
 def run_simulation(
@@ -576,22 +559,16 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
     prices = path.prices
     w = path.base.window
-    n_dates = len(prices.dates)
-    if n_dates < w + 1:
-        raise InsufficientHistory(f"need at least window + 1 = {w + 1} price dates, got {n_dates}")
-    if len(prices.tickers) < 2:
-        raise DataError("empty universe after filtering")
     schedule = path.schedule(cfg.portfolio_mode)
     trading = [day for day in schedule if day.trades]
-    windows, clean = path.weight_windows(trading)
     raws = allocation.raw_weights(
         cfg.weighting,
-        windows,
-        clean,
+        *path.weight_windows(trading),
         alpha=cfg.alpha,
         min_history=cfg.min_var_history,
         risk_free=cfg.risk_free,
     ).tolist()
+    fits = path.forecasts(cfg, seed) if cfg.forecaster != FORECASTER_NONE else None
     # Execution and closing prices of the columns the schedule ever selects,
     # one row per schedule day.  The execution prices of price row t sit in
     # row t - 1: the open, or the prior close where the open is masked or
@@ -625,11 +602,12 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         else:
             stop = start + len(day.selection)
             raw = raws[start:stop]
-            start = stop
-            if cfg.forecaster != FORECASTER_NONE:
-                forecasts, failures = path.forecasts(cfg, day, seed)
-                warnings.update(failures)
+            if fits is not None:
+                picked = fits[start:stop]
+                forecasts = [fc for fc, _ in picked]
+                warnings.update(f"forecast failed for {fc.ticker}: {why}" for fc, why in picked if why is not None)
                 raw = [r if f.r_hat > 0.0 else 0.0 for r, f in zip(raw, forecasts)]
+            start = stop
             weights = allocation.from_raw(day.selection, raw)
             if cfg.signal_mode == SIGNAL_ALL_AGREE:
                 signal = aggregate_signal([f.signal for f in forecasts])
@@ -762,6 +740,8 @@ def run_multi_seed(
     repeated += [f"repeated strategy {n!r}" for n in repeats(names)]
     if repeated:
         raise ConfigError(repeated)
+    simulated = [n for n in names if n != BENCHMARK_STRATEGY]
+    path = DecisionPath(cfg, prices, returns, seeds) if simulated else None
     finished: dict[tuple[str, int | None], SimulationResult] = {}
     if BENCHMARK_STRATEGY in names:
         if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:
@@ -775,8 +755,6 @@ def run_multi_seed(
             prices.mask[rows, j],
             seeds[0],
         )
-    simulated = [n for n in names if n != BENCHMARK_STRATEGY]
-    path = DecisionPath(cfg, prices, returns, seeds) if simulated else None
     for name in simulated:
         strat = make_strategy(cfg, name, fixed_weighting)
         if strat.forecaster == FORECASTER_NNAR:

@@ -160,13 +160,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_network(cfg: RunConfig) -> int:
     table, _ = _load_panel(cfg)
-    returns = market_data.compute_returns(table)
     strat = cfg.strategy
-    n_returns = len(returns.dates)
-    if n_returns < strat.window:
-        raise InsufficientHistory("not enough return rows for one window")
-    if len(returns.tickers) < 2:
-        raise DataError("empty universe after filtering")
+    path = backtest.DecisionPath(strat, table, market_data.compute_returns(table))
+    window_ends = path.returns.dates
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sectors = _load_sectors(cfg.sectors_path)
@@ -175,11 +171,10 @@ def cmd_network(cfg: RunConfig) -> int:
     # memory holds one row of the cost matrix, not a window's N(N-1)/2 rows.
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["window_end", "ticker_i", "ticker_j", "cost"]))
-        for tau in range(strat.window - 1, n_returns, strat.rebalance_every):
-            win = market_data.window(returns, tau, strat.window)
-            window_end = win.dates[-1]
+        for tau in range(strat.window - 1, len(window_ends), strat.rebalance_every):
+            window_end = window_ends[tau]
             try:
-                costs, tree = backtest.window_tree(win, strat)
+                costs, tree = path.tree_at(tau)
             except (EstimationError, DataError) as exc:
                 # Same policy as simulate's hold: an unestimable window is skipped.
                 print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)

@@ -8,10 +8,12 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mstport import forecast, market_data, var_fevd
 from mstport.backtest import (
     BENCHMARK_STRATEGY,
+    FORECASTER_ARIMA,
     NNAR_CHUNK,
     STRATEGY_NAMES,
     MODE_DYNAMIC,
@@ -22,6 +24,7 @@ from mstport.backtest import (
     run_multi_seed,
     run_simulation,
 )
+from mstport.errors import EstimationError
 from synth import random_walk_table, with_flat_start, with_masked
 
 # The backtest tests' panel, shortened and with shorter NNAR training: the
@@ -142,13 +145,76 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
     path = DecisionPath(cfg, prices, market_data.compute_returns(prices), SEEDS)
     strategy = make_strategy(cfg, "mst_nnar_var")
     j = path.returns.ticker_index(ticker)
+    fits = path.forecasts(strategy, SEEDS[0])
+    start = 0
     neutral = 0
     for day in path.schedule(strategy.portfolio_mode):
-        forecasts, failures = path.forecasts(strategy, day, SEEDS[0])
+        entries = fits[start : start + len(day.selection)]
+        start += len(day.selection)
+        forecasts = [fc for fc, _ in entries]
+        failures = [why for _, why in entries if why is not None]
         assert failures == []
         if path.returns.mask[day.tau - cfg.window + 1 : day.tau + 1, j].any():
             got = forecasts[day.selection.index(ticker)]
             assert (got.r_hat, got.signal) == (0.0, 0)
             neutral += 1
+    assert start == len(fits)
     assert neutral > 0
     assert fitted and all(np.isfinite(series).all() for series in fitted)
+
+
+def lone_forecast(cfg: StrategyConfig, series: np.ndarray, ticker: str, tau: int, seed: int):
+    """``(r_hat, failure)`` of one fit on ``series`` alone, as the path keeps it."""
+    try:
+        if cfg.forecaster == FORECASTER_ARIMA:
+            model = forecast.arima_fit(series, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
+            return forecast.make_forecast(ticker, forecast.arima_forecast(model, series)).r_hat, None
+        model = forecast.nnar_fit(
+            series,
+            cfg.nnar_lags,
+            cfg.nnar_hidden,
+            forecast.derive_seed(seed, ticker, tau),
+            learning_rate=cfg.nnar_learning_rate,
+            epochs=cfg.nnar_epochs,
+        )
+        return forecast.make_forecast(ticker, forecast.nnar_forecast(model, series[-cfg.nnar_lags :])).r_hat, None
+    except (EstimationError, ValueError) as exc:
+        return 0.0, str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, learning_rate",
+    [("mst_arima_var", 0.01), ("mst_nnar_var", 0.01), ("mst_nnar_var", 1e305)],
+)
+def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_rate):
+    # Two masked cells leave some weight rows unclean; rebalancing every
+    # five days repeats a selection on several window ends.
+    first = DecisionPath(BASE, PANEL, RETURNS).schedule(MODE_DYNAMIC)[0].selection
+    prices = with_masked(PANEL, [(80, PANEL.ticker_index(first[0])), (95, PANEL.ticker_index(first[1]))])
+    cfg = replace(BASE, rebalance_every=5, nnar_learning_rate=learning_rate)
+    path = DecisionPath(cfg, prices, market_data.compute_returns(prices), SEEDS)
+    strategy = make_strategy(cfg, name)
+    days = [d for d in path.schedule(strategy.portfolio_mode) if d.trades]
+    rows = [(ticker, d.tau) for d in days for ticker in d.selection]
+    windows, clean = path.weight_windows(days)
+    assert not clean.all() and clean.any()
+    w = cfg.window
+    strided = [path.returns.returns[tau - w + 1 : tau + 1, path.returns.ticker_index(ticker)] for ticker, tau in rows]
+    # The weight rows are the strided columns' windows, bit for bit.
+    assert [s.tobytes() for s, ok in zip(strided, clean) if ok] == [row.tobytes() for row in windows]
+    failed = 0
+    for seed in SEEDS:
+        fits = path.forecasts(strategy, seed)
+        assert [fc.ticker for fc, _ in fits] == [ticker for ticker, _ in rows]
+        for (fc, why), (ticker, tau), series, ok in zip(fits, rows, strided, clean):
+            if not ok:
+                assert (fc.r_hat, fc.signal, why) == (0.0, 0, None)
+                continue
+            r_hat, failure = lone_forecast(strategy, series, ticker, tau, seed)
+            assert why == failure, (ticker, tau, seed)
+            assert np.float64(fc.r_hat).tobytes() == np.float64(r_hat).tobytes(), (ticker, tau, seed)
+            assert fc.signal == forecast.to_signal(r_hat)
+            failed += why is not None
+    if strategy.forecaster == FORECASTER_ARIMA:
+        assert path.forecasts(strategy, SEEDS[0]) is path.forecasts(strategy, SEEDS[1])
+    assert (failed > 0) == (learning_rate > 1.0)

@@ -1,7 +1,7 @@
 """Degenerate inputs classified across every entry point.
 
 Each input (a flat market, a fully masked column, an exactly collinear
-pair, a one-ticker universe) runs through the three subcommands that read
+pair, a one-ticker universe, a history shorter than the window) runs through the three subcommands that read
 a panel and the three library entry points, and each run is reduced to an
 outcome: ``("ok", "")``, ``("hold", reason)`` when the network cannot be
 estimated and the run holds cash or skips the window with a warning, or
@@ -51,12 +51,14 @@ INPUTS = {
     "masked_column": fully_masked_column(),
     "collinear_pair": collinear_pair(),
     "one_ticker": random_walk_table(1, 100, seed=3, extra_tickers=("IDX",)),
+    "short_history": random_walk_table(6, 20, seed=5, extra_tickers=("IDX",)),
 }
 
 ENTRIES = ("ingest", "network", "simulate", "run_simulation", "run_multi_seed", "influence_matrix")
 OK = ("ok", "")
 FLAT = ("hold", "every pair estimation failed in window")
 EMPTY = ("error", "empty universe after filtering")
+SHORT = ("error", f"need at least window + 1 = {WINDOW + 1} price dates, got 20")
 EXPECTED = {
     "flat_market": {
         "ingest": OK,  # ingest only reports the panel
@@ -78,6 +80,14 @@ EXPECTED = {
         "run_simulation": EMPTY,
         "run_multi_seed": EMPTY,
         "influence_matrix": ("error", "influence matrix needs at least two tickers"),
+    },
+    "short_history": {
+        "ingest": OK,
+        "network": SHORT,
+        "simulate": SHORT,
+        "run_simulation": SHORT,
+        "run_multi_seed": SHORT,
+        "influence_matrix": ("error", "window end index beyond available history"),
     },
 }
 
