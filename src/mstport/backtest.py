@@ -117,8 +117,10 @@ class StrategyConfig:
         problems = [f"{key} must be at least {low}" for key, low in _MINIMUMS.items() if getattr(self, key) < low]
         if not 0.0 < self.alpha <= 0.5:
             problems.append("alpha must lie in (0, 0.5]")
-        if self.initial_capital <= 0.0:
-            problems.append("initial_capital must be positive")
+        if not 0.0 < self.initial_capital < math.inf:
+            problems.append("initial_capital must be finite and positive")
+        if not math.isfinite(self.risk_free):
+            problems.append("risk_free must be finite")
         if not self.seeds:
             problems.append("at least one seed is required")
         if self.weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):

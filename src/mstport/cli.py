@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, backtest, market_data, network, var_fevd
-from .config import RunConfig, parse_config, parse_seeds, parse_strategies
+from .config import FLAGS, RunConfig, parse_config
 from .errors import ConfigError, DataError, EstimationError, InsufficientHistory
 
 log = logging.getLogger(__name__)
@@ -43,46 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=(name != "report"), help="path to the run config file")
-        cmd.add_argument("--out", help="output directory (overrides config)")
+        # Each flag's dest is the config key it stands for.
+        cmd.add_argument("--out", dest="dir", metavar="OUT", help="output directory (overrides config)")
         if name in ("network", "simulate"):
-            cmd.add_argument("--rebalance-every", type=int, help="days between network rebuilds")
+            cmd.add_argument("--rebalance-every", help="days between network rebuilds")
         if name == "simulate":
             cmd.add_argument("--seeds", help="seed list: '132', '99,103', or range '99..108'")
             cmd.add_argument("--strategies", help="comma-separated strategy names")
     return parser
-
-
-def _out_override(args: argparse.Namespace) -> Path | None:
-    """``--out`` as a path, or None when it is not given."""
-    if args.out is None:
-        return None
-    if not args.out:
-        raise ConfigError("--out: empty path")
-    return Path(args.out)
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    # ``is not None``: an empty or zero override is checked, not ignored.
-    out_dir = _out_override(args)
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    strategy_updates: dict = {}
-    if getattr(args, "rebalance_every", None) is not None:
-        strategy_updates["rebalance_every"] = int(args.rebalance_every)
-    if getattr(args, "seeds", None) is not None:
-        try:
-            strategy_updates["seeds"] = parse_seeds(args.seeds)
-        except ValueError as exc:
-            raise ConfigError(f"--seeds: {exc}") from exc
-    if getattr(args, "strategies", None) is not None:
-        try:
-            updates["strategies"] = parse_strategies(args.strategies)
-        except ValueError as exc:
-            raise ConfigError(f"--strategies: {exc}") from exc
-    if strategy_updates:
-        updates["strategy"] = dataclasses.replace(cfg.strategy, **strategy_updates)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.PriceTable | None]:
@@ -342,16 +310,17 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "report":
-            out_dir = _out_override(args)
-            if args.config:
-                cfg = parse_config(args.config)
-                out_dir = out_dir or cfg.out_dir
-            if out_dir is None:
+        if args.command == "report" and not args.config:
+            if args.dir is None:
                 raise ConfigError("report needs --out or a config with an output dir")
-            return cmd_report(out_dir)
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+            if not args.dir:
+                raise ConfigError("--out: empty path")
+            return cmd_report(Path(args.dir))
+        # ``is not None``: an empty or zero flag is checked, not ignored.
+        overrides = {key: text for key in FLAGS if (text := getattr(args, key, None)) is not None}
+        cfg = parse_config(args.config, overrides)
+        if args.command == "report":
+            return cmd_report(cfg.out_dir)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, DataError, InsufficientHistory, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

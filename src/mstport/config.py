@@ -74,6 +74,12 @@ def parse_strategies(text: str) -> tuple[str, ...]:
     return names
 
 
+def _to_path(raw: str) -> Path:
+    if not raw:
+        raise ValueError("empty path")
+    return Path(raw)
+
+
 def _to_bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -83,14 +89,14 @@ def _to_bool(raw: str) -> bool:
 
 # Every config key, once: INI key -> (section, reader).  A key sets the
 # StrategyConfig field of its name, or else the RunConfig field of its name
-# or the one _RUN_FIELDS gives it.  A key the file leaves out is not passed,
-# so the dataclasses hold the only defaults.
+# or the one _RUN_FIELDS gives it.  A key neither the file nor a flag gives
+# is not passed, so the dataclasses hold the only defaults.
 _KEYS = {
-    "prices": ("data", Path),
+    "prices": ("data", _to_path),
     "format": ("data", str),
     "benchmark_ticker": ("data", str),
-    "benchmark_prices": ("data", Path),
-    "sectors": ("data", Path),
+    "benchmark_prices": ("data", _to_path),
+    "sectors": ("data", _to_path),
     "max_missing_frac": ("data", float),
     "window": ("strategy", int),
     "horizon": ("strategy", int),
@@ -112,7 +118,7 @@ _KEYS = {
     "arima_max_p": ("forecast", int),
     "arima_max_d": ("forecast", int),
     "arima_max_q": ("forecast", int),
-    "dir": ("output", Path),
+    "dir": ("output", _to_path),
 }
 _SECTIONS = {section for section, _ in _KEYS.values()}
 _RUN_FIELDS = {
@@ -123,10 +129,15 @@ _RUN_FIELDS = {
     "dir": "out_dir",
 }
 _STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
+# The command-line flag of each key that has one.
+FLAGS = {"dir": "--out", "rebalance_every": "--rebalance-every", "seeds": "--seeds", "strategies": "--strategies"}
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Load and validate a run configuration file."""
+def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Load and validate a run configuration file.
+
+    ``overrides`` maps keys of ``FLAGS`` to their flags' text.
+    """
     path = Path(path)
     try:
         raw_text = path.read_text(encoding="utf-8")
@@ -145,20 +156,26 @@ def parse_config(path: str | Path) -> RunConfig:
         for key in parser.options(section):
             if key not in _KEYS or _KEYS[key][0] != section:
                 problems.append(f"{section}.{key}: unknown key")
+    # A flag's text takes the place of the file's value before any reader
+    # sees it; its problems are labelled with the flag.
+    overrides = overrides or {}
+    for key, text in overrides.items():
+        parser.read_dict({_KEYS[key][0]: {key: text}})
+    label = {key: f"{section}.{key}" for key, (section, _) in _KEYS.items()} | {key: FLAGS[key] for key in overrides}
     values: dict = {}
     for key, (section, reader) in _KEYS.items():
         if parser.has_option(section, key):
             try:
-                values[key] = reader(parser.get(section, key).strip())
+                values[key] = reader(parser.get(section, key))
             except (ValueError, TypeError) as exc:
-                problems.append(f"{section}.{key}: {exc}")
+                problems.append(f"{label[key]}: {exc}")
     fmt = values.get("format")
     if fmt is not None and fmt not in ("long", "wide"):
         problems.append(f"data.format: expected long or wide, got {fmt!r}")
     weighting = values.get("fixed_weighting")
     if weighting is not None and weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
         problems.append(f"strategy.fixed_weighting: unknown weighting {weighting!r}")
-    if "prices" not in values:
+    if not parser.has_option("data", "prices"):
         problems.append("data.prices: required path is missing")
     for key in ("prices", "benchmark_prices", "sectors"):
         if key in values and not values[key].exists():
@@ -172,7 +189,7 @@ def parse_config(path: str | Path) -> RunConfig:
         problems.extend(f"strategy: {p}" for p in exc.problems)
     strategies = values.get("strategies", RunConfig.strategies)
     if "buy_hold" in strategies and "benchmark_ticker" not in values:
-        problems.append("strategy.strategies: buy_hold requires data.benchmark_ticker")
+        problems.append(f"{label['strategies']}: buy_hold requires data.benchmark_ticker")
     if "benchmark_prices" in values and "benchmark_ticker" not in values:
         problems.append("data.benchmark_prices requires data.benchmark_ticker")
     if problems:

@@ -372,6 +372,11 @@ def test_strategy_config_rejects_bad_values():
         dict(alpha=0.0),
         dict(alpha=0.6),
         dict(initial_capital=0.0),
+        dict(initial_capital=math.inf),
+        dict(initial_capital=math.nan),
+        dict(risk_free=math.inf),
+        dict(risk_free=-math.inf),
+        dict(risk_free=math.nan),
         dict(seeds=()),
         dict(rebalance_every=0),
         dict(weighting="equal"),

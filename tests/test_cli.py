@@ -264,6 +264,10 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
         ("arima_max_p", "-1", "strategy: arima_max_p must be at least 0"),
         ("arima_max_q", "-1", "strategy: arima_max_q must be at least 0"),
         ("arima_max_d", "2", "strategy: arima_max_d must be 0 or 1"),
+        ("initial_capital", "inf", "strategy: initial_capital must be finite and positive"),
+        ("initial_capital", "nan", "strategy: initial_capital must be finite and positive"),
+        ("risk_free", "inf", "strategy: risk_free must be finite"),
+        ("risk_free", "nan", "strategy: risk_free must be finite"),
     ],
 )
 def test_config_bad_value_names_its_key(tmp_path, key, raw, message):
@@ -697,6 +701,82 @@ def test_cli_rejects_repeated_seeds_and_strategies(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--seeds", "seeds", "abc"),
+        ("--seeds", "seeds", "5..3"),
+        ("--strategies", "strategies", "momentum"),
+        ("--rebalance-every", "rebalance_every", "abc"),
+        ("--rebalance-every", "rebalance_every", "0"),
+        ("--out", "dir", ""),
+    ],
+)
+def test_a_flag_is_read_as_its_config_key(tmp_path, monkeypatch, capsys, flag, key, value):
+    # The flag's text meets the file key's reader and checks; only the
+    # label differs.
+    monkeypatch.chdir(tmp_path)
+    prices = write_panel(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_ini(tmp_path, prices, key, value))
+    expected = str(err.value).replace(f"{config._KEYS[key][0]}.{key}:", f"{flag}:")
+    assert main(["simulate", "--config", str(write_ini(tmp_path, prices)), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "run.ini"]
+
+
+def test_strategies_flag_meets_the_benchmark_ticker_check(tmp_path, capsys):
+    prices = write_panel(tmp_path)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"[data]\nprices = {prices}\n\n[strategy]\nstrategies = mst_var\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path), "--strategies", "buy_hold,mst_var"]) == 2
+    assert capsys.readouterr().err == "error: --strategies: buy_hold requires data.benchmark_ticker\n"
+
+
+@pytest.mark.parametrize("key", ["prices", "benchmark_prices", "sectors", "dir"])
+def test_an_empty_path_key_is_rejected(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    prices = write_panel(tmp_path)
+    cfg_path = write_ini(tmp_path, prices, key, "")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {config._KEYS[key][0]}.{key}: empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "run.ini"]
+
+
+def test_a_flag_replaces_the_file_value_unread(tmp_path):
+    # Every file value below fails its check, and each flag stands in for it.
+    prices = write_panel(tmp_path)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(
+        f"[data]\nprices = {prices}\n\n[strategy]\nwindow = 30\nrebalance_every = 0\n"
+        "seeds = abc\nstrategies = buy_hold\n\n[output]\ndir =\n",
+        encoding="utf-8",
+    )
+    flags = {"dir": "net", "rebalance_every": "30", "seeds": "5", "strategies": "mst_var"}
+    cfg = parse_config(cfg_path, flags)
+    assert (cfg.out_dir, cfg.strategy.rebalance_every, cfg.strategy.seeds, cfg.strategies) == (
+        Path("net"),
+        30,
+        (5,),
+        ("mst_var",),
+    )
+    cfg_path.write_text(
+        f"[data]\nprices = {prices}\nbenchmark_ticker = IDX\n\n"
+        "[strategy]\nwindow = 30\nrebalance_every = 0\n\n[output]\ndir =\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "net"
+    assert main(["network", "--config", str(cfg_path), "--rebalance-every", "30", "--out", str(out)]) == 0
+    assert (out / "costs.csv").exists()
+
+
+def test_each_flag_stores_its_text_under_its_config_key():
+    parser = cli._build_parser()
+    for key, flag in config.FLAGS.items():
+        args = parser.parse_args(["simulate", "--config", "run.ini", flag, "text"])
+        assert getattr(args, key) == "text"
 
 
 # Run in a fresh interpreter: the test process itself is frozen by the
