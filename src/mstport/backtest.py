@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -360,6 +360,21 @@ def _strip_benchmark(
 # 1.44 / 1.46 ms per fit.
 NNAR_CHUNK = 48
 
+# Cost cells (windows x N x N) of the spanning trees grown as one stack, 8
+# bytes each: an 8 MiB stack at this cap.  A Prim step costs a fixed numpy
+# call overhead plus a share per window, so a tree gets cheaper as the stack
+# grows until a step's (windows, N) arrays reach a few thousand cells.
+# Milliseconds per tree on random costs (one AMD EPYC core), for the
+# one-window loop of tests/reference_prim.py and for stacks of B windows:
+#
+#     N    loop   B=1    B=2    B=4    B=8    B=16   B=32
+#     60   0.37   0.53   0.28   0.16   0.091  0.057  0.040
+#     220  1.7    2.3    1.1    0.75   0.47   0.33   0.27
+#     490  4.3    5.5    3.0    1.9    1.4    1.1    1.0
+#
+# The cap stacks 291 windows at N = 60, 21 at N = 220 and 4 at N = 490.
+MST_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -375,11 +390,13 @@ class DecisionPath:
     """Upstream decisions of one run, shared by every strategy and seed.
 
     The path is the one route from a return window to what is decided on
-    it: the window's network and spanning tree (:meth:`tree_at`), its top-k
-    selection, the rule that turns selections into each day's held
+    it: the window's network and spanning tree (:meth:`trees_at`), its
+    top-k selection, the rule that turns selections into each day's held
     selection per portfolio mode, the weighted stocks' windows and their
-    forecasts.  A selection depends only on the prices and the base
-    config's upstream fields, and a forecast additionally on the
+    forecasts.  The trees of a dynamic schedule's rebalance windows grow
+    together, in stacks of at most ``MST_CELLS`` cost cells, by the tie
+    rule of a lone tree.  A selection depends only on the prices and the
+    base config's upstream fields, and a forecast additionally on the
     forecaster and (for NNAR only) the seed; neither depends on a
     strategy's weighting, signal or accounting, so strategies read those
     fields from ``base``.  Each selection, schedule and forecast list is
@@ -410,16 +427,47 @@ class DecisionPath:
         self._schedules: dict[str, tuple[Decision, ...]] = {}
         self._forecasts: dict[tuple[str, str], dict[int | None, list[tuple[Forecast, str | None]]]] = {}
 
-    def tree_at(self, tau: int) -> tuple[CostMatrix, MstTree]:
-        """Edge costs of the window ending at return row ``tau`` and their spanning tree.
+    def trees_at(self, taus: Sequence[int]) -> Iterator[tuple[int, tuple[CostMatrix, MstTree] | Exception]]:
+        """Edge costs and spanning tree of each window ending at a return row of ``taus``, in order.
 
-        Raises :class:`EstimationError` or :class:`DataError` when the window
-        has no estimable network (e.g. a flat market).
+        Yields ``(tau, (costs, tree))``, or ``(tau, error)`` with the
+        :class:`EstimationError` or :class:`DataError` of a window that has
+        no estimable network (e.g. a flat market).  Each window's costs are
+        built on their own; the trees of up to ``MST_CELLS // N**2`` windows
+        then grow together in one :func:`network.prim_mst_stack` call.
         """
-        win = market_data.window(self.returns, tau, self.base.window)
-        influence = var_fevd.influence_matrix(win, self.base.horizon, self.base.fevd_mode)
-        costs = var_fevd.to_cost(influence)
-        return costs, network.prim_mst(costs)
+        n = len(self.returns.tickers)
+        size = max(1, MST_CELLS // (n * n))
+        for start in range(0, len(taus), size):
+            chunk = taus[start : start + size]
+            stack = np.empty((len(chunk), n, n))
+            built: list[tuple[int, CostMatrix | Exception]] = []
+            count = 0
+            for tau in chunk:
+                try:
+                    win = market_data.window(self.returns, tau, self.base.window)
+                    costs = var_fevd.to_cost(var_fevd.influence_matrix(win, self.base.horizon, self.base.fevd_mode))
+                    network.check_costs(costs.tickers, costs.symmetric)
+                except (EstimationError, DataError) as exc:
+                    built.append((tau, exc))
+                    continue
+                # The stack holds the window's symmetric costs from here on.
+                stack[count] = costs.symmetric
+                built.append((tau, replace(costs, symmetric=stack[count])))
+                count += 1
+            trees = iter(network.prim_mst_stack(self.returns.tickers, stack[:count]) if count else ())
+            for tau, entry in built:
+                yield tau, entry if isinstance(entry, Exception) else (entry, next(trees))
+
+    def _select(self, taus: Iterable[int]) -> None:
+        """Keep the top-k selection, or the failure message, of each window of ``taus`` not yet kept."""
+        todo = [tau for tau in taus if tau not in self._selections]
+        for tau, built in self.trees_at(todo):
+            if isinstance(built, Exception):
+                self._selections[tau] = (None, str(built))
+            else:
+                ranking = network.degree_centrality(built[1])
+                self._selections[tau] = (network.select_top_k(ranking, self.base.top_k), None)
 
     def selection_at(self, tau: int) -> tuple[tuple[str, ...] | None, str | None]:
         """Top-k central tickers of the window ending at return row ``tau``.
@@ -427,13 +475,7 @@ class DecisionPath:
         Returns ``(selection, None)``, or ``(None, message)`` when the
         window's network cannot be estimated.
         """
-        if tau not in self._selections:
-            try:
-                _, tree = self.tree_at(tau)
-                ranking = network.degree_centrality(tree)
-                self._selections[tau] = (network.select_top_k(ranking, self.base.top_k), None)
-            except (EstimationError, DataError) as exc:
-                self._selections[tau] = (None, str(exc))
+        self._select((tau,))
         return self._selections[tau]
 
     def schedule(self, mode: str) -> tuple[Decision, ...]:
@@ -443,13 +485,17 @@ class DecisionPath:
         keeps its last selection when a recompute fails; the other modes
         keep their first selection.  Until a first selection exists the
         strategy holds cash and retries every day.  A fixed strategy trades
-        only on its first day with a selection.
+        only on its first day with a selection.  A dynamic schedule asks for
+        the trees of all its rebalance days at once, as they grow faster
+        stacked; a retry day asks for its own window alone.
         """
         if mode not in self._schedules:
             out = []
             held: tuple[str, ...] | None = None
             traded = False
             w = self.base.window
+            if mode == MODE_DYNAMIC:
+                self._select(range(w - 1, len(self.returns.dates) - 1, self.base.rebalance_every))
             for step, tau in enumerate(range(w - 1, len(self.returns.dates) - 1)):
                 warning = None
                 if held is None or (mode == MODE_DYNAMIC and step % self.base.rebalance_every == 0):

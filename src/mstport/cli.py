@@ -139,14 +139,13 @@ def cmd_network(cfg: RunConfig) -> int:
     # memory holds one row of the cost matrix, not a window's N(N-1)/2 rows.
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["window_end", "ticker_i", "ticker_j", "cost"]))
-        for tau in range(strat.window - 1, len(window_ends), strat.rebalance_every):
+        for tau, built in path.trees_at(range(strat.window - 1, len(window_ends), strat.rebalance_every)):
             window_end = window_ends[tau]
-            try:
-                costs, tree = path.tree_at(tau)
-            except (EstimationError, DataError) as exc:
+            if isinstance(built, Exception):
                 # Same policy as simulate's hold: an unestimable window is skipped.
-                print(f"warning: skipped window ending {window_end}: {exc}", file=sys.stderr)
+                print(f"warning: skipped window ending {window_end}: {built}", file=sys.stderr)
                 continue
+            costs, tree = built
             fh.writelines(_cost_lines(costs, window_end))
             dot_path = out / f"mst_{window_end.isoformat()}.dot"
             dot_path.write_text(network.export_dot(tree, sectors), encoding="utf-8")

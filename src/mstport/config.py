@@ -187,7 +187,10 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         strategy = StrategyConfig(**{k: v for k, v in values.items() if k in _STRATEGY_FIELDS})
     except ConfigError as exc:
         problems.extend(f"strategy: {p}" for p in exc.problems)
-    strategies = values.get("strategies", RunConfig.strategies)
+    # The default list stands in only when no list is given: one that fails
+    # to read has its own problem and names no strategy.
+    given = parser.has_option("strategy", "strategies")
+    strategies = values.get("strategies", () if given else RunConfig.strategies)
     if "buy_hold" in strategies and "benchmark_ticker" not in values:
         problems.append(f"{label['strategies']}: buy_hold requires data.benchmark_ticker")
     if "benchmark_prices" in values and "benchmark_ticker" not in values:

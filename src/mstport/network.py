@@ -4,7 +4,10 @@ The tree is grown with Prim's algorithm over the symmetric cost matrix.
 Tie-breaking is fully deterministic: candidate edges are compared by
 (cost, source ticker, destination ticker) and growth starts from the
 lexicographically smallest ticker, so equal-cost inputs always yield the
-same tree.
+same tree.  The trees of many windows over one ticker set grow together
+in one stacked pass (:func:`prim_mst_stack`), one step of every window per
+numpy call; :func:`prim_mst` is that pass on one window, with the same tie
+rule.
 """
 
 from __future__ import annotations
@@ -41,52 +44,72 @@ class CentralityRanking:
         return tuple(t for t, _ in self.entries)
 
 
-def prim_mst(costs: CostMatrix) -> MstTree:
-    """Grow the minimum spanning tree of the symmetric cost graph."""
-    tickers = costs.tickers
+def check_costs(tickers: tuple[str, ...], symmetric: np.ndarray) -> None:
+    """Reject an empty ticker set, or a non-finite off-diagonal cost in a window or a stack of them."""
     n = len(tickers)
     if n == 0:
         raise DataError("cannot build a tree over an empty ticker set")
-    sym = costs.symmetric
-    off_diag = ~np.eye(n, dtype=bool)
-    if not np.all(np.isfinite(sym[off_diag])) and n > 1:
+    finite = np.isfinite(symmetric)
+    finite[..., range(n), range(n)] = True  # the diagonal is a self-edge sentinel
+    if not finite.all():
         raise DataError("non-finite off-diagonal cost")
+
+
+def prim_mst_stack(tickers: tuple[str, ...], symmetric: np.ndarray) -> list[MstTree]:
+    """Grow the minimum spanning tree of each window of a ``(B, N, N)`` stack of symmetric costs.
+
+    The windows' trees grow together, one node per window per step, so
+    each numpy call covers every window.  The costs must pass
+    :func:`check_costs`.  A node outside a window's tree keeps its cheapest
+    edge into the tree and that edge's tie key ``rank(source) * N +
+    rank(node)``, over the tickers' lexicographic ranks; a node in the tree
+    holds a NaN cost, which no comparison picks or relaxes.  Each step
+    adds the least-cost edge and, among equal costs, the least key: the
+    smaller source ticker, then the smaller destination ticker.  A new node
+    takes over a frontier edge that it beats on cost, or ties with a
+    smaller source ticker.
+    """
+    n = len(tickers)
+    b = symmetric.shape[0]
     if n == 1:
-        return MstTree(nodes=tickers, edges=(), total_cost=0.0)
-    # Rank of each ticker in lexicographic order, used for tie-breaking.
-    rank = np.empty(n, dtype=int)
-    rank[np.argsort(np.array(tickers))] = np.arange(n)
-    start = int(np.argmin(rank))
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[start] = True
-    best_cost = sym[start].copy()
-    best_src = np.full(n, start)
-    edges: list[tuple[str, str, float]] = []
-    total = 0.0
-    for _ in range(n - 1):
-        out = np.flatnonzero(~in_tree)
-        cand_cost = best_cost[out]
-        m = cand_cost.min()
-        tied = out[cand_cost == m]
-        if tied.size > 1:
-            order = np.lexsort((rank[tied], rank[best_src[tied]]))
-            v = int(tied[order[0]])
-        else:
-            v = int(tied[0])
-        src = int(best_src[v])
-        edges.append((tickers[src], tickers[v], float(best_cost[v])))
-        total += float(best_cost[v])
-        in_tree[v] = True
-        # Relax the frontier through the new node; on equal cost prefer the
-        # lexicographically smaller source ticker.
-        new_cost = sym[v]
-        better = (~in_tree) & (
-            (new_cost < best_cost)
-            | ((new_cost == best_cost) & (rank[v] < rank[best_src]))
-        )
-        best_cost[better] = new_cost[better]
-        best_src[better] = v
-    return MstTree(nodes=tickers, edges=tuple(edges), total_cost=total)
+        return [MstTree(nodes=tickers, edges=(), total_cost=0.0) for _ in range(b)]
+    order = np.argsort(np.array(tickers))  # the tickers by rank
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    best = symmetric[:, order[0]].copy()  # growth starts from the smallest ticker
+    best[:, order[0]] = np.nan
+    key = np.tile(rank, (b, 1))
+    first = np.arange(b) * n  # flat index of each window's first row or cell
+    flat_best, flat_rows = best.reshape(-1), symmetric.reshape(b * n, n)
+    picked = np.empty((n - 1, b), dtype=np.intp)  # each step's edge key
+    cost = np.empty((n - 1, b))
+    for step in range(n - 1):
+        picked[step] = np.where(best == np.fmin.reduce(best, axis=1, keepdims=True), key, n * n).min(axis=1)
+        joined = picked[step] % n
+        at = first + order[joined]
+        cost[step] = flat_best[at]
+        flat_best[at] = np.nan
+        new = flat_rows[at]
+        new_key = (joined * n)[:, None] + rank
+        better = new < best
+        better |= (new == best) & (new_key < key)
+        np.putmask(best, better, new)
+        np.putmask(key, better, new_key)
+    names = [tickers[i] for i in order]
+    trees = []
+    for src, dst, paid in zip(*np.divmod(picked.T, n), cost.T.tolist()):
+        total = 0.0  # added left to right; sum() compensates from Python 3.12 on
+        for c in paid:
+            total += c
+        edges = zip([names[i] for i in src.tolist()], [names[i] for i in dst.tolist()], paid)
+        trees.append(MstTree(nodes=tickers, edges=tuple(edges), total_cost=total))
+    return trees
+
+
+def prim_mst(costs: CostMatrix) -> MstTree:
+    """Grow the minimum spanning tree of the symmetric cost graph: :func:`prim_mst_stack` on one window."""
+    check_costs(costs.tickers, costs.symmetric)
+    return prim_mst_stack(costs.tickers, costs.symmetric[None])[0]
 
 
 def degree_centrality(tree: MstTree) -> CentralityRanking:

@@ -2,7 +2,9 @@
 
 Decision inputs (network selection, risk weights, forecasts) reuse the
 public pipeline stages, each of which is tested against its own oracle
-elsewhere.  The trading mechanics — execution-price fallbacks, floor-rule
+elsewhere; the spanning tree comes from the one-window loop of
+``reference_prim``, so the reference does not share the engine's stacked
+Prim kernel.  The trading mechanics — execution-price fallbacks, floor-rule
 share sizing, cash bookkeeping, and mark-to-market valuation — are
 re-implemented here from scratch, scalar style, so the engine's vectorised
 wiring can be compared bit for bit.
@@ -19,6 +21,7 @@ import numpy as np
 from mstport import allocation, backtest, forecast, market_data, network, var_fevd
 from mstport.backtest import StrategyConfig
 from mstport.market_data import PriceTable, ReturnMatrix
+from reference_prim import prim_mst
 
 
 @dataclass
@@ -39,7 +42,7 @@ class ReferenceResult:
 
 def _select_stocks(cfg: StrategyConfig, win: ReturnMatrix) -> tuple[str, ...]:
     influence = var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode)
-    tree = network.prim_mst(var_fevd.to_cost(influence))
+    tree = prim_mst(var_fevd.to_cost(influence))
     return network.select_top_k(network.degree_centrality(tree), cfg.top_k)
 
 

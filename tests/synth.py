@@ -69,12 +69,22 @@ def with_flat_start(table: PriceTable, n_rows: int) -> PriceTable:
     Every return up to row ``n_rows - 1`` is zero, so a window ending there
     has no estimable network.
     """
+    return with_flat_rows(table, 0, n_rows)
+
+
+def with_flat_rows(table: PriceTable, start: int, stop: int) -> PriceTable:
+    """Copy of the panel whose price rows ``start`` to ``stop - 1`` all equal row ``stop``'s close.
+
+    Returns ``start`` to ``stop - 1`` are zero (with ``start`` > 0, return
+    row ``start - 1`` jumps to the flat level), so a window within them has
+    no estimable network.
+    """
     closes = table.adj_close.copy()
-    closes[:n_rows] = closes[n_rows]
+    closes[start:stop] = closes[stop]
     opens = None
     if table.open_px is not None:
         opens = table.open_px.copy()
-        opens[:n_rows] = closes[n_rows]
+        opens[start:stop] = closes[stop]
     return PriceTable(table.dates, table.tickers, closes, table.mask, opens)
 
 

@@ -25,7 +25,7 @@ from mstport.cli import main
 from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
 from mstport.market_data import PriceTable, compute_returns, drop_tickers, select_tickers
-from synth import flat_cost_rows, random_walk_table, with_flat_start, with_masked, write_long_csv
+from synth import flat_cost_rows, random_walk_table, with_flat_rows, with_flat_start, with_masked, write_long_csv
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
 
@@ -361,6 +361,24 @@ def test_network_skips_unestimable_windows(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert {row[0] for row in rows[1:]} == {PANEL.dates[60].isoformat(), PANEL.dates[90].isoformat()}
     assert len(rows) - 1 == 2 * 15
+
+
+def test_network_files_do_not_depend_on_the_tree_stack_size(tmp_path, capsys, monkeypatch):
+    # Flat prices through row 40 and again over rows 60-95: unestimable
+    # windows before and among estimable ones, every window rebuilt.
+    prices = tmp_path / "prices.csv"
+    write_long_csv(with_flat_rows(with_flat_start(PANEL, 40), 60, 95), prices)
+    outputs = []
+    for cells in (backtest.MST_CELLS, 1):  # one stack, then one window per stack
+        monkeypatch.setattr(backtest, "MST_CELLS", cells)
+        out_dir = tmp_path / f"net{cells}"
+        cfg_path = write_config(tmp_path, prices, out_dir)
+        assert main(["network", "--config", str(cfg_path), "--rebalance-every", "1"]) == 0
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        outputs.append((captured.out.replace(str(out_dir), "OUT"), captured.err, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("warning: skipped window") > 0 and len(outputs[0][2]) > 2
 
 
 def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):
@@ -733,6 +751,21 @@ def test_strategies_flag_meets_the_benchmark_ticker_check(tmp_path, capsys):
     cfg_path.write_text(f"[data]\nprices = {prices}\n\n[strategy]\nstrategies = mst_var\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg_path), "--strategies", "buy_hold,mst_var"]) == 2
     assert capsys.readouterr().err == "error: --strategies: buy_hold requires data.benchmark_ticker\n"
+
+
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_an_unreadable_strategy_list_is_not_checked_as_the_default_list(tmp_path, capsys, via_flag):
+    # The default list holds buy_hold; a list that fails to read must not
+    # stand in for it in the benchmark_ticker check.
+    prices = write_panel(tmp_path)
+    cfg_path = tmp_path / "cfg.ini"
+    listed = "" if via_flag else "\n[strategy]\nstrategies = momentum\n"
+    cfg_path.write_text(f"[data]\nprices = {prices}\n{listed}", encoding="utf-8")
+    flags = ["--strategies", "momentum"] if via_flag else []
+    assert main(["simulate", "--config", str(cfg_path), *flags]) == 2
+    label = "--strategies" if via_flag else "strategy.strategies"
+    assert capsys.readouterr().err == f"error: {label}: unknown strategies: momentum\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "prices.csv"]
 
 
 @pytest.mark.parametrize("key", ["prices", "benchmark_prices", "sectors", "dir"])

@@ -10,13 +10,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mstport import forecast, market_data, var_fevd
+import reference_prim
+from mstport import backtest, forecast, market_data, network, var_fevd
 from mstport.backtest import (
     BENCHMARK_STRATEGY,
     FORECASTER_ARIMA,
+    MODE_DYNAMIC,
+    MODE_DYNAMIC_VAR_ONLY,
+    MODE_FIXED,
     NNAR_CHUNK,
     STRATEGY_NAMES,
-    MODE_DYNAMIC,
+    Decision,
     DecisionPath,
     StrategyConfig,
     benchmark_buy_hold,
@@ -24,8 +28,8 @@ from mstport.backtest import (
     run_multi_seed,
     run_simulation,
 )
-from mstport.errors import EstimationError
-from synth import random_walk_table, with_flat_start, with_masked
+from mstport.errors import DataError, EstimationError
+from synth import random_walk_table, with_flat_rows, with_flat_start, with_masked
 
 # The backtest tests' panel, shortened and with shorter NNAR training: the
 # equivalence tests re-run every strategy and seed on its own.
@@ -218,3 +222,104 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     if strategy.forecaster == FORECASTER_ARIMA:
         assert path.forecasts(strategy, SEEDS[0]) is path.forecasts(strategy, SEEDS[1])
     assert (failed > 0) == (learning_rate > 1.0)
+
+
+# Zero returns in rows 0-32 and 60-99: at window 30 the windows ending at
+# return rows 29-32 and at most of 60-99 have no estimable network, so a
+# schedule opens with retry days and meets failed recomputes mid-run.
+FLAT = with_flat_rows(with_flat_start(random_walk_table(8, 160, seed=43, extra_tickers=("IDX",)), 33), 60, 100)
+FLAT_BASE = StrategyConfig(window=30, top_k=3, seeds=(132,), benchmark_ticker="IDX")
+MODES = (MODE_DYNAMIC, MODE_FIXED, MODE_DYNAMIC_VAR_ONLY)
+
+
+def recorded_stacks(monkeypatch) -> list[int]:
+    """The window count of every ``prim_mst_stack`` call from here on."""
+    sizes: list[int] = []
+    prim_mst_stack = network.prim_mst_stack
+
+    def recorded(tickers, symmetric):
+        sizes.append(len(symmetric))
+        return prim_mst_stack(tickers, symmetric)
+
+    monkeypatch.setattr(network, "prim_mst_stack", recorded)
+    return sizes
+
+
+def oracle_selection(cfg: StrategyConfig, returns, tau: int) -> tuple[tuple[str, ...] | None, str | None]:
+    """One window's selection or failure, its tree from the one-window loop."""
+    try:
+        win = market_data.window(returns, tau, cfg.window)
+        costs = var_fevd.to_cost(var_fevd.influence_matrix(win, cfg.horizon, cfg.fevd_mode))
+        tree = reference_prim.prim_mst(costs)
+    except (EstimationError, DataError) as exc:
+        return None, str(exc)
+    return network.select_top_k(network.degree_centrality(tree), cfg.top_k), None
+
+
+def oracle_schedule(cfg: StrategyConfig, returns, mode: str) -> tuple[Decision, ...]:
+    """The schedule rule, asking for one window at a time as its day comes."""
+    out = []
+    held = None
+    traded = False
+    for step, tau in enumerate(range(cfg.window - 1, len(returns.dates) - 1)):
+        warning = None
+        if held is None or (mode == MODE_DYNAMIC and step % cfg.rebalance_every == 0):
+            picked, failure = oracle_selection(cfg, returns, tau)
+            end = returns.dates[tau]
+            if picked is not None:
+                held = picked
+            elif held is None:
+                warning = f"network unavailable at {end}: {failure}; holding cash"
+            else:
+                warning = f"network recompute failed at {end}: {failure}"
+        trades = held is not None and not (mode == MODE_FIXED and traded)
+        traded = traded or trades
+        out.append(Decision(tau, held, trades, warning))
+    return tuple(out)
+
+
+def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
+    stacks = recorded_stacks(monkeypatch)
+    path = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT))
+    path.schedule(MODE_DYNAMIC)
+    taus = range(FLAT_BASE.window - 1, len(path.returns.dates) - 1)
+    batched = {tau: path.selection_at(tau) for tau in taus}
+    failed = [tau for tau, (picked, _) in batched.items() if picked is None]
+    # One stack of every estimable window, built before the day loop.
+    assert stacks == [len(taus) - len(failed)]
+    # Failures before, among and after estimable windows of the batch.
+    assert failed[0] == taus[0] and failed[-1] < taus[-1]
+    assert any(batched[tau][0] is not None for tau in range(failed[0], failed[-1]))
+    assert all(batched[tau][1] for tau in failed)
+    stacks.clear()
+    lone = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT))
+    assert {tau: lone.selection_at(tau) for tau in taus} == batched
+    assert stacks == [1] * (len(taus) - len(failed))
+
+
+@pytest.mark.parametrize("rebalance_every", [1, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_schedules_equal_the_one_window_at_a_time_rule(mode, rebalance_every):
+    cfg = replace(FLAT_BASE, rebalance_every=rebalance_every)
+    path = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT))
+    want = oracle_schedule(cfg, path.returns, mode)
+    assert path.schedule(mode) == want
+    assert any(d.warning and d.warning.startswith("network unavailable") for d in want)
+    if mode == MODE_DYNAMIC:
+        assert any(d.warning and d.warning.startswith("network recompute failed") for d in want)
+    # Every mode from one path, the dynamic schedule's batch first or last.
+    for order in (MODES, MODES[::-1]):
+        shared = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT))
+        assert {m: shared.schedule(m) for m in order}[mode] == want
+
+
+@pytest.mark.parametrize("windows_per_stack", [1, 2, 5])
+def test_a_small_cell_cap_splits_the_stack_and_keeps_the_schedules(monkeypatch, windows_per_stack):
+    returns = market_data.compute_returns(FLAT)
+    want = {mode: DecisionPath(FLAT_BASE, FLAT, returns).schedule(mode) for mode in MODES}
+    n = len(FLAT.tickers) - 1  # the benchmark column is stripped
+    monkeypatch.setattr(backtest, "MST_CELLS", windows_per_stack * n * n + n)
+    stacks = recorded_stacks(monkeypatch)
+    path = DecisionPath(FLAT_BASE, FLAT, returns)
+    assert {mode: path.schedule(mode) for mode in MODES} == want
+    assert len(stacks) > 1 and max(stacks) == windows_per_stack

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_prim
 from mstport import errors, network as nw, var_fevd as vf
 
 
@@ -157,3 +160,72 @@ def test_dot_export_format_and_escaping():
     plain = nw.export_dot(tree)
     assert "sector" not in plain
     assert '"A" -- "B"' in plain
+
+
+def tree_bytes(tree: nw.MstTree) -> tuple:
+    """A tree with every cost as its eight bytes, so -0.0 and 0.0 differ."""
+    edges = tuple((src, dst, struct.pack("<d", cost)) for src, dst, cost in tree.edges)
+    return tree.nodes, edges, struct.pack("<d", tree.total_cost)
+
+
+# How one window's influence shares are drawn: uniform; rounded to halves or
+# thirds, so many costs tie; with some tickers' shares zero, so their cost
+# rows are 1.0 like a masked ticker's; or all one, so every cost is 0.0 as
+# ``as_written`` shares clamped at one give.
+KINDS = ("uniform", "halves", "thirds", "masked", "zero")
+
+
+def drawn_theta(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    theta = rng.uniform(0.0, 1.0, (n, n))
+    if kind == "halves":
+        theta = np.round(theta * 2.0) / 2.0
+    elif kind == "thirds":
+        theta = np.round(theta * 3.0) / 3.0
+    elif kind == "masked":
+        gone = rng.random(n) < 0.4
+        theta[gone, :] = 0.0
+        theta[:, gone] = 0.0
+    elif kind == "zero":
+        theta = np.ones((n, n))
+    np.fill_diagonal(theta, 0.0)
+    return theta
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    names=st.lists(st.text(alphabet="ABCab_9", min_size=1, max_size=3), min_size=2, max_size=14, unique=True),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_trees_equal_the_one_window_loop_byte_for_byte(names, kinds, seed):
+    # The names come in drawn order, so the rank order is a permutation of
+    # the column order.
+    rng = np.random.default_rng(seed)
+    tickers = tuple(names)
+    costs = [
+        vf.to_cost(vf.InfluenceMatrix(tickers=tickers, theta=drawn_theta(kind, len(tickers), rng)))
+        for kind in kinds
+    ]
+    stack = np.stack([c.symmetric for c in costs])
+    kept = stack.copy()
+    got = nw.prim_mst_stack(tickers, stack)
+    want = [reference_prim.prim_mst(c) for c in costs]
+    assert [tree_bytes(t) for t in got] == [tree_bytes(t) for t in want]
+    assert [tree_bytes(nw.prim_mst(c)) for c in costs] == [tree_bytes(t) for t in want]
+    assert stack.tobytes() == kept.tobytes()  # the kernel reads the stack only
+
+
+def test_stacked_trees_cover_one_node_and_reject_what_the_loop_rejects():
+    assert nw.prim_mst_stack(("A",), np.full((3, 1, 1), np.inf)) == [nw.MstTree(("A",), (), 0.0)] * 3
+    assert tree_bytes(nw.prim_mst(cost_matrix(("A",), np.zeros((1, 1))))) == tree_bytes(
+        reference_prim.prim_mst(cost_matrix(("A",), np.zeros((1, 1))))
+    )
+    empty = vf.CostMatrix(tickers=(), directed=np.zeros((0, 0)), symmetric=np.zeros((0, 0)))
+    bad = cost_matrix(("A", "B", "C"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, 3.0, 0.0]]))
+    for costs, message in ((empty, "empty ticker set"), (bad, "non-finite off-diagonal cost")):
+        for build in (nw.prim_mst, reference_prim.prim_mst):
+            with pytest.raises(errors.DataError, match=message):
+                build(costs)
+    stack = np.stack([cost_matrix(("A", "B", "C"), np.ones((3, 3))).symmetric, bad.symmetric])
+    with pytest.raises(errors.DataError, match="non-finite off-diagonal cost"):
+        nw.check_costs(("A", "B", "C"), stack)
