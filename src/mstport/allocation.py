@@ -52,17 +52,30 @@ class WeightVector:
         return all(w == 0.0 for _, _, w in self.entries)
 
 
+def normalize(raws: list[float]) -> list[float]:
+    """Each raw weight over their ``math.fsum`` total; all zeros when the total is 0.0."""
+    total = math.fsum(raws)
+    if total == 0.0:
+        return [0.0] * len(raws)
+    return [r / total for r in raws]
+
+
+def check_raws(raws: np.ndarray) -> None:
+    """Reject raw weights that are not all finite and non-negative."""
+    if not np.all(np.isfinite(raws) & (raws >= 0.0)):
+        raise DataError("raw weights must be finite and non-negative")
+
+
 def from_raw(tickers: tuple[str, ...] | list[str], raws: list[float]) -> WeightVector:
     """Normalise raw non-negative weights; all-zero stays all-zero."""
     if len(tickers) != len(raws):
         raise DataError("tickers and raw weights are misaligned")
-    if any(not math.isfinite(r) or r < 0.0 for r in raws):
-        raise DataError("raw weights must be finite and non-negative")
-    total = math.fsum(raws)
-    if total == 0.0:
+    check_raws(np.asarray(raws, dtype=float))
+    norms = normalize(raws)
+    if not any(norms):
         entries = tuple((t, 0.0, 0.0) for t in tickers)
     else:
-        entries = tuple((t, float(r), float(r / total)) for t, r in zip(tickers, raws))
+        entries = tuple((t, float(r), float(n)) for t, r, n in zip(tickers, raws, norms))
     return WeightVector(entries=entries)
 
 

@@ -16,6 +16,7 @@ VaR portfolio.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from collections import Counter
@@ -192,9 +193,31 @@ class DayRecord:
     stale: tuple[str, ...]
 
 
+class _Days:
+    """The ``days`` field: a tuple, or a :class:`_DayReplay` swapped for its tuple on first read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("days")  # no class-level default: the field stays required
+        days = obj.__dict__["days"]
+        if isinstance(days, _DayReplay):
+            days = obj.__dict__["days"] = days()
+        return days
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["days"] = value
+
+
 @dataclass(eq=False)
 class SimulationResult:
-    """Value path and audit trail of one strategy run."""
+    """Value path and audit trail of one strategy run.
+
+    ``days`` holds one :class:`DayRecord` per executed day.  An engine run
+    keeps no record while it trades: the first read of ``days`` reruns the
+    strategy's day loop with records on, which gives the same days, and
+    the tuple is kept from then on.  A result built with a tuple keeps it.
+    ``copy.copy`` copies a result without building its days.
+    """
 
     strategy: str
     seed: int
@@ -202,7 +225,7 @@ class SimulationResult:
     values: np.ndarray
     total_return_pct: float
     trade_count: int
-    days: tuple[DayRecord, ...]
+    days: tuple[DayRecord, ...] = _Days()
     warnings: tuple[str, ...] = ()
 
 
@@ -603,8 +626,41 @@ def run_simulation(
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
+    """Run one strategy on ``path`` for ``seed``, keeping no per-day record.
+
+    The result's ``days`` reruns the same day loop with records on the
+    first time it is read.
+    """
     if seed not in path.seeds:
         raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
+    dates, values, trade_count, warnings = _day_loop(cfg, path, seed)
+    values_arr = np.asarray(values)
+    total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
+    return SimulationResult(
+        strategy=cfg.name,
+        seed=seed,
+        dates=tuple(dates),
+        values=values_arr,
+        total_return_pct=float(total),
+        trade_count=trade_count,
+        days=_DayReplay(cfg, path, seed),
+        warnings=tuple(sorted(warnings)),
+    )
+
+
+def _day_loop(
+    cfg: StrategyConfig, path: DecisionPath, seed: int, records: list[DayRecord] | None = None
+) -> tuple[list[date], list[float], int, set[str]]:
+    """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
+
+    The raw weights of the whole schedule are checked once, then each
+    trading day's are normalised by :func:`allocation.normalize`, which
+    gives the trade targets and the signal.  With a ``records`` list, each
+    day's :class:`DayRecord` is appended to it, its weights built by
+    :func:`allocation.from_raw`; without one the loop builds no per-day
+    object.  The loop reads only the path's schedule and forecasts, so
+    a rerun gives the same days.
+    """
     prices = path.prices
     w = path.base.window
     schedule = path.schedule(cfg.portfolio_mode)
@@ -615,7 +671,9 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         alpha=cfg.alpha,
         min_history=cfg.min_var_history,
         risk_free=cfg.risk_free,
-    ).tolist()
+    )
+    allocation.check_raws(raws)
+    raws = raws.tolist()
     fits = path.forecasts(cfg, seed) if cfg.forecaster != FORECASTER_NONE else None
     # Execution and closing prices of the columns the schedule ever selects,
     # one row per schedule day.  The execution prices of price row t sit in
@@ -634,11 +692,10 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
     last_close = market_data.last_known(closes, prices.mask)[day_before]
     exec_px, exec_stale = _fallback_rows(exec_px, last_close)
     close_px, close_stale = _fallback_rows(closes[on_day], last_close)
+    all_agree = cfg.signal_mode == SIGNAL_ALL_AGREE
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
-    holdings: tuple[tuple[str, int], ...] = ()
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
-    records: list[DayRecord] = []
     warnings: set[str] = set()
     trade_count = 0
     start = 0  # first raw weight of the next trading day
@@ -646,7 +703,7 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         if day.warning is not None:
             warnings.add(day.warning)
         if not day.trades:
-            signal, weights = 0, EMPTY_WEIGHTS
+            signal, targets = 0, []
         else:
             stop = start + len(day.selection)
             raw = raws[start:stop]
@@ -656,17 +713,17 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
                 warnings.update(f"forecast failed for {fc.ticker}: {why}" for fc, why in picked if why is not None)
                 raw = [r if f.r_hat > 0.0 else 0.0 for r, f in zip(raw, forecasts)]
             start = stop
-            weights = allocation.from_raw(day.selection, raw)
-            if cfg.signal_mode == SIGNAL_ALL_AGREE:
+            targets = [(col[t], n) for t, n in zip(day.selection, allocation.normalize(raw)) if n > 0.0]
+            if all_agree:
                 signal = aggregate_signal([f.signal for f in forecasts])
             else:
-                signal = 1 if not weights.is_all_zero() else -1
+                signal = 1 if targets else -1
         before = held
         cash, held, value, stale_cols = _trade(
             cash,
             held,
             signal,
-            [(col[ticker], norm) for ticker, _, norm in weights.entries if norm > 0.0],
+            targets,
             exec_px[i],
             exec_stale[i],
             close_px[i],
@@ -675,7 +732,6 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         )
         if held != before:
             trade_count += 1
-            holdings = tuple((names[c], shares) for c, shares in held)
         on = prices.dates[day.tau + 2]
         stale = ()
         if stale_cols:
@@ -683,30 +739,40 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
             warnings.add("stale prices on " + on.isoformat() + ": " + ",".join(stale))
         out_dates.append(on)
         values.append(value)
-        records.append(
-            DayRecord(
-                date=on,
-                signal=signal,
-                selection=day.selection if day.selection is not None else (),
-                weights=weights,
-                cash=cash,
-                holdings=holdings,
-                value=value,
-                stale=stale,
+        if records is not None:
+            records.append(
+                DayRecord(
+                    date=on,
+                    signal=signal,
+                    selection=day.selection if day.selection is not None else (),
+                    weights=allocation.from_raw(day.selection, raw) if day.trades else EMPTY_WEIGHTS,
+                    cash=cash,
+                    holdings=tuple((names[c], shares) for c, shares in held),
+                    value=value,
+                    stale=stale,
+                )
             )
-        )
-    values_arr = np.asarray(values)
-    total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
-    return SimulationResult(
-        strategy=cfg.name,
-        seed=seed,
-        dates=tuple(out_dates),
-        values=values_arr,
-        total_return_pct=float(total),
-        trade_count=trade_count,
-        days=tuple(records),
-        warnings=tuple(sorted(warnings)),
-    )
+    return out_dates, values, trade_count, warnings
+
+
+class _DayReplay:
+    """A strategy run's day records, built by rerunning its day loop with records on.
+
+    The records are built once, on the first call, and the run's inputs
+    are then dropped; every copy of a result that shares the replay shares
+    its records.
+    """
+
+    def __init__(self, cfg: StrategyConfig, path: DecisionPath, seed: int) -> None:
+        self._run: tuple[StrategyConfig, DecisionPath, int] | None = (cfg, path, seed)
+        self._days: tuple[DayRecord, ...] = ()
+
+    def __call__(self) -> tuple[DayRecord, ...]:
+        if self._run is not None:
+            records: list[DayRecord] = []
+            _day_loop(*self._run, records)
+            self._days, self._run = tuple(records), None
+        return self._days
 
 
 def benchmark_buy_hold(
@@ -774,7 +840,9 @@ def run_multi_seed(
     window's selection and each forecast is computed once per call.
     Strategies without stochastic components are run once and their cells
     replicated across seeds, which leaves results identical to a full
-    re-run because those paths never consume randomness.
+    re-run because those paths never consume randomness.  No run builds
+    its day records here: each seed's copy of a result shares the one
+    replay that builds them when ``days`` is first read.
     """
     seeds = tuple(seeds) if seeds is not None else cfg.seeds
     if not seeds:
@@ -816,7 +884,8 @@ def run_multi_seed(
         for row, s in enumerate(seeds):
             res = finished.get((name, s)) or finished[(name, None)]
             if res.seed != s:
-                res = replace(res, seed=s)
+                res = copy.copy(res)  # ``replace`` would read, and so build, ``days``
+                res.seed = s
             results[(name, s)] = res
             table[row, col] = res.total_return_pct
     means = table.mean(axis=0)

@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from collections.abc import Iterator
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -154,17 +155,11 @@ def cmd_network(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_values_csv(path: Path, result: backtest.SimulationResult) -> None:
+def _write_values_csv(path: Path, result: backtest.SimulationResult, stamps: dict[date, str]) -> None:
+    """One run's ``date,portfolio_value`` file; ``stamps`` maps each date to its encoded field and comma."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["date", "portfolio_value"]))
-        fh.write(
-            "".join(
-                [
-                    f"{_csv_field(day.isoformat())},{float(value)!r}\r\n"
-                    for day, value in zip(result.dates, result.values.tolist())
-                ]
-            )
-        )
+        fh.write("".join([f"{stamps[day]}{value!r}\r\n" for day, value in zip(result.dates, result.values.tolist())]))
 
 
 def _write_seeds_table(path: Path, summary: backtest.MultiSeedResult) -> None:
@@ -217,11 +212,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     strategies_blob: dict = {}
+    # Every result's dates are panel dates; each is encoded once per run.
+    stamps = {day: _csv_field(day.isoformat()) + "," for day in table.dates}
     for name in summary.strategies:
         per_seed = {}
         for seed in summary.seeds:
             res = summary.results[(name, seed)]
-            _write_values_csv(out / f"values_{name}_{seed}.csv", res)
+            _write_values_csv(out / f"values_{name}_{seed}.csv", res, stamps)
             per_seed[str(seed)] = {
                 "total_return_pct": res.total_return_pct,
                 "trade_count": res.trade_count,

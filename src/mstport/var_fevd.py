@@ -86,14 +86,14 @@ class InfluenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Directed and min-symmetrised edge costs derived from influence shares.
+    """Min-symmetrised edge costs derived from influence shares.
 
-    ``directed[i, j]`` is the cost of the edge i -> j, i.e. one minus the
-    influence of i on j.  Diagonals hold +inf as a self-edge sentinel.
+    ``symmetric[i, j]`` is the lesser of the two directed costs between i
+    and j, where the cost of the edge i -> j is one minus the influence of
+    i on j.  Diagonals hold +inf as a self-edge sentinel.
     """
 
     tickers: tuple[str, ...]
-    directed: np.ndarray
     symmetric: np.ndarray
 
 
@@ -299,10 +299,9 @@ def to_cost(influence: InfluenceMatrix) -> CostMatrix:
     if np.any((theta < 0.0) | (theta > 1.0)):
         raise DataError("influence shares must lie in [0, 1]")
     directed = 1.0 - theta.T
-    np.fill_diagonal(directed, np.inf)
     symmetric = np.minimum(directed, directed.T)
     np.fill_diagonal(symmetric, np.inf)
-    return CostMatrix(tickers=influence.tickers, directed=directed, symmetric=symmetric)
+    return CostMatrix(tickers=influence.tickers, symmetric=symmetric)
 
 
 def cost_records(cost: CostMatrix, window_end) -> list[tuple[str, str, tuple[str, ...], list[float]]]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import synth
 from mstport import allocation as al, errors, market_data as md
@@ -390,3 +391,55 @@ def test_block_and_single_series_agree_bit_for_bit():
             assert type(one_var) is float and type(one_sharpe) is float
             assert one_var.hex() == float(var_rows[i]).hex() == scalar_var(block[i], alpha, min_length).hex()
             assert one_sharpe.hex() == float(sharpe_rows[i]).hex() == scalar_sharpe(block[i], risk_free).hex()
+
+
+# ---------------------------------------------------------------------------
+# one normalisation rule against the former from_raw
+
+
+def frozen_from_raw(tickers, raws):
+    """``allocation.from_raw`` as it was before ``normalize`` existed, kept as an oracle."""
+    if len(tickers) != len(raws):
+        raise errors.DataError("tickers and raw weights are misaligned")
+    if any(not math.isfinite(r) or r < 0.0 for r in raws):
+        raise errors.DataError("raw weights must be finite and non-negative")
+    total = math.fsum(raws)
+    if total == 0.0:
+        entries = tuple((t, 0.0, 0.0) for t in tickers)
+    else:
+        entries = tuple((t, float(r), float(r / total)) for t, r in zip(tickers, raws))
+    return al.WeightVector(entries=entries)
+
+
+# Signed zeros, the least subnormal, a larger subnormal and the least normal.
+EDGE_RAWS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+RAW_WEIGHTS = st.sampled_from(EDGE_RAWS) | st.floats(0.0, 1e300, allow_subnormal=True)
+BAD_RAWS = [math.nan, math.inf, -math.inf, -1.0, -5e-324]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(RAW_WEIGHTS, min_size=1, max_size=10))
+@example([0.0, -0.0])
+@example([-0.0, 5e-324])
+@example([5e-324, 1e-310, 1.0])
+def test_normalize_matches_the_former_from_raw_bit_for_bit(raws):
+    tickers = tuple(f"T{i}" for i in range(len(raws)))
+    want = frozen_from_raw(tickers, raws)
+    norms = al.normalize(raws)
+    assert [n.hex() for n in norms] == [n.hex() for n in want.normalized]
+    # the day loop's signal: +1 when some normalised weight is positive
+    assert any(n > 0.0 for n in norms) == (not want.is_all_zero())
+    assert outcome(al.from_raw, tickers, raws) == outcome(frozen_from_raw, tickers, raws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RAW_WEIGHTS | st.sampled_from(BAD_RAWS), min_size=1, max_size=10))
+def test_from_raw_rejects_what_the_former_from_raw_rejects(raws):
+    tickers = tuple(f"T{i}" for i in range(len(raws)))
+    assert outcome(al.from_raw, tickers, raws) == outcome(frozen_from_raw, tickers, raws)
+    bad = any(not math.isfinite(r) or r < 0.0 for r in raws)
+    if bad:
+        with pytest.raises(errors.DataError, match="raw weights must be finite and non-negative"):
+            al.check_raws(np.array(raws))
+    else:
+        al.check_raws(np.array(raws))

@@ -854,6 +854,56 @@ def test_run_multi_seed_replicates_deterministic_strategies():
     assert len(bench.values) == len(PANEL.dates) - cfg.window
 
 
+def count_day_records(monkeypatch) -> list:
+    """Patch ``backtest.DayRecord`` to log each record built; returns the log."""
+    built: list = []
+    record = backtest.DayRecord
+    monkeypatch.setattr(backtest, "DayRecord", lambda **fields: built.append(fields) or record(**fields))
+    return built
+
+
+def test_days_are_built_on_first_read_and_kept(monkeypatch):
+    built = count_day_records(monkeypatch)
+    result = run_simulation(make_strategy(BASE, "mst_var"), GAPPY, GAPPY_RETURNS)
+    assert built == []
+    days = result.days
+    assert len(built) == len(days) == len(result.dates) - 1
+    assert result.days is days
+    assert len(built) == len(days)  # the second read built nothing
+
+
+def test_seed_copies_share_the_days_of_a_lone_run(monkeypatch):
+    names = ("mst_var", "mst_arima_sharpe", "fixed", "dynamic_var")
+    seeds = (7, 8, 9)
+    built = count_day_records(monkeypatch)
+    multi = run_multi_seed(BASE, GAPPY, GAPPY_RETURNS, seeds=seeds, strategies=names)
+    assert built == []  # copying a result for another seed builds no record
+    for name in names:
+        lone = run_simulation(make_strategy(BASE, name), GAPPY, GAPPY_RETURNS, seed=seeds[-1])
+        want = repr(lone.days)
+        built.clear()
+        for s in seeds:
+            got = multi.results[(name, s)]
+            assert got.seed == s
+            assert repr(got.days) == want, (name, s)
+        assert len(built) == len(lone.days), name  # one replay serves every seed
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+def test_a_bad_raw_weight_fails_the_schedule_check(monkeypatch, bad):
+    raw_weights = allocation.raw_weights
+
+    def poisoned(*args, **kwargs):
+        raws = raw_weights(*args, **kwargs)
+        raws[-1] = bad
+        return raws
+
+    monkeypatch.setattr(allocation, "raw_weights", poisoned)
+    for name in ("mst_var", "mst_arima_var"):
+        with pytest.raises(DataError, match="^raw weights must be finite and non-negative$"):
+            run_multi_seed(BASE, PANEL, RETURNS, strategies=(name,))
+
+
 def test_run_multi_seed_validates_inputs():
     with pytest.raises(ConfigError):
         run_multi_seed(BASE, PANEL, RETURNS, seeds=())

@@ -543,6 +543,20 @@ def test_simulate_writes_all_result_files(tmp_path):
     assert rows[1][mst_var_col] == rows[2][mst_var_col]  # deterministic across seeds
 
 
+def test_simulate_builds_no_day_record(tmp_path, monkeypatch):
+    gappy = with_masked(PANEL, [(40, 1), (55, 2), (71, 4)])
+    prices = tmp_path / "prices.csv"
+    write_long_csv(gappy, prices)
+    strategies = "buy_hold,mst_var,mst_sharpe,fixed,dynamic_var"
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out", strategies=strategies)
+    built: list = []
+    record = backtest.DayRecord
+    monkeypatch.setattr(backtest, "DayRecord", lambda **fields: built.append(fields) or record(**fields))
+    assert main(["simulate", "--config", str(cfg_path), "--rebalance-every", "1"]) == 0
+    assert len(list((tmp_path / "out").glob("values_*.csv"))) == 5 * 2
+    assert built == []
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     prices = write_panel(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -961,7 +975,7 @@ def test_cost_lines_match_the_csv_writer_oracle(matrix, window_end):
     symmetric = np.full((n, n), np.inf)
     symmetric[np.triu_indices(n, k=1)] = upper
     symmetric.T[np.triu_indices(n, k=1)] = upper
-    cost = var_fevd.CostMatrix(tickers=tickers, directed=symmetric, symmetric=symmetric)
+    cost = var_fevd.CostMatrix(tickers=tickers, symmetric=symmetric)
     rows = [
         (window_end.isoformat(), tickers[i], tickers[j], float(symmetric[i, j]))
         for i in range(n)

