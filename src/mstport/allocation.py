@@ -2,8 +2,8 @@
 
 VaR is the negated empirical alpha-quantile taken as an order statistic
 (no interpolation).  Estimates are clipped into [0.001, 10.0]: a
-non-positive VaR floors at 0.001 and a series shorter than the required
-history is penalised with 10.0 so that thin histories receive near-zero
+non-positive VaR floors at 0.001, and a window with a masked return is
+given the 10.0 penalty without an estimate, so that it receives near-zero
 weight.  Weights are inverse-VaR or non-negative Sharpe ratios, normalised
 to sum to one; an all-zero weight vector is legal and means "stay in cash".
 """
@@ -93,13 +93,10 @@ def _scalar_or_rows(x: np.ndarray, values: np.ndarray) -> float | np.ndarray:
     return float(values) if x.ndim == 1 else values
 
 
-def historical_var(
-    series: np.ndarray, alpha: float, min_length: int | None = None
-) -> float | np.ndarray:
+def historical_var(series: np.ndarray, alpha: float) -> float | np.ndarray:
     """Clipped historical value-at-risk of a return series.
 
-    The raw estimate is minus the ceil(alpha * n)-th smallest return.  A
-    series shorter than ``min_length`` yields the 10.0 penalty value; the
+    The raw estimate is minus the ceil(alpha * n)-th smallest return; the
     result always lies in [0.001, 10.0].  A 2-d block gives one value per
     row, each equal to the value of that row alone.
     """
@@ -107,8 +104,6 @@ def historical_var(
         raise DataError("alpha must lie in (0, 0.5]")
     x = _series(series, 1, "series must be a non-empty 1-d array or 2-d block of rows")
     n = x.shape[-1]
-    if min_length is not None and n < min_length:
-        return _scalar_or_rows(x, np.full(x.shape[:-1], VAR_PENALTY))
     # Guard against float noise pushing alpha*n just above an integer.
     k = max(math.ceil(alpha * n - 1e-9), 1)
     raw = -np.sort(x, axis=-1)[..., k - 1]
@@ -143,24 +138,22 @@ def raw_weights(
     clean: np.ndarray,
     *,
     alpha: float = 0.05,
-    min_history: int | None = None,
     risk_free: float = 0.0,
 ) -> np.ndarray:
     """Raw weights of many stock windows at once, shaped like ``clean``.
 
     ``clean`` is True where a stock's return window has no masked cell;
     those windows, in order, are the C-contiguous rows of ``windows``.  A
-    masked window is treated as insufficient history: the VaR penalty value
-    under ``"var"``, zero under ``"sharpe"``.  Otherwise the weight is the
-    inverse VaR (the penalty for a window shorter than ``min_history``,
-    default its own length), or the Sharpe ratio with a negative ratio
-    floored at zero.  Each weight equals the weight of its window alone.
+    masked window, and only a masked one, gets no estimate: the inverse of
+    the VaR penalty value under ``"var"``, zero under ``"sharpe"``.
+    Otherwise the weight is the inverse VaR, or the Sharpe ratio with a
+    negative ratio floored at zero.  Each weight equals the weight of its
+    window alone.
     """
     if weighting == WEIGHTING_VAR:
         var = np.full(clean.shape, VAR_PENALTY)
         if clean.any():  # only unmasked windows are estimated, and checked
-            required = min_history if min_history is not None else windows.shape[-1]
-            var[clean] = historical_var(windows, alpha, min_length=required)
+            var[clean] = historical_var(windows, alpha)
         return 1.0 / var
     ratio = np.zeros(clean.shape)
     if clean.any():
@@ -173,15 +166,14 @@ def var_weights(
     stocks: tuple[str, ...] | list[str],
     win: ReturnMatrix,
     alpha: float,
-    min_history: int | None = None,
 ) -> WeightVector:
     """Inverse-VaR weights over the window for the selected stocks.
 
-    A stock with any masked cell in the window is treated as having
-    insufficient history and receives the VaR penalty value.
+    A stock with any masked cell in the window receives the VaR penalty
+    value.
     """
     windows, clean = _clean_block(win, stocks)
-    raw = raw_weights(WEIGHTING_VAR, windows, clean, alpha=alpha, min_history=min_history)
+    raw = raw_weights(WEIGHTING_VAR, windows, clean, alpha=alpha)
     return from_raw(tuple(stocks), raw.tolist())
 
 

@@ -49,8 +49,8 @@ MODE_DYNAMIC_VAR_ONLY = "dynamic_var_only"
 BENCHMARK_STRATEGY = "buy_hold"
 
 # Each variant's (weighting, forecaster, signal mode, portfolio mode); a None
-# weighting is the run's fixed_weighting.  Registry order doubles as the
-# column order of the seeds table.
+# weighting is the base config's weighting, which only ``fixed`` reads.
+# Registry order doubles as the column order of the seeds table.
 _VARIANTS = {
     "mst_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
     "mst_sharpe": (WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
@@ -104,7 +104,6 @@ class StrategyConfig:
     rebalance_every: int = 1
     use_open_prices: bool = True
     fevd_mode: str = var_fevd.MODE_ORTHOGONALIZED
-    min_var_history: int | None = None
     nnar_lags: int = 5
     nnar_hidden: int = 3
     nnar_learning_rate: float = 0.01
@@ -146,8 +145,12 @@ class StrategyConfig:
             raise ConfigError(problems)
 
 
-def make_strategy(base: StrategyConfig, name: str, fixed_weighting: str = WEIGHTING_VAR) -> StrategyConfig:
-    """Instantiate one of the named strategy variants from a base config."""
+def make_strategy(base: StrategyConfig, name: str) -> StrategyConfig:
+    """Instantiate one of the named strategy variants from a base config.
+
+    A variant sets its row of ``_VARIANTS``; ``fixed`` keeps the base
+    config's weighting.
+    """
     if name == BENCHMARK_STRATEGY:
         return replace(base, name=name)
     if name not in _VARIANTS:
@@ -156,7 +159,7 @@ def make_strategy(base: StrategyConfig, name: str, fixed_weighting: str = WEIGHT
     return replace(
         base,
         name=name,
-        weighting=weighting or fixed_weighting,
+        weighting=weighting or base.weighting,
         forecaster=forecaster,
         signal_mode=signal_mode,
         portfolio_mode=portfolio_mode,
@@ -409,6 +412,22 @@ class Decision:
     warning: str | None
 
 
+def _check_dates(cfg: StrategyConfig, n_dates: int, decides: bool = False) -> None:
+    """Reject a panel of fewer than ``window + 1`` price dates, too short for one window.
+
+    With ``decides``, also reject exactly ``window + 1`` dates: the one
+    window then ends on the last return row, which leaves a simulation no
+    day to decide and trade on.
+    """
+    w = cfg.window
+    if n_dates < w + 1:
+        raise InsufficientHistory(f"need at least window + 1 = {w + 1} price dates, got {n_dates}")
+    if decides and n_dates == w + 1:
+        raise InsufficientHistory(
+            f"no decision day: a simulation needs at least window + 2 = {w + 2} price dates, got {n_dates}"
+        )
+
+
 class DecisionPath:
     """Upstream decisions of one run, shared by every strategy and seed.
 
@@ -424,23 +443,16 @@ class DecisionPath:
     strategy's weighting, signal or accounting, so strategies read those
     fields from ``base``.  Each selection, schedule and forecast list is
     kept once computed, failure messages included, so a run builds each
-    window's network and fits each forecast once.  The constructor rejects
-    a panel with fewer than ``window`` return rows or two tickers.
+    window's network and fits each forecast once.  NNAR forecasts are
+    fitted for every seed of ``cfg.seeds``.  The constructor rejects a
+    panel with fewer than ``window`` return rows or two tickers.
     """
 
-    def __init__(
-        self,
-        cfg: StrategyConfig,
-        prices: PriceTable,
-        returns: ReturnMatrix,
-        seeds: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix) -> None:
         self.base = cfg
-        self.seeds = tuple(seeds) if seeds is not None else cfg.seeds
+        self.seeds = cfg.seeds
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
-        n_dates = len(self.prices.dates)
-        if n_dates < cfg.window + 1:
-            raise InsufficientHistory(f"need at least window + 1 = {cfg.window + 1} price dates, got {n_dates}")
+        _check_dates(cfg, len(self.prices.dates))
         if len(self.prices.tickers) < 2:
             raise DataError("empty universe after filtering")
         # Masked returns of each ticker above each row; a window's count is a difference.
@@ -619,10 +631,11 @@ def run_simulation(
 
     The value series starts at the initial capital on the first decision
     date (price row ``window``) and gains one mark-to-market entry per
-    executed day.
+    executed day.  The path fits forecasts for ``seed`` alone.
     """
     seed = cfg.seeds[0] if seed is None else seed
-    return _simulate(cfg, DecisionPath(cfg, prices, returns, (seed,)), seed)
+    _check_dates(cfg, len(prices.dates), decides=True)
+    return _simulate(cfg, DecisionPath(replace(cfg, seeds=(seed,)), prices, returns), seed)
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
@@ -669,7 +682,6 @@ def _day_loop(
         cfg.weighting,
         *path.weight_windows(trading),
         alpha=cfg.alpha,
-        min_history=cfg.min_var_history,
         risk_free=cfg.risk_free,
     )
     allocation.check_raws(raws)
@@ -830,23 +842,23 @@ def run_multi_seed(
     cfg: StrategyConfig,
     prices: PriceTable,
     returns: ReturnMatrix,
-    seeds: list[int] | tuple[int, ...] | None = None,
     strategies: tuple[str, ...] | None = None,
-    fixed_weighting: str = WEIGHTING_VAR,
 ) -> MultiSeedResult:
-    """Run the selected strategy variants across all seeds.
+    """Run the selected strategy variants across every seed of ``cfg.seeds``.
 
-    Every strategy and seed reads one :class:`DecisionPath`, so each
-    window's selection and each forecast is computed once per call.
+    ``fixed`` weights by ``cfg.weighting``; every other variant sets its
+    own (see :func:`make_strategy`).  Every strategy and seed reads one
+    :class:`DecisionPath`, so each window's selection and each forecast is
+    computed once per call.  Any strategy list, ``buy_hold`` alone
+    included, needs at least ``window + 2`` price dates: one window and a
+    decision day.
     Strategies without stochastic components are run once and their cells
     replicated across seeds, which leaves results identical to a full
     re-run because those paths never consume randomness.  No run builds
     its day records here: each seed's copy of a result shares the one
     replay that builds them when ``days`` is first read.
     """
-    seeds = tuple(seeds) if seeds is not None else cfg.seeds
-    if not seeds:
-        raise ConfigError("at least one seed is required")
+    seeds = cfg.seeds
     names = tuple(strategies) if strategies is not None else STRATEGY_NAMES
     unknown = [n for n in names if n not in STRATEGY_NAMES]
     if unknown:
@@ -856,8 +868,9 @@ def run_multi_seed(
     repeated += [f"repeated strategy {n!r}" for n in repeats(names)]
     if repeated:
         raise ConfigError(repeated)
+    _check_dates(cfg, len(prices.dates), decides=True)
     simulated = [n for n in names if n != BENCHMARK_STRATEGY]
-    path = DecisionPath(cfg, prices, returns, seeds) if simulated else None
+    path = DecisionPath(cfg, prices, returns) if simulated else None
     finished: dict[tuple[str, int | None], SimulationResult] = {}
     if BENCHMARK_STRATEGY in names:
         if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:
@@ -872,7 +885,7 @@ def run_multi_seed(
             seeds[0],
         )
     for name in simulated:
-        strat = make_strategy(cfg, name, fixed_weighting)
+        strat = make_strategy(cfg, name)
         if strat.forecaster == FORECASTER_NNAR:
             for s in seeds:
                 finished[(name, s)] = _simulate(strat, path, s)

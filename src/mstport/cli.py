@@ -179,14 +179,12 @@ def _config_dict(cfg: RunConfig) -> dict:
         "sectors": str(cfg.sectors_path) if cfg.sectors_path else None,
         "max_missing_frac": cfg.max_missing_frac,
         "strategies": list(cfg.strategies),
-        "fixed_weighting": cfg.fixed_weighting,
         "strategy": dataclasses.asdict(cfg.strategy),
     }
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     table, benchmark = _load_panel(cfg)
-    strat = cfg.strategy
     if benchmark is not None:
         # Append the benchmark column for the engine to find by name.  It reads
         # only the column's closes and mask, so the closes stand in for opens.
@@ -201,14 +199,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             None if table.open_px is None else np.hstack([table.open_px, close]),
         )
     returns = market_data.compute_returns(table)
-    summary = backtest.run_multi_seed(
-        strat,
-        table,
-        returns,
-        seeds=strat.seeds,
-        strategies=cfg.strategies,
-        fixed_weighting=cfg.fixed_weighting,
-    )
+    summary = backtest.run_multi_seed(cfg.strategy, table, returns, strategies=cfg.strategies)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     strategies_blob: dict = {}

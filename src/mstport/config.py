@@ -23,7 +23,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backtest import STRATEGY_NAMES, WEIGHTING_SHARPE, WEIGHTING_VAR, StrategyConfig, repeats
+from .backtest import STRATEGY_NAMES, StrategyConfig, repeats
 from .errors import ConfigError
 
 
@@ -38,7 +38,6 @@ class RunConfig:
     max_missing_frac: float = 0.10
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     strategies: tuple[str, ...] = STRATEGY_NAMES
-    fixed_weighting: str = WEIGHTING_VAR
     out_dir: Path = Path("out")
     raw_text: str = ""
 
@@ -88,9 +87,10 @@ def _to_bool(raw: str) -> bool:
 
 
 # Every config key, once: INI key -> (section, reader).  A key sets the
-# StrategyConfig field of its name, or else the RunConfig field of its name
-# or the one _RUN_FIELDS gives it.  A key neither the file nor a flag gives
-# is not passed, so the dataclasses hold the only defaults.
+# field _FIELDS gives it, or else the field of its name: a StrategyConfig
+# field where it has one, a RunConfig field otherwise.  A key neither the
+# file nor a flag gives is not passed, so the dataclasses hold the only
+# defaults.
 _KEYS = {
     "prices": ("data", _to_path),
     "format": ("data", str),
@@ -110,7 +110,6 @@ _KEYS = {
     "use_open_prices": ("strategy", _to_bool),
     "fevd_mode": ("strategy", str),
     "fixed_weighting": ("strategy", str),
-    "min_var_history": ("strategy", int),
     "nnar_lags": ("forecast", int),
     "nnar_hidden": ("forecast", int),
     "nnar_learning_rate": ("forecast", float),
@@ -121,11 +120,12 @@ _KEYS = {
     "dir": ("output", _to_path),
 }
 _SECTIONS = {section for section, _ in _KEYS.values()}
-_RUN_FIELDS = {
+_FIELDS = {
     "prices": "prices_path",
     "format": "fmt",
     "benchmark_prices": "benchmark_path",
     "sectors": "sectors_path",
+    "fixed_weighting": "weighting",  # the base weighting, which only ``fixed`` reads
     "dir": "out_dir",
 }
 _STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
@@ -172,9 +172,6 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     fmt = values.get("format")
     if fmt is not None and fmt not in ("long", "wide"):
         problems.append(f"data.format: expected long or wide, got {fmt!r}")
-    weighting = values.get("fixed_weighting")
-    if weighting is not None and weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
-        problems.append(f"strategy.fixed_weighting: unknown weighting {weighting!r}")
     if not parser.has_option("data", "prices"):
         problems.append("data.prices: required path is missing")
     for key in ("prices", "benchmark_prices", "sectors"):
@@ -182,9 +179,10 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
             problems.append(f"data.{key}: file not found: {values[key]}")
     if "max_missing_frac" in values and not 0.0 <= values["max_missing_frac"] <= 1.0:
         problems.append("data.max_missing_frac: must lie in [0, 1]")
+    by_field = {_FIELDS.get(k, k): v for k, v in values.items()}
     strategy = None
     try:
-        strategy = StrategyConfig(**{k: v for k, v in values.items() if k in _STRATEGY_FIELDS})
+        strategy = StrategyConfig(**{k: v for k, v in by_field.items() if k in _STRATEGY_FIELDS})
     except ConfigError as exc:
         problems.extend(f"strategy: {p}" for p in exc.problems)
     # The default list stands in only when no list is given: one that fails
@@ -200,5 +198,5 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     return RunConfig(
         strategy=strategy,
         raw_text=raw_text,
-        **{_RUN_FIELDS.get(k, k): v for k, v in values.items() if k not in _STRATEGY_FIELDS},
+        **{k: v for k, v in by_field.items() if k not in _STRATEGY_FIELDS},
     )

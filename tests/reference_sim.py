@@ -48,8 +48,7 @@ def _select_stocks(cfg: StrategyConfig, win: ReturnMatrix) -> tuple[str, ...]:
 
 def _raw_weights(cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix):
     if cfg.weighting == backtest.WEIGHTING_VAR:
-        required = cfg.min_var_history if cfg.min_var_history is not None else cfg.window
-        return allocation.var_weights(selection, win, cfg.alpha, min_history=required)
+        return allocation.var_weights(selection, win, cfg.alpha)
     return allocation.sharpe_weights(selection, win, risk_free=cfg.risk_free)
 
 

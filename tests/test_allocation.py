@@ -11,11 +11,9 @@ import synth
 from mstport import allocation as al, errors, market_data as md
 
 
-def var_oracle(series: np.ndarray, alpha: float, min_length: int | None = None) -> float:
+def var_oracle(series: np.ndarray, alpha: float) -> float:
     """Sort-and-index quantile with exact rational index arithmetic."""
     n = len(series)
-    if min_length is not None and n < min_length:
-        return al.VAR_PENALTY
     k = max(math.ceil(Fraction(alpha).limit_denominator(10**9) * n), 1)
     raw = -sorted(series)[k - 1]
     return min(max(raw, al.VAR_FLOOR), al.VAR_PENALTY)
@@ -60,12 +58,6 @@ def test_var_clipping_bounds():
     assert al.historical_var(crash, 0.05) == al.VAR_PENALTY
     single = np.array([-0.5])
     assert al.historical_var(single, 0.05) == 0.5
-
-
-def test_var_short_series_penalised():
-    series = np.full(10, -0.02)
-    assert al.historical_var(series, 0.05, min_length=20) == al.VAR_PENALTY
-    assert al.historical_var(series, 0.05, min_length=10) == 0.02
 
 
 def test_var_rejects_bad_inputs():
@@ -140,7 +132,7 @@ def test_var_weights_inverse_proportional():
             "B": base_series(20, -0.04, seed=2),
         }
     )
-    weights = al.var_weights(("A", "B"), win, alpha=0.05, min_history=20)
+    weights = al.var_weights(("A", "B"), win, alpha=0.05)
     assert weights.tickers == ("A", "B")
     np.testing.assert_allclose(weights.normalized, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
     assert math.fsum(weights.normalized) == pytest.approx(1.0, abs=1e-15)
@@ -160,17 +152,11 @@ def test_var_weights_penalised_stock_gets_sliver():
         win.returns,
         np.column_stack([np.zeros((20, 2), dtype=bool), np.ones((20, 1), dtype=bool)]),
     )
-    weights = al.var_weights(("A", "B", "C"), masked, alpha=0.05, min_history=20)
+    weights = al.var_weights(("A", "B", "C"), masked, alpha=0.05)
     raw = dict(zip(weights.tickers, weights.normalized))
     expected_c = (1.0 / 10.0) / (2.0 / 0.02 + 1.0 / 10.0)
     assert raw["C"] == pytest.approx(expected_c, rel=1e-12)
     assert raw["A"] == raw["B"] == pytest.approx((1.0 / 0.02) / (2.0 / 0.02 + 0.1), rel=1e-12)
-
-
-def test_var_weights_short_window_all_penalised():
-    win = returns_window({"A": base_series(20, -0.02, seed=6), "B": base_series(20, -0.03, seed=7)})
-    weights = al.var_weights(("A", "B"), win, alpha=0.05, min_history=60)
-    np.testing.assert_allclose(weights.normalized, [0.5, 0.5], rtol=1e-12)
 
 
 def test_sharpe_weights_proportional_to_positive_ratios():
@@ -246,19 +232,17 @@ def test_weight_vector_invariants_enforced():
 def test_weights_unknown_ticker_rejected():
     win = returns_window({"A": base_series(20, -0.02, seed=10)})
     with pytest.raises(errors.DataError):
-        al.var_weights(("A", "Z"), win, alpha=0.05, min_history=20)
+        al.var_weights(("A", "Z"), win, alpha=0.05)
 
 
 # ---------------------------------------------------------------------------
 # whole-selection weighting against the per-ticker loops it replaced
 
 
-def scalar_var(series, alpha, min_length=None):
+def scalar_var(series, alpha):
     """``historical_var`` of one series, as a lone scalar computation."""
     x = np.asarray(series, dtype=float)
     n = x.size
-    if min_length is not None and n < min_length:
-        return al.VAR_PENALTY
     k = max(math.ceil(alpha * n - 1e-9), 1)
     raw = -float(np.sort(x)[k - 1])
     return min(max(raw, al.VAR_FLOOR), al.VAR_PENALTY)
@@ -274,15 +258,14 @@ def scalar_sharpe(series, risk_free=0.0):
     return (float(np.mean(x)) - risk_free) / std
 
 
-def oracle_var_weights(stocks, win, alpha, min_history):
-    required = min_history if min_history is not None else win.returns.shape[0]
+def oracle_var_weights(stocks, win, alpha):
     raws = []
     for ticker in stocks:
         j = win.ticker_index(ticker)
         if win.mask[:, j].any():
             var = al.VAR_PENALTY
         else:
-            var = scalar_var(win.returns[:, j], alpha, min_length=required)
+            var = scalar_var(win.returns[:, j], alpha)
         raws.append(1.0 / var)
     return al.from_raw(tuple(stocks), raws)
 
@@ -312,8 +295,7 @@ COLUMN_KINDS = ("plain", "plain", "negative", "flat", "near_flat", "zeros", "mas
 
 def random_selection_window(rng):
     """A window whose columns mix the cases the weighting rules single out,
-    the selection (a shuffled subset), the alpha, the min history and the
-    column kinds."""
+    the selection (a shuffled subset), the alpha and the column kinds."""
     n = int(rng.integers(1, 160))
     n_tickers = int(rng.integers(1, 8))
     kinds = [COLUMN_KINDS[i] for i in rng.integers(0, len(COLUMN_KINDS), n_tickers)]
@@ -344,33 +326,28 @@ def random_selection_window(rng):
         alpha = min((m + float(rng.choice((-5e-13, 0.0, 5e-13)))) / n, 0.5)
     else:
         alpha = float(rng.choice((0.01, 0.05, 0.1, 0.25, 0.5)))
-    min_history = rng.choice(np.array([None, 1, n - 1, n, n + 1, n + 30], dtype=object))
-    return win, stocks, alpha, min_history, [kinds[j] for j in chosen]
+    return win, stocks, alpha, [kinds[j] for j in chosen]
 
 
 def test_whole_selection_weights_equal_per_ticker_loops():
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(1500):
-        win, stocks, alpha, min_history, kinds = random_selection_window(rng)
+        win, stocks, alpha, kinds = random_selection_window(rng)
         n = win.returns.shape[0]
-        got = outcome(al.var_weights, stocks, win, alpha, min_history)
-        assert got == outcome(oracle_var_weights, stocks, win, alpha, min_history)
+        got = outcome(al.var_weights, stocks, win, alpha)
+        assert got == outcome(oracle_var_weights, stocks, win, alpha)
         risk_free = float(rng.choice((0.0, 0.0002, -0.001, 0.01)))
         got_sharpe = outcome(al.sharpe_weights, stocks, win, risk_free)
         assert got_sharpe == outcome(oracle_sharpe_weights, stocks, win, risk_free)
         seen.update(kinds)
-        if min_history is not None and min_history > n:
-            seen.add("min_history > n")
         if abs(alpha * n - round(alpha * n)) < 1e-12 and alpha not in (0.01, 0.05, 0.1, 0.25, 0.5):
             seen.add("alpha * n near an integer")
         if isinstance(got_sharpe, str):
             seen.add("sharpe error")
         elif all(float.fromhex(norm) == 0.0 for _, _, norm in got_sharpe):
             seen.add("all-zero sharpe")
-    assert seen == set(COLUMN_KINDS) | {
-        "min_history > n", "alpha * n near an integer", "sharpe error", "all-zero sharpe"
-    }
+    assert seen == set(COLUMN_KINDS) | {"alpha * n near an integer", "sharpe error", "all-zero sharpe"}
 
 
 def test_block_and_single_series_agree_bit_for_bit():
@@ -380,16 +357,15 @@ def test_block_and_single_series_agree_bit_for_bit():
         block = rng.normal(rng.uniform(-0.01, 0.01, (k, 1)), rng.uniform(1e-3, 0.1, (k, 1)), (k, n))
         block[rng.random(k) < 0.2] = rng.uniform(-0.01, 0.01)  # flat rows
         alpha = float(rng.choice((0.01, 0.05, 0.1, 0.25, 0.5)))
-        min_length = rng.choice(np.array([None, n, n + 1], dtype=object))
         risk_free = float(rng.choice((0.0, 0.0002)))
-        var_rows = al.historical_var(block, alpha, min_length)
+        var_rows = al.historical_var(block, alpha)
         sharpe_rows = al.sharpe_ratio(block, risk_free)
         assert var_rows.shape == sharpe_rows.shape == (k,)
         for i in range(k):
-            one_var = al.historical_var(block[i], alpha, min_length)
+            one_var = al.historical_var(block[i], alpha)
             one_sharpe = al.sharpe_ratio(block[i], risk_free)
             assert type(one_var) is float and type(one_sharpe) is float
-            assert one_var.hex() == float(var_rows[i]).hex() == scalar_var(block[i], alpha, min_length).hex()
+            assert one_var.hex() == float(var_rows[i]).hex() == scalar_var(block[i], alpha).hex()
             assert one_sharpe.hex() == float(sharpe_rows[i]).hex() == scalar_sharpe(block[i], risk_free).hex()
 
 

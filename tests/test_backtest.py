@@ -4,6 +4,7 @@ and a bit-for-bit comparison against the scalar reference simulator."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import replace as dataclass_replace
 
@@ -404,7 +405,8 @@ def test_strategy_config_rejects_bad_values():
 
 
 # README's Strategies table, row by row: (weighting, forecaster, signal mode,
-# portfolio mode) of each variant at fixed_weighting = var.
+# portfolio mode) of each variant; ``fixed``'s weighting is the base
+# config's, ``var`` by default.
 VARIANT_ROWS = {
     "mst_var": ("var", "none", "per_stock_filter", "dynamic"),
     "mst_sharpe": ("sharpe", "none", "per_stock_filter", "dynamic"),
@@ -427,8 +429,11 @@ def test_make_strategy_sets_its_variants_row(name):
     )
     got = make_strategy(base, name)
     fields = ("weighting", "forecaster", "signal_mode", "portfolio_mode")
-    assert tuple(getattr(got, f) for f in fields) == VARIANT_ROWS[name]
-    assert got == dataclass_replace(base, name=name, **dict(zip(fields, VARIANT_ROWS[name])))
+    row = VARIANT_ROWS[name]
+    if name == "fixed":
+        row = (base.weighting, *row[1:])  # fixed keeps the base config's weighting
+    assert tuple(getattr(got, f) for f in fields) == row
+    assert got == dataclass_replace(base, name=name, **dict(zip(fields, row)))
 
 
 def test_make_strategy_variant_mapping():
@@ -437,11 +442,16 @@ def test_make_strategy_variant_mapping():
     assert make_strategy(base, "buy_hold") == dataclass_replace(base, name="buy_hold")
     for weighting in ("var", "sharpe"):
         for name in VARIANT_ROWS:
-            got = make_strategy(base, name, fixed_weighting=weighting)
+            got = make_strategy(dataclass_replace(base, weighting=weighting), name)
             assert got.weighting == (weighting if name == "fixed" else VARIANT_ROWS[name][0])
 
     with pytest.raises(ConfigError):
         make_strategy(base, "momentum")
+
+
+def test_fixed_keeps_the_base_weighting():
+    assert make_strategy(StrategyConfig(weighting="sharpe"), "fixed").weighting == "sharpe"
+    assert make_strategy(StrategyConfig(weighting="sharpe"), "mst_var").weighting == "var"
 
 
 def test_strategy_registry_lists_eleven_variants():
@@ -496,7 +506,7 @@ def assert_days_match(engine, reference) -> None:
     ],
 )
 def test_engine_matches_reference_simulator(name):
-    cfg = make_strategy(BASE, name, fixed_weighting="sharpe")
+    cfg = make_strategy(dataclass_replace(BASE, weighting="sharpe"), name)
     unfiltered = dataclass_replace(cfg, forecaster="none", signal_mode="per_stock_filter")
     seen = set()
     for prices, returns in ((PANEL, RETURNS), (GAPPY, GAPPY_RETURNS)):
@@ -519,24 +529,24 @@ def test_engine_matches_reference_simulator(name):
 
 @pytest.mark.parametrize(
     "changes",
-    [{}, {"rebalance_every": 7}, {"min_var_history": BASE.window + 1}],
-    ids=["daily", "weekly", "long_var_history"],
+    [{}, {"rebalance_every": 7}],
+    ids=["daily", "weekly"],
 )
 def test_schedule_weights_equal_per_window_weights(changes):
-    cfg = dataclass_replace(BASE, **changes)
+    cfg = dataclass_replace(BASE, weighting="sharpe", **changes)
     names = ("mst_var", "mst_sharpe", "fixed", "dynamic_var")
-    multi = run_multi_seed(cfg, GAPPY, GAPPY_RETURNS, strategies=names, fixed_weighting="sharpe")
+    multi = run_multi_seed(cfg, GAPPY, GAPPY_RETURNS, strategies=names)
     row_of = {d: i for i, d in enumerate(GAPPY.dates)}
     seen = set()
     for name in names:
-        strat = make_strategy(cfg, name, fixed_weighting="sharpe")
+        strat = make_strategy(cfg, name)
         result = multi.results[(name, 132)]
         for rec in result.days:
             if not rec.weights.entries:
                 continue  # no trade that day
             win = market_data.window(GAPPY_RETURNS, row_of[rec.date] - 2, cfg.window)
             if strat.weighting == allocation.WEIGHTING_VAR:
-                want = allocation.var_weights(rec.selection, win, cfg.alpha, cfg.min_var_history)
+                want = allocation.var_weights(rec.selection, win, cfg.alpha)
             else:
                 want = allocation.sharpe_weights(rec.selection, win, cfg.risk_free)
             assert repr(rec.weights.entries) == repr(want.entries), (name, rec.date)
@@ -829,10 +839,8 @@ def test_benchmark_buy_hold_rejects_a_nonpositive_unmasked_close(closes):
 
 
 def test_run_multi_seed_replicates_deterministic_strategies():
-    cfg = dataclass_replace(BASE, nnar_epochs=30)
-    multi = run_multi_seed(
-        cfg, PANEL, RETURNS, seeds=(7, 8), strategies=("buy_hold", "mst_var", "mst_nnar_var")
-    )
+    cfg = dataclass_replace(BASE, nnar_epochs=30, seeds=(7, 8))
+    multi = run_multi_seed(cfg, PANEL, RETURNS, strategies=("buy_hold", "mst_var", "mst_nnar_var"))
     assert multi.returns_pct.shape == (2, 3)
     assert set(multi.results) == {
         (name, s) for name in ("buy_hold", "mst_var", "mst_nnar_var") for s in (7, 8)
@@ -876,7 +884,7 @@ def test_seed_copies_share_the_days_of_a_lone_run(monkeypatch):
     names = ("mst_var", "mst_arima_sharpe", "fixed", "dynamic_var")
     seeds = (7, 8, 9)
     built = count_day_records(monkeypatch)
-    multi = run_multi_seed(BASE, GAPPY, GAPPY_RETURNS, seeds=seeds, strategies=names)
+    multi = run_multi_seed(dataclass_replace(BASE, seeds=seeds), GAPPY, GAPPY_RETURNS, strategies=names)
     assert built == []  # copying a result for another seed builds no record
     for name in names:
         lone = run_simulation(make_strategy(BASE, name), GAPPY, GAPPY_RETURNS, seed=seeds[-1])
@@ -904,13 +912,24 @@ def test_a_bad_raw_weight_fails_the_schedule_check(monkeypatch, bad):
             run_multi_seed(BASE, PANEL, RETURNS, strategies=(name,))
 
 
+def test_run_multi_seed_runs_exactly_the_config_seeds():
+    # The seed list has one home: the config.  Neither entry point takes another.
+    for entry in (run_multi_seed, backtest.DecisionPath):
+        assert "seeds" not in inspect.signature(entry).parameters, entry
+    cfg = dataclass_replace(BASE, seeds=(9, 3, 5), nnar_epochs=20)
+    multi = run_multi_seed(cfg, PANEL, RETURNS, strategies=("buy_hold", "mst_var", "mst_nnar_var"))
+    assert multi.seeds == cfg.seeds
+    assert list(multi.results) == [(name, s) for name in multi.strategies for s in cfg.seeds]
+    assert all(res.seed == s for (_, s), res in multi.results.items())
+
+
 def test_run_multi_seed_validates_inputs():
     with pytest.raises(ConfigError):
-        run_multi_seed(BASE, PANEL, RETURNS, seeds=())
+        run_multi_seed(dataclass_replace(BASE, seeds=()), PANEL, RETURNS)
     with pytest.raises(ConfigError):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("momentum",))
     with pytest.raises(ConfigError, match="repeated seed 7"):
-        run_multi_seed(BASE, PANEL, RETURNS, seeds=(7, 8, 7), strategies=("mst_var",))
+        run_multi_seed(dataclass_replace(BASE, seeds=(7, 8, 7)), PANEL, RETURNS, strategies=("mst_var",))
     with pytest.raises(ConfigError, match="repeated strategy 'mst_var'"):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("mst_var", "mst_var", "buy_hold"))
     no_bench = dataclass_replace(BASE, benchmark_ticker=None)

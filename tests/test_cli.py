@@ -114,6 +114,32 @@ def test_config_rejects_the_removed_fee_bps_key(tmp_path):
     assert "strategy.fee_bps: unknown key" in str(err.value)
 
 
+def test_a_config_with_the_removed_min_var_history_key_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
+    text = cfg_path.read_text(encoding="utf-8").replace("[strategy]\n", "[strategy]\nmin_var_history = 60\n")
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: strategy.min_var_history: unknown key\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fixed_weighting_sets_the_base_weighting_that_fixed_reads(tmp_path):
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out", strategies="mst_var,fixed")
+    text = cfg_path.read_text(encoding="utf-8").replace("[strategy]\n", "[strategy]\nfixed_weighting = sharpe\n")
+    cfg_path.write_text(text, encoding="utf-8")
+    cfg = parse_config(cfg_path)
+    assert cfg.strategy.weighting == "sharpe"
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    returns = compute_returns(PANEL)
+    fixed = backtest.make_strategy(cfg.strategy, "fixed")
+    at_var = backtest.run_simulation(replace(fixed, weighting="var"), PANEL, returns)
+    for seed in cfg.strategy.seeds:
+        lone = backtest.run_simulation(fixed, PANEL, returns, seed=seed)
+        assert (tmp_path / "out" / f"values_fixed_{seed}.csv").read_bytes() == oracle_values_csv(lone)
+        # the weighting reaches the run: fixed at var weights holds other values
+        assert not np.array_equal(lone.values, at_var.values)
+
+
 def test_config_requires_prices_path(tmp_path):
     empty = tmp_path / "empty.ini"
     empty.write_text("[strategy]\nwindow = 60\n", encoding="utf-8")
@@ -186,8 +212,7 @@ ROUND_TRIP = {
     "rebalance_every": ("strategy.rebalance_every", "3", 3),
     "use_open_prices": ("strategy.use_open_prices", "off", False),
     "fevd_mode": ("strategy.fevd_mode", "as_written", "as_written"),
-    "fixed_weighting": ("fixed_weighting", "sharpe", "sharpe"),
-    "min_var_history": ("strategy.min_var_history", "60", 60),
+    "fixed_weighting": ("strategy.weighting", "sharpe", "sharpe"),
     "nnar_lags": ("strategy.nnar_lags", "4", 4),
     "nnar_hidden": ("strategy.nnar_hidden", "2", 2),
     "nnar_learning_rate": ("strategy.nnar_learning_rate", "0.05", 0.05),
@@ -268,6 +293,7 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
         ("initial_capital", "nan", "strategy: initial_capital must be finite and positive"),
         ("risk_free", "inf", "strategy: risk_free must be finite"),
         ("risk_free", "nan", "strategy: risk_free must be finite"),
+        ("fixed_weighting", "equal", "strategy: unknown weighting 'equal'"),
     ],
 )
 def test_config_bad_value_names_its_key(tmp_path, key, raw, message):

@@ -52,7 +52,7 @@ def independent_run(cfg: StrategyConfig, prices, returns, name: str, seed: int):
 
 def assert_matches_independent_runs(cfg: StrategyConfig, prices) -> dict:
     returns = market_data.compute_returns(prices)
-    multi = run_multi_seed(cfg, prices, returns, seeds=SEEDS)
+    multi = run_multi_seed(replace(cfg, seeds=SEEDS), prices, returns)
     for name in STRATEGY_NAMES:
         for seed in SEEDS:
             got = multi.results[(name, seed)]
@@ -109,7 +109,7 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     monkeypatch.setattr(var_fevd, "influence_matrix", counted_influence)
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
     monkeypatch.setattr(forecast, "arima_fit", counted_arima)
-    multi = run_multi_seed(BASE, PANEL, RETURNS, seeds=SEEDS)
+    multi = run_multi_seed(replace(BASE, seeds=SEEDS), PANEL, RETURNS)
 
     w = BASE.window
     asked = {RETURNS.dates[tau] for tau in range(w - 1, len(RETURNS.dates) - 1)}
@@ -146,7 +146,7 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
         return nnar_fit_batch(series, seeds, *args, **kwargs)
 
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
-    path = DecisionPath(cfg, prices, market_data.compute_returns(prices), SEEDS)
+    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
     strategy = make_strategy(cfg, "mst_nnar_var")
     j = path.returns.ticker_index(ticker)
     fits = path.forecasts(strategy, SEEDS[0])
@@ -196,7 +196,7 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     first = DecisionPath(BASE, PANEL, RETURNS).schedule(MODE_DYNAMIC)[0].selection
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(first[0])), (95, PANEL.ticker_index(first[1]))])
     cfg = replace(BASE, rebalance_every=5, nnar_learning_rate=learning_rate)
-    path = DecisionPath(cfg, prices, market_data.compute_returns(prices), SEEDS)
+    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
     strategy = make_strategy(cfg, name)
     days = [d for d in path.schedule(strategy.portfolio_mode) if d.trades]
     rows = [(ticker, d.tau) for d in days for ticker in d.selection]

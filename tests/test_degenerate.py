@@ -1,8 +1,9 @@
 """Degenerate inputs classified across every entry point.
 
 Each input (a flat market, a fully masked column, an exactly collinear
-pair, a one-ticker universe, a history shorter than the window) runs through the three subcommands that read
-a panel and the three library entry points, and each run is reduced to an
+pair, a one-ticker universe, a history shorter than the window, a history
+of exactly one window) runs through the three subcommands that read a
+panel and the three library entry points, and each run is reduced to an
 outcome: ``("ok", "")``, ``("hold", reason)`` when the network cannot be
 estimated and the run holds cash or skips the window with a warning, or
 ``("error", message)`` for an exit-2 message or the error it comes from.
@@ -52,6 +53,8 @@ INPUTS = {
     "collinear_pair": collinear_pair(),
     "one_ticker": random_walk_table(1, 100, seed=3, extra_tickers=("IDX",)),
     "short_history": random_walk_table(6, 20, seed=5, extra_tickers=("IDX",)),
+    # window + 1 price dates: one window, which ends on the last return row.
+    "one_window": random_walk_table(6, WINDOW + 1, seed=5, extra_tickers=("IDX",)),
 }
 
 ENTRIES = ("ingest", "network", "simulate", "run_simulation", "run_multi_seed", "influence_matrix")
@@ -59,6 +62,10 @@ OK = ("ok", "")
 FLAT = ("hold", "every pair estimation failed in window")
 EMPTY = ("error", "empty universe after filtering")
 SHORT = ("error", f"need at least window + 1 = {WINDOW + 1} price dates, got 20")
+NO_DAY = (
+    "error",
+    f"no decision day: a simulation needs at least window + 2 = {WINDOW + 2} price dates, got {WINDOW + 1}",
+)
 EXPECTED = {
     "flat_market": {
         "ingest": OK,  # ingest only reports the panel
@@ -89,6 +96,15 @@ EXPECTED = {
         "run_multi_seed": SHORT,
         "influence_matrix": ("error", "window end index beyond available history"),
     },
+    # network writes the one window; a simulation has no day to decide on.
+    "one_window": {
+        "ingest": OK,
+        "network": OK,
+        "simulate": NO_DAY,
+        "run_simulation": NO_DAY,
+        "run_multi_seed": NO_DAY,
+        "influence_matrix": OK,
+    },
 }
 
 HOLD = re.compile(
@@ -105,7 +121,7 @@ def from_warnings(warnings: list[str]) -> tuple[str, str]:
     return ("hold", reasons.pop())
 
 
-def cli_outcome(command: str, table: PriceTable, tmp_path: Path) -> tuple[str, str]:
+def cli_outcome(command: str, table: PriceTable, tmp_path: Path, names: tuple[str, ...] = NAMES) -> tuple[str, str]:
     write_long_csv(table, tmp_path / "prices.csv")
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(
@@ -118,7 +134,7 @@ max_missing_frac = 1.0
 window = {WINDOW}
 top_k = 3
 seeds = 11
-strategies = {",".join(NAMES)}
+strategies = {",".join(names)}
 
 [forecast]
 nnar_epochs = 25
@@ -143,7 +159,7 @@ dir = {tmp_path / "out"}
     return OK
 
 
-def library_outcome(entry: str, table: PriceTable) -> tuple[str, str]:
+def library_outcome(entry: str, table: PriceTable, names: tuple[str, ...] = NAMES) -> tuple[str, str]:
     returns = market_data.compute_returns(table)
     try:
         if entry == "run_simulation":
@@ -152,8 +168,8 @@ def library_outcome(entry: str, table: PriceTable) -> tuple[str, str]:
             assert outcome == OK or result.trade_count == 0  # a hold never trades
             return outcome
         if entry == "run_multi_seed":
-            multi = run_multi_seed(CFG, table, returns, strategies=NAMES)
-            simulated = [multi.results[(name, 11)] for name in NAMES if name != BENCHMARK_STRATEGY]
+            multi = run_multi_seed(CFG, table, returns, strategies=names)
+            simulated = [multi.results[(name, 11)] for name in names if name != BENCHMARK_STRATEGY]
             outcomes = {from_warnings(list(result.warnings)) for result in simulated}
             assert len(outcomes) == 1, outcomes  # every strategy classifies the input alike
             return outcomes.pop()
@@ -173,3 +189,18 @@ def test_degenerate_input_is_classified_alike_everywhere(tmp_path, name, entry):
     else:
         outcome = library_outcome(entry, table)
     assert outcome == EXPECTED[name][entry]
+
+
+@pytest.mark.parametrize("names", [("mst_var",), ("buy_hold",), ("buy_hold", "mst_var")], ids="+".join)
+@pytest.mark.parametrize("name", ["short_history", "one_window"])
+def test_every_strategy_list_meets_one_date_rule(tmp_path, name, names):
+    # buy_hold builds no decision path, yet it meets the path's date check
+    # and the no-decision-day rule with the same messages.
+    want = EXPECTED[name]["run_multi_seed"]
+    assert library_outcome("run_multi_seed", INPUTS[name], names) == want
+    assert cli_outcome("simulate", INPUTS[name], tmp_path, names) == want
+
+
+def test_network_writes_the_one_window_a_simulation_cannot_trade_on(tmp_path):
+    assert cli_outcome("network", INPUTS["one_window"], tmp_path) == OK
+    assert len(list((tmp_path / "out").glob("mst_*.dot"))) == 1
