@@ -123,6 +123,7 @@ class StrategyConfig:
             problems.append("risk_free must be finite")
         if not self.seeds:
             problems.append("at least one seed is required")
+        problems.extend(f"repeated seed {s}" for s in repeats(self.seeds))
         if self.weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
             problems.append(f"unknown weighting {self.weighting!r}")
         if self.forecaster not in (FORECASTER_NONE, FORECASTER_ARIMA, FORECASTER_NNAR):
@@ -863,11 +864,11 @@ def run_multi_seed(
     unknown = [n for n in names if n not in STRATEGY_NAMES]
     if unknown:
         raise ConfigError([f"unknown strategy {n!r}" for n in unknown])
-    # A repeat would give one summary key but two table columns or rows.
-    repeated = [f"repeated seed {s}" for s in repeats(seeds)]
-    repeated += [f"repeated strategy {n!r}" for n in repeats(names)]
+    # A repeat would give one summary key but two table columns; the
+    # config rejects repeated seeds, which would give two rows.
+    repeated = repeats(names)
     if repeated:
-        raise ConfigError(repeated)
+        raise ConfigError([f"repeated strategy {n!r}" for n in repeated])
     _check_dates(cfg, len(prices.dates), decides=True)
     simulated = [n for n in names if n != BENCHMARK_STRATEGY]
     path = DecisionPath(cfg, prices, returns) if simulated else None

@@ -108,10 +108,11 @@ def _cost_lines(costs: var_fevd.CostMatrix, window_end) -> Iterator[str]:
     A block's rows share their stamp-and-ticker head; each row adds the later
     ticker's field and the cost's ``repr``, the bytes ``csv.writer`` writes.
     """
-    field = {name: _csv_field(name) + "," for name in (window_end.isoformat(), *costs.tickers)}
-    for stamp, ti, later, block in var_fevd.cost_records(costs, window_end):
-        head = field[stamp] + field[ti]
-        yield head + ("\r\n" + head).join(map(str.__add__, map(field.__getitem__, later), map(repr, block))) + "\r\n"
+    stamp = _csv_field(window_end.isoformat()) + ","
+    fields = [_csv_field(name) + "," for name in costs.tickers]
+    for i, (_, _, _, block) in enumerate(var_fevd.cost_records(costs, window_end)):
+        head = stamp + fields[i]
+        yield head + ("\r\n" + head).join(map(str.__add__, fields[i + 1 :], map(repr, block))) + "\r\n"
 
 
 def cmd_ingest(cfg: RunConfig) -> int:

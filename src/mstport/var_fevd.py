@@ -23,11 +23,14 @@ three N x N cross-product matrices of the centred lags L and leads F
 covariance, Cholesky factor and impulse responses are closed-form 2x2
 algebra on their entries, evaluated elementwise over all pairs at once.
 Each pair is ordered by ticker name, so the result does not depend on the
-column order of the window.
+column order of the window.  The network reads only each pair's two cross
+shares, so the decomposition kernel computes those two alone; only
+:func:`fevd` also asks it for the two diagonal shares.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -147,14 +150,17 @@ def fit_var1(pair: np.ndarray, min_window: int = 30) -> VarModel:
     return VarModel(a0=a0, a1=a1, sigma_u=sigma, n_obs=n_obs)
 
 
-def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str, diagonal: bool = False) -> tuple[dict, np.ndarray]:
     """Variance shares of a batch of bivariate models, elementwise.
 
     ``a`` holds the (P,) arrays ``(a00, a01, a10, a11)`` of A1 and ``s``
     the (P,) arrays ``(s00, s01, s11)`` of the symmetric sigma_u.  Returns
     ``(shares, fallback)``: ``shares[j, i]`` is the (P,) array of variable
     j's variance shares due to variable i, and ``fallback`` marks the
-    models whose orthogonalized request used the raw numerator.
+    models whose orthogonalized request used the raw numerator.  Only the
+    two cross shares ``shares[0, 1]`` and ``shares[1, 0]`` are computed,
+    which is all the network reads; ``diagonal`` adds ``shares[0, 0]`` and
+    ``shares[1, 1]``, which only :func:`fevd` reports.
     """
     a00, a01, a10, a11 = a
     s00, s01, s11 = s
@@ -171,8 +177,9 @@ def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str) -> tuple[np.ndarra
     else:
         l00, l10, l11 = 1.0, 0.0, 1.0
         fallback = np.zeros(np.shape(a00), dtype=bool)
-    num = np.zeros((2, 2) + np.shape(a00))
-    den = np.zeros((2,) + np.shape(a00))
+    cells = ((0, 0), (0, 1), (1, 0), (1, 1)) if diagonal else ((0, 1), (1, 0))
+    num = {cell: np.zeros(np.shape(a00)) for cell in cells}
+    den = [np.zeros(np.shape(a00)), np.zeros(np.shape(a00))]
     p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0  # Phi_0 = I
     for step in range(horizon):
         if step:  # Phi_s = Phi_{s-1} A1
@@ -183,16 +190,20 @@ def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str) -> tuple[np.ndarra
                 p10 * a01 + p11 * a11,
             )
         for r, (q0, q1) in enumerate(((p00, p01), (p10, p11))):
-            m0 = q0 * l00 + q1 * l10
-            m1 = q1 * l11
-            num[r, 0] += m0 * m0
-            num[r, 1] += m1 * m1
+            if (r, 0) in num:
+                m0 = q0 * l00 + q1 * l10
+                num[r, 0] += m0 * m0
+            if (r, 1) in num:
+                m1 = q1 * l11
+                num[r, 1] += m1 * m1
             den[r] += q0 * q0 * s00 + 2.0 * q0 * q1 * s01 + q1 * q1 * s11
-    shares = num / np.where(den > 0.0, den, 1.0)[:, None]
-    # A zero denominator means the variable has no forecast error variance;
-    # attribute everything to the variable itself.
-    shares = np.where((den <= 0.0)[:, None], np.eye(2)[:, :, None], shares)
-    return np.clip(shares, 0.0, 1.0), fallback
+    shares = {}
+    for (r, c), total in num.items():
+        share = total / np.where(den[r] > 0.0, den[r], 1.0)
+        # A zero denominator means the variable has no forecast error
+        # variance; attribute everything to the variable itself.
+        shares[r, c] = np.clip(np.where(den[r] <= 0.0, float(r == c), share), 0.0, 1.0)
+    return shares, fallback
 
 
 def fevd(model: VarModel, horizon: int, mode: str = MODE_ORTHOGONALIZED) -> FevdResult:
@@ -210,11 +221,24 @@ def fevd(model: VarModel, horizon: int, mode: str = MODE_ORTHOGONALIZED) -> Fevd
     a = model.a1[:, :, None]
     s = model.sigma_u[:, :, None]
     shares, fallback = _fevd_shares(
-        (a[0, 0], a[0, 1], a[1, 0], a[1, 1]), (s[0, 0], s[0, 1], s[1, 1]), horizon, mode
+        (a[0, 0], a[0, 1], a[1, 0], a[1, 1]), (s[0, 0], s[0, 1], s[1, 1]), horizon, mode, diagonal=True
     )
     if fallback[0]:
         log.debug("sigma_u not positive definite; fevd fell back to %s", MODE_AS_WRITTEN)
-    return FevdResult(shares=shares[:, :, 0], fallback=bool(fallback[0]))
+    table = np.array([[shares[0, 0], shares[0, 1]], [shares[1, 0], shares[1, 1]]])
+    return FevdResult(shares=table[:, :, 0], fallback=bool(fallback[0]))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of n tickers, read-only: ``(i, j)`` with i < j, then the
+    flat indices ``i * n + j`` and ``j * n + i`` of each pair's two cells.
+    """
+    i, j = np.triu_indices(n, k=1)
+    index = (i, j, i * n + j, j * n + i)
+    for arr in index:
+        arr.flags.writeable = False
+    return index
 
 
 def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONALIZED) -> InfluenceMatrix:
@@ -239,29 +263,40 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
         raise InsufficientHistory("window too short for VAR estimation")
     # Estimate on the columns sorted by ticker, then scatter back, so the
     # result does not depend on the column order.
-    order = np.array(sorted(range(n), key=win.tickers.__getitem__), dtype=np.intp)
-    usable = ~win.mask[:, order].any(axis=0)
-    y = np.where(usable[None, :], win.returns[:, order], 0.0)
-    y = np.nan_to_num(y, nan=0.0)
+    ranked = sorted(range(n), key=win.tickers.__getitem__)
+    in_order = ranked == list(range(n))
+    order = np.array(ranked, dtype=np.intp)
+    usable = ~win.mask.any(axis=0)[order]
+    # The reorder copies even sorted columns: the copy is Fortran-ordered,
+    # and _centered_lags' column means sum pairwise along that layout, so
+    # the row-major window itself would move theta in its last bits.
+    y = win.returns[:, order]
+    # Unmasked returns are finite, so zeroing the unusable columns leaves
+    # no NaN behind.
+    all_usable = bool(usable.all())
+    if not all_usable:
+        y = np.where(usable[None, :], y, 0.0)
     lc, fc, _, _ = _centered_lags(y)
-    i, j = np.triu_indices(n, k=1)
-    pair_ok = usable[i] & usable[j]
-    i, j = i[pair_ok], j[pair_ok]
+    i, j, ij, ji = _pair_index(n)
+    if not all_usable:
+        pair_ok = usable[i] & usable[j]
+        i, j, ij, ji = i[pair_ok], j[pair_ok], ij[pair_ok], ji[pair_ok]
     if i.size == 0:
         raise EstimationError("no estimable pairs in window")
     gram = lc.T @ lc
     g_diag = np.diag(gram)
-    g00, g01, g11 = g_diag[i], gram[i, j], g_diag[j]
+    g00, g01, g11 = g_diag.take(i), gram.take(ij), g_diag.take(j)
     lam_min, lam_max = _min_max_eig2(g00, g01, g11)
     ok = (lam_max > 0.0) & (lam_min > _RANK_RTOL * lam_max)
-    degenerate = int(np.count_nonzero(~ok))
+    degenerate = i.size - int(np.count_nonzero(ok))
     if degenerate == i.size:
         raise EstimationError("every pair estimation failed in window")
-    i, j, g00, g01, g11 = i[ok], j[ok], g00[ok], g01[ok], g11[ok]
+    if degenerate:
+        i, j, ij, ji, g00, g01, g11 = i[ok], j[ok], ij[ok], ji[ok], g00[ok], g01[ok], g11[ok]
     cross = lc.T @ fc  # rows: lag variable, cols: lead variable
     lead = fc.T @ fc
     c_diag, h_diag = np.diag(cross), np.diag(lead)
-    c00, c01, c10, c11 = c_diag[i], cross[i, j], cross[j, i], c_diag[j]
+    c00, c01, c10, c11 = c_diag.take(i), cross.take(ij), cross.take(ji), c_diag.take(j)
     # B = G^-1 C by the adjugate (the rank test keeps det > 0); A1 = B'.
     det = g00 * g11 - g01 * g01
     b00 = (g11 * c00 - g01 * c10) / det
@@ -270,14 +305,16 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
     b11 = (g00 * c11 - g01 * c01) / det
     # Residual covariance from the SSE F'F - C'B, symmetrised, diagonal >= 0.
     dof = lc.shape[0] - 3
-    s00 = np.maximum((h_diag[i] - (c00 * b00 + c10 * b10)) / dof, 0.0)
-    s11 = np.maximum((h_diag[j] - (c01 * b01 + c11 * b11)) / dof, 0.0)
-    s01 = ((lead[i, j] - (c00 * b01 + c10 * b11)) / dof + (lead[j, i] - (c01 * b00 + c11 * b10)) / dof) / 2.0
+    s00 = np.maximum((h_diag.take(i) - (c00 * b00 + c10 * b10)) / dof, 0.0)
+    s11 = np.maximum((h_diag.take(j) - (c01 * b01 + c11 * b11)) / dof, 0.0)
+    s01 = ((lead.take(ij) - (c00 * b01 + c10 * b11)) / dof + (lead.take(ji) - (c01 * b00 + c11 * b10)) / dof) / 2.0
     shares, fallback = _fevd_shares((b00, b10, b01, b11), (s00, s01, s11), horizon, mode)
-    i, j = order[i], order[j]
+    if not in_order:
+        i, j = order[i], order[j]
+        ij, ji = i * n + j, j * n + i
     theta = np.zeros((n, n))
-    theta[j, i] = shares[1, 0]  # influence of i on j
-    theta[i, j] = shares[0, 1]  # influence of j on i
+    theta.put(ji, shares[1, 0])  # influence of i on j
+    theta.put(ij, shares[0, 1])  # influence of j on i
     fallbacks = int(np.count_nonzero(fallback))
     if degenerate or fallbacks:
         log.debug(

@@ -379,6 +379,7 @@ def test_strategy_config_rejects_bad_values():
         dict(risk_free=-math.inf),
         dict(risk_free=math.nan),
         dict(seeds=()),
+        dict(seeds=(7, 8, 7)),
         dict(rebalance_every=0),
         dict(weighting="equal"),
         dict(forecaster="prophet"),

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_fevd
 import synth
 from mstport import errors, market_data as md, var_fevd as vf
 
@@ -418,3 +420,102 @@ def test_cost_records_equal_the_per_pair_loop():
     got = synth.flat_cost_rows(vf.cost_records(cost, synth.day_range(1)[0]))
     assert got == want
     assert all(type(row[3]) is float for row in got)  # repr gives the CSV text
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the frozen four-share kernel and window
+# ---------------------------------------------------------------------------
+
+CROSS = ((0, 1), (1, 0))
+# One member each, as (a00, a01, a10, a11, s00, s01, s11), for the cases the
+# drawn members must not miss.
+NON_PD_SIGMA = (0.3, 0.2, -0.1, 0.4, 1.0, 2.0, 1.0)
+ZERO_DENOMINATOR = (0.5, 0.2, -0.3, 0.1, 0.0, 0.0, 0.0)
+CLIPPED_AS_WRITTEN = (0.0, 1.0, 1.0, 0.0, 0.01, 0.0, 0.01)  # raw numerator 50x its denominator
+SIGNED_ZEROS_AND_SUBNORMALS = (-0.0, 5e-324, -5e-324, 0.0, 5e-324, -0.0, 1e-310)
+
+KERNEL_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+def kernel_args(members) -> tuple[tuple, tuple]:
+    cols = np.array(members, dtype=float).T
+    return tuple(cols[:4]), tuple(cols[4:])
+
+
+def test_kernel_examples_hit_their_cases():
+    fallback = reference_fevd.fevd_shares(*kernel_args([NON_PD_SIGMA]), 3, vf.MODE_ORTHOGONALIZED)[1]
+    assert fallback.tolist() == [True]
+    shares, _ = reference_fevd.fevd_shares(*kernel_args([ZERO_DENOMINATOR]), 5, vf.MODE_ORTHOGONALIZED)
+    assert shares[:, :, 0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    a, s = kernel_args([CLIPPED_AS_WRITTEN])
+    num01 = a[1] ** 2  # Phi_1 = A1 adds a01^2 to variable 0's numerator from 1
+    den0 = s[0] + a[1] ** 2 * s[2]
+    assert num01 / den0 > 1.0
+    assert reference_fevd.fevd_shares(a, s, 2, vf.MODE_AS_WRITTEN)[0][0, 1].tolist() == [1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(st.tuples(*[KERNEL_ENTRY] * 7), min_size=1, max_size=6),
+    horizon=st.integers(1, 12),
+    mode=st.sampled_from(vf._MODES),
+)
+@example(members=[NON_PD_SIGMA, ZERO_DENOMINATOR], horizon=3, mode=vf.MODE_ORTHOGONALIZED)
+@example(members=[ZERO_DENOMINATOR, CLIPPED_AS_WRITTEN], horizon=2, mode=vf.MODE_AS_WRITTEN)
+@example(members=[SIGNED_ZEROS_AND_SUBNORMALS, NON_PD_SIGMA], horizon=1, mode=vf.MODE_ORTHOGONALIZED)
+@example(members=[SIGNED_ZEROS_AND_SUBNORMALS, CLIPPED_AS_WRITTEN], horizon=1, mode=vf.MODE_AS_WRITTEN)
+def test_fevd_kernel_matches_frozen_four_share_kernel(members, horizon, mode):
+    a, s = kernel_args(members)
+    # Subnormal denominators overflow a share to inf before the clip.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want, want_fallback = reference_fevd.fevd_shares(a, s, horizon, mode)
+        cross, fallback = vf._fevd_shares(a, s, horizon, mode)
+        full, full_fallback = vf._fevd_shares(a, s, horizon, mode, diagonal=True)
+    assert sorted(cross) == sorted(CROSS)
+    for r, c in CROSS:
+        assert cross[r, c].tobytes() == want[r, c].tobytes()
+    assert fallback.tobytes() == want_fallback.tobytes()
+    table = np.array([[full[0, 0], full[0, 1]], [full[1, 0], full[1, 1]]])
+    assert table.tobytes() == want.tobytes()
+    assert full_fallback.tobytes() == want_fallback.tobytes()
+
+
+@st.composite
+def return_windows(draw) -> md.ReturnMatrix:
+    """Windows of 2-14 tickers with masked, flat and collinear columns, named in sorted or drawn order."""
+    n = draw(st.integers(2, 14))
+    rows = draw(st.integers(5, 40))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(0.0, 0.01, (rows, n))
+    mask = np.zeros((rows, n), dtype=bool)
+    kinds = draw(st.lists(st.sampled_from(["plain", "masked", "flat", "collinear"]), min_size=n, max_size=n))
+    for k, kind in enumerate(kinds):
+        if kind == "masked":
+            mask[rng.integers(rows, size=draw(st.integers(1, 3))), k] = True
+        elif kind == "flat":
+            data[:, k] = data[0, k]
+    for k, kind in enumerate(kinds):
+        if kind == "collinear":
+            data[:, k] = 2.0 * data[:, (k + 1) % n]
+    names = synth.ticker_names(n)
+    if draw(st.booleans()):
+        names = tuple(draw(st.permutations(names)))
+    return md.ReturnMatrix(synth.day_range(rows), names, data, mask)
+
+
+def influence_or_error(estimate, win, horizon, mode):
+    try:
+        result = estimate(win, horizon, mode)
+    except (errors.EstimationError, errors.InsufficientHistory) as exc:
+        return type(exc), str(exc)
+    return result.theta.tobytes(), result.degenerate, result.fallbacks
+
+
+@settings(max_examples=200, deadline=None)
+@given(win=return_windows(), horizon=st.integers(1, 12), mode=st.sampled_from(vf._MODES))
+def test_influence_matrix_matches_frozen_window(win, horizon, mode):
+    want = influence_or_error(reference_fevd.influence_matrix, win, horizon, mode)
+    assert influence_or_error(vf.influence_matrix, win, horizon, mode) == want
