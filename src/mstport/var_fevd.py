@@ -263,9 +263,7 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
         raise InsufficientHistory("window too short for VAR estimation")
     # Estimate on the columns sorted by ticker, then scatter back, so the
     # result does not depend on the column order.
-    ranked = sorted(range(n), key=win.tickers.__getitem__)
-    in_order = ranked == list(range(n))
-    order = np.array(ranked, dtype=np.intp)
+    order = np.array(sorted(range(n), key=win.tickers.__getitem__), dtype=np.intp)
     usable = ~win.mask.any(axis=0)[order]
     # The reorder copies even sorted columns: the copy is Fortran-ordered,
     # and _centered_lags' column means sum pairwise along that layout, so
@@ -309,9 +307,8 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
     s11 = np.maximum((h_diag.take(j) - (c01 * b01 + c11 * b11)) / dof, 0.0)
     s01 = ((lead.take(ij) - (c00 * b01 + c10 * b11)) / dof + (lead.take(ji) - (c01 * b00 + c11 * b10)) / dof) / 2.0
     shares, fallback = _fevd_shares((b00, b10, b01, b11), (s00, s01, s11), horizon, mode)
-    if not in_order:
-        i, j = order[i], order[j]
-        ij, ji = i * n + j, j * n + i
+    i, j = order[i], order[j]
+    ij, ji = i * n + j, j * n + i
     theta = np.zeros((n, n))
     theta.put(ji, shares[1, 0])  # influence of i on j
     theta.put(ij, shares[0, 1])  # influence of j on i
