@@ -16,11 +16,11 @@ VaR portfolio.
 
 from __future__ import annotations
 
-import copy
+import functools
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -69,6 +69,24 @@ STRATEGY_NAMES = (BENCHMARK_STRATEGY, *_VARIANTS)
 def repeats(items: Iterable) -> list:
     """The items that occur more than once, each once, in first-seen order."""
     return [item for item, count in Counter(items).items() if count > 1]
+
+
+def check_strategies(names: Sequence[str]) -> None:
+    """Reject a strategy list with an unknown, a repeated or no name, listing each problem.
+
+    A repeat would give one summary key but two table columns.
+    """
+    problems = []
+    unknown = [n for n in names if n not in STRATEGY_NAMES]
+    if unknown:
+        problems.append(f"unknown strategies: {', '.join(unknown)}")
+    if not names:
+        problems.append("empty strategy list")
+    repeated = repeats(names)
+    if repeated:
+        problems.append(f"repeated strategies: {', '.join(repeated)}")
+    if problems:
+        raise ConfigError(problems)
 
 
 # The least value of each integer setting that has one.
@@ -197,30 +215,16 @@ class DayRecord:
     stale: tuple[str, ...]
 
 
-class _Days:
-    """The ``days`` field: a tuple, or a :class:`_DayReplay` swapped for its tuple on first read."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("days")  # no class-level default: the field stays required
-        days = obj.__dict__["days"]
-        if isinstance(days, _DayReplay):
-            days = obj.__dict__["days"] = days()
-        return days
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__["days"] = value
-
-
 @dataclass(eq=False)
 class SimulationResult:
     """Value path and audit trail of one strategy run.
 
-    ``days`` holds one :class:`DayRecord` per executed day.  An engine run
-    keeps no record while it trades: the first read of ``days`` reruns the
-    strategy's day loop with records on, which gives the same days, and
-    the tuple is kept from then on.  A result built with a tuple keeps it.
-    ``copy.copy`` copies a result without building its days.
+    ``days`` holds one :class:`DayRecord` per executed day, as ``replay``
+    returns them.  An engine run keeps no record while it trades: its
+    ``replay`` reruns the strategy's day loop with records on the first
+    time it is called, which gives the same days, and returns that tuple
+    from then on.  ``dataclasses.replace`` and ``repr`` call no replay, and
+    a copy made by ``replace`` shares its result's replay.
     """
 
     strategy: str
@@ -229,8 +233,12 @@ class SimulationResult:
     values: np.ndarray
     total_return_pct: float
     trade_count: int
-    days: tuple[DayRecord, ...] = _Days()
     warnings: tuple[str, ...] = ()
+    replay: Callable[[], tuple[DayRecord, ...]] = field(default=tuple, repr=False)
+
+    @property
+    def days(self) -> tuple[DayRecord, ...]:
+        return self.replay()
 
 
 EMPTY_WEIGHTS = WeightVector(entries=())
@@ -632,18 +640,22 @@ def run_simulation(
 
     The value series starts at the initial capital on the first decision
     date (price row ``window``) and gains one mark-to-market entry per
-    executed day.  The path fits forecasts for ``seed`` alone.
+    executed day.  The path fits forecasts for ``seed`` alone.  A config
+    named ``buy_hold`` (see :func:`make_strategy`) gives the benchmark path
+    of :func:`run_multi_seed`'s ``buy_hold`` cell and builds no path.
     """
     seed = cfg.seeds[0] if seed is None else seed
     _check_dates(cfg, len(prices.dates), decides=True)
+    if cfg.name == BENCHMARK_STRATEGY:
+        return _buy_hold(cfg, prices, seed)
     return _simulate(cfg, DecisionPath(replace(cfg, seeds=(seed,)), prices, returns), seed)
 
 
 def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
     """Run one strategy on ``path`` for ``seed``, keeping no per-day record.
 
-    The result's ``days`` reruns the same day loop with records on the
-    first time it is read.
+    The result's ``replay`` reruns the same day loop with records on the
+    first time ``days`` is read, and keeps what it returns.
     """
     if seed not in path.seeds:
         raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
@@ -657,8 +669,8 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         values=values_arr,
         total_return_pct=float(total),
         trade_count=trade_count,
-        days=_DayReplay(cfg, path, seed),
         warnings=tuple(sorted(warnings)),
+        replay=functools.cache(functools.partial(_records, cfg, path, seed)),
     )
 
 
@@ -768,24 +780,11 @@ def _day_loop(
     return out_dates, values, trade_count, warnings
 
 
-class _DayReplay:
-    """A strategy run's day records, built by rerunning its day loop with records on.
-
-    The records are built once, on the first call, and the run's inputs
-    are then dropped; every copy of a result that shares the replay shares
-    its records.
-    """
-
-    def __init__(self, cfg: StrategyConfig, path: DecisionPath, seed: int) -> None:
-        self._run: tuple[StrategyConfig, DecisionPath, int] | None = (cfg, path, seed)
-        self._days: tuple[DayRecord, ...] = ()
-
-    def __call__(self) -> tuple[DayRecord, ...]:
-        if self._run is not None:
-            records: list[DayRecord] = []
-            _day_loop(*self._run, records)
-            self._days, self._run = tuple(records), None
-        return self._days
+def _records(cfg: StrategyConfig, path: DecisionPath, seed: int) -> tuple[DayRecord, ...]:
+    """The day records of one strategy run, from a rerun of its day loop with records on."""
+    records: list[DayRecord] = []
+    _day_loop(cfg, path, seed, records)
+    return tuple(records)
 
 
 def benchmark_buy_hold(
@@ -823,8 +822,18 @@ def benchmark_buy_hold(
         values=values,
         total_return_pct=float(total),
         trade_count=1,
-        days=(),
         warnings=tuple(sorted(warnings)),
+    )
+
+
+def _buy_hold(cfg: StrategyConfig, prices: PriceTable, seed: int) -> SimulationResult:
+    """The ``buy_hold`` result: ``cfg.benchmark_ticker`` bought on price row ``window`` and held."""
+    if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:
+        raise ConfigError("buy_hold strategy requires benchmark_ticker present in the data")
+    j = prices.ticker_index(cfg.benchmark_ticker)
+    rows = slice(cfg.window, len(prices.dates))
+    return benchmark_buy_hold(
+        prices.dates[rows], prices.adj_close[rows, j], cfg.initial_capital, prices.mask[rows, j], seed
     )
 
 
@@ -850,56 +859,33 @@ def run_multi_seed(
     ``fixed`` weights by ``cfg.weighting``; every other variant sets its
     own (see :func:`make_strategy`).  Every strategy and seed reads one
     :class:`DecisionPath`, so each window's selection and each forecast is
-    computed once per call.  Any strategy list, ``buy_hold`` alone
-    included, needs at least ``window + 2`` price dates: one window and a
-    decision day.
-    Strategies without stochastic components are run once and their cells
-    replicated across seeds, which leaves results identical to a full
-    re-run because those paths never consume randomness.  No run builds
-    its day records here: each seed's copy of a result shares the one
-    replay that builds them when ``days`` is first read.
+    computed once per call.  ``buy_hold`` is computed as
+    :func:`run_simulation` computes it, before the path is built.  Any
+    strategy list, ``buy_hold`` alone included, needs at least
+    ``window + 2`` price dates: one window and a decision day.
+    Strategies without stochastic components are run once, for the first
+    seed, and each later seed gets a ``dataclasses.replace`` copy, which
+    leaves results identical to a full re-run because those paths never
+    consume randomness.  No run builds its day records here: each seed's
+    copy of a result shares the one replay that builds them when ``days``
+    is first read.
     """
     seeds = cfg.seeds
     names = tuple(strategies) if strategies is not None else STRATEGY_NAMES
-    unknown = [n for n in names if n not in STRATEGY_NAMES]
-    if unknown:
-        raise ConfigError([f"unknown strategy {n!r}" for n in unknown])
-    # A repeat would give one summary key but two table columns; the
-    # config rejects repeated seeds, which would give two rows.
-    repeated = repeats(names)
-    if repeated:
-        raise ConfigError([f"repeated strategy {n!r}" for n in repeated])
+    check_strategies(names)
     _check_dates(cfg, len(prices.dates), decides=True)
-    simulated = [n for n in names if n != BENCHMARK_STRATEGY]
-    path = DecisionPath(cfg, prices, returns) if simulated else None
-    finished: dict[tuple[str, int | None], SimulationResult] = {}
-    if BENCHMARK_STRATEGY in names:
-        if not cfg.benchmark_ticker or cfg.benchmark_ticker not in prices.tickers:
-            raise ConfigError("buy_hold strategy requires benchmark_ticker present in the data")
-        j = prices.ticker_index(cfg.benchmark_ticker)
-        rows = slice(cfg.window, len(prices.dates))
-        finished[(BENCHMARK_STRATEGY, None)] = benchmark_buy_hold(
-            prices.dates[rows],
-            prices.adj_close[rows, j],
-            cfg.initial_capital,
-            prices.mask[rows, j],
-            seeds[0],
-        )
-    for name in simulated:
-        strat = make_strategy(cfg, name)
-        if strat.forecaster == FORECASTER_NNAR:
-            for s in seeds:
-                finished[(name, s)] = _simulate(strat, path, s)
-        else:
-            finished[(name, None)] = _simulate(strat, path, seeds[0])
+    bench = _buy_hold(cfg, prices, seeds[0]) if BENCHMARK_STRATEGY in names else None
+    path = DecisionPath(cfg, prices, returns) if set(names) - {BENCHMARK_STRATEGY} else None
     results: dict[tuple[str, int], SimulationResult] = {}
     table = np.empty((len(seeds), len(names)))
     for col, name in enumerate(names):
+        strat = make_strategy(cfg, name)
+        seeded = name != BENCHMARK_STRATEGY and strat.forecaster == FORECASTER_NNAR
         for row, s in enumerate(seeds):
-            res = finished.get((name, s)) or finished[(name, None)]
-            if res.seed != s:
-                res = copy.copy(res)  # ``replace`` would read, and so build, ``days``
-                res.seed = s
+            if row and not seeded:
+                res = replace(first, seed=s)
+            else:
+                res = first = bench if name == BENCHMARK_STRATEGY else _simulate(strat, path, s)
             results[(name, s)] = res
             table[row, col] = res.total_return_pct
     means = table.mean(axis=0)

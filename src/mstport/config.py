@@ -23,7 +23,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backtest import STRATEGY_NAMES, StrategyConfig, repeats
+from .backtest import STRATEGY_NAMES, StrategyConfig, check_strategies, repeats
 from .errors import ConfigError
 
 
@@ -62,14 +62,7 @@ def parse_seeds(text: str) -> tuple[int, ...]:
 
 def parse_strategies(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [n for n in names if n not in STRATEGY_NAMES]
-    if unknown:
-        raise ValueError(f"unknown strategies: {', '.join(unknown)}")
-    if not names:
-        raise ValueError("empty strategy list")
-    repeated = repeats(names)
-    if repeated:
-        raise ValueError(f"repeated strategies: {', '.join(repeated)}")
+    check_strategies(names)
     return names
 
 
@@ -179,18 +172,17 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
             problems.append(f"data.{key}: file not found: {values[key]}")
     if "max_missing_frac" in values and not 0.0 <= values["max_missing_frac"] <= 1.0:
         problems.append("data.max_missing_frac: must lie in [0, 1]")
+    # The default dir stands in only when none is given: one that fails to
+    # read has its own problem.
+    out_dir = values.get("dir") or (None if parser.has_option("output", "dir") else RunConfig.out_dir)
+    if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
+        problems.append(f"{label['dir']}: not a directory: {out_dir}")
     by_field = {_FIELDS.get(k, k): v for k, v in values.items()}
     strategy = None
     try:
         strategy = StrategyConfig(**{k: v for k, v in by_field.items() if k in _STRATEGY_FIELDS})
     except ConfigError as exc:
         problems.extend(f"strategy: {p}" for p in exc.problems)
-    # The default list stands in only when no list is given: one that fails
-    # to read has its own problem and names no strategy.
-    given = parser.has_option("strategy", "strategies")
-    strategies = values.get("strategies", () if given else RunConfig.strategies)
-    if "buy_hold" in strategies and "benchmark_ticker" not in values:
-        problems.append(f"{label['strategies']}: buy_hold requires data.benchmark_ticker")
     if "benchmark_prices" in values and "benchmark_ticker" not in values:
         problems.append("data.benchmark_prices requires data.benchmark_ticker")
     if problems:

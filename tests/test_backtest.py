@@ -881,6 +881,14 @@ def test_days_are_built_on_first_read_and_kept(monkeypatch):
     assert len(built) == len(days)  # the second read built nothing
 
 
+def test_repr_of_a_result_builds_no_day_record(monkeypatch):
+    built = count_day_records(monkeypatch)
+    result = run_simulation(make_strategy(BASE, "mst_var"), GAPPY, GAPPY_RETURNS)
+    text = repr(result)
+    assert built == [] and "DayRecord" not in text
+    assert len(result.days) == len(built) == len(result.dates) - 1
+
+
 def test_seed_copies_share_the_days_of_a_lone_run(monkeypatch):
     names = ("mst_var", "mst_arima_sharpe", "fixed", "dynamic_var")
     seeds = (7, 8, 9)
@@ -927,12 +935,38 @@ def test_run_multi_seed_runs_exactly_the_config_seeds():
 def test_run_multi_seed_validates_inputs():
     with pytest.raises(ConfigError):
         run_multi_seed(dataclass_replace(BASE, seeds=()), PANEL, RETURNS)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown strategies: momentum$"):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("momentum",))
     with pytest.raises(ConfigError, match="repeated seed 7"):
         run_multi_seed(dataclass_replace(BASE, seeds=(7, 8, 7)), PANEL, RETURNS, strategies=("mst_var",))
-    with pytest.raises(ConfigError, match="repeated strategy 'mst_var'"):
+    with pytest.raises(ConfigError, match="^repeated strategies: mst_var$"):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("mst_var", "mst_var", "buy_hold"))
+    with pytest.raises(ConfigError, match="^empty strategy list$"):
+        run_multi_seed(BASE, PANEL, RETURNS, strategies=())
     no_bench = dataclass_replace(BASE, benchmark_ticker=None)
     with pytest.raises(ConfigError):
         run_multi_seed(no_bench, PANEL, RETURNS, strategies=("buy_hold",))
+
+
+def test_run_simulation_gives_run_multi_seeds_buy_hold_cell():
+    # One masked benchmark close, so the cells carry a warning.
+    prices = with_masked(PANEL, [(90, PANEL.ticker_index("IDX"))])
+    returns = market_data.compute_returns(prices)
+    cfg = dataclass_replace(BASE, seeds=(7, 8, 9))
+    multi = run_multi_seed(cfg, prices, returns, strategies=("mst_var", "buy_hold"))
+    for s in cfg.seeds:
+        want = multi.results[("buy_hold", s)]
+        got = run_simulation(make_strategy(cfg, "buy_hold"), prices, returns, seed=s)
+        assert (got.strategy, got.seed, got.dates) == (want.strategy, want.seed, want.dates)
+        assert got.values.tobytes() == want.values.tobytes(), s
+        assert (got.total_return_pct, got.trade_count, got.warnings) == (
+            want.total_return_pct,
+            want.trade_count,
+            want.warnings,
+        )
+        assert got.days == want.days == ()
+    assert want.trade_count == 1 and want.warnings
+    for ticker in (None, "NOPE"):
+        bench = make_strategy(dataclass_replace(BASE, benchmark_ticker=ticker), "buy_hold")
+        with pytest.raises(ConfigError, match="^buy_hold strategy requires benchmark_ticker present in the data$"):
+            run_simulation(bench, prices, returns)

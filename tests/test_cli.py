@@ -156,15 +156,21 @@ def test_config_reports_missing_files_by_field(tmp_path):
     assert "data.prices: file not found" in str(err.value)
 
 
-def test_config_buy_hold_needs_benchmark_ticker(tmp_path):
+BUY_HOLD_NEEDS_TICKER = "error: buy_hold strategy requires benchmark_ticker present in the data\n"
+
+
+def test_config_buy_hold_needs_benchmark_ticker(tmp_path, capsys):
+    # The config reads; the engine's buy_hold check rejects the run before
+    # anything is written.
     prices = write_panel(tmp_path)
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(
-        f"[data]\nprices = {prices}\n\n[strategy]\nstrategies = buy_hold\n", encoding="utf-8"
+        f"[data]\nprices = {prices}\n\n[strategy]\nwindow = 30\nstrategies = buy_hold\n", encoding="utf-8"
     )
-    with pytest.raises(ConfigError) as err:
-        parse_config(cfg_path)
-    assert "buy_hold requires data.benchmark_ticker" in str(err.value)
+    assert parse_config(cfg_path).strategies == ("buy_hold",)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == BUY_HOLD_NEEDS_TICKER
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "prices.csv"]
 
 
 def test_config_strategy_problems_are_field_qualified(tmp_path):
@@ -248,10 +254,10 @@ def test_config_defaults_come_from_the_dataclasses(tmp_path):
     prices = write_panel(tmp_path)
     only_prices = tmp_path / "only.ini"
     only_prices.write_text(f"[data]\nprices = {prices}\n", encoding="utf-8")
-    # The default strategy list holds buy_hold, which needs the ticker.
-    with pytest.raises(ConfigError) as err:
-        parse_config(only_prices)
-    assert err.value.problems == ("strategy.strategies: buy_hold requires data.benchmark_ticker",)
+    assert parse_config(only_prices) == RunConfig(
+        prices_path=prices,
+        raw_text=only_prices.read_text(encoding="utf-8"),
+    )
     cfg_path = write_ini(tmp_path, prices)
     assert parse_config(cfg_path) == RunConfig(
         prices_path=prices,
@@ -788,9 +794,56 @@ def test_a_flag_is_read_as_its_config_key(tmp_path, monkeypatch, capsys, flag, k
 def test_strategies_flag_meets_the_benchmark_ticker_check(tmp_path, capsys):
     prices = write_panel(tmp_path)
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(f"[data]\nprices = {prices}\n\n[strategy]\nstrategies = mst_var\n", encoding="utf-8")
+    cfg_path.write_text(
+        f"[data]\nprices = {prices}\n\n[strategy]\nwindow = 30\nstrategies = mst_var\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
     assert main(["simulate", "--config", str(cfg_path), "--strategies", "buy_hold,mst_var"]) == 2
-    assert capsys.readouterr().err == "error: --strategies: buy_hold requires data.benchmark_ticker\n"
+    assert capsys.readouterr().err == BUY_HOLD_NEEDS_TICKER
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "prices.csv"]
+
+
+def test_ingest_and_network_run_without_a_benchmark_ticker(tmp_path, capsys):
+    # A panel with no index column and a config with no benchmark_ticker:
+    # only buy_hold, in simulate's default list, needs one.
+    prices = tmp_path / "prices.csv"
+    write_long_csv(drop_tickers(PANEL, ["IDX"]), prices)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(
+        f"[data]\nprices = {prices}\n\n[strategy]\nwindow = 30\nrebalance_every = 30\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == BUY_HOLD_NEEDS_TICKER
+    assert not (tmp_path / "out").exists()
+    assert main(["ingest", "--config", str(cfg_path)]) == 0
+    assert "benchmark series: absent\n" in capsys.readouterr().out
+    assert main(["network", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "costs.csv").exists() and list((tmp_path / "out").glob("mst_*.dot"))
+
+
+@pytest.mark.parametrize("command", ["network", "simulate"])
+@pytest.mark.parametrize("source", ["file", "flag", "default"])
+def test_an_output_dir_that_is_a_file_is_rejected(tmp_path, monkeypatch, capsys, command, source):
+    monkeypatch.chdir(tmp_path)
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, prices if source == "file" else tmp_path / "out")
+    flags = ["--out", str(prices)] if source == "flag" else []
+    out, label = {"file": (prices, "output.dir"), "flag": (prices, "--out"), "default": ("out", "output.dir")}[source]
+    if source == "default":
+        text = cfg_path.read_text(encoding="utf-8").replace(f"[output]\ndir = {tmp_path / 'out'}\n", "")
+        cfg_path.write_text(text, encoding="utf-8")
+        (tmp_path / "out").write_text("not a directory\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, "--config", str(cfg_path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {label}: not a directory: {out}\n"
+    if source == "default":
+        # An unreadable dir is not checked as the default it does not name.
+        assert main([command, "--config", str(cfg_path), "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out: empty path\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("via_flag", [False, True])
