@@ -128,13 +128,20 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
+
+
 def cmd_network(cfg: RunConfig) -> int:
     table, _ = _load_panel(cfg)
     strat = cfg.strategy
     path = backtest.DecisionPath(strat, table, market_data.compute_returns(table))
     window_ends = path.returns.dates
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     sectors = _load_sectors(cfg.sectors_path)
     n_windows = 0
     # Each source ticker's rows are written as one string and dropped, so
@@ -202,7 +209,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     returns = market_data.compute_returns(table)
     summary = backtest.run_multi_seed(cfg.strategy, table, returns, strategies=cfg.strategies)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     strategies_blob: dict = {}
     # Every result's dates are panel dates; each is encoded once per run.
     stamps = {day: _csv_field(day.isoformat()) + "," for day in table.dates}

@@ -20,6 +20,7 @@ problem is reported with its section-qualified field name.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -175,8 +176,14 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     # The default dir stands in only when none is given: one that fails to
     # read has its own problem.
     out_dir = values.get("dir") or (None if parser.has_option("output", "dir") else RunConfig.out_dir)
-    if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
-        problems.append(f"{label['dir']}: not a directory: {out_dir}")
+    if out_dir is not None:
+        # The run makes what is missing of the dir, which it can do only
+        # beneath a directory: the nearest part that exists must be one.
+        # os.path's tests, unlike Path's, read any stat error as absence, so
+        # an overlong or unsearchable path is left for mkdir to report.
+        existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), None)
+        if existing is not None and not os.path.isdir(existing):
+            problems.append(f"{label['dir']}: not a directory: {existing}")
     by_field = {_FIELDS.get(k, k): v for k, v in values.items()}
     strategy = None
     try:

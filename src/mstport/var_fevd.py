@@ -26,6 +26,16 @@ Each pair is ordered by ticker name, so the result does not depend on the
 column order of the window.  The network reads only each pair's two cross
 shares, so the decomposition kernel computes those two alone; only
 :func:`fevd` also asks it for the two diagonal shares.
+
+The kernel sums the horizon in closed form.  By Cayley-Hamilton every power
+of a 2x2 matrix is a combination of the traceless M = A1 - tr(A1)/2 I and
+I, so each step updates two scalars per pair, and every numerator and
+denominator is a fixed quadratic form in three horizon sums of them.  This
+sums in another order than a product recursion over A1^s would, and where
+A1 is explosive and a row of A1^s is much smaller than its M part, the
+cancellation of the final quadratic form costs digits that the recursion
+keeps.  ``tests/oracle_fevd.py`` recomputes every share in extended
+precision and states the budgets that the kernel meets.
 """
 
 from __future__ import annotations
@@ -177,32 +187,39 @@ def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str, diagonal: bool = F
     else:
         l00, l10, l11 = 1.0, 0.0, 1.0
         fallback = np.zeros(np.shape(a00), dtype=bool)
-    cells = ((0, 0), (0, 1), (1, 0), (1, 1)) if diagonal else ((0, 1), (1, 0))
-    num = {cell: np.zeros(np.shape(a00)) for cell in cells}
-    den = [np.zeros(np.shape(a00)), np.zeros(np.shape(a00))]
-    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0  # Phi_0 = I
-    for step in range(horizon):
-        if step:  # Phi_s = Phi_{s-1} A1
-            p00, p01, p10, p11 = (
-                p00 * a00 + p01 * a10,
-                p00 * a01 + p01 * a11,
-                p10 * a00 + p11 * a10,
-                p10 * a01 + p11 * a11,
-            )
-        for r, (q0, q1) in enumerate(((p00, p01), (p10, p11))):
-            if (r, 0) in num:
-                m0 = q0 * l00 + q1 * l10
-                num[r, 0] += m0 * m0
-            if (r, 1) in num:
-                m1 = q1 * l11
-                num[r, 1] += m1 * m1
-            den[r] += q0 * q0 * s00 + 2.0 * q0 * q1 * s01 + q1 * q1 * s11
+    # Cayley-Hamilton in the shifted basis: with c = tr(A1)/2 and the
+    # traceless M = A1 - cI, M^2 = eI, so Phi_s = A1^s = g_s M + d_s I with
+    # (g_0, d_0) = (0, 1) and (g, d) -> (cg + d, cd + eg).  Every sum over
+    # the horizon below is then a quadratic form in (gg, gd, dd), the sums
+    # of g_s^2, g_s d_s and d_s^2 over s < horizon.
+    c = (a00 + a11) / 2.0
+    m = (a00 - a11) / 2.0
+    e = m * m + a01 * a10
+    gg, gd, dd = 0.0, 0.0, 1.0  # Phi_0 = I
+    g, d = 1.0, c  # Phi_1 = A1
+    for step in range(1, horizon):
+        if step > 1:
+            g, d = c * g + d, c * d + e * g
+        gg = gg + g * g
+        gd = gd + g * d
+        dd = dd + d * d
+    gd2 = 2.0 * gd
+    # Row 0 of Phi_s is g_s (m, a01) + d_s (1, 0); row 1 is g_s (a10, -m) + d_s (0, 1).
+    t0, t1 = m * s00 + a01 * s01, m * s01 + a01 * s11
+    w0, w1 = a10 * s00 - m * s01, a10 * s01 - m * s11
+    den = ((m * t0 + a01 * t1) * gg + t0 * gd2 + s00 * dd, (a10 * w0 - m * w1) * gg + w1 * gd2 + s11 * dd)
+    u = a10 * l00 - m * l10
+    num = {(0, 1): (a01 * l11) ** 2 * gg, (1, 0): u * u * gg + u * l10 * gd2 + l10 * l10 * dd}
+    if diagonal:
+        v = m * l00 + a01 * l10
+        num[0, 0] = v * v * gg + v * l00 * gd2 + l00 * l00 * dd
+        num[1, 1] = l11 * l11 * (m * m * gg - m * gd2 + dd)
     shares = {}
-    for (r, c), total in num.items():
+    for (r, col), total in num.items():
         share = total / np.where(den[r] > 0.0, den[r], 1.0)
         # A zero denominator means the variable has no forecast error
         # variance; attribute everything to the variable itself.
-        shares[r, c] = np.clip(np.where(den[r] <= 0.0, float(r == c), share), 0.0, 1.0)
+        shares[r, col] = np.clip(np.where(den[r] <= 0.0, float(r == col), share), 0.0, 1.0)
     return shares, fallback
 
 

@@ -1,11 +1,13 @@
 """Four-share FEVD kernel and all-pairs window, kept as the oracle of ``var_fevd``.
 
 This is the engine's former ``_fevd_shares`` and ``influence_matrix``: the
-kernel accumulates all four variance shares of every pair, and the window
-gathers pair entries through 2-D fancy indexing of the Gram matrices.  The
-engine accumulates only the two cross shares unless asked for the diagonal;
-its cross shares, ``fallback`` flags, θ, ``degenerate`` and ``fallbacks``
-must equal these byte for byte.
+kernel forms every Phi_s = A1^s by the product recursion and accumulates
+all four variance shares of every pair, and the window gathers pair entries
+through 2-D fancy indexing of the Gram matrices.  The engine sums the
+horizon in closed form, so its shares differ from these in their last
+digits: its ``fallback`` flags, ``degenerate`` and ``fallbacks`` counts and
+errors must equal these exactly, and its θ must lie within 1e-13 of this
+window's.  Both are judged digit by digit against ``oracle_fevd``.
 """
 
 from __future__ import annotations

@@ -846,6 +846,34 @@ def test_an_output_dir_that_is_a_file_is_rejected(tmp_path, monkeypatch, capsys,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["network", "simulate"])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_an_output_dir_beneath_a_file_is_rejected(tmp_path, capsys, command, source):
+    prices = write_panel(tmp_path)
+    out = prices / "sub"
+    cfg_path = write_config(tmp_path, prices, out if source == "file" else tmp_path / "out")
+    flags = ["--out", str(out)] if source == "flag" else []
+    label = "--out" if source == "flag" else "output.dir"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, "--config", str(cfg_path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {label}: not a directory: {prices}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["network", "simulate"])
+def test_an_output_dir_that_cannot_be_made_is_an_input_error(tmp_path, capsys, command):
+    # A name past the file system's length limit: no part of the path is a
+    # file, so the config is accepted and mkdir itself fails.
+    prices = write_panel(tmp_path)
+    out = tmp_path / ("x" * 300) / "sub"
+    cfg_path = write_config(tmp_path, prices, out, strategies="buy_hold,mst_var")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output dir {out}: ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("via_flag", [False, True])
 def test_an_unreadable_strategy_list_is_not_checked_as_the_default_list(tmp_path, capsys, via_flag):
     # The default list holds buy_hold; a list that fails to read must not

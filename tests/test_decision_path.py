@@ -23,7 +23,6 @@ from mstport.backtest import (
     Decision,
     DecisionPath,
     StrategyConfig,
-    benchmark_buy_hold,
     make_strategy,
     run_multi_seed,
     run_simulation,
@@ -40,24 +39,14 @@ SEEDS = (7, 8)
 NNAR_STRATEGIES = ("mst_nnar_var", "mst_nnar_sharpe", "mst_allagree_var", "mst_allagree_sharpe")
 
 
-def independent_run(cfg: StrategyConfig, prices, returns, name: str, seed: int):
-    if name == BENCHMARK_STRATEGY:
-        j = prices.ticker_index(cfg.benchmark_ticker)
-        rows = slice(cfg.window, len(prices.dates))
-        return benchmark_buy_hold(
-            prices.dates[rows], prices.adj_close[rows, j], cfg.initial_capital, prices.mask[rows, j]
-        )
-    return run_simulation(make_strategy(cfg, name), prices, returns, seed=seed)
-
-
 def assert_matches_independent_runs(cfg: StrategyConfig, prices) -> dict:
     returns = market_data.compute_returns(prices)
     multi = run_multi_seed(replace(cfg, seeds=SEEDS), prices, returns)
     for name in STRATEGY_NAMES:
         for seed in SEEDS:
             got = multi.results[(name, seed)]
-            want = independent_run(cfg, prices, returns, name, seed)
-            assert got.seed == seed
+            want = run_simulation(make_strategy(cfg, name), prices, returns, seed=seed)
+            assert got.seed == want.seed == seed
             assert np.array_equal(got.values, want.values), (name, seed)
             assert got.trade_count == want.trade_count, (name, seed)
             assert got.warnings == want.warnings, (name, seed)
