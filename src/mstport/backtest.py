@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import allocation, forecast, market_data, network, var_fevd
 from .allocation import WEIGHTING_SHARPE, WEIGHTING_VAR, WeightVector
 from .errors import ConfigError, DataError, EstimationError, InsufficientHistory
-from .forecast import Forecast
 from .market_data import PriceTable, ReturnMatrix
 from .network import MstTree
 from .var_fevd import CostMatrix
@@ -386,15 +385,6 @@ def _strip_benchmark(
     return prices, returns
 
 
-# NNAR fits trained as one stack.  An epoch costs a fixed numpy call
-# overhead plus a share per member, so a fit in a stack of 2 runs at about
-# the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
-# one AMD EPYC core, OpenBLAS on 1 thread) a fit took 11.7 ms alone and, per
-# member, 3.9 / 2.6 / 2.0 / 1.8 / 1.6 / 1.4 ms in stacks of 4 / 8 / 16 / 24 /
-# 32 / 48; 240 fits split into stacks of 24 / 48 / 64 / 96 took 1.67 / 1.48 /
-# 1.44 / 1.46 ms per fit.
-NNAR_CHUNK = 48
-
 # Cost cells (windows x N x N) of the spanning trees grown as one stack, 8
 # bytes each: an 8 MiB stack at this cap.  A Prim step costs a fixed numpy
 # call overhead plus a share per window, so a tree gets cheaper as the stack
@@ -409,6 +399,10 @@ NNAR_CHUNK = 48
 #
 # The cap stacks 291 windows at N = 60, 21 at N = 220 and 4 at N = 490.
 MST_CELLS = 1 << 20
+
+
+# A forecast entry of DecisionPath.forecasts: (r_hat, signals, warnings).
+Forecasts = tuple[np.ndarray, list[int], list[str]]
 
 
 @dataclass(frozen=True)
@@ -469,7 +463,7 @@ class DecisionPath:
         self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._schedules: dict[str, tuple[Decision, ...]] = {}
-        self._forecasts: dict[tuple[str, str], dict[int | None, list[tuple[Forecast, str | None]]]] = {}
+        self._forecasts: dict[tuple[str, str], dict[int | None, Forecasts]] = {}
 
     def trees_at(self, taus: Sequence[int]) -> Iterator[tuple[int, tuple[CostMatrix, MstTree] | Exception]]:
         """Edge costs and spanning tree of each window ending at a return row of ``taus``, in order.
@@ -576,17 +570,19 @@ class DecisionPath:
         windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
         return windows, clean
 
-    def forecasts(self, cfg: StrategyConfig, seed: int) -> list[tuple[Forecast, str | None]]:
-        """``cfg.forecaster``'s one-step forecast and failure message for each weight row.
+    def forecasts(self, cfg: StrategyConfig, seed: int) -> Forecasts:
+        """``(r_hat, signals, warnings)`` of ``cfg.forecaster`` on the weight rows.
 
-        There is one entry per row of :meth:`weight_windows` over the
-        trading days of ``cfg.portfolio_mode``'s schedule, fitted on that
-        row's window.  A row that is not clean (a masked return in the
-        window) gets a neutral forecast without a fit, and one whose fit
-        fails a neutral forecast and the failure, so the filter drops the
-        stock.  The list is computed once per forecaster and portfolio mode,
-        NNAR over all of the path's seeds in stacks of ``NNAR_CHUNK``; ARIMA
-        ignores the seed, so its list serves every seed.
+        The rows are those of :meth:`weight_windows` over the trading days of
+        ``cfg.portfolio_mode``'s schedule: each row's one-step forecast as a
+        float64 array, its :func:`forecast.to_signal` vote, and a ``forecast
+        failed for <ticker>: <why>`` line per failed row, in row order.  A
+        row that is not clean (a masked return in its window) gets 0.0 and
+        vote 0 without a fit, and so does one whose fit fails or forecasts a
+        non-finite value, so the filter drops the stock.  The entry is fitted
+        once per forecaster and portfolio mode, NNAR over all of the path's
+        seeds in one :func:`forecast.nnar_fit_batch` call; ARIMA ignores the
+        seed, so its one entry serves every seed.
         """
         key = (cfg.forecaster, cfg.portfolio_mode)
         if key not in self._forecasts:
@@ -594,29 +590,26 @@ class DecisionPath:
             self._forecasts[key] = self._fit(cfg.forecaster, days)
         return self._forecasts[key][seed if cfg.forecaster == FORECASTER_NNAR else None]
 
-    def _fit(self, forecaster: str, days: list[Decision]) -> dict[int | None, list[tuple[Forecast, str | None]]]:
+    def _fit(self, forecaster: str, days: list[Decision]) -> dict[int | None, Forecasts]:
         """Each seed's (None for ARIMA) forecasts of the weight rows of ``days``."""
         cfg = self.base
         rows = [(ticker, d.tau) for d in days for ticker in d.selection]
         windows, clean = self.weight_windows(days)
         seeds = self.seeds if forecaster == FORECASTER_NNAR else (None,)
-        out = {s: [(forecast.make_forecast(ticker, 0.0), None) for ticker, _ in rows] for s in seeds}
+        out = {s: (np.zeros(len(rows)), [0] * len(rows), []) for s in seeds}
         fits = [(i, series, s) for i, series in zip(np.flatnonzero(clean).tolist(), windows) for s in seeds]
         orders = (cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
-        models: list = []
         if forecaster == FORECASTER_NNAR:
-            for start in range(0, len(fits), NNAR_CHUNK):
-                chunk = fits[start : start + NNAR_CHUNK]
-                models += forecast.nnar_fit_batch(
-                    [series for _, series, _ in chunk],
-                    [forecast.derive_seed(s, *rows[i]) for i, _, s in chunk],
-                    cfg.nnar_lags,
-                    cfg.nnar_hidden,
-                    learning_rate=cfg.nnar_learning_rate,
-                    epochs=cfg.nnar_epochs,
-                )
+            models = forecast.nnar_fit_batch(
+                [series for _, series, _ in fits],
+                [forecast.derive_seed(s, *rows[i]) for i, _, s in fits],
+                cfg.nnar_lags,
+                cfg.nnar_hidden,
+                learning_rate=cfg.nnar_learning_rate,
+                epochs=cfg.nnar_epochs,
+            )
         for n, (i, series, s) in enumerate(fits):
-            ticker = rows[i][0]
+            r_hats, signals, warnings = out[s]
             try:
                 if forecaster == FORECASTER_NNAR:
                     if isinstance(models[n], Exception):
@@ -624,9 +617,10 @@ class DecisionPath:
                     r_hat = forecast.nnar_forecast(models[n], series[-cfg.nnar_lags :])
                 else:
                     r_hat = forecast.arima_forecast(forecast.arima_fit(series, *orders), series)
-                out[s][i] = (forecast.make_forecast(ticker, r_hat), None)
+                signals[i] = forecast.to_signal(r_hat)  # a non-finite forecast fails here
+                r_hats[i] = r_hat
             except (EstimationError, ValueError) as exc:
-                out[s][i] = (forecast.make_forecast(ticker, 0.0), str(exc))
+                warnings.append(f"forecast failed for {rows[i][0]}: {exc}")
         return out
 
 
@@ -679,9 +673,11 @@ def _day_loop(
 ) -> tuple[list[date], list[float], int, set[str]]:
     """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
 
-    The raw weights of the whole schedule are checked once, then each
-    trading day's are normalised by :func:`allocation.normalize`, which
-    gives the trade targets and the signal.  With a ``records`` list, each
+    The raw weights of the whole schedule are checked once and, with a
+    forecaster, filtered once by the path's forecasts.  Each trading day's
+    are then normalised by :func:`allocation.normalize`, which gives the
+    trade targets and the signal; an all-agree strategy's signal is the
+    vote of the day's forecasts instead.  With a ``records`` list, each
     day's :class:`DayRecord` is appended to it, its weights built by
     :func:`allocation.from_raw`; without one the loop builds no per-day
     object.  The loop reads only the path's schedule and forecasts, so
@@ -698,8 +694,13 @@ def _day_loop(
         risk_free=cfg.risk_free,
     )
     allocation.check_raws(raws)
+    warnings: set[str] = set()
+    if cfg.forecaster != FORECASTER_NONE:
+        # The filter: a stock without a positive forecast gets no weight.
+        r_hat, signals, failures = path.forecasts(cfg, seed)
+        raws = np.where(r_hat > 0.0, raws, 0.0)
+        warnings.update(failures)
     raws = raws.tolist()
-    fits = path.forecasts(cfg, seed) if cfg.forecaster != FORECASTER_NONE else None
     # Execution and closing prices of the columns the schedule ever selects,
     # one row per schedule day.  The execution prices of price row t sit in
     # row t - 1: the open, or the prior close where the open is masked or
@@ -721,7 +722,6 @@ def _day_loop(
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
-    warnings: set[str] = set()
     trade_count = 0
     start = 0  # first raw weight of the next trading day
     for i, day in enumerate(schedule):
@@ -732,17 +732,12 @@ def _day_loop(
         else:
             stop = start + len(day.selection)
             raw = raws[start:stop]
-            if fits is not None:
-                picked = fits[start:stop]
-                forecasts = [fc for fc, _ in picked]
-                warnings.update(f"forecast failed for {fc.ticker}: {why}" for fc, why in picked if why is not None)
-                raw = [r if f.r_hat > 0.0 else 0.0 for r, f in zip(raw, forecasts)]
-            start = stop
             targets = [(col[t], n) for t, n in zip(day.selection, allocation.normalize(raw)) if n > 0.0]
             if all_agree:
-                signal = aggregate_signal([f.signal for f in forecasts])
+                signal = aggregate_signal(signals[start:stop])
             else:
                 signal = 1 if targets else -1
+            start = stop
         before = held
         cash, held, value, stale_cols = _trade(
             cash,

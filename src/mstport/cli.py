@@ -141,8 +141,8 @@ def cmd_network(cfg: RunConfig) -> int:
     path = backtest.DecisionPath(strat, table, market_data.compute_returns(table))
     window_ends = path.returns.dates
     out = cfg.out_dir
-    _make_out_dir(out)
     sectors = _load_sectors(cfg.sectors_path)
+    _make_out_dir(out)
     n_windows = 0
     # Each source ticker's rows are written as one string and dropped, so
     # memory holds one row of the cost matrix, not a window's N(N-1)/2 rows.

@@ -168,8 +168,9 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         problems.append(f"data.format: expected long or wide, got {fmt!r}")
     if not parser.has_option("data", "prices"):
         problems.append("data.prices: required path is missing")
+    # os.path.exists reads any stat error (an overlong name, say) as absence.
     for key in ("prices", "benchmark_prices", "sectors"):
-        if key in values and not values[key].exists():
+        if key in values and not os.path.exists(values[key]):
             problems.append(f"data.{key}: file not found: {values[key]}")
     if "max_missing_frac" in values and not 0.0 <= values["max_missing_frac"] <= 1.0:
         problems.append("data.max_missing_frac: must lie in [0, 1]")

@@ -14,6 +14,7 @@ import csv
 import io
 import logging
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from datetime import date
@@ -345,7 +346,8 @@ def _load_wide(path: Path) -> PriceTable:
     dates, tickers, closes = _parse_wide_grid(path)
     opens = None
     opens_path = path.with_name(path.stem + ".open" + path.suffix)
-    if opens_path.exists():
+    # os.path.exists reads any stat error (an overlong name, say) as absence.
+    if os.path.exists(opens_path):
         o_dates, o_tickers, opens = _parse_wide_grid(opens_path)
         if o_dates != dates or o_tickers != tickers:
             raise DataError(f"{opens_path}: dates/tickers do not match {path}")

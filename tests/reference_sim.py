@@ -53,12 +53,13 @@ def _raw_weights(cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMat
 
 
 def _forecasts(cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed: int):
+    """``(r_hat, signal)`` of each selected stock, neutral for a masked window."""
     out = []
     for ticker in selection:
         j = win.ticker_index(ticker)
         col = win.returns[:, j]
         if win.mask[:, j].any():
-            out.append(forecast.make_forecast(ticker, 0.0))
+            out.append((0.0, 0))
             continue
         if cfg.forecaster == backtest.FORECASTER_ARIMA:
             model = forecast.arima_fit(col, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
@@ -73,7 +74,7 @@ def _forecasts(cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed
                 epochs=cfg.nnar_epochs,
             )
             r_hat = forecast.nnar_forecast(model, col[-cfg.nnar_lags :])
-        out.append(forecast.make_forecast(ticker, r_hat))
+        out.append((r_hat, forecast.to_signal(r_hat)))
     return out
 
 
@@ -131,13 +132,13 @@ def simulate(
                 signal = 1 if not weights.is_all_zero() else -1
             else:
                 fcs = _forecasts(cfg, win, selection, tau, seed)
-                by_ticker = {f.ticker: f for f in fcs}
+                by_ticker = dict(zip(selection, fcs))
                 weights = allocation.from_raw(
                     weights.tickers,
-                    [raw if by_ticker[t].r_hat > 0.0 else 0.0 for t, raw, _ in weights.entries],
+                    [raw if by_ticker[t][0] > 0.0 else 0.0 for t, raw, _ in weights.entries],
                 )
                 if cfg.signal_mode == backtest.SIGNAL_ALL_AGREE:
-                    total = sum(f.signal for f in fcs)
+                    total = sum(signal for _, signal in fcs)
                     signal = 0 if total == 0 else (1 if total > 0 else -1)
                 else:
                     signal = 1 if not weights.is_all_zero() else -1

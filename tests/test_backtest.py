@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sim
-from mstport import allocation, backtest, market_data
+from mstport import allocation, backtest, forecast, market_data
 from mstport.allocation import from_raw
 from mstport.backtest import (
     EMPTY_WEIGHTS,
@@ -359,6 +359,35 @@ def test_aggregate_signal_majority_rules():
         aggregate_signal([])
     with pytest.raises(DataError):
         aggregate_signal([2])
+
+
+def test_filter_and_vote_read_dead_zone_and_non_finite_forecasts(monkeypatch):
+    # Six stocks, all selected every day, each with one scripted forecast.
+    panel = random_walk_table(6, 70, seed=57)
+    returns = market_data.compute_returns(panel)
+    scripted = dict(zip(panel.tickers, (5e-13, -5e-13, 0.0, 0.01, math.nan, -0.01)))
+    cfg = StrategyConfig(window=40, top_k=6, nnar_epochs=5)
+    lags = cfg.nnar_lags
+    ticker_of = {
+        returns.returns[t - lags + 1 : t + 1, j].tobytes(): ticker
+        for j, ticker in enumerate(returns.tickers)
+        for t in range(lags - 1, len(returns.dates))
+    }
+    monkeypatch.setattr(forecast, "nnar_forecast", lambda model, tail: scripted[ticker_of[tail.tobytes()]])
+    filtered = run_simulation(make_strategy(cfg, "mst_nnar_var"), panel, returns)
+    voted = run_simulation(make_strategy(cfg, "mst_allagree_var"), panel, returns)
+    for result in (filtered, voted):
+        assert result.warnings == (f"forecast failed for {panel.tickers[4]}: forecast must be finite",)
+        assert result.days
+        for day in result.days:
+            assert set(day.selection) == set(panel.tickers)
+            # Only a positive forecast keeps its stock's weight, 5e-13 included.
+            assert {t for t, raw, _ in day.weights.entries if raw > 0.0} == {panel.tickers[0], panel.tickers[3]}
+    assert {day.signal for day in filtered.days} == {1}
+    # The votes 0, 0, 0, +1, 0 (failed) and -1 hold: had 5e-13 voted +1 the
+    # day would buy, had -5e-13 voted -1 it would sell.
+    assert {day.signal for day in voted.days} == {0}
+    assert voted.trade_count == 0
 
 
 # ---------------------------------------------------------------------------

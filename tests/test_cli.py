@@ -25,7 +25,15 @@ from mstport.cli import main
 from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
 from mstport.errors import ConfigError
 from mstport.market_data import PriceTable, compute_returns, drop_tickers, select_tickers
-from synth import flat_cost_rows, random_walk_table, with_flat_rows, with_flat_start, with_masked, write_long_csv
+from synth import (
+    flat_cost_rows,
+    random_walk_table,
+    with_flat_rows,
+    with_flat_start,
+    with_masked,
+    write_long_csv,
+    write_wide_csv,
+)
 
 PANEL = random_walk_table(6, 100, seed=21, extra_tickers=("IDX",))
 
@@ -355,6 +363,24 @@ def test_ingest_prints_panel_statistics(tmp_path, capsys):
     assert "benchmark series: present" in out
 
 
+@pytest.mark.parametrize("key", ["prices", "benchmark_prices", "sectors"])
+def test_an_input_path_too_long_to_stat_exits_2(tmp_path, capsys, key):
+    cfg_path = write_ini(tmp_path, write_panel(tmp_path), key, str(tmp_path / ("x" * 300 + ".csv")))
+    assert main(["ingest", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"data.{key}: file not found" in err
+    assert "Traceback" not in err
+
+
+def test_a_wide_file_whose_opens_name_is_too_long_loads_without_opens(tmp_path, capsys):
+    # The opens sibling's name, "<stem>.open.csv", is past the 255-byte limit.
+    prices = tmp_path / ("p" * 248 + ".csv")
+    write_wide_csv(random_walk_table(6, 100, seed=21, with_opens=False, extra_tickers=("IDX",)), prices)
+    cfg_path = write_ini(tmp_path, prices, "format", "wide")
+    assert main(["ingest", "--config", str(cfg_path)]) == 0
+    assert "opens present: False" in capsys.readouterr().out
+
+
 def test_network_writes_trees_and_costs(tmp_path):
     prices = write_panel(tmp_path)
     out_dir = tmp_path / "net"
@@ -451,6 +477,7 @@ def test_network_reports_an_unreadable_sectors_file(tmp_path, capsys, kind, mess
     assert main(["network", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and str(sectors) in err
+    assert not (tmp_path / "net").exists()
 
 
 def write_split_panel(tmp_path: Path, benchmark: PriceTable) -> Path:

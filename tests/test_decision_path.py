@@ -3,7 +3,6 @@ each window's network and each forecast is computed once per run."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import replace
 
@@ -18,7 +17,6 @@ from mstport.backtest import (
     MODE_DYNAMIC,
     MODE_DYNAMIC_VAR_ONLY,
     MODE_FIXED,
-    NNAR_CHUNK,
     STRATEGY_NAMES,
     Decision,
     DecisionPath,
@@ -28,6 +26,7 @@ from mstport.backtest import (
     run_simulation,
 )
 from mstport.errors import DataError, EstimationError
+from mstport.forecast import NNAR_CHUNK
 from synth import random_walk_table, with_flat_rows, with_flat_start, with_masked
 
 # The backtest tests' panel, shortened and with shorter NNAR training: the
@@ -75,10 +74,12 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     windows = Counter()
     nnar_fits = Counter()
     nnar_batches = []
+    stacks = []
     arima_fits = Counter()
-    influence_matrix, nnar_fit_batch, arima_fit = (
+    influence_matrix, nnar_fit_batch, train_stack, arima_fit = (
         var_fevd.influence_matrix,
         forecast.nnar_fit_batch,
+        forecast._train_stack,
         forecast.arima_fit,
     )
 
@@ -91,12 +92,17 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
         nnar_fits.update((s.tobytes(), seed) for s, seed in zip(series, seeds))
         return nnar_fit_batch(series, seeds, *args, **kwargs)
 
+    def counted_stack(x, *args):
+        stacks.append(len(x))
+        return train_stack(x, *args)
+
     def counted_arima(series, *args, **kwargs):
         arima_fits[series.tobytes()] += 1
         return arima_fit(series, *args, **kwargs)
 
     monkeypatch.setattr(var_fevd, "influence_matrix", counted_influence)
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
+    monkeypatch.setattr(forecast, "_train_stack", counted_stack)
     monkeypatch.setattr(forecast, "arima_fit", counted_arima)
     multi = run_multi_seed(replace(BASE, seeds=SEEDS), PANEL, RETURNS)
 
@@ -112,7 +118,12 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     }
     assert sum(nnar_fits.values()) == len(nnar_tasks) == len(SEEDS) * len(asked) * BASE.top_k
     assert set(nnar_fits.values()) == {1}
-    assert len(nnar_batches) == math.ceil(len(nnar_tasks) / NNAR_CHUNK)
+    # One call per (forecaster, portfolio mode), which nnar_fit_batch trains
+    # in stacks of at most NNAR_CHUNK.
+    strategies = [make_strategy(BASE, name) for name in NNAR_STRATEGIES]
+    assert len(nnar_batches) == len({(s.forecaster, s.portfolio_mode) for s in strategies}) == 1
+    assert len(nnar_tasks) > NNAR_CHUNK
+    assert max(stacks) == NNAR_CHUNK
     arima_tasks = {
         (ticker, rec.date)
         for name in ("mst_arima_var", "mst_arima_sharpe")
@@ -138,41 +149,40 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
     path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
     strategy = make_strategy(cfg, "mst_nnar_var")
     j = path.returns.ticker_index(ticker)
-    fits = path.forecasts(strategy, SEEDS[0])
+    r_hats, signals, failures = path.forecasts(strategy, SEEDS[0])
+    assert failures == []
     start = 0
     neutral = 0
     for day in path.schedule(strategy.portfolio_mode):
-        entries = fits[start : start + len(day.selection)]
-        start += len(day.selection)
-        forecasts = [fc for fc, _ in entries]
-        failures = [why for _, why in entries if why is not None]
-        assert failures == []
         if path.returns.mask[day.tau - cfg.window + 1 : day.tau + 1, j].any():
-            got = forecasts[day.selection.index(ticker)]
-            assert (got.r_hat, got.signal) == (0.0, 0)
+            row = start + day.selection.index(ticker)
+            assert (r_hats[row].tobytes(), signals[row]) == (np.float64(0.0).tobytes(), 0)
             neutral += 1
-    assert start == len(fits)
+        start += len(day.selection)
+    assert start == len(r_hats) == len(signals)
     assert neutral > 0
     assert fitted and all(np.isfinite(series).all() for series in fitted)
 
 
 def lone_forecast(cfg: StrategyConfig, series: np.ndarray, ticker: str, tau: int, seed: int):
-    """``(r_hat, failure)`` of one fit on ``series`` alone, as the path keeps it."""
+    """``(r_hat, signal, failure)`` of one fit on ``series`` alone, as the path keeps it."""
     try:
         if cfg.forecaster == FORECASTER_ARIMA:
             model = forecast.arima_fit(series, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
-            return forecast.make_forecast(ticker, forecast.arima_forecast(model, series)).r_hat, None
-        model = forecast.nnar_fit(
-            series,
-            cfg.nnar_lags,
-            cfg.nnar_hidden,
-            forecast.derive_seed(seed, ticker, tau),
-            learning_rate=cfg.nnar_learning_rate,
-            epochs=cfg.nnar_epochs,
-        )
-        return forecast.make_forecast(ticker, forecast.nnar_forecast(model, series[-cfg.nnar_lags :])).r_hat, None
+            r_hat = forecast.arima_forecast(model, series)
+        else:
+            model = forecast.nnar_fit(
+                series,
+                cfg.nnar_lags,
+                cfg.nnar_hidden,
+                forecast.derive_seed(seed, ticker, tau),
+                learning_rate=cfg.nnar_learning_rate,
+                epochs=cfg.nnar_epochs,
+            )
+            r_hat = forecast.nnar_forecast(model, series[-cfg.nnar_lags :])
+        return r_hat, forecast.to_signal(r_hat), None
     except (EstimationError, ValueError) as exc:
-        return 0.0, str(exc)
+        return 0.0, 0, str(exc)
 
 
 @pytest.mark.parametrize(
@@ -197,17 +207,20 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     assert [s.tobytes() for s, ok in zip(strided, clean) if ok] == [row.tobytes() for row in windows]
     failed = 0
     for seed in SEEDS:
-        fits = path.forecasts(strategy, seed)
-        assert [fc.ticker for fc, _ in fits] == [ticker for ticker, _ in rows]
-        for (fc, why), (ticker, tau), series, ok in zip(fits, rows, strided, clean):
-            if not ok:
-                assert (fc.r_hat, fc.signal, why) == (0.0, 0, None)
-                continue
-            r_hat, failure = lone_forecast(strategy, series, ticker, tau, seed)
-            assert why == failure, (ticker, tau, seed)
-            assert np.float64(fc.r_hat).tobytes() == np.float64(r_hat).tobytes(), (ticker, tau, seed)
-            assert fc.signal == forecast.to_signal(r_hat)
-            failed += why is not None
+        r_hats, signals, failures = path.forecasts(strategy, seed)
+        assert r_hats.dtype == np.float64
+        assert len(r_hats) == len(signals) == len(rows)
+        want_failures = []
+        for row, ((ticker, tau), series, ok) in enumerate(zip(rows, strided, clean)):
+            r_hat, signal = 0.0, 0
+            if ok:
+                r_hat, signal, failure = lone_forecast(strategy, series, ticker, tau, seed)
+                if failure is not None:
+                    want_failures.append(f"forecast failed for {ticker}: {failure}")
+            got = (r_hats[row].tobytes(), signals[row])
+            assert got == (np.float64(r_hat).tobytes(), signal), (ticker, tau, seed)
+        assert failures == want_failures
+        failed += len(failures)
     if strategy.forecaster == FORECASTER_ARIMA:
         assert path.forecasts(strategy, SEEDS[0]) is path.forecasts(strategy, SEEDS[1])
     assert (failed > 0) == (learning_rate > 1.0)

@@ -43,12 +43,6 @@ def test_signal_rejects_non_finite():
             fc.to_signal(bad)
 
 
-def test_make_forecast_carries_signal():
-    f = fc.make_forecast("AAA", -0.004)
-    assert (f.ticker, f.signal) == ("AAA", -1)
-    assert f.r_hat == -0.004
-
-
 # ---------------------------------------------------------------------------
 # ARIMA
 # ---------------------------------------------------------------------------
@@ -579,6 +573,30 @@ def test_stacked_trainer_groups_series_of_different_lengths():
     got = fc.nnar_fit_batch(series, [1, 2, 3, 4, 5], p=4, k=2, epochs=40)
     for y, seed, fit in zip(series, [1, 2, 3, 4, 5], got):
         assert_same_fit(fit, scalar_fit(y, 4, 2, seed, 0.01, 40, 1e-9, 25)[0])
+
+
+def test_stacked_trainer_splits_a_long_list_into_chunks(monkeypatch):
+    # Two full chunks and a short one, all of one length: unsplit, they
+    # would train as one stack of 2 * NNAR_CHUNK + 5.
+    count = 2 * fc.NNAR_CHUNK + 5
+    series = [ar1_series(0.3, 40, 300 + s) for s in range(count)]
+    seeds = list(range(count))
+    stacks = []
+    train_stack = fc._train_stack
+
+    def recorded(x, *args):
+        stacks.append(len(x))
+        return train_stack(x, *args)
+
+    monkeypatch.setattr(fc, "_train_stack", recorded)
+    got = fc.nnar_fit_batch(series, seeds, p=4, k=2, epochs=30)
+    assert stacks == [fc.NNAR_CHUNK, fc.NNAR_CHUNK, 5]
+    monkeypatch.undo()
+    for y, seed, fit in zip(series, seeds, got):
+        alone = fc.nnar_fit(y, 4, 2, seed, epochs=30)
+        assert_same_fit(fit, alone)
+        for name in NNAR_FIELDS:
+            assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(alone, name)).tobytes(), name
 
 
 def test_stacked_trainer_refuses_mismatched_seeds():
