@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -47,20 +47,21 @@ MODE_DYNAMIC_VAR_ONLY = "dynamic_var_only"
 
 BENCHMARK_STRATEGY = "buy_hold"
 
-# Each variant's (weighting, forecaster, signal mode, portfolio mode); a None
-# weighting is the base config's weighting, which only ``fixed`` reads.
-# Registry order doubles as the column order of the seeds table.
+# A strategy is its row here, read by its config's name: its weighting (None
+# for the config's ``fixed_weighting``), forecaster, signal mode and portfolio
+# mode.  Registry order doubles as the column order of the seeds table.
+Variant = namedtuple("Variant", "weighting forecaster signal_mode portfolio_mode")
 _VARIANTS = {
-    "mst_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_sharpe": (WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_arima_var": (WEIGHTING_VAR, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_arima_sharpe": (WEIGHTING_SHARPE, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_nnar_var": (WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_nnar_sharpe": (WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_allagree_var": (WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
-    "mst_allagree_sharpe": (WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
-    "fixed": (None, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_FIXED),
-    "dynamic_var": (WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC_VAR_ONLY),
+    "mst_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_arima_var": Variant(WEIGHTING_VAR, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_arima_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_nnar_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_nnar_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
+    "mst_allagree_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
+    "mst_allagree_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
+    "fixed": Variant(None, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_FIXED),
+    "dynamic_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC_VAR_ONLY),
 }
 STRATEGY_NAMES = (BENCHMARK_STRATEGY, *_VARIANTS)
 
@@ -70,10 +71,12 @@ def repeats(items: Iterable) -> list:
     return [item for item, count in Counter(items).items() if count > 1]
 
 
-def check_strategies(names: Sequence[str]) -> None:
+def check_strategies(names: Sequence[str], cfg: StrategyConfig | None = None) -> None:
     """Reject a strategy list with an unknown, a repeated or no name, listing each problem.
 
-    A repeat would give one summary key but two table columns.
+    A repeat would give one summary key but two table columns.  Given the
+    run's ``cfg``, also reject a list that ``cfg`` cannot run: an NNAR
+    strategy needs ``window >= nnar_lags + 20``.
     """
     problems = []
     unknown = [n for n in names if n not in STRATEGY_NAMES]
@@ -84,6 +87,19 @@ def check_strategies(names: Sequence[str]) -> None:
     repeated = repeats(names)
     if repeated:
         problems.append(f"repeated strategies: {', '.join(repeated)}")
+    nnar = any(n in _VARIANTS and _VARIANTS[n].forecaster == FORECASTER_NNAR for n in names)
+    if cfg is not None and nnar and cfg.nnar_lags + 20 > cfg.window:
+        problems.append("window too short for the configured NNAR lag count")
+    if problems:
+        raise ConfigError(problems)
+
+
+def check_seeds(seeds: Sequence[int]) -> None:
+    """Reject an empty seed list or one that repeats a seed, listing each problem."""
+    problems = [] if seeds else ["empty seed list"]
+    repeated = repeats(seeds)
+    if repeated:
+        problems.append(f"repeated seeds: {', '.join(map(str, repeated))}")
     if problems:
         raise ConfigError(problems)
 
@@ -104,16 +120,13 @@ _MINIMUMS = dict(
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Parameters of one strategy variant; defaults mirror the base run."""
+    """Parameters of a run of strategy ``name``; defaults mirror the base run."""
 
     window: int = 120
     horizon: int = 10
     top_k: int = 5
     alpha: float = 0.05
-    weighting: str = WEIGHTING_VAR
-    forecaster: str = FORECASTER_NONE
-    signal_mode: str = SIGNAL_PER_STOCK
-    portfolio_mode: str = MODE_DYNAMIC
+    fixed_weighting: str = WEIGHTING_VAR
     initial_capital: float = 100_000.0
     seeds: tuple[int, ...] = (132,)
     benchmark_ticker: str | None = None
@@ -128,7 +141,7 @@ class StrategyConfig:
     arima_max_p: int = 2
     arima_max_d: int = 1
     arima_max_q: int = 2
-    name: str = "strategy"
+    name: str = "mst_var"
 
     def __post_init__(self) -> None:
         problems = [f"{key} must be at least {low}" for key, low in _MINIMUMS.items() if getattr(self, key) < low]
@@ -138,50 +151,27 @@ class StrategyConfig:
             problems.append("initial_capital must be finite and positive")
         if not math.isfinite(self.risk_free):
             problems.append("risk_free must be finite")
-        if not self.seeds:
-            problems.append("at least one seed is required")
-        problems.extend(f"repeated seed {s}" for s in repeats(self.seeds))
-        if self.weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
-            problems.append(f"unknown weighting {self.weighting!r}")
-        if self.forecaster not in (FORECASTER_NONE, FORECASTER_ARIMA, FORECASTER_NNAR):
-            problems.append(f"unknown forecaster {self.forecaster!r}")
-        if self.signal_mode not in (SIGNAL_PER_STOCK, SIGNAL_ALL_AGREE):
-            problems.append(f"unknown signal mode {self.signal_mode!r}")
-        if self.portfolio_mode not in (MODE_DYNAMIC, MODE_FIXED, MODE_DYNAMIC_VAR_ONLY):
-            problems.append(f"unknown portfolio mode {self.portfolio_mode!r}")
-        if self.signal_mode == SIGNAL_ALL_AGREE and self.forecaster == FORECASTER_NONE:
-            problems.append("all_agree signal mode requires a forecaster")
+        try:
+            check_seeds(self.seeds)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
+        if self.fixed_weighting not in (WEIGHTING_VAR, WEIGHTING_SHARPE):
+            problems.append(f"unknown weighting {self.fixed_weighting!r}")
+        if self.name not in STRATEGY_NAMES:
+            problems.append(f"unknown strategy {self.name!r}")
         if self.fevd_mode not in (var_fevd.MODE_ORTHOGONALIZED, var_fevd.MODE_AS_WRITTEN):
             problems.append(f"unknown fevd mode {self.fevd_mode!r}")
         if not 0.0 < self.nnar_learning_rate < math.inf:
             problems.append("nnar_learning_rate must be finite and positive")
         if self.arima_max_d not in (0, 1):
             problems.append("arima_max_d must be 0 or 1")
-        if self.forecaster == FORECASTER_NNAR and self.nnar_lags + 20 > self.window:
-            problems.append("window too short for the configured NNAR lag count")
         if problems:
             raise ConfigError(problems)
 
 
 def make_strategy(base: StrategyConfig, name: str) -> StrategyConfig:
-    """Instantiate one of the named strategy variants from a base config.
-
-    A variant sets its row of ``_VARIANTS``; ``fixed`` keeps the base
-    config's weighting.
-    """
-    if name == BENCHMARK_STRATEGY:
-        return replace(base, name=name)
-    if name not in _VARIANTS:
-        raise ConfigError(f"unknown strategy {name!r}")
-    weighting, forecaster, signal_mode, portfolio_mode = _VARIANTS[name]
-    return replace(
-        base,
-        name=name,
-        weighting=weighting or base.weighting,
-        forecaster=forecaster,
-        signal_mode=signal_mode,
-        portfolio_mode=portfolio_mode,
-    )
+    """``base`` named ``name``: a strategy is its ``_VARIANTS`` row, read by name."""
+    return replace(base, name=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,11 +560,11 @@ class DecisionPath:
         windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
         return windows, clean
 
-    def forecasts(self, cfg: StrategyConfig, seed: int) -> Forecasts:
-        """``(r_hat, signals, warnings)`` of ``cfg.forecaster`` on the weight rows.
+    def forecasts(self, forecaster: str, mode: str, seed: int) -> Forecasts:
+        """``(r_hat, signals, warnings)`` of ``forecaster`` on the weight rows.
 
         The rows are those of :meth:`weight_windows` over the trading days of
-        ``cfg.portfolio_mode``'s schedule: each row's one-step forecast as a
+        portfolio mode ``mode``'s schedule: each row's one-step forecast as a
         float64 array, its :func:`forecast.to_signal` vote, and a ``forecast
         failed for <ticker>: <why>`` line per failed row, in row order.  A
         row that is not clean (a masked return in its window) gets 0.0 and
@@ -584,11 +574,10 @@ class DecisionPath:
         seeds in one :func:`forecast.nnar_fit_batch` call; ARIMA ignores the
         seed, so its one entry serves every seed.
         """
-        key = (cfg.forecaster, cfg.portfolio_mode)
+        key = (forecaster, mode)
         if key not in self._forecasts:
-            days = [d for d in self.schedule(cfg.portfolio_mode) if d.trades]
-            self._forecasts[key] = self._fit(cfg.forecaster, days)
-        return self._forecasts[key][seed if cfg.forecaster == FORECASTER_NNAR else None]
+            self._forecasts[key] = self._fit(forecaster, [d for d in self.schedule(mode) if d.trades])
+        return self._forecasts[key][seed if forecaster == FORECASTER_NNAR else None]
 
     def _fit(self, forecaster: str, days: list[Decision]) -> dict[int | None, Forecasts]:
         """Each seed's (None for ARIMA) forecasts of the weight rows of ``days``."""
@@ -639,6 +628,7 @@ def run_simulation(
     of :func:`run_multi_seed`'s ``buy_hold`` cell and builds no path.
     """
     seed = cfg.seeds[0] if seed is None else seed
+    check_strategies((cfg.name,), cfg)
     _check_dates(cfg, len(prices.dates), decides=True)
     if cfg.name == BENCHMARK_STRATEGY:
         return _buy_hold(cfg, prices, seed)
@@ -673,8 +663,9 @@ def _day_loop(
 ) -> tuple[list[date], list[float], int, set[str]]:
     """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
 
-    The raw weights of the whole schedule are checked once and, with a
-    forecaster, filtered once by the path's forecasts.  Each trading day's
+    The strategy is its ``_VARIANTS`` row, read by ``cfg.name``.  The raw
+    weights of the whole schedule are checked once and, with a forecaster,
+    filtered once by the path's forecasts.  Each trading day's
     are then normalised by :func:`allocation.normalize`, which gives the
     trade targets and the signal; an all-agree strategy's signal is the
     vote of the day's forecasts instead.  With a ``records`` list, each
@@ -685,19 +676,20 @@ def _day_loop(
     """
     prices = path.prices
     w = path.base.window
-    schedule = path.schedule(cfg.portfolio_mode)
+    weighting, forecaster, signal_mode, mode = _VARIANTS[cfg.name]
+    schedule = path.schedule(mode)
     trading = [day for day in schedule if day.trades]
     raws = allocation.raw_weights(
-        cfg.weighting,
+        weighting or cfg.fixed_weighting,
         *path.weight_windows(trading),
         alpha=cfg.alpha,
         risk_free=cfg.risk_free,
     )
     allocation.check_raws(raws)
     warnings: set[str] = set()
-    if cfg.forecaster != FORECASTER_NONE:
+    if forecaster != FORECASTER_NONE:
         # The filter: a stock without a positive forecast gets no weight.
-        r_hat, signals, failures = path.forecasts(cfg, seed)
+        r_hat, signals, failures = path.forecasts(forecaster, mode, seed)
         raws = np.where(r_hat > 0.0, raws, 0.0)
         warnings.update(failures)
     raws = raws.tolist()
@@ -718,7 +710,7 @@ def _day_loop(
     last_close = market_data.last_known(closes, prices.mask)[day_before]
     exec_px, exec_stale = _fallback_rows(exec_px, last_close)
     close_px, close_stale = _fallback_rows(closes[on_day], last_close)
-    all_agree = cfg.signal_mode == SIGNAL_ALL_AGREE
+    all_agree = signal_mode == SIGNAL_ALL_AGREE
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
     out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
@@ -797,8 +789,8 @@ def benchmark_buy_hold(
     closes = np.asarray(closes, dtype=float)
     if closes.ndim != 1 or closes.size != len(dates) or closes.size < 2:
         raise DataError("benchmark needs a 1-d series aligned to at least two dates")
-    if initial_capital <= 0.0:
-        raise DataError("initial capital must be positive")
+    if not 0.0 < initial_capital < math.inf:
+        raise DataError("initial capital must be finite and positive")
     masked = np.asarray(mask, dtype=bool) if mask is not None else ~np.isfinite(closes)
     if np.any(~masked & ~(np.isfinite(closes) & (closes > 0.0))):
         raise DataError("unmasked prices must be finite and strictly positive")
@@ -851,8 +843,10 @@ def run_multi_seed(
 ) -> MultiSeedResult:
     """Run the selected strategy variants across every seed of ``cfg.seeds``.
 
-    ``fixed`` weights by ``cfg.weighting``; every other variant sets its
-    own (see :func:`make_strategy`).  Every strategy and seed reads one
+    ``fixed`` weights by ``cfg.fixed_weighting``; every other variant
+    sets its own (see :func:`make_strategy`).  The list is checked
+    against ``cfg`` by :func:`check_strategies` before anything runs.
+    Every strategy and seed reads one
     :class:`DecisionPath`, so each window's selection and each forecast is
     computed once per call.  ``buy_hold`` is computed as
     :func:`run_simulation` computes it, before the path is built.  Any
@@ -867,7 +861,7 @@ def run_multi_seed(
     """
     seeds = cfg.seeds
     names = tuple(strategies) if strategies is not None else STRATEGY_NAMES
-    check_strategies(names)
+    check_strategies(names, cfg)
     _check_dates(cfg, len(prices.dates), decides=True)
     bench = _buy_hold(cfg, prices, seeds[0]) if BENCHMARK_STRATEGY in names else None
     path = DecisionPath(cfg, prices, returns) if set(names) - {BENCHMARK_STRATEGY} else None
@@ -875,7 +869,7 @@ def run_multi_seed(
     table = np.empty((len(seeds), len(names)))
     for col, name in enumerate(names):
         strat = make_strategy(cfg, name)
-        seeded = name != BENCHMARK_STRATEGY and strat.forecaster == FORECASTER_NNAR
+        seeded = name in _VARIANTS and _VARIANTS[name].forecaster == FORECASTER_NNAR
         for row, s in enumerate(seeds):
             if row and not seeded:
                 res = replace(first, seed=s)

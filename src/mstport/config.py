@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backtest import STRATEGY_NAMES, StrategyConfig, check_strategies, repeats
+from .backtest import STRATEGY_NAMES, StrategyConfig, check_seeds, check_strategies
 from .errors import ConfigError
 
 
@@ -53,11 +53,7 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             raise ValueError("seed range upper bound below lower bound")
         return tuple(range(lo, hi + 1))
     seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    if not seeds:
-        raise ValueError("empty seed list")
-    repeated = repeats(seeds)
-    if repeated:
-        raise ValueError(f"repeated seeds: {', '.join(map(str, repeated))}")
+    check_seeds(seeds)
     return seeds
 
 
@@ -119,7 +115,6 @@ _FIELDS = {
     "format": "fmt",
     "benchmark_prices": "benchmark_path",
     "sectors": "sectors_path",
-    "fixed_weighting": "weighting",  # the base weighting, which only ``fixed`` reads
     "dir": "out_dir",
 }
 _STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
@@ -189,6 +184,9 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     strategy = None
     try:
         strategy = StrategyConfig(**{k: v for k, v in by_field.items() if k in _STRATEGY_FIELDS})
+        # A list that failed to read has its own problem.
+        if "strategies" in values or not parser.has_option("strategy", "strategies"):
+            check_strategies(values.get("strategies", RunConfig.strategies), strategy)
     except ConfigError as exc:
         problems.extend(f"strategy: {p}" for p in exc.problems)
     if "benchmark_prices" in values and "benchmark_ticker" not in values:

@@ -46,13 +46,13 @@ def _select_stocks(cfg: StrategyConfig, win: ReturnMatrix) -> tuple[str, ...]:
     return network.select_top_k(network.degree_centrality(tree), cfg.top_k)
 
 
-def _raw_weights(cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix):
-    if cfg.weighting == backtest.WEIGHTING_VAR:
+def _raw_weights(weighting: str, cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix):
+    if weighting == backtest.WEIGHTING_VAR:
         return allocation.var_weights(selection, win, cfg.alpha)
     return allocation.sharpe_weights(selection, win, risk_free=cfg.risk_free)
 
 
-def _forecasts(cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed: int):
+def _forecasts(forecaster: str, cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed: int):
     """``(r_hat, signal)`` of each selected stock, neutral for a masked window."""
     out = []
     for ticker in selection:
@@ -61,7 +61,7 @@ def _forecasts(cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed
         if win.mask[:, j].any():
             out.append((0.0, 0))
             continue
-        if cfg.forecaster == backtest.FORECASTER_ARIMA:
+        if forecaster == backtest.FORECASTER_ARIMA:
             model = forecast.arima_fit(col, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
             r_hat = forecast.arima_forecast(model, col)
         else:
@@ -84,7 +84,9 @@ def simulate(
     returns: ReturnMatrix,
     seed: int | None = None,
 ) -> ReferenceResult:
-    """Replay one strategy with independent bookkeeping arithmetic."""
+    """Replay one strategy, the variant ``cfg.name`` names, with independent bookkeeping arithmetic."""
+    weighting, forecaster, signal_mode, mode = backtest._VARIANTS[cfg.name]
+    weighting = weighting or cfg.fixed_weighting
     seed = cfg.seeds[0] if seed is None else seed
     if cfg.benchmark_ticker and cfg.benchmark_ticker in prices.tickers:
         prices = market_data.drop_tickers(prices, [cfg.benchmark_ticker])
@@ -116,28 +118,28 @@ def simulate(
     for tau in range(w - 1, len(returns.dates) - 1):
         win = market_data.window(returns, tau, w)
         if selection is None or (
-            cfg.portfolio_mode == backtest.MODE_DYNAMIC and step % cfg.rebalance_every == 0
+            mode == backtest.MODE_DYNAMIC and step % cfg.rebalance_every == 0
         ):
             try:
                 selection = _select_stocks(cfg, win)
             except (var_fevd.EstimationError, var_fevd.DataError):
                 pass
-        if selection is None or (cfg.portfolio_mode == backtest.MODE_FIXED and fixed_done):
+        if selection is None or (mode == backtest.MODE_FIXED and fixed_done):
             signal, weights = 0, backtest.EMPTY_WEIGHTS
         else:
-            if cfg.portfolio_mode == backtest.MODE_FIXED:
+            if mode == backtest.MODE_FIXED:
                 fixed_done = True
-            weights = _raw_weights(cfg, selection, win)
-            if cfg.forecaster == backtest.FORECASTER_NONE:
+            weights = _raw_weights(weighting, cfg, selection, win)
+            if forecaster == backtest.FORECASTER_NONE:
                 signal = 1 if not weights.is_all_zero() else -1
             else:
-                fcs = _forecasts(cfg, win, selection, tau, seed)
+                fcs = _forecasts(forecaster, cfg, win, selection, tau, seed)
                 by_ticker = dict(zip(selection, fcs))
                 weights = allocation.from_raw(
                     weights.tickers,
                     [raw if by_ticker[t][0] > 0.0 else 0.0 for t, raw, _ in weights.entries],
                 )
-                if cfg.signal_mode == backtest.SIGNAL_ALL_AGREE:
+                if signal_mode == backtest.SIGNAL_ALL_AGREE:
                     total = sum(signal for _, signal in fcs)
                     signal = 0 if total == 0 else (1 if total > 0 else -1)
                 else:

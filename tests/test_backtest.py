@@ -410,13 +410,10 @@ def test_strategy_config_rejects_bad_values():
         dict(seeds=()),
         dict(seeds=(7, 8, 7)),
         dict(rebalance_every=0),
-        dict(weighting="equal"),
-        dict(forecaster="prophet"),
-        dict(signal_mode="veto"),
-        dict(portfolio_mode="static"),
-        dict(signal_mode="all_agree", forecaster="none"),
+        dict(fixed_weighting="equal"),
+        dict(name="momentum"),
+        dict(name="strategy"),
         dict(fevd_mode="generalized"),
-        dict(forecaster="nnar", window=30, nnar_lags=15),
         dict(nnar_lags=0),
         dict(nnar_hidden=0),
         dict(nnar_epochs=-1),
@@ -432,11 +429,23 @@ def test_strategy_config_rejects_bad_values():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             StrategyConfig(**kwargs)
+    # One problem per rule, as config.parse_seeds reports it for a flag.
+    with pytest.raises(ConfigError) as err:
+        StrategyConfig(seeds=(7, 8, 7, 8, 7))
+    assert err.value.problems == ("repeated seeds: 7, 8",)
+    with pytest.raises(ConfigError, match="^empty seed list$"):
+        StrategyConfig(seeds=())
+    # A variant's row is not a field: a strategy is set by its name alone.
+    for field in ("weighting", "forecaster", "signal_mode", "portfolio_mode"):
+        with pytest.raises(TypeError):
+            StrategyConfig(**{field: "var"})
+    # The NNAR lag rule belongs to a strategy list, not to a config.
+    assert StrategyConfig(window=30, nnar_lags=15).nnar_lags == 15
 
 
 # README's Strategies table, row by row: (weighting, forecaster, signal mode,
-# portfolio mode) of each variant; ``fixed``'s weighting is the base
-# config's, ``var`` by default.
+# portfolio mode) of each variant; ``fixed``'s weighting is the config's
+# ``fixed_weighting``, None in its row.
 VARIANT_ROWS = {
     "mst_var": ("var", "none", "per_stock_filter", "dynamic"),
     "mst_sharpe": ("sharpe", "none", "per_stock_filter", "dynamic"),
@@ -446,42 +455,45 @@ VARIANT_ROWS = {
     "mst_nnar_sharpe": ("sharpe", "nnar", "per_stock_filter", "dynamic"),
     "mst_allagree_var": ("var", "nnar", "all_agree", "dynamic"),
     "mst_allagree_sharpe": ("sharpe", "nnar", "all_agree", "dynamic"),
-    "fixed": ("var", "none", "per_stock_filter", "fixed"),
+    "fixed": (None, "none", "per_stock_filter", "fixed"),
     "dynamic_var": ("var", "none", "per_stock_filter", "dynamic_var_only"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VARIANT_ROWS))
 def test_make_strategy_sets_its_variants_row(name):
-    # A base whose four variant fields all differ from every row's.
-    base = StrategyConfig(
-        window=60, weighting="sharpe", forecaster="arima", signal_mode="all_agree", portfolio_mode="fixed"
-    )
-    got = make_strategy(base, name)
-    fields = ("weighting", "forecaster", "signal_mode", "portfolio_mode")
-    row = VARIANT_ROWS[name]
-    if name == "fixed":
-        row = (base.weighting, *row[1:])  # fixed keeps the base config's weighting
-    assert tuple(getattr(got, f) for f in fields) == row
-    assert got == dataclass_replace(base, name=name, **dict(zip(fields, row)))
+    # A base named for another variant, with a fixed_weighting other than the default.
+    base = StrategyConfig(window=60, fixed_weighting="sharpe", name="mst_allagree_sharpe")
+    assert make_strategy(base, name) == dataclass_replace(base, name=name)
+    assert backtest._VARIANTS[name] == VARIANT_ROWS[name]
 
 
 def test_make_strategy_variant_mapping():
     assert backtest.STRATEGY_NAMES == ("buy_hold", *VARIANT_ROWS)
-    base = StrategyConfig(window=60, weighting="sharpe", forecaster="arima", nnar_epochs=7)
-    assert make_strategy(base, "buy_hold") == dataclass_replace(base, name="buy_hold")
-    for weighting in ("var", "sharpe"):
-        for name in VARIANT_ROWS:
-            got = make_strategy(dataclass_replace(base, weighting=weighting), name)
-            assert got.weighting == (weighting if name == "fixed" else VARIANT_ROWS[name][0])
+    assert tuple(backtest._VARIANTS) == tuple(VARIANT_ROWS)
+    base = StrategyConfig(window=60, fixed_weighting="sharpe", nnar_epochs=7)
+    assert base.name == "mst_var"
+    for name in backtest.STRATEGY_NAMES:
+        assert make_strategy(base, name) == dataclass_replace(base, name=name)
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown strategy 'momentum'$"):
         make_strategy(base, "momentum")
 
 
 def test_fixed_keeps_the_base_weighting():
-    assert make_strategy(StrategyConfig(weighting="sharpe"), "fixed").weighting == "sharpe"
-    assert make_strategy(StrategyConfig(weighting="sharpe"), "mst_var").weighting == "var"
+    sharpe = dataclass_replace(BASE, fixed_weighting="sharpe")
+
+    def run(cfg, name):
+        return run_simulation(make_strategy(cfg, name), PANEL, RETURNS)
+
+    # fixed buys once, on the first decision day, what the dynamic variant
+    # of its weighting buys that day.
+    for cfg, dynamic in ((BASE, "mst_var"), (sharpe, "mst_sharpe")):
+        assert repr(run(cfg, "fixed").days[0].weights) == repr(run(cfg, dynamic).days[0].weights)
+    assert repr(run(BASE, "fixed").days[0].weights) != repr(run(sharpe, "fixed").days[0].weights)
+    # Every other variant keeps its own weighting.
+    for name in ("mst_var", "mst_sharpe", "dynamic_var"):
+        assert run(sharpe, name).values.tobytes() == run(BASE, name).values.tobytes()
 
 
 def test_strategy_registry_lists_eleven_variants():
@@ -536,8 +548,9 @@ def assert_days_match(engine, reference) -> None:
     ],
 )
 def test_engine_matches_reference_simulator(name):
-    cfg = make_strategy(dataclass_replace(BASE, weighting="sharpe"), name)
-    unfiltered = dataclass_replace(cfg, forecaster="none", signal_mode="per_stock_filter")
+    cfg = make_strategy(dataclass_replace(BASE, fixed_weighting="sharpe"), name)
+    weighting, forecaster, _, _ = backtest._VARIANTS[name]
+    unfiltered = make_strategy(cfg, "mst_" + (weighting or cfg.fixed_weighting))
     seen = set()
     for prices, returns in ((PANEL, RETURNS), (GAPPY, GAPPY_RETURNS)):
         engine = run_simulation(cfg, prices, returns)
@@ -547,14 +560,14 @@ def test_engine_matches_reference_simulator(name):
         assert engine.trade_count == reference.trade_count
         assert engine.total_return_pct == reference.total_return_pct
         assert_days_match(engine, reference)
-        if cfg.forecaster != "none":
+        if forecaster != "none":
             # the forecast filter zeroes some of a day's stocks, and on other days all of them
             for rec, plain in zip(engine.days, run_simulation(unfiltered, prices, returns).days):
                 pairs = zip(rec.weights.entries, plain.weights.entries)
                 dropped = [raw == 0.0 < plain_raw for (_, raw, _), (_, plain_raw, _) in pairs]
                 if any(dropped):
                     seen.add("all" if rec.weights.is_all_zero() else "some")
-    assert seen == ({"some", "all"} if cfg.forecaster != "none" else set())
+    assert seen == ({"some", "all"} if forecaster != "none" else set())
 
 
 @pytest.mark.parametrize(
@@ -563,26 +576,26 @@ def test_engine_matches_reference_simulator(name):
     ids=["daily", "weekly"],
 )
 def test_schedule_weights_equal_per_window_weights(changes):
-    cfg = dataclass_replace(BASE, weighting="sharpe", **changes)
+    cfg = dataclass_replace(BASE, fixed_weighting="sharpe", **changes)
     names = ("mst_var", "mst_sharpe", "fixed", "dynamic_var")
     multi = run_multi_seed(cfg, GAPPY, GAPPY_RETURNS, strategies=names)
     row_of = {d: i for i, d in enumerate(GAPPY.dates)}
     seen = set()
     for name in names:
-        strat = make_strategy(cfg, name)
+        weighting = backtest._VARIANTS[name].weighting or cfg.fixed_weighting
         result = multi.results[(name, 132)]
         for rec in result.days:
             if not rec.weights.entries:
                 continue  # no trade that day
             win = market_data.window(GAPPY_RETURNS, row_of[rec.date] - 2, cfg.window)
-            if strat.weighting == allocation.WEIGHTING_VAR:
+            if weighting == allocation.WEIGHTING_VAR:
                 want = allocation.var_weights(rec.selection, win, cfg.alpha)
             else:
                 want = allocation.sharpe_weights(rec.selection, win, cfg.risk_free)
             assert repr(rec.weights.entries) == repr(want.entries), (name, rec.date)
             masked = any(win.mask[:, win.ticker_index(t)].any() for t in rec.selection)
-            seen.add((strat.weighting, "masked" if masked else "clean"))
-            if strat.weighting == allocation.WEIGHTING_SHARPE and rec.weights.is_all_zero():
+            seen.add((weighting, "masked" if masked else "clean"))
+            if weighting == allocation.WEIGHTING_SHARPE and rec.weights.is_all_zero():
                 seen.add(("sharpe", "cash"))
         seen.update(("any", "stale") for rec in result.days if rec.stale)
     # the gaps, the slide and the stale closes reach the branches they are for
@@ -854,6 +867,12 @@ def test_benchmark_buy_hold_rejects_bad_series():
         benchmark_buy_hold(day_range(2), np.array([100.0, 101.0]), 0.0)
 
 
+@pytest.mark.parametrize("capital", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_benchmark_buy_hold_rejects_a_capital_that_is_not_finite_and_positive(capital):
+    with pytest.raises(DataError, match="^initial capital must be finite and positive$"):
+        benchmark_buy_hold(day_range(2), np.array([100.0, 101.0]), capital)
+
+
 @pytest.mark.parametrize("closes", [[0.0, 1.0, 2.0], [1.0, -1.0, 2.0]])
 def test_benchmark_buy_hold_rejects_a_nonpositive_unmasked_close(closes):
     with pytest.raises(DataError, match="^unmasked prices must be finite and strictly positive$"):
@@ -966,7 +985,7 @@ def test_run_multi_seed_validates_inputs():
         run_multi_seed(dataclass_replace(BASE, seeds=()), PANEL, RETURNS)
     with pytest.raises(ConfigError, match="^unknown strategies: momentum$"):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("momentum",))
-    with pytest.raises(ConfigError, match="repeated seed 7"):
+    with pytest.raises(ConfigError, match="^repeated seeds: 7$"):
         run_multi_seed(dataclass_replace(BASE, seeds=(7, 8, 7)), PANEL, RETURNS, strategies=("mst_var",))
     with pytest.raises(ConfigError, match="^repeated strategies: mst_var$"):
         run_multi_seed(BASE, PANEL, RETURNS, strategies=("mst_var", "mst_var", "buy_hold"))
@@ -975,6 +994,33 @@ def test_run_multi_seed_validates_inputs():
     no_bench = dataclass_replace(BASE, benchmark_ticker=None)
     with pytest.raises(ConfigError):
         run_multi_seed(no_bench, PANEL, RETURNS, strategies=("buy_hold",))
+
+
+def test_nnar_lag_rule_is_checked_on_the_whole_list_before_a_run(monkeypatch):
+    # window 30 is too short for 15 NNAR lags, and long enough for the rest.
+    cfg = dataclass_replace(BASE, window=30, nnar_lags=15)
+    names = ("mst_var", "mst_arima_var", "mst_nnar_var")
+
+    def no_path(*args):
+        raise AssertionError("a decision path was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(backtest, "DecisionPath", no_path)
+        with pytest.raises(ConfigError, match="^window too short for the configured NNAR lag count$"):
+            run_multi_seed(cfg, PANEL, RETURNS, strategies=names)
+        for name in ("mst_nnar_sharpe", "mst_allagree_var"):
+            with pytest.raises(ConfigError, match="^window too short"):
+                run_simulation(make_strategy(cfg, name), PANEL, RETURNS)
+    multi = run_multi_seed(cfg, PANEL, RETURNS, strategies=names[:2])
+    assert multi.strategies == names[:2]
+    backtest.check_strategies(names, dataclass_replace(cfg, window=35))  # exactly lags + 20
+    with pytest.raises(ConfigError) as err:
+        backtest.check_strategies(("momentum", "mst_nnar_var", "mst_nnar_var"), cfg)
+    assert err.value.problems == (
+        "unknown strategies: momentum",
+        "repeated strategies: mst_nnar_var",
+        "window too short for the configured NNAR lag count",
+    )
 
 
 def test_run_simulation_gives_run_multi_seeds_buy_hold_cell():

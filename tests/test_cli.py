@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mstport
-from mstport import backtest, cli, config, var_fevd
+from mstport import backtest, cli, config, market_data, var_fevd
 from mstport.backtest import StrategyConfig
 from mstport.cli import main
 from mstport.config import RunConfig, parse_config, parse_seeds, parse_strategies
@@ -131,16 +131,37 @@ def test_a_config_with_the_removed_min_var_history_key_exits_2(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_an_nnar_lag_count_too_long_for_the_window_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # window 30 is too short for 15 NNAR lags, and long enough for the rest.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), out, strategies="mst_var,mst_arima_var,mst_nnar_var")
+    text = cfg_path.read_text(encoding="utf-8").replace("[forecast]\n", "[forecast]\nnnar_lags = 15\n")
+    cfg_path.write_text(text, encoding="utf-8")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(market_data, "load_prices", not_reached)
+        patch.setattr(backtest, "_simulate", not_reached)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: strategy: window too short for the configured NNAR lag count\n"
+    assert not out.exists()
+    # Without an NNAR strategy the same config runs.
+    assert main(["simulate", "--config", str(cfg_path), "--strategies", "mst_var,mst_arima_var"]) == 0
+    assert (out / "values_mst_arima_var_11.csv").exists()
+
+
 def test_fixed_weighting_sets_the_base_weighting_that_fixed_reads(tmp_path):
     cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out", strategies="mst_var,fixed")
     text = cfg_path.read_text(encoding="utf-8").replace("[strategy]\n", "[strategy]\nfixed_weighting = sharpe\n")
     cfg_path.write_text(text, encoding="utf-8")
     cfg = parse_config(cfg_path)
-    assert cfg.strategy.weighting == "sharpe"
+    assert cfg.strategy.fixed_weighting == "sharpe"
     assert main(["simulate", "--config", str(cfg_path)]) == 0
     returns = compute_returns(PANEL)
     fixed = backtest.make_strategy(cfg.strategy, "fixed")
-    at_var = backtest.run_simulation(replace(fixed, weighting="var"), PANEL, returns)
+    at_var = backtest.run_simulation(replace(fixed, fixed_weighting="var"), PANEL, returns)
     for seed in cfg.strategy.seeds:
         lone = backtest.run_simulation(fixed, PANEL, returns, seed=seed)
         assert (tmp_path / "out" / f"values_fixed_{seed}.csv").read_bytes() == oracle_values_csv(lone)
@@ -226,7 +247,7 @@ ROUND_TRIP = {
     "rebalance_every": ("strategy.rebalance_every", "3", 3),
     "use_open_prices": ("strategy.use_open_prices", "off", False),
     "fevd_mode": ("strategy.fevd_mode", "as_written", "as_written"),
-    "fixed_weighting": ("strategy.weighting", "sharpe", "sharpe"),
+    "fixed_weighting": ("strategy.fixed_weighting", "sharpe", "sharpe"),
     "nnar_lags": ("strategy.nnar_lags", "4", 4),
     "nnar_hidden": ("strategy.nnar_hidden", "2", 2),
     "nnar_learning_rate": ("strategy.nnar_learning_rate", "0.05", 0.05),

@@ -14,6 +14,7 @@ from mstport import backtest, forecast, market_data, network, var_fevd
 from mstport.backtest import (
     BENCHMARK_STRATEGY,
     FORECASTER_ARIMA,
+    FORECASTER_NNAR,
     MODE_DYNAMIC,
     MODE_DYNAMIC_VAR_ONLY,
     MODE_FIXED,
@@ -120,8 +121,8 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     assert set(nnar_fits.values()) == {1}
     # One call per (forecaster, portfolio mode), which nnar_fit_batch trains
     # in stacks of at most NNAR_CHUNK.
-    strategies = [make_strategy(BASE, name) for name in NNAR_STRATEGIES]
-    assert len(nnar_batches) == len({(s.forecaster, s.portfolio_mode) for s in strategies}) == 1
+    rows = [backtest._VARIANTS[name] for name in NNAR_STRATEGIES]
+    assert len(nnar_batches) == len({(row.forecaster, row.portfolio_mode) for row in rows}) == 1
     assert len(nnar_tasks) > NNAR_CHUNK
     assert max(stacks) == NNAR_CHUNK
     arima_tasks = {
@@ -147,13 +148,12 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
 
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
     path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
-    strategy = make_strategy(cfg, "mst_nnar_var")
     j = path.returns.ticker_index(ticker)
-    r_hats, signals, failures = path.forecasts(strategy, SEEDS[0])
+    r_hats, signals, failures = path.forecasts(FORECASTER_NNAR, MODE_DYNAMIC, SEEDS[0])
     assert failures == []
     start = 0
     neutral = 0
-    for day in path.schedule(strategy.portfolio_mode):
+    for day in path.schedule(MODE_DYNAMIC):
         if path.returns.mask[day.tau - cfg.window + 1 : day.tau + 1, j].any():
             row = start + day.selection.index(ticker)
             assert (r_hats[row].tobytes(), signals[row]) == (np.float64(0.0).tobytes(), 0)
@@ -164,10 +164,10 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
     assert fitted and all(np.isfinite(series).all() for series in fitted)
 
 
-def lone_forecast(cfg: StrategyConfig, series: np.ndarray, ticker: str, tau: int, seed: int):
+def lone_forecast(forecaster: str, cfg: StrategyConfig, series: np.ndarray, ticker: str, tau: int, seed: int):
     """``(r_hat, signal, failure)`` of one fit on ``series`` alone, as the path keeps it."""
     try:
-        if cfg.forecaster == FORECASTER_ARIMA:
+        if forecaster == FORECASTER_ARIMA:
             model = forecast.arima_fit(series, cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
             r_hat = forecast.arima_forecast(model, series)
         else:
@@ -196,8 +196,8 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(first[0])), (95, PANEL.ticker_index(first[1]))])
     cfg = replace(BASE, rebalance_every=5, nnar_learning_rate=learning_rate)
     path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
-    strategy = make_strategy(cfg, name)
-    days = [d for d in path.schedule(strategy.portfolio_mode) if d.trades]
+    _, forecaster, _, mode = backtest._VARIANTS[name]
+    days = [d for d in path.schedule(mode) if d.trades]
     rows = [(ticker, d.tau) for d in days for ticker in d.selection]
     windows, clean = path.weight_windows(days)
     assert not clean.all() and clean.any()
@@ -207,22 +207,22 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     assert [s.tobytes() for s, ok in zip(strided, clean) if ok] == [row.tobytes() for row in windows]
     failed = 0
     for seed in SEEDS:
-        r_hats, signals, failures = path.forecasts(strategy, seed)
+        r_hats, signals, failures = path.forecasts(forecaster, mode, seed)
         assert r_hats.dtype == np.float64
         assert len(r_hats) == len(signals) == len(rows)
         want_failures = []
         for row, ((ticker, tau), series, ok) in enumerate(zip(rows, strided, clean)):
             r_hat, signal = 0.0, 0
             if ok:
-                r_hat, signal, failure = lone_forecast(strategy, series, ticker, tau, seed)
+                r_hat, signal, failure = lone_forecast(forecaster, cfg, series, ticker, tau, seed)
                 if failure is not None:
                     want_failures.append(f"forecast failed for {ticker}: {failure}")
             got = (r_hats[row].tobytes(), signals[row])
             assert got == (np.float64(r_hat).tobytes(), signal), (ticker, tau, seed)
         assert failures == want_failures
         failed += len(failures)
-    if strategy.forecaster == FORECASTER_ARIMA:
-        assert path.forecasts(strategy, SEEDS[0]) is path.forecasts(strategy, SEEDS[1])
+    if forecaster == FORECASTER_ARIMA:
+        assert path.forecasts(forecaster, mode, SEEDS[0]) is path.forecasts(forecaster, mode, SEEDS[1])
     assert (failed > 0) == (learning_rate > 1.0)
 
 
