@@ -23,6 +23,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -395,14 +396,33 @@ MST_CELLS = 1 << 20
 Forecasts = tuple[np.ndarray, list[int], list[str]]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One decision day of a strategy: the selection it holds and whether it trades it."""
 
     tau: int  # return row the day's window ends at
     selection: tuple[str, ...] | None  # None until a network is first estimated
     trades: bool
     warning: str | None
+
+
+# One schedule day of a Plan: ``span`` is None on a day without a trade, else
+# ``(start, stop, cols)``: the day's weight rows ``start:stop`` and the
+# Plan.names column of each selected stock; then the day's price rows.
+PlanDay = tuple[tuple[int, int, list[int]] | None, list[float], list[bool], list[float], list[bool]]
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What every strategy of one portfolio mode reads: see :meth:`DecisionPath.plan`."""
+
+    schedule: tuple[Decision, ...]
+    trading: tuple[Decision, ...]  # the schedule's days with a trade
+    dates: tuple[date, ...]  # price row ``window``, then each schedule day's execution date
+    warnings: frozenset[str]  # the schedule's network warnings
+    windows: np.ndarray  # the trading days' weight windows, as weight_windows gives them
+    clean: np.ndarray
+    names: tuple[str, ...]  # the tickers the schedule ever selects, sorted: the traded columns
+    days: tuple[PlanDay, ...]  # one per schedule day
 
 
 def _check_dates(cfg: StrategyConfig, n_dates: int, decides: bool = False) -> None:
@@ -434,8 +454,12 @@ class DecisionPath:
     base config's upstream fields, and a forecast additionally on the
     forecaster and (for NNAR only) the seed; neither depends on a
     strategy's weighting, signal or accounting, so strategies read those
-    fields from ``base``.  Each selection, schedule and forecast list is
-    kept once computed, failure messages included, so a run builds each
+    fields from ``base``.  Each portfolio mode's :meth:`plan` (its weight
+    windows, traded columns and price rows) is built once, and so are the
+    raw weights of each (weighting, mode) pair (:meth:`raw_weights`), from
+    ``base``'s ``use_open_prices``, ``alpha`` and ``risk_free``.  Each
+    selection, schedule and forecast list is kept once computed, failure
+    messages included, so a run builds each
     window's network and fits each forecast once.  NNAR forecasts are
     fitted for every seed of ``cfg.seeds``.  The constructor rejects a
     panel with fewer than ``window`` return rows or two tickers.
@@ -453,7 +477,10 @@ class DecisionPath:
         self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
         self._schedules: dict[str, tuple[Decision, ...]] = {}
+        self._plans: dict[str, Plan] = {}
+        self._raws: dict[tuple[str, str], np.ndarray] = {}
         self._forecasts: dict[tuple[str, str], dict[int | None, Forecasts]] = {}
+        self._last_close: np.ndarray | None = None
 
     def trees_at(self, taus: Sequence[int]) -> Iterator[tuple[int, tuple[CostMatrix, MstTree] | Exception]]:
         """Edge costs and spanning tree of each window ending at a return row of ``taus``, in order.
@@ -543,28 +570,103 @@ class DecisionPath:
             self._schedules[mode] = tuple(out)
         return self._schedules[mode]
 
-    def weight_windows(self, days: list[Decision]) -> tuple[np.ndarray, np.ndarray]:
+    def weight_windows(self, days: Sequence[Decision]) -> tuple[np.ndarray, np.ndarray]:
         """The return windows of every stock the days select, to weight and forecast them at once.
 
         Returns ``(windows, clean)``.  ``clean`` has one entry per selected
         stock, day after day in selection order, True where the stock's
         window ending at the day's ``tau`` has no masked cell; ``windows``
         holds those unmasked windows, in order, as the C-contiguous rows of
-        one ``(count, window)`` block.
+        one ``(count, window)`` block.  Columns are looked up once per
+        distinct selection.
         """
         w = self.base.window
-        cols = np.array([self.returns.ticker_index(t) for d in days for t in d.selection], dtype=np.intp)
+        index = self.returns.ticker_index
+        cols_of = {sel: [index(t) for t in sel] for sel in {d.selection for d in days}}
+        cols = np.array([c for d in days for c in cols_of[d.selection]], dtype=np.intp)
         taus = np.array([d.tau for d in days], dtype=np.intp)
         ends = np.repeat(taus + 1, [len(d.selection) for d in days])  # one past each window's last row
         clean = self._masked_above[ends, cols] == self._masked_above[ends - w, cols]
         windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
         return windows, clean
 
+    def plan(self, mode: str) -> Plan:
+        """What every strategy of portfolio mode ``mode`` reads, built once per path.
+
+        The plan holds the mode's :meth:`schedule`, its trading days and
+        their :meth:`weight_windows`, the value dates and the schedule's
+        warnings.  It also holds each schedule day's execution and closing
+        prices of the traded columns, the tickers the schedule ever selects.
+        The execution prices of price row t sit in row t - 1: the open, or
+        the prior close where the open is masked or unused.  A masked price
+        (NaN) falls back to the last close before the day, from one
+        :func:`market_data.last_known` call per path, and is flagged stale.
+        """
+        if mode not in self._plans:
+            prices, w = self.prices, self.base.window
+            schedule = self.schedule(mode)
+            trading = tuple(day for day in schedule if day.trades)
+            windows, clean = self.weight_windows(trading)
+            selections = {day.selection for day in trading}
+            names = tuple(sorted({ticker for sel in selections for ticker in sel}))
+            col = {ticker: c for c, ticker in enumerate(names)}
+            cols_of = {sel: [col[t] for t in sel] for sel in selections}
+            spans: list[tuple[int, int, list[int]] | None] = []
+            start = 0
+            for day in schedule:
+                if day.trades:
+                    spans.append((start, start + len(day.selection), cols_of[day.selection]))
+                    start += len(day.selection)
+                else:
+                    spans.append(None)
+            # Schedule day i executes on price row w + 1 + i, the last day on the last row.
+            cols = np.array([prices.ticker_index(ticker) for ticker in names], dtype=np.intp)
+            closes = prices.adj_close
+            day_before = closes[w:-1, cols]
+            if self.base.use_open_prices and prices.open_px is not None:
+                exec_px = np.where(prices.mask[w + 1 :, cols], day_before, prices.open_px[w + 1 :, cols])
+            else:
+                exec_px = day_before
+            if self._last_close is None:
+                self._last_close = market_data.last_known(closes, prices.mask)
+            last_close = self._last_close[w:-1, cols]
+            exec_px, exec_stale = _fallback_rows(exec_px, last_close)
+            close_px, close_stale = _fallback_rows(closes[w + 1 :, cols], last_close)
+            self._plans[mode] = Plan(
+                schedule=schedule,
+                trading=trading,
+                dates=prices.dates[w:],
+                warnings=frozenset(day.warning for day in schedule if day.warning is not None),
+                windows=windows,
+                clean=clean,
+                names=names,
+                days=tuple(zip(spans, exec_px, exec_stale, close_px, close_stale)),
+            )
+        return self._plans[mode]
+
+    def raw_weights(self, weighting: str, mode: str) -> np.ndarray:
+        """Raw ``weighting`` weights of portfolio mode ``mode``'s weight rows, checked, kept once computed.
+
+        The weights are :func:`allocation.raw_weights` of the plan's
+        windows, at the base config's ``alpha`` and ``risk_free``, and are
+        read-only: every strategy of the pair reads the one array.
+        """
+        key = (weighting, mode)
+        if key not in self._raws:
+            plan = self.plan(mode)
+            raws = allocation.raw_weights(
+                weighting, plan.windows, plan.clean, alpha=self.base.alpha, risk_free=self.base.risk_free
+            )
+            allocation.check_raws(raws)
+            raws.flags.writeable = False
+            self._raws[key] = raws
+        return self._raws[key]
+
     def forecasts(self, forecaster: str, mode: str, seed: int) -> Forecasts:
         """``(r_hat, signals, warnings)`` of ``forecaster`` on the weight rows.
 
-        The rows are those of :meth:`weight_windows` over the trading days of
-        portfolio mode ``mode``'s schedule: each row's one-step forecast as a
+        The rows are those of portfolio mode ``mode``'s :meth:`plan`, one per
+        stock each trading day selects: each row's one-step forecast as a
         float64 array, its :func:`forecast.to_signal` vote, and a ``forecast
         failed for <ticker>: <why>`` line per failed row, in row order.  A
         row that is not clean (a masked return in its window) gets 0.0 and
@@ -576,14 +678,14 @@ class DecisionPath:
         """
         key = (forecaster, mode)
         if key not in self._forecasts:
-            self._forecasts[key] = self._fit(forecaster, [d for d in self.schedule(mode) if d.trades])
+            self._forecasts[key] = self._fit(forecaster, self.plan(mode))
         return self._forecasts[key][seed if forecaster == FORECASTER_NNAR else None]
 
-    def _fit(self, forecaster: str, days: list[Decision]) -> dict[int | None, Forecasts]:
-        """Each seed's (None for ARIMA) forecasts of the weight rows of ``days``."""
+    def _fit(self, forecaster: str, plan: Plan) -> dict[int | None, Forecasts]:
+        """Each seed's (None for ARIMA) forecasts of ``plan``'s weight rows."""
         cfg = self.base
-        rows = [(ticker, d.tau) for d in days for ticker in d.selection]
-        windows, clean = self.weight_windows(days)
+        rows = [(ticker, d.tau) for d in plan.trading for ticker in d.selection]
+        windows, clean = plan.windows, plan.clean
         seeds = self.seeds if forecaster == FORECASTER_NNAR else (None,)
         out = {s: (np.zeros(len(rows)), [0] * len(rows), []) for s in seeds}
         fits = [(i, series, s) for i, series in zip(np.flatnonzero(clean).tolist(), windows) for s in seeds]
@@ -649,7 +751,7 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
     return SimulationResult(
         strategy=cfg.name,
         seed=seed,
-        dates=tuple(dates),
+        dates=dates,
         values=values_arr,
         total_return_pct=float(total),
         trade_count=trade_count,
@@ -660,111 +762,74 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
 
 def _day_loop(
     cfg: StrategyConfig, path: DecisionPath, seed: int, records: list[DayRecord] | None = None
-) -> tuple[list[date], list[float], int, set[str]]:
+) -> tuple[tuple[date, ...], list[float], int, set[str]]:
     """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
 
-    The strategy is its ``_VARIANTS`` row, read by ``cfg.name``.  The raw
-    weights of the whole schedule are checked once and, with a forecaster,
-    filtered once by the path's forecasts.  Each trading day's
-    are then normalised by :func:`allocation.normalize`, which gives the
-    trade targets and the signal; an all-agree strategy's signal is the
-    vote of the day's forecasts instead.  With a ``records`` list, each
-    day's :class:`DayRecord` is appended to it, its weights built by
+    The strategy is its ``_VARIANTS`` row, read by ``cfg.name``.  Its
+    portfolio mode's :meth:`DecisionPath.plan` gives the schedule, the
+    traded columns and each day's prices, and :meth:`DecisionPath.raw_weights`
+    the checked raw weights of the whole schedule, which a forecaster
+    filters once by the path's forecasts.  Each trading day's are then
+    normalised by :func:`allocation.normalize`, which gives the trade
+    targets and the signal; an all-agree strategy's signal is the vote of
+    the day's forecasts instead.  With a ``records`` list, each day's
+    :class:`DayRecord` is appended to it, its weights built by
     :func:`allocation.from_raw`; without one the loop builds no per-day
-    object.  The loop reads only the path's schedule and forecasts, so
-    a rerun gives the same days.
+    object.  The loop reads only the path's plan, raw weights and
+    forecasts, so a rerun gives the same days.
     """
-    prices = path.prices
-    w = path.base.window
     weighting, forecaster, signal_mode, mode = _VARIANTS[cfg.name]
-    schedule = path.schedule(mode)
-    trading = [day for day in schedule if day.trades]
-    raws = allocation.raw_weights(
-        weighting or cfg.fixed_weighting,
-        *path.weight_windows(trading),
-        alpha=cfg.alpha,
-        risk_free=cfg.risk_free,
-    )
-    allocation.check_raws(raws)
-    warnings: set[str] = set()
+    plan = path.plan(mode)
+    raws = path.raw_weights(weighting or cfg.fixed_weighting, mode)
+    warnings = set(plan.warnings)
     if forecaster != FORECASTER_NONE:
         # The filter: a stock without a positive forecast gets no weight.
         r_hat, signals, failures = path.forecasts(forecaster, mode, seed)
         raws = np.where(r_hat > 0.0, raws, 0.0)
         warnings.update(failures)
     raws = raws.tolist()
-    # Execution and closing prices of the columns the schedule ever selects,
-    # one row per schedule day.  The execution prices of price row t sit in
-    # row t - 1: the open, or the prior close where the open is masked or
-    # unused.  A masked price (NaN) falls back to the last close before the day.
-    names = sorted({ticker for day in trading for ticker in day.selection})
-    col = {ticker: c for c, ticker in enumerate(names)}
-    cols = np.array([prices.ticker_index(ticker) for ticker in names], dtype=np.intp)
-    exec_rows = np.array([day.tau + 2 for day in schedule], dtype=np.intp)  # price rows of the execution days
-    on_day, day_before = np.ix_(exec_rows, cols), np.ix_(exec_rows - 1, cols)
-    closes = prices.adj_close
-    if cfg.use_open_prices and prices.open_px is not None:
-        exec_px = np.where(prices.mask[on_day], closes[day_before], prices.open_px[on_day])
-    else:
-        exec_px = closes[day_before]
-    last_close = market_data.last_known(closes, prices.mask)[day_before]
-    exec_px, exec_stale = _fallback_rows(exec_px, last_close)
-    close_px, close_stale = _fallback_rows(closes[on_day], last_close)
+    names = plan.names
     all_agree = signal_mode == SIGNAL_ALL_AGREE
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
-    out_dates = [prices.dates[w]]
     values = [cfg.initial_capital]
     trade_count = 0
-    start = 0  # first raw weight of the next trading day
-    for i, day in enumerate(schedule):
-        if day.warning is not None:
-            warnings.add(day.warning)
-        if not day.trades:
+    for i, (span, exec_px, exec_stale, close_px, close_stale) in enumerate(plan.days):
+        if span is None:
             signal, targets = 0, []
         else:
-            stop = start + len(day.selection)
+            start, stop, cols = span
             raw = raws[start:stop]
-            targets = [(col[t], n) for t, n in zip(day.selection, allocation.normalize(raw)) if n > 0.0]
+            targets = [(c, n) for c, n in zip(cols, allocation.normalize(raw)) if n > 0.0]
             if all_agree:
                 signal = aggregate_signal(signals[start:stop])
             else:
                 signal = 1 if targets else -1
-            start = stop
         before = held
         cash, held, value, stale_cols = _trade(
-            cash,
-            held,
-            signal,
-            targets,
-            exec_px[i],
-            exec_stale[i],
-            close_px[i],
-            close_stale[i],
-            names,
+            cash, held, signal, targets, exec_px, exec_stale, close_px, close_stale, names
         )
         if held != before:
             trade_count += 1
-        on = prices.dates[day.tau + 2]
         stale = ()
         if stale_cols:
             stale = tuple(names[c] for c in sorted(stale_cols))
-            warnings.add("stale prices on " + on.isoformat() + ": " + ",".join(stale))
-        out_dates.append(on)
+            warnings.add("stale prices on " + plan.dates[i + 1].isoformat() + ": " + ",".join(stale))
         values.append(value)
         if records is not None:
+            selection = plan.schedule[i].selection
             records.append(
                 DayRecord(
-                    date=on,
+                    date=plan.dates[i + 1],
                     signal=signal,
-                    selection=day.selection if day.selection is not None else (),
-                    weights=allocation.from_raw(day.selection, raw) if day.trades else EMPTY_WEIGHTS,
+                    selection=selection if selection is not None else (),
+                    weights=allocation.from_raw(selection, raw) if span is not None else EMPTY_WEIGHTS,
                     cash=cash,
                     holdings=tuple((names[c], shares) for c, shares in held),
                     value=value,
                     stale=stale,
                 )
             )
-    return out_dates, values, trade_count, warnings
+    return plan.dates, values, trade_count, warnings
 
 
 def _records(cfg: StrategyConfig, path: DecisionPath, seed: int) -> tuple[DayRecord, ...]:

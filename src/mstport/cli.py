@@ -211,8 +211,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out_dir
     _make_out_dir(out)
     strategies_blob: dict = {}
-    # Every result's dates are panel dates; each is encoded once per run.
-    stamps = {day: _csv_field(day.isoformat()) + "," for day in table.dates}
+    # Every result's dates are panel dates; each is encoded once per run.  An
+    # ISO date holds only digits and '-', which csv.writer never quotes.
+    stamps = {day: day.isoformat() + "," for day in table.dates}
     for name in summary.strategies:
         per_seed = {}
         for seed in summary.seeds:

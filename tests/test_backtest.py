@@ -604,11 +604,22 @@ def test_schedule_weights_equal_per_window_weights(changes):
 
 
 def test_engine_matches_reference_with_close_execution():
-    cfg = dataclass_replace(make_strategy(BASE, "mst_var"), use_open_prices=False)
-    engine = run_simulation(cfg, PANEL, RETURNS)
-    reference = reference_sim.simulate(cfg, PANEL, RETURNS)
-    assert np.array_equal(engine.values, reference.values)
-    assert_days_match(engine, reference)
+    # One run per panel, so the strategies of a portfolio mode read its one
+    # plan: close-price rows and stale fallback in every mode.
+    cfg = dataclass_replace(BASE, use_open_prices=False)
+    names = ("mst_var", "mst_sharpe", "fixed", "dynamic_var")
+    stale = set()
+    for panel, (prices, returns) in {"PANEL": (PANEL, RETURNS), "GAPPY": (GAPPY, GAPPY_RETURNS)}.items():
+        multi = run_multi_seed(cfg, prices, returns, strategies=names)
+        for name in names:
+            engine = multi.results[(name, cfg.seeds[0])]
+            reference = reference_sim.simulate(make_strategy(cfg, name), prices, returns)
+            assert np.array_equal(engine.values, reference.values), (name, panel)
+            assert engine.trade_count == reference.trade_count, (name, panel)
+            assert_days_match(engine, reference)
+            stale.update((name, panel) for rec in engine.days if rec.stale)
+    # GAPPY's masked closes reach the stale fallback in every mode.
+    assert {name for name, panel in stale if panel == "GAPPY"} == set(names)
 
 
 def test_open_execution_changes_fills():

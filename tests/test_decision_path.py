@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_prim
-from mstport import backtest, forecast, market_data, network, var_fevd
+from mstport import allocation, backtest, forecast, market_data, network, var_fevd
 from mstport.backtest import (
     BENCHMARK_STRATEGY,
     FORECASTER_ARIMA,
@@ -133,6 +133,44 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     }
     assert sum(arima_fits.values()) == len(arima_tasks)
     assert set(arima_fits.values()) == {1}
+
+
+def test_each_mode_plan_and_raw_weights_are_built_once(monkeypatch):
+    grids, gathers, weighed = [], [], Counter()
+    last_known, weight_windows, raw_weights = (
+        market_data.last_known,
+        DecisionPath.weight_windows,
+        allocation.raw_weights,
+    )
+
+    def counted_last_known(values, mask):
+        if np.ndim(values) == 2:  # the benchmark's own call is on its one series
+            grids.append(values.shape)
+        return last_known(values, mask)
+
+    def counted_windows(self, days):
+        gathers.append(len(days))
+        return weight_windows(self, days)
+
+    def counted_raws(weighting, windows, clean, **kwargs):
+        weighed[(weighting, windows.tobytes(), clean.tobytes())] += 1
+        return raw_weights(weighting, windows, clean, **kwargs)
+
+    monkeypatch.setattr(market_data, "last_known", counted_last_known)
+    monkeypatch.setattr(DecisionPath, "weight_windows", counted_windows)
+    monkeypatch.setattr(allocation, "raw_weights", counted_raws)
+    multi = run_multi_seed(replace(BASE, seeds=SEEDS), PANEL, RETURNS)
+
+    assert len(grids) == 1
+    rows = [backtest._VARIANTS[name] for name in STRATEGY_NAMES if name != BENCHMARK_STRATEGY]
+    modes = {row.portfolio_mode for row in rows}
+    assert len(gathers) == len(modes) == 3 and all(gathers)  # every mode trades
+    pairs = {(row.weighting or BASE.fixed_weighting, row.portfolio_mode) for row in rows}
+    assert len(weighed) == len(pairs) == 4
+    assert set(weighed.values()) == {1}
+    # Reading the day records replays the loops on the kept plans.
+    assert all(res.days for (name, _), res in multi.results.items() if name != BENCHMARK_STRATEGY)
+    assert (len(grids), len(gathers), sum(weighed.values())) == (1, 3, 4)
 
 
 def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch):
