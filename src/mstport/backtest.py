@@ -392,7 +392,7 @@ def _strip_benchmark(
 MST_CELLS = 1 << 20
 
 
-# A forecast entry of DecisionPath.forecasts: (r_hat, signals, warnings).
+# A forecast entry of Plan.forecasts: (r_hat, signals, warnings).
 Forecasts = tuple[np.ndarray, list[int], list[str]]
 
 
@@ -413,16 +413,20 @@ PlanDay = tuple[tuple[int, int, list[int]] | None, list[float], list[bool], list
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """What every strategy of one portfolio mode reads: see :meth:`DecisionPath.plan`."""
+    """All that the strategies of one portfolio mode read: see :meth:`DecisionPath.plan`.
+
+    A strategy's day loop and its result's replay read the plan alone, not
+    the path.  The weight rows are one per stock that a trading day
+    selects, day after day in selection order.
+    """
 
     schedule: tuple[Decision, ...]
-    trading: tuple[Decision, ...]  # the schedule's days with a trade
     dates: tuple[date, ...]  # price row ``window``, then each schedule day's execution date
     warnings: frozenset[str]  # the schedule's network warnings
-    windows: np.ndarray  # the trading days' weight windows, as weight_windows gives them
-    clean: np.ndarray
     names: tuple[str, ...]  # the tickers the schedule ever selects, sorted: the traded columns
     days: tuple[PlanDay, ...]  # one per schedule day
+    raws: dict[str, np.ndarray]  # each weighting's checked, read-only raw weights of the weight rows
+    forecasts: dict[tuple[str, int], Forecasts]  # each (forecaster, seed)'s forecasts of the weight rows
 
 
 def _check_dates(cfg: StrategyConfig, n_dates: int, decides: bool = False) -> None:
@@ -445,29 +449,26 @@ class DecisionPath:
     """Upstream decisions of one run, shared by every strategy and seed.
 
     The path is the one route from a return window to what is decided on
-    it: the window's network and spanning tree (:meth:`trees_at`), its
-    top-k selection, the rule that turns selections into each day's held
-    selection per portfolio mode, the weighted stocks' windows and their
-    forecasts.  The trees of a dynamic schedule's rebalance windows grow
-    together, in stacks of at most ``MST_CELLS`` cost cells, by the tie
-    rule of a lone tree.  A selection depends only on the prices and the
-    base config's upstream fields, and a forecast additionally on the
-    forecaster and (for NNAR only) the seed; neither depends on a
-    strategy's weighting, signal or accounting, so strategies read those
-    fields from ``base``.  Each portfolio mode's :meth:`plan` (its weight
-    windows, traded columns and price rows) is built once, and so are the
-    raw weights of each (weighting, mode) pair (:meth:`raw_weights`), from
-    ``base``'s ``use_open_prices``, ``alpha`` and ``risk_free``.  Each
-    selection, schedule and forecast list is kept once computed, failure
-    messages included, so a run builds each
-    window's network and fits each forecast once.  NNAR forecasts are
-    fitted for every seed of ``cfg.seeds``.  The constructor rejects a
-    panel with fewer than ``window`` return rows or two tickers.
+    it: the window's network and spanning tree (:meth:`trees_at`) and its
+    top-k selection (:meth:`selection_at`).  The trees of a dynamic
+    schedule's rebalance windows grow together, in stacks of at most
+    ``MST_CELLS`` cost cells, by the tie rule of a lone tree.  Each
+    selection is kept once computed, failure message included, so a run
+    builds each window's network once.  Each portfolio mode's :meth:`plan`
+    is built once, with what the run's ``strategies`` of that mode read.
+    A selection depends only on the prices and the base config's upstream
+    fields, and a forecast additionally on the forecaster and (for NNAR
+    only) the seed; neither depends on a strategy's weighting, signal or
+    accounting, so strategies read those fields from ``base``.  The
+    constructor rejects a panel with fewer than ``window`` return rows or
+    two tickers.
     """
 
-    def __init__(self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix) -> None:
+    def __init__(
+        self, cfg: StrategyConfig, prices: PriceTable, returns: ReturnMatrix, strategies: Sequence[str]
+    ) -> None:
         self.base = cfg
-        self.seeds = cfg.seeds
+        self.strategies = tuple(strategies)
         self.prices, self.returns = _strip_benchmark(cfg, prices, returns)
         _check_dates(cfg, len(self.prices.dates))
         if len(self.prices.tickers) < 2:
@@ -476,10 +477,7 @@ class DecisionPath:
         counts = np.cumsum(self.returns.mask, axis=0)
         self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
-        self._schedules: dict[str, tuple[Decision, ...]] = {}
         self._plans: dict[str, Plan] = {}
-        self._raws: dict[tuple[str, str], np.ndarray] = {}
-        self._forecasts: dict[tuple[str, str], dict[int | None, Forecasts]] = {}
         self._last_close: np.ndarray | None = None
 
     def trees_at(self, taus: Sequence[int]) -> Iterator[tuple[int, tuple[CostMatrix, MstTree] | Exception]]:
@@ -533,80 +531,37 @@ class DecisionPath:
         self._select((tau,))
         return self._selections[tau]
 
-    def schedule(self, mode: str) -> tuple[Decision, ...]:
-        """Every decision day of a strategy with portfolio mode ``mode``.
-
-        A dynamic strategy re-selects every ``rebalance_every`` days and
-        keeps its last selection when a recompute fails; the other modes
-        keep their first selection.  Until a first selection exists the
-        strategy holds cash and retries every day.  A fixed strategy trades
-        only on its first day with a selection.  A dynamic schedule asks for
-        the trees of all its rebalance days at once, as they grow faster
-        stacked; a retry day asks for its own window alone.
-        """
-        if mode not in self._schedules:
-            out = []
-            held: tuple[str, ...] | None = None
-            traded = False
-            w = self.base.window
-            if mode == MODE_DYNAMIC:
-                self._select(range(w - 1, len(self.returns.dates) - 1, self.base.rebalance_every))
-            for step, tau in enumerate(range(w - 1, len(self.returns.dates) - 1)):
-                warning = None
-                if held is None or (mode == MODE_DYNAMIC and step % self.base.rebalance_every == 0):
-                    picked, failure = self.selection_at(tau)
-                    end = self.returns.dates[tau]
-                    if picked is not None:
-                        held = picked
-                    elif held is None:
-                        # No estimable pair (e.g. a flat market) is a hold, not a
-                        # crash: stay in cash and try again on the next window.
-                        warning = f"network unavailable at {end}: {failure}; holding cash"
-                    else:
-                        warning = f"network recompute failed at {end}: {failure}"
-                trades = held is not None and not (mode == MODE_FIXED and traded)
-                traded = traded or trades
-                out.append(Decision(tau, held, trades, warning))
-            self._schedules[mode] = tuple(out)
-        return self._schedules[mode]
-
-    def weight_windows(self, days: Sequence[Decision]) -> tuple[np.ndarray, np.ndarray]:
-        """The return windows of every stock the days select, to weight and forecast them at once.
-
-        Returns ``(windows, clean)``.  ``clean`` has one entry per selected
-        stock, day after day in selection order, True where the stock's
-        window ending at the day's ``tau`` has no masked cell; ``windows``
-        holds those unmasked windows, in order, as the C-contiguous rows of
-        one ``(count, window)`` block.  Columns are looked up once per
-        distinct selection.
-        """
-        w = self.base.window
-        index = self.returns.ticker_index
-        cols_of = {sel: [index(t) for t in sel] for sel in {d.selection for d in days}}
-        cols = np.array([c for d in days for c in cols_of[d.selection]], dtype=np.intp)
-        taus = np.array([d.tau for d in days], dtype=np.intp)
-        ends = np.repeat(taus + 1, [len(d.selection) for d in days])  # one past each window's last row
-        clean = self._masked_above[ends, cols] == self._masked_above[ends - w, cols]
-        windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, cols[clean]]
-        return windows, clean
-
     def plan(self, mode: str) -> Plan:
-        """What every strategy of portfolio mode ``mode`` reads, built once per path.
+        """All that the path's strategies of portfolio mode ``mode`` read, built once per path.
 
-        The plan holds the mode's :meth:`schedule`, its trading days and
-        their :meth:`weight_windows`, the value dates and the schedule's
-        warnings.  It also holds each schedule day's execution and closing
-        prices of the traded columns, the tickers the schedule ever selects.
-        The execution prices of price row t sit in row t - 1: the open, or
-        the prior close where the open is masked or unused.  A masked price
-        (NaN) falls back to the last close before the day, from one
-        :func:`market_data.last_known` call per path, and is flagged stale.
+        Building the plan takes four steps.
+
+        - The schedule: a dynamic strategy re-selects every
+          ``rebalance_every`` days and keeps its last selection when a
+          recompute fails; the other modes keep their first selection.
+          Until a first selection exists the strategy holds cash and
+          retries every day.  A fixed strategy trades only on its first day
+          with a selection.  A dynamic schedule asks for the trees of all
+          its rebalance days at once, as they grow faster stacked; a retry
+          day asks for its own window alone.
+        - The price rows: each schedule day's execution and closing prices
+          of the traded columns, the tickers the schedule ever selects.
+          The execution prices of price row t sit in row t - 1: the open,
+          or the prior close where the open is masked or unused.  A masked
+          price (NaN) falls back to the last close before the day, from one
+          :func:`market_data.last_known` call per path, and is flagged
+          stale.
+        - The weight rows' return windows, gathered as one block.
+        - What the mode's listed strategies read of that block: the raw
+          weights of each of their weightings, by
+          :func:`allocation.raw_weights` at the base config's ``alpha`` and
+          ``risk_free``, checked and read-only, and the forecasts of each
+          of their forecasters (:meth:`_fit`).  The block is then dropped.
         """
         if mode not in self._plans:
-            prices, w = self.prices, self.base.window
-            schedule = self.schedule(mode)
-            trading = tuple(day for day in schedule if day.trades)
-            windows, clean = self.weight_windows(trading)
+            cfg, prices, w = self.base, self.prices, self.base.window
+            schedule = self._schedule(mode)
+            trading = [day for day in schedule if day.trades]
             selections = {day.selection for day in trading}
             names = tuple(sorted({ticker for sel in selections for ticker in sel}))
             col = {ticker: c for c, ticker in enumerate(names)}
@@ -623,7 +578,7 @@ class DecisionPath:
             cols = np.array([prices.ticker_index(ticker) for ticker in names], dtype=np.intp)
             closes = prices.adj_close
             day_before = closes[w:-1, cols]
-            if self.base.use_open_prices and prices.open_px is not None:
+            if cfg.use_open_prices and prices.open_px is not None:
                 exec_px = np.where(prices.mask[w + 1 :, cols], day_before, prices.open_px[w + 1 :, cols])
             else:
                 exec_px = day_before
@@ -632,61 +587,83 @@ class DecisionPath:
             last_close = self._last_close[w:-1, cols]
             exec_px, exec_stale = _fallback_rows(exec_px, last_close)
             close_px, close_stale = _fallback_rows(closes[w + 1 :, cols], last_close)
+            # Each weight row's return window; ``clean`` is True where it has
+            # no masked cell, and ``windows`` holds the clean ones, in order,
+            # as the C-contiguous rows of one block.
+            index = self.returns.ticker_index
+            return_cols_of = {sel: [index(t) for t in sel] for sel in selections}
+            return_cols = np.array([c for d in trading for c in return_cols_of[d.selection]], dtype=np.intp)
+            taus = np.array([d.tau for d in trading], dtype=np.intp)
+            ends = np.repeat(taus + 1, [len(d.selection) for d in trading])  # one past each window's last row
+            clean = self._masked_above[ends, return_cols] == self._masked_above[ends - w, return_cols]
+            windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, return_cols[clean]]
+            listed = [_VARIANTS[n] for n in self.strategies if n in _VARIANTS and _VARIANTS[n].portfolio_mode == mode]
+            raws = {}
+            for weighting in dict.fromkeys(row.weighting or cfg.fixed_weighting for row in listed):
+                raws[weighting] = allocation.raw_weights(
+                    weighting, windows, clean, alpha=cfg.alpha, risk_free=cfg.risk_free
+                )
+                allocation.check_raws(raws[weighting])
+                raws[weighting].flags.writeable = False
+            forecasts: dict[tuple[str, int], Forecasts] = {}
+            weight_rows = [(ticker, d.tau) for d in trading for ticker in d.selection]
+            for forecaster in dict.fromkeys(row.forecaster for row in listed if row.forecaster != FORECASTER_NONE):
+                forecasts.update(self._fit(forecaster, weight_rows, windows, clean))
             self._plans[mode] = Plan(
                 schedule=schedule,
-                trading=trading,
                 dates=prices.dates[w:],
                 warnings=frozenset(day.warning for day in schedule if day.warning is not None),
-                windows=windows,
-                clean=clean,
                 names=names,
                 days=tuple(zip(spans, exec_px, exec_stale, close_px, close_stale)),
+                raws=raws,
+                forecasts=forecasts,
             )
         return self._plans[mode]
 
-    def raw_weights(self, weighting: str, mode: str) -> np.ndarray:
-        """Raw ``weighting`` weights of portfolio mode ``mode``'s weight rows, checked, kept once computed.
+    def _schedule(self, mode: str) -> tuple[Decision, ...]:
+        """Every decision day of a strategy with portfolio mode ``mode``, by the rule :meth:`plan` gives."""
+        out = []
+        held: tuple[str, ...] | None = None
+        traded = False
+        w = self.base.window
+        if mode == MODE_DYNAMIC:
+            self._select(range(w - 1, len(self.returns.dates) - 1, self.base.rebalance_every))
+        for step, tau in enumerate(range(w - 1, len(self.returns.dates) - 1)):
+            warning = None
+            if held is None or (mode == MODE_DYNAMIC and step % self.base.rebalance_every == 0):
+                picked, failure = self.selection_at(tau)
+                end = self.returns.dates[tau]
+                if picked is not None:
+                    held = picked
+                elif held is None:
+                    # No estimable pair (e.g. a flat market) is a hold, not a
+                    # crash: stay in cash and try again on the next window.
+                    warning = f"network unavailable at {end}: {failure}; holding cash"
+                else:
+                    warning = f"network recompute failed at {end}: {failure}"
+            trades = held is not None and not (mode == MODE_FIXED and traded)
+            traded = traded or trades
+            out.append(Decision(tau, held, trades, warning))
+        return tuple(out)
 
-        The weights are :func:`allocation.raw_weights` of the plan's
-        windows, at the base config's ``alpha`` and ``risk_free``, and are
-        read-only: every strategy of the pair reads the one array.
+    def _fit(
+        self, forecaster: str, rows: list[tuple[str, int]], windows: np.ndarray, clean: np.ndarray
+    ) -> dict[tuple[str, int], Forecasts]:
+        """``(r_hat, signals, warnings)`` of ``forecaster`` on the weight rows, keyed by (forecaster, seed).
+
+        ``rows`` names each weight row's (ticker, tau), and ``windows`` and
+        ``clean`` are its return windows as :meth:`plan` gathers them.  Each
+        entry holds each row's one-step forecast as a float64 array, its
+        :func:`forecast.to_signal` vote, and a ``forecast failed for
+        <ticker>: <why>`` line per failed row, in row order.  A row that is
+        not clean (a masked return in its window) gets 0.0 and vote 0
+        without a fit, and so does one whose fit fails or forecasts a
+        non-finite value, so the filter drops the stock.  NNAR fits every
+        seed of the base config in one :func:`forecast.nnar_fit_batch`
+        call; ARIMA ignores the seed, so its one entry serves every seed.
         """
-        key = (weighting, mode)
-        if key not in self._raws:
-            plan = self.plan(mode)
-            raws = allocation.raw_weights(
-                weighting, plan.windows, plan.clean, alpha=self.base.alpha, risk_free=self.base.risk_free
-            )
-            allocation.check_raws(raws)
-            raws.flags.writeable = False
-            self._raws[key] = raws
-        return self._raws[key]
-
-    def forecasts(self, forecaster: str, mode: str, seed: int) -> Forecasts:
-        """``(r_hat, signals, warnings)`` of ``forecaster`` on the weight rows.
-
-        The rows are those of portfolio mode ``mode``'s :meth:`plan`, one per
-        stock each trading day selects: each row's one-step forecast as a
-        float64 array, its :func:`forecast.to_signal` vote, and a ``forecast
-        failed for <ticker>: <why>`` line per failed row, in row order.  A
-        row that is not clean (a masked return in its window) gets 0.0 and
-        vote 0 without a fit, and so does one whose fit fails or forecasts a
-        non-finite value, so the filter drops the stock.  The entry is fitted
-        once per forecaster and portfolio mode, NNAR over all of the path's
-        seeds in one :func:`forecast.nnar_fit_batch` call; ARIMA ignores the
-        seed, so its one entry serves every seed.
-        """
-        key = (forecaster, mode)
-        if key not in self._forecasts:
-            self._forecasts[key] = self._fit(forecaster, self.plan(mode))
-        return self._forecasts[key][seed if forecaster == FORECASTER_NNAR else None]
-
-    def _fit(self, forecaster: str, plan: Plan) -> dict[int | None, Forecasts]:
-        """Each seed's (None for ARIMA) forecasts of ``plan``'s weight rows."""
         cfg = self.base
-        rows = [(ticker, d.tau) for d in plan.trading for ticker in d.selection]
-        windows, clean = plan.windows, plan.clean
-        seeds = self.seeds if forecaster == FORECASTER_NNAR else (None,)
+        seeds = cfg.seeds if forecaster == FORECASTER_NNAR else (None,)
         out = {s: (np.zeros(len(rows)), [0] * len(rows), []) for s in seeds}
         fits = [(i, series, s) for i, series in zip(np.flatnonzero(clean).tolist(), windows) for s in seeds]
         orders = (cfg.arima_max_p, cfg.arima_max_d, cfg.arima_max_q)
@@ -712,7 +689,7 @@ class DecisionPath:
                 r_hats[i] = r_hat
             except (EstimationError, ValueError) as exc:
                 warnings.append(f"forecast failed for {rows[i][0]}: {exc}")
-        return out
+        return {(forecaster, s): out[s if forecaster == FORECASTER_NNAR else None] for s in cfg.seeds}
 
 
 def run_simulation(
@@ -723,29 +700,23 @@ def run_simulation(
 ) -> SimulationResult:
     """Simulate one strategy variant over the full history.
 
-    The value series starts at the initial capital on the first decision
-    date (price row ``window``) and gains one mark-to-market entry per
-    executed day.  The path fits forecasts for ``seed`` alone.  A config
-    named ``buy_hold`` (see :func:`make_strategy`) gives the benchmark path
-    of :func:`run_multi_seed`'s ``buy_hold`` cell and builds no path.
+    This is :func:`run_multi_seed` of the one strategy ``cfg.name`` and the
+    one seed ``seed`` (``cfg.seeds[0]`` by default), and returns its one
+    cell.  The value series starts at the initial capital on the first
+    decision date (price row ``window``) and gains one mark-to-market entry
+    per executed day.
     """
     seed = cfg.seeds[0] if seed is None else seed
-    check_strategies((cfg.name,), cfg)
-    _check_dates(cfg, len(prices.dates), decides=True)
-    if cfg.name == BENCHMARK_STRATEGY:
-        return _buy_hold(cfg, prices, seed)
-    return _simulate(cfg, DecisionPath(replace(cfg, seeds=(seed,)), prices, returns), seed)
+    return run_multi_seed(replace(cfg, seeds=(seed,)), prices, returns, (cfg.name,)).results[(cfg.name, seed)]
 
 
-def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationResult:
-    """Run one strategy on ``path`` for ``seed``, keeping no per-day record.
+def _simulate(cfg: StrategyConfig, plan: Plan, seed: int) -> SimulationResult:
+    """Run one strategy on its portfolio mode's ``plan`` for ``seed``, keeping no per-day record.
 
-    The result's ``replay`` reruns the same day loop with records on the
-    first time ``days`` is read, and keeps what it returns.
+    The result's ``replay`` reruns the same day loop on the plan with
+    records on the first time ``days`` is read, and keeps what it returns.
     """
-    if seed not in path.seeds:
-        raise ConfigError(f"seed {seed} is not one of the path's seeds {path.seeds}")
-    dates, values, trade_count, warnings = _day_loop(cfg, path, seed)
+    dates, values, trade_count, warnings = _day_loop(cfg, plan, seed)
     values_arr = np.asarray(values)
     total = (values_arr[-1] / values_arr[0] - 1.0) * 100.0
     return SimulationResult(
@@ -756,35 +727,33 @@ def _simulate(cfg: StrategyConfig, path: DecisionPath, seed: int) -> SimulationR
         total_return_pct=float(total),
         trade_count=trade_count,
         warnings=tuple(sorted(warnings)),
-        replay=functools.cache(functools.partial(_records, cfg, path, seed)),
+        replay=functools.cache(functools.partial(_records, cfg, plan, seed)),
     )
 
 
 def _day_loop(
-    cfg: StrategyConfig, path: DecisionPath, seed: int, records: list[DayRecord] | None = None
+    cfg: StrategyConfig, plan: Plan, seed: int, records: list[DayRecord] | None = None
 ) -> tuple[tuple[date, ...], list[float], int, set[str]]:
     """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
 
-    The strategy is its ``_VARIANTS`` row, read by ``cfg.name``.  Its
-    portfolio mode's :meth:`DecisionPath.plan` gives the schedule, the
-    traded columns and each day's prices, and :meth:`DecisionPath.raw_weights`
-    the checked raw weights of the whole schedule, which a forecaster
-    filters once by the path's forecasts.  Each trading day's are then
-    normalised by :func:`allocation.normalize`, which gives the trade
-    targets and the signal; an all-agree strategy's signal is the vote of
-    the day's forecasts instead.  With a ``records`` list, each day's
+    The strategy is its ``_VARIANTS`` row, read by ``cfg.name``, and
+    ``plan`` is its portfolio mode's :meth:`DecisionPath.plan`: the
+    schedule, the traded columns, each day's prices, the checked raw
+    weights of the whole schedule and the forecasts, by which a forecaster
+    filters those weights once.  Each trading day's are then normalised by
+    :func:`allocation.normalize`, which gives the trade targets and the
+    signal; an all-agree strategy's signal is the vote of the day's
+    forecasts instead.  With a ``records`` list, each day's
     :class:`DayRecord` is appended to it, its weights built by
     :func:`allocation.from_raw`; without one the loop builds no per-day
-    object.  The loop reads only the path's plan, raw weights and
-    forecasts, so a rerun gives the same days.
+    object.  The loop reads only the plan, so a rerun gives the same days.
     """
-    weighting, forecaster, signal_mode, mode = _VARIANTS[cfg.name]
-    plan = path.plan(mode)
-    raws = path.raw_weights(weighting or cfg.fixed_weighting, mode)
+    weighting, forecaster, signal_mode, _ = _VARIANTS[cfg.name]
+    raws = plan.raws[weighting or cfg.fixed_weighting]
     warnings = set(plan.warnings)
     if forecaster != FORECASTER_NONE:
         # The filter: a stock without a positive forecast gets no weight.
-        r_hat, signals, failures = path.forecasts(forecaster, mode, seed)
+        r_hat, signals, failures = plan.forecasts[forecaster, seed]
         raws = np.where(r_hat > 0.0, raws, 0.0)
         warnings.update(failures)
     raws = raws.tolist()
@@ -832,10 +801,10 @@ def _day_loop(
     return plan.dates, values, trade_count, warnings
 
 
-def _records(cfg: StrategyConfig, path: DecisionPath, seed: int) -> tuple[DayRecord, ...]:
+def _records(cfg: StrategyConfig, plan: Plan, seed: int) -> tuple[DayRecord, ...]:
     """The day records of one strategy run, from a rerun of its day loop with records on."""
     records: list[DayRecord] = []
-    _day_loop(cfg, path, seed, records)
+    _day_loop(cfg, plan, seed, records)
     return tuple(records)
 
 
@@ -913,10 +882,12 @@ def run_multi_seed(
     against ``cfg`` by :func:`check_strategies` before anything runs.
     Every strategy and seed reads one
     :class:`DecisionPath`, so each window's selection and each forecast is
-    computed once per call.  ``buy_hold`` is computed as
-    :func:`run_simulation` computes it, before the path is built.  Any
-    strategy list, ``buy_hold`` alone included, needs at least
-    ``window + 2`` price dates: one window and a decision day.
+    computed once per call.  A result keeps only its portfolio mode's
+    :class:`Plan`, so the path is freed when the call returns.
+    ``buy_hold`` is ``cfg.benchmark_ticker`` held from price row
+    ``window``, computed before the path is built.  Any strategy list,
+    ``buy_hold`` alone included, needs at least ``window + 2`` price dates:
+    one window and a decision day.
     Strategies without stochastic components are run once, for the first
     seed, and each later seed gets a ``dataclasses.replace`` copy, which
     leaves results identical to a full re-run because those paths never
@@ -929,7 +900,7 @@ def run_multi_seed(
     check_strategies(names, cfg)
     _check_dates(cfg, len(prices.dates), decides=True)
     bench = _buy_hold(cfg, prices, seeds[0]) if BENCHMARK_STRATEGY in names else None
-    path = DecisionPath(cfg, prices, returns) if set(names) - {BENCHMARK_STRATEGY} else None
+    path = DecisionPath(cfg, prices, returns, names) if set(names) - {BENCHMARK_STRATEGY} else None
     results: dict[tuple[str, int], SimulationResult] = {}
     table = np.empty((len(seeds), len(names)))
     for col, name in enumerate(names):
@@ -938,8 +909,10 @@ def run_multi_seed(
         for row, s in enumerate(seeds):
             if row and not seeded:
                 res = replace(first, seed=s)
+            elif name == BENCHMARK_STRATEGY:
+                res = first = bench
             else:
-                res = first = bench if name == BENCHMARK_STRATEGY else _simulate(strat, path, s)
+                res = first = _simulate(strat, path.plan(_VARIANTS[name].portfolio_mode), s)
             results[(name, s)] = res
             table[row, col] = res.total_return_pct
     means = table.mean(axis=0)

@@ -138,7 +138,7 @@ def _make_out_dir(out: Path) -> None:
 def cmd_network(cfg: RunConfig) -> int:
     table, _ = _load_panel(cfg)
     strat = cfg.strategy
-    path = backtest.DecisionPath(strat, table, market_data.compute_returns(table))
+    path = backtest.DecisionPath(strat, table, market_data.compute_returns(table), ())
     window_ends = path.returns.dates
     out = cfg.out_dir
     sectors = _load_sectors(cfg.sectors_path)

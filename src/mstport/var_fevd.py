@@ -30,12 +30,12 @@ shares, so the decomposition kernel computes those two alone; only
 The kernel sums the horizon in closed form.  By Cayley-Hamilton every power
 of a 2x2 matrix is a combination of the traceless M = A1 - tr(A1)/2 I and
 I, so each step updates two scalars per pair, and every numerator and
-denominator is a fixed quadratic form in three horizon sums of them.  This
-sums in another order than a product recursion over A1^s would, and where
-A1 is explosive and a row of A1^s is much smaller than its M part, the
-cancellation of the final quadratic form costs digits that the recursion
-keeps.  ``tests/oracle_fevd.py`` recomputes every share in extended
-precision and states the budgets that the kernel meets.
+denominator is a fixed quadratic form in three horizon sums of them.  Where
+A1 is explosive and a row of A1^s is much smaller than its M part, those
+forms cancel, so a pair whose A1 has spectral radius above one is summed
+by the product recursion over A1^s instead.  ``tests/oracle_fevd.py``
+recomputes every share in extended precision and states the budgets that
+the kernel meets.
 """
 
 from __future__ import annotations
@@ -214,6 +214,23 @@ def _fevd_shares(a: tuple, s: tuple, horizon: int, mode: str, diagonal: bool = F
         v = m * l00 + a01 * l10
         num[0, 0] = v * v * gg + v * l00 * gd2 + l00 * l00 * dd
         num[1, 1] = l11 * l11 * (m * m * gg - m * gd2 + dd)
+    # A1's eigenvalues are c +- sqrt(e).  A pair with one outside the unit
+    # circle sums its squared responses and sigma_u's quadratic form over
+    # Phi_s = A1^s, formed one product at a time, so nothing cancels.
+    root = np.sqrt(np.abs(e))
+    grows = np.where(e >= 0.0, np.abs(c) + root, np.hypot(c, root)) > 1.0
+    if grows.any():
+        stepped, var = dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 1)], 0.0), [0.0, 0.0]
+        rows = ((1.0, 0.0), (0.0, 1.0))  # Phi_0 = I
+        for step in range(horizon):
+            if step:
+                rows = tuple((q0 * a00 + q1 * a10, q0 * a01 + q1 * a11) for q0, q1 in rows)
+            for r, (q0, q1) in enumerate(rows):
+                m0, m1 = q0 * l00 + q1 * l10, q1 * l11
+                stepped[r, 0], stepped[r, 1] = stepped[r, 0] + m0 * m0, stepped[r, 1] + m1 * m1
+                var[r] = var[r] + (q0 * q0 * s00 + 2.0 * q0 * q1 * s01 + q1 * q1 * s11)
+        num = {key: np.where(grows, stepped[key], total) for key, total in num.items()}
+        den = tuple(np.where(grows, v, closed) for v, closed in zip(var, den))
     shares = {}
     for (r, col), total in num.items():
         share = total / np.where(den[r] > 0.0, den[r], 1.0)

@@ -159,6 +159,9 @@ def rounding_bound(a: tuple, s: tuple, horizon: int, mode: str) -> np.ndarray:
         (err_N + (N / D) err_D) / (D - err_D) + u
 
     of its exact value, and clipping both to [0, 1] does not widen that.
+    A member whose A1 has spectral radius above one is summed by the
+    product recursion instead; each entry of its A1^s is at most the
+    absolute-value closed form's, along shorter chains, so the bound holds.
     The bound is 1 (the share is undetermined in float64) where D -
     err_D is not positive, where an orthogonalized member's Cholesky
     remainder lies within its own error of zero, so that its fallback flag

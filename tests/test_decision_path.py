@@ -3,6 +3,9 @@ each window's network and each forecast is computed once per run."""
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -15,6 +18,7 @@ from mstport.backtest import (
     BENCHMARK_STRATEGY,
     FORECASTER_ARIMA,
     FORECASTER_NNAR,
+    FORECASTER_NONE,
     MODE_DYNAMIC,
     MODE_DYNAMIC_VAR_ONLY,
     MODE_FIXED,
@@ -37,6 +41,7 @@ RETURNS = market_data.compute_returns(PANEL)
 BASE = StrategyConfig(window=60, top_k=3, seeds=(132,), benchmark_ticker="IDX", nnar_epochs=20)
 SEEDS = (7, 8)
 NNAR_STRATEGIES = ("mst_nnar_var", "mst_nnar_sharpe", "mst_allagree_var", "mst_allagree_sharpe")
+MODES = (MODE_DYNAMIC, MODE_FIXED, MODE_DYNAMIC_VAR_ONLY)
 
 
 def assert_matches_independent_runs(cfg: StrategyConfig, prices) -> dict:
@@ -137,9 +142,9 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
 
 def test_each_mode_plan_and_raw_weights_are_built_once(monkeypatch):
     grids, gathers, weighed = [], [], Counter()
-    last_known, weight_windows, raw_weights = (
+    last_known, sliding_window_view, raw_weights = (
         market_data.last_known,
-        DecisionPath.weight_windows,
+        backtest.sliding_window_view,
         allocation.raw_weights,
     )
 
@@ -148,23 +153,24 @@ def test_each_mode_plan_and_raw_weights_are_built_once(monkeypatch):
             grids.append(values.shape)
         return last_known(values, mask)
 
-    def counted_windows(self, days):
-        gathers.append(len(days))
-        return weight_windows(self, days)
+    def counted_gather(returns, window, **kwargs):
+        gathers.append(window)
+        return sliding_window_view(returns, window, **kwargs)
 
     def counted_raws(weighting, windows, clean, **kwargs):
         weighed[(weighting, windows.tobytes(), clean.tobytes())] += 1
         return raw_weights(weighting, windows, clean, **kwargs)
 
     monkeypatch.setattr(market_data, "last_known", counted_last_known)
-    monkeypatch.setattr(DecisionPath, "weight_windows", counted_windows)
+    monkeypatch.setattr(backtest, "sliding_window_view", counted_gather)
     monkeypatch.setattr(allocation, "raw_weights", counted_raws)
     multi = run_multi_seed(replace(BASE, seeds=SEEDS), PANEL, RETURNS)
 
     assert len(grids) == 1
     rows = [backtest._VARIANTS[name] for name in STRATEGY_NAMES if name != BENCHMARK_STRATEGY]
     modes = {row.portfolio_mode for row in rows}
-    assert len(gathers) == len(modes) == 3 and all(gathers)  # every mode trades
+    assert len(gathers) == len(modes) == 3  # one gather per plan
+    assert all(clean for _, _, clean in weighed)  # every mode trades
     pairs = {(row.weighting or BASE.fixed_weighting, row.portfolio_mode) for row in rows}
     assert len(weighed) == len(pairs) == 4
     assert set(weighed.values()) == {1}
@@ -173,9 +179,113 @@ def test_each_mode_plan_and_raw_weights_are_built_once(monkeypatch):
     assert (len(grids), len(gathers), sum(weighed.values())) == (1, 3, 4)
 
 
+def recorded_paths(monkeypatch) -> list:
+    """A weak reference to every ``DecisionPath`` a run builds from here on."""
+    refs = []
+
+    class Recorded(DecisionPath):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(backtest, "DecisionPath", Recorded)
+    return refs
+
+
+def test_a_finished_run_frees_its_path_and_replays_from_its_plans(monkeypatch):
+    refs = recorded_paths(monkeypatch)
+    multi = run_multi_seed(replace(BASE, seeds=SEEDS), PANEL, RETURNS)
+    days = {key: res.days for key, res in multi.results.items()}
+    gc.collect()
+    [path] = refs
+    assert path() is None
+    for (name, seed), res in multi.results.items():
+        if name != BENCHMARK_STRATEGY:
+            # An uncached replay reruns the day loop on the kept plan alone.
+            assert days[name, seed] and res.replay.__wrapped__() == days[name, seed], (name, seed)
+
+
+def arrays(obj):
+    """Every numpy array inside ``obj``, through tuples, lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from arrays(item)
+
+
+def test_a_plan_holds_one_entry_per_weight_row_and_no_window_block():
+    path = DecisionPath(replace(BASE, seeds=SEEDS), PANEL, RETURNS, STRATEGY_NAMES)
+    for mode in MODES:
+        plan = path.plan(mode)
+        rows = sum(len(day.selection) for day in plan.schedule if day.trades)
+        held = [a for f in dataclasses.fields(plan) for a in arrays(getattr(plan, f.name))]
+        assert held and rows != BASE.window, mode
+        assert all(a.shape == (rows,) for a in held), (mode, [a.shape for a in held])
+
+
+@pytest.mark.parametrize(
+    "names, fixed_weighting",
+    [
+        (("mst_sharpe", "mst_allagree_var", "fixed"), "var"),
+        (("buy_hold", "mst_arima_var", "dynamic_var"), "var"),
+        (("fixed", "mst_nnar_sharpe"), "sharpe"),
+    ],
+)
+def test_a_strategy_subset_weighs_and_fits_only_what_it_reads(monkeypatch, names, fixed_weighting):
+    cfg = replace(BASE, seeds=SEEDS, fixed_weighting=fixed_weighting)
+    full = run_multi_seed(cfg, PANEL, RETURNS)
+    building, weighed, fitted = [], Counter(), Counter()
+    plan, raw_weights, nnar_fit_batch, arima_fit = (
+        DecisionPath.plan,
+        allocation.raw_weights,
+        forecast.nnar_fit_batch,
+        forecast.arima_fit,
+    )
+
+    def tracked_plan(self, mode):
+        building.append(mode)  # what is weighed or fitted from here is this mode's
+        try:
+            return plan(self, mode)
+        finally:
+            building.pop()
+
+    def counted_raws(weighting, *args, **kwargs):
+        weighed[weighting, building[-1]] += 1
+        return raw_weights(weighting, *args, **kwargs)
+
+    def counted_nnar(*args, **kwargs):
+        fitted[FORECASTER_NNAR, building[-1]] += 1
+        return nnar_fit_batch(*args, **kwargs)
+
+    def counted_arima(*args, **kwargs):
+        fitted[FORECASTER_ARIMA, building[-1]] += 1
+        return arima_fit(*args, **kwargs)
+
+    monkeypatch.setattr(DecisionPath, "plan", tracked_plan)
+    monkeypatch.setattr(allocation, "raw_weights", counted_raws)
+    monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
+    monkeypatch.setattr(forecast, "arima_fit", counted_arima)
+    subset = run_multi_seed(cfg, PANEL, RETURNS, strategies=names)
+
+    rows = [backtest._VARIANTS[name] for name in names if name != BENCHMARK_STRATEGY]
+    assert weighed == Counter({(row.weighting or fixed_weighting, row.portfolio_mode): 1 for row in rows})
+    assert set(fitted) == {(row.forecaster, row.portfolio_mode) for row in rows if row.forecaster != FORECASTER_NONE}
+    assert all(fitted[key] == 1 for key in fitted if key[0] == FORECASTER_NNAR)
+    # A plan built for a subset gives each strategy what the full run gives it.
+    for name in names:
+        for seed in SEEDS:
+            got, want = subset.results[name, seed], full.results[name, seed]
+            assert got.values.tobytes() == want.values.tobytes(), (name, seed)
+            assert (got.warnings, got.days) == (want.warnings, want.days), (name, seed)
+
+
 def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch):
     cfg = replace(BASE, rebalance_every=1000)  # the first selection is held all run
-    ticker = DecisionPath(cfg, PANEL, RETURNS).schedule(MODE_DYNAMIC)[0].selection[0]
+    ticker = DecisionPath(cfg, PANEL, RETURNS, ()).plan(MODE_DYNAMIC).schedule[0].selection[0]
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(ticker))])
     fitted = []
     nnar_fit_batch = forecast.nnar_fit_batch
@@ -185,13 +295,14 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
         return nnar_fit_batch(series, seeds, *args, **kwargs)
 
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
-    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
+    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices), ("mst_nnar_var",))
     j = path.returns.ticker_index(ticker)
-    r_hats, signals, failures = path.forecasts(FORECASTER_NNAR, MODE_DYNAMIC, SEEDS[0])
+    plan = path.plan(MODE_DYNAMIC)
+    r_hats, signals, failures = plan.forecasts[FORECASTER_NNAR, SEEDS[0]]
     assert failures == []
     start = 0
     neutral = 0
-    for day in path.schedule(MODE_DYNAMIC):
+    for day in plan.schedule:
         if path.returns.mask[day.tau - cfg.window + 1 : day.tau + 1, j].any():
             row = start + day.selection.index(ticker)
             assert (r_hats[row].tobytes(), signals[row]) == (np.float64(0.0).tobytes(), 0)
@@ -227,17 +338,26 @@ def lone_forecast(forecaster: str, cfg: StrategyConfig, series: np.ndarray, tick
     "name, learning_rate",
     [("mst_arima_var", 0.01), ("mst_nnar_var", 0.01), ("mst_nnar_var", 1e305)],
 )
-def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_rate):
+def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(monkeypatch, name, learning_rate):
     # Two masked cells leave some weight rows unclean; rebalancing every
     # five days repeats a selection on several window ends.
-    first = DecisionPath(BASE, PANEL, RETURNS).schedule(MODE_DYNAMIC)[0].selection
+    first = DecisionPath(BASE, PANEL, RETURNS, ()).plan(MODE_DYNAMIC).schedule[0].selection
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(first[0])), (95, PANEL.ticker_index(first[1]))])
     cfg = replace(BASE, rebalance_every=5, nnar_learning_rate=learning_rate)
-    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices))
+    gathered = []
+    raw_weights = allocation.raw_weights
+
+    def recorded_raws(weighting, windows, clean, **kwargs):
+        gathered.append((windows.copy(), clean.copy()))
+        return raw_weights(weighting, windows, clean, **kwargs)
+
+    monkeypatch.setattr(allocation, "raw_weights", recorded_raws)
+    path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices), (name,))
     _, forecaster, _, mode = backtest._VARIANTS[name]
-    days = [d for d in path.schedule(mode) if d.trades]
+    plan = path.plan(mode)
+    days = [d for d in plan.schedule if d.trades]
     rows = [(ticker, d.tau) for d in days for ticker in d.selection]
-    windows, clean = path.weight_windows(days)
+    [(windows, clean)] = gathered  # the one weighting's weights, and the block the forecasts read
     assert not clean.all() and clean.any()
     w = cfg.window
     strided = [path.returns.returns[tau - w + 1 : tau + 1, path.returns.ticker_index(ticker)] for ticker, tau in rows]
@@ -245,7 +365,7 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
     assert [s.tobytes() for s, ok in zip(strided, clean) if ok] == [row.tobytes() for row in windows]
     failed = 0
     for seed in SEEDS:
-        r_hats, signals, failures = path.forecasts(forecaster, mode, seed)
+        r_hats, signals, failures = plan.forecasts[forecaster, seed]
         assert r_hats.dtype == np.float64
         assert len(r_hats) == len(signals) == len(rows)
         want_failures = []
@@ -260,7 +380,7 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
         assert failures == want_failures
         failed += len(failures)
     if forecaster == FORECASTER_ARIMA:
-        assert path.forecasts(forecaster, mode, SEEDS[0]) is path.forecasts(forecaster, mode, SEEDS[1])
+        assert plan.forecasts[forecaster, SEEDS[0]] is plan.forecasts[forecaster, SEEDS[1]]
     assert (failed > 0) == (learning_rate > 1.0)
 
 
@@ -269,7 +389,6 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(name, learning_r
 # schedule opens with retry days and meets failed recomputes mid-run.
 FLAT = with_flat_rows(with_flat_start(random_walk_table(8, 160, seed=43, extra_tickers=("IDX",)), 33), 60, 100)
 FLAT_BASE = StrategyConfig(window=30, top_k=3, seeds=(132,), benchmark_ticker="IDX")
-MODES = (MODE_DYNAMIC, MODE_FIXED, MODE_DYNAMIC_VAR_ONLY)
 
 
 def recorded_stacks(monkeypatch) -> list[int]:
@@ -320,8 +439,8 @@ def oracle_schedule(cfg: StrategyConfig, returns, mode: str) -> tuple[Decision, 
 
 def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
     stacks = recorded_stacks(monkeypatch)
-    path = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT))
-    path.schedule(MODE_DYNAMIC)
+    path = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT), ())
+    path.plan(MODE_DYNAMIC)
     taus = range(FLAT_BASE.window - 1, len(path.returns.dates) - 1)
     batched = {tau: path.selection_at(tau) for tau in taus}
     failed = [tau for tau, (picked, _) in batched.items() if picked is None]
@@ -332,7 +451,7 @@ def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
     assert any(batched[tau][0] is not None for tau in range(failed[0], failed[-1]))
     assert all(batched[tau][1] for tau in failed)
     stacks.clear()
-    lone = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT))
+    lone = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT), ())
     assert {tau: lone.selection_at(tau) for tau in taus} == batched
     assert stacks == [1] * (len(taus) - len(failed))
 
@@ -341,25 +460,25 @@ def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_schedules_equal_the_one_window_at_a_time_rule(mode, rebalance_every):
     cfg = replace(FLAT_BASE, rebalance_every=rebalance_every)
-    path = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT))
+    path = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT), ())
     want = oracle_schedule(cfg, path.returns, mode)
-    assert path.schedule(mode) == want
+    assert path.plan(mode).schedule == want
     assert any(d.warning and d.warning.startswith("network unavailable") for d in want)
     if mode == MODE_DYNAMIC:
         assert any(d.warning and d.warning.startswith("network recompute failed") for d in want)
     # Every mode from one path, the dynamic schedule's batch first or last.
     for order in (MODES, MODES[::-1]):
-        shared = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT))
-        assert {m: shared.schedule(m) for m in order}[mode] == want
+        shared = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT), ())
+        assert {m: shared.plan(m).schedule for m in order}[mode] == want
 
 
 @pytest.mark.parametrize("windows_per_stack", [1, 2, 5])
 def test_a_small_cell_cap_splits_the_stack_and_keeps_the_schedules(monkeypatch, windows_per_stack):
     returns = market_data.compute_returns(FLAT)
-    want = {mode: DecisionPath(FLAT_BASE, FLAT, returns).schedule(mode) for mode in MODES}
+    want = {mode: DecisionPath(FLAT_BASE, FLAT, returns, ()).plan(mode).schedule for mode in MODES}
     n = len(FLAT.tickers) - 1  # the benchmark column is stripped
     monkeypatch.setattr(backtest, "MST_CELLS", windows_per_stack * n * n + n)
     stacks = recorded_stacks(monkeypatch)
-    path = DecisionPath(FLAT_BASE, FLAT, returns)
-    assert {mode: path.schedule(mode) for mode in MODES} == want
+    path = DecisionPath(FLAT_BASE, FLAT, returns, ())
+    assert {mode: path.plan(mode).schedule for mode in MODES} == want
     assert len(stacks) > 1 and max(stacks) == windows_per_stack
