@@ -8,6 +8,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -458,6 +459,27 @@ def test_network_files_do_not_depend_on_the_tree_stack_size(tmp_path, capsys, mo
         outputs.append((captured.out.replace(str(out_dir), "OUT"), captured.err, files))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count("warning: skipped window") > 0 and len(outputs[0][2]) > 2
+
+
+def test_network_and_simulate_files_do_not_depend_on_the_pair_block_size(tmp_path, capsys, monkeypatch):
+    # The same flat stretches, with each window's 15 pairs in one block,
+    # in blocks of 4 (the last one partial) and one pair to a block.
+    prices = tmp_path / "prices.csv"
+    write_long_csv(with_flat_rows(with_flat_start(PANEL, 40), 60, 95), prices)
+    net_dir, sim_dir = tmp_path / "net", tmp_path / "sim"
+    cfg_path = write_config(tmp_path, prices, net_dir, strategies="buy_hold,mst_var,mst_sharpe,fixed,dynamic_var")
+    outputs = []
+    for block in (var_fevd.PAIR_BLOCK, 4, 1):
+        monkeypatch.setattr(var_fevd, "PAIR_BLOCK", block)
+        assert main(["network", "--config", str(cfg_path), "--rebalance-every", "1"]) == 0
+        assert main(["simulate", "--config", str(cfg_path), "--rebalance-every", "1", "--out", str(sim_dir)]) == 0
+        captured = capsys.readouterr()
+        files = {(d.name, p.name): p.read_bytes() for d in (net_dir, sim_dir) for p in sorted(d.iterdir())}
+        outputs.append((captured.out, captured.err, files))
+        shutil.rmtree(net_dir)
+        shutil.rmtree(sim_dir)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1].count("warning: skipped window") > 0 and len(outputs[0][2]) > 10
 
 
 def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):

@@ -191,6 +191,14 @@ def test_degenerate_input_is_classified_alike_everywhere(tmp_path, name, entry):
     assert outcome == EXPECTED[name][entry]
 
 
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_degenerate_input_is_classified_alike_with_one_pair_per_block(tmp_path, monkeypatch, name, entry):
+    # Each pair a block of its own: every degenerate class keeps its message.
+    monkeypatch.setattr(var_fevd, "PAIR_BLOCK", 1)
+    test_degenerate_input_is_classified_alike_everywhere(tmp_path, name, entry)
+
+
 @pytest.mark.parametrize("names", [("mst_var",), ("buy_hold",), ("buy_hold", "mst_var")], ids="+".join)
 @pytest.mark.parametrize("name", ["short_history", "one_window"])
 def test_every_strategy_list_meets_one_date_rule(tmp_path, name, names):

@@ -547,3 +547,50 @@ def test_influence_matrix_matches_frozen_window(win, horizon, mode):
         np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-13)
     else:
         assert got[0] == want[0]
+
+
+@st.composite
+def windows_and_blocks(draw) -> tuple[md.ReturnMatrix, int]:
+    """A drawn window and a pair block size from 1 to its pair count."""
+    win = draw(return_windows())
+    n = len(win.tickers)
+    return win, draw(st.integers(1, n * (n - 1) // 2))
+
+
+# Block sizes that leave a partial last block, and that put the pinned
+# windows' explosive members in some blocks and not in others.
+BLOCKED_EXAMPLES = [
+    dict(case=(pinned["win"], block), horizon=pinned["horizon"], mode=pinned["mode"])
+    for pinned, block in zip(PINNED_WINDOWS, [4, 5, 12, 10, 9])
+] + [
+    dict(case=(drawn_window(12, 3, "ffff"), 4), horizon=3, mode=vf.MODE_ORTHOGONALIZED),  # every pair degenerate
+    dict(case=(drawn_window(12, 3, "pmm"), 2), horizon=3, mode=vf.MODE_AS_WRITTEN),  # one usable column
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=windows_and_blocks(), horizon=st.integers(1, 12), mode=st.sampled_from(vf._MODES))
+@example(**BLOCKED_EXAMPLES[0])
+@example(**BLOCKED_EXAMPLES[1])
+@example(**BLOCKED_EXAMPLES[2])
+@example(**BLOCKED_EXAMPLES[3])
+@example(**BLOCKED_EXAMPLES[4])
+@example(**BLOCKED_EXAMPLES[5])
+@example(**BLOCKED_EXAMPLES[6])
+def test_influence_matrix_is_blind_to_pair_block_edges(case, horizon, mode):
+    # Every step after the Grams is elementwise per pair, so cutting the
+    # pairs into blocks moves no bit of theta, no counter and no error.
+    win, block = case
+    saved = vf.PAIR_BLOCK
+    try:
+        vf.PAIR_BLOCK = len(win.tickers) ** 2
+        want = influence_or_error(vf.influence_matrix, win, horizon, mode)
+        vf.PAIR_BLOCK = block
+        got = influence_or_error(vf.influence_matrix, win, horizon, mode)
+    finally:
+        vf.PAIR_BLOCK = saved
+    assert type(got[0]) is type(want[0]) and got[1:] == want[1:]
+    if isinstance(want[0], np.ndarray):
+        assert got[0].tobytes() == want[0].tobytes()
+    else:
+        assert got[0] == want[0]
