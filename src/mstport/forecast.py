@@ -44,10 +44,10 @@ _LOG_FLOOR = 1e-300
 # Most NNAR fits trained as one stack.  An epoch costs a fixed numpy call
 # overhead plus a share per member, so a fit in a stack of 2 runs at about
 # the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
-# one AMD EPYC core, OpenBLAS on 1 thread) a fit took 11.7 ms alone and, per
-# member, 3.9 / 2.6 / 2.0 / 1.8 / 1.6 / 1.4 ms in stacks of 4 / 8 / 16 / 24 /
-# 32 / 48; 240 fits split into stacks of 24 / 48 / 64 / 96 took 1.67 / 1.48 /
-# 1.44 / 1.46 ms per fit.
+# one AMD EPYC core, OpenBLAS on 1 thread) a fit took 12.8 ms alone and, per
+# member, 4.1 / 2.6 / 1.8 / 1.6 / 1.5 / 1.3 / 1.5 / 1.5 ms in stacks of 4 / 8 /
+# 16 / 24 / 32 / 48 / 64 / 96; 384 fits split into stacks of 24 / 32 / 48 / 64
+# / 96 took 1.89 / 1.52 / 1.56 / 1.49 / 1.64 ms per fit (medians of three).
 NNAR_CHUNK = 48
 
 
@@ -240,9 +240,13 @@ def arima_forecast(model: ArimaModel, series: np.ndarray) -> float:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) <= 1 never overflows; each sign takes the form that keeps
     # full precision for large |z|: 1 / (1 + ez) or ez / (1 + ez), one
-    # division either way.
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    # division either way.  Each step writes into a buffer it owns: the
+    # same operations on the same values as the unbuffered form.
+    ez = np.abs(z)
+    np.exp(np.negative(ez, out=ez), out=ez)
+    out = np.where(z >= 0, 1.0, ez)
+    ez += 1.0
+    return np.divide(out, ez, out=out)
 
 
 def _nnar_design(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +266,14 @@ def _nnar_forward(
     with its own inputs, on leading axes.  Every product is a (stacked)
     ``np.matmul``, which runs the same BLAS call per member as the
     unstacked product, so a member's numbers do not depend on the stack.
+    A many-row ``x`` multiplies a contiguous copy of ``w_hidden``'s
+    transpose: the same gemm with only its transpose flag changed, the
+    same bits, in a third of the strided view's time in a stack.  A one-row
+    ``x`` keeps the view: numpy runs a contiguous row's product as a gemv,
+    whose bits follow the operand's layout.
     """
-    z = x @ np.swapaxes(w_hidden, -1, -2)
+    w_t = np.swapaxes(w_hidden, -1, -2)
+    z = x @ (np.ascontiguousarray(w_t) if x.shape[-2] > 1 else w_t)
     # z + b_hidden[..., None, :], through a (..., k, n) view with C-order
     # iteration: numpy's inner loop then runs along the n rows, not along
     # the k units, several times faster, and each element gets the same add.

@@ -27,7 +27,7 @@ from mstport.backtest import (
     run_simulation,
 )
 from mstport.errors import ConfigError, DataError, InsufficientHistory
-from synth import day_range, flat_table, random_walk_table, with_masked
+from synth import day_range, flat_table, random_walk_table, with_flat_rows, with_masked
 
 PANEL = random_walk_table(8, 140, seed=41, extra_tickers=("IDX",))
 RETURNS = market_data.compute_returns(PANEL)
@@ -620,6 +620,82 @@ def test_engine_matches_reference_with_close_execution():
             stale.update((name, panel) for rec in engine.days if rec.stale)
     # GAPPY's masked closes reach the stale fallback in every mode.
     assert {name for name, panel in stale if panel == "GAPPY"} == set(names)
+
+
+@st.composite
+def drawn_runs(draw):
+    """A small panel with a benchmark, a few masked cells and maybe a flat stretch, and a config for it."""
+    n, window = draw(st.integers(4, 8)), draw(st.integers(30, 40))
+    n_days = window + draw(st.integers(2, 40))
+    # Opens present and used twice as often as not, so that the open-price
+    # rows get their share of the draws, and a flat stretch half as often as none.
+    often = st.sampled_from([True, True, False])
+    prices = random_walk_table(
+        n, n_days, seed=draw(st.integers(0, 2**16)), with_opens=draw(often), extra_tickers=("IDX",)
+    )
+    if not draw(often):
+        # Long enough that some windows have no estimable network.
+        start = draw(st.integers(0, n_days - window - 2))
+        prices = with_flat_rows(prices, start, draw(st.integers(start + window + 1, n_days - 1)))
+    # A few masked cells anywhere, and some on decision days, where a trade
+    # may need the fallback price of a masked open or close: one to three
+    # stocks, or maybe every stock on one day, a holiday of the stocks'
+    # exchange.
+    stocks = [j for j, t in enumerate(prices.tickers) if t != "IDX"]
+    late = st.integers(window + 1, n_days - 1)
+    cells = draw(st.lists(st.tuples(st.integers(1, n_days - 1), st.integers(0, n)), max_size=3))
+    cells += draw(st.lists(st.tuples(late, st.sampled_from(stocks)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        holiday = draw(late)
+        cells += [(holiday, j) for j in stocks]
+    prices = with_masked(prices, cells)
+    cfg = StrategyConfig(
+        window=window,
+        top_k=draw(st.integers(1, n - 1)),
+        seeds=(draw(st.integers(0, 1000)),),
+        benchmark_ticker="IDX",
+        rebalance_every=draw(st.integers(1, 7)),
+        use_open_prices=draw(often),
+        fevd_mode=draw(st.sampled_from(["orthogonalized", "as_written"])),
+        fixed_weighting=draw(st.sampled_from(["var", "sharpe"])),
+        nnar_lags=draw(st.integers(1, 5)),
+        nnar_hidden=draw(st.integers(1, 3)),
+        nnar_epochs=draw(st.integers(0, 5)),
+        arima_max_p=draw(st.integers(0, 1)),
+        arima_max_d=draw(st.integers(0, 1)),
+        arima_max_q=draw(st.integers(0, 1)),
+    )
+    return cfg, prices
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_runs())
+def test_engine_matches_reference_on_drawn_runs(run):
+    # All eleven strategies in one run, so every cell reads its mode's one
+    # plan and NNAR trains stacked, while the reference fits each forecast
+    # alone.
+    cfg, prices = run
+    returns = market_data.compute_returns(prices)
+    multi = run_multi_seed(cfg, prices, returns)
+    (seed,) = cfg.seeds
+    for name in backtest.STRATEGY_NAMES:
+        engine = multi.results[(name, seed)]
+        if name == "buy_hold":
+            rows, j = slice(cfg.window, None), prices.ticker_index("IDX")
+            values, warnings = buy_hold_by_dates(
+                prices.dates[rows], prices.adj_close[rows, j], cfg.initial_capital, prices.mask[rows, j]
+            )
+            assert engine.dates == prices.dates[rows]
+            assert engine.values.tobytes() == values.tobytes()
+            assert engine.total_return_pct == float((values[-1] / values[0] - 1.0) * 100.0)
+            assert (engine.trade_count, engine.warnings) == (1, warnings)
+            continue
+        reference = reference_sim.simulate(make_strategy(cfg, name), prices, returns, seed)
+        assert engine.dates == reference.dates, name
+        assert np.array_equal(engine.values, reference.values), name
+        assert engine.trade_count == reference.trade_count, name
+        assert engine.total_return_pct == reference.total_return_pct, name
+        assert_days_match(engine, reference)
 
 
 def test_open_execution_changes_fills():

@@ -391,7 +391,7 @@ def random_net(rng, batch, n, p, k, scale):
     return x, target, w_hidden, b_hidden, w_out, b_out
 
 
-@pytest.mark.parametrize("batch", [None, 1, 2, 24])
+@pytest.mark.parametrize("batch", [None, 1, 2, 24, fc.NNAR_CHUNK])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_kernel_matches_frozen_oracle_bit_for_bit(batch, k):
     rng = np.random.default_rng(1000 * k + (batch or 0))
@@ -421,6 +421,40 @@ def test_kernel_matches_frozen_oracle_bit_for_bit(batch, k):
             assert not np.all(np.isfinite(want[0]))
             for a, b in zip(got, want):
                 assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_one_row_forward_matches_frozen_oracle_bit_for_bit(k):
+    # A forecast's shape: one input row.  numpy multiplies a contiguous row
+    # as a gemv, whose bits follow the weights' layout, and the reversed
+    # view nnar_forecast passes in its own loop.  The weights are unstacked
+    # (k, p) arrays, and row views of a stack, as _train_stack hands them
+    # to NnarModel.
+    rng = np.random.default_rng(2000 + k)
+    for p in range(1, 7):
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            x = rng.normal(0.0, scale, (1, p))
+            _, _, *lone = random_net(rng, None, 1, p, k, scale)
+            _, _, *stack = random_net(rng, 8, 1, p, k, scale)
+            m = int(rng.integers(8))
+            member = [a[m] for a in stack[:3]] + [float(stack[3][m])]
+            for row in (x, x[0, ::-1][None, :]):
+                for weights in (lone, member):
+                    for a, b in zip(fc._nnar_forward(row, *weights), oracle_forward(row, *weights)):
+                        assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("p, k", [(1, 1), (2, 3), (5, 3), (6, 5)])
+def test_forecast_matches_frozen_oracle_on_fitted_models(p, k):
+    series = [ar1_series(0.6, 60 + 5 * s, 500 + s, scale=0.02) for s in range(6)]
+    models = fc.nnar_fit_batch(series * 2, list(range(12)), p, k, epochs=50)
+    for y, model in zip(series * 2, models):
+        tail = y[-p:]
+        z = (tail - model.input_mean) / model.input_scale
+        pred, _ = oracle_forward(z[::-1][None, :], model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+        want = float(pred[0]) * model.input_scale + model.input_mean
+        assert_same_bits(fc.nnar_forecast(model, tail), want)
 
 
 # The scalar trainer: one net, one epoch at a time, on the frozen kernel.
