@@ -10,8 +10,8 @@ value is always cash plus mark-to-market holdings.
 
 The engine exposes eleven named strategy variants, from a plain buy & hold
 benchmark to combinations of weighting scheme, forecaster, and signal
-aggregation, plus a fixed buy-once portfolio and a network-free dynamic
-VaR portfolio.
+aggregation, plus a fixed buy-once portfolio and a dynamic VaR portfolio
+that holds the first MST selection and re-weights it by inverse VaR daily.
 """
 
 from __future__ import annotations

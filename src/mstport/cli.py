@@ -60,12 +60,12 @@ def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.Pri
     The benchmark ticker is removed from the trading universe before the
     quality filter so index data never competes with stocks.
     """
-    table = source = market_data.load_prices(cfg.prices_path, cfg.fmt)
+    table = source = market_data.load_prices(cfg.prices, cfg.format)
     ticker = cfg.strategy.benchmark_ticker
-    if cfg.benchmark_path is not None:
-        source = market_data.load_prices(cfg.benchmark_path, cfg.fmt)
+    if cfg.benchmark_prices is not None:
+        source = market_data.load_prices(cfg.benchmark_prices, cfg.format)
         if ticker not in source.tickers:
-            raise DataError(f"benchmark ticker {ticker!r} not found in {cfg.benchmark_path}")
+            raise DataError(f"benchmark ticker {ticker!r} not found in {cfg.benchmark_prices}")
     benchmark = market_data.select_tickers(source, [ticker]) if ticker in source.tickers else None
     if ticker in table.tickers:
         table = market_data.drop_tickers(table, [ticker])
@@ -140,8 +140,8 @@ def cmd_network(cfg: RunConfig) -> int:
     strat = cfg.strategy
     path = backtest.DecisionPath(strat, table, market_data.compute_returns(table), ())
     window_ends = path.returns.dates
-    out = cfg.out_dir
-    sectors = _load_sectors(cfg.sectors_path)
+    out = cfg.dir
+    sectors = _load_sectors(cfg.sectors)
     _make_out_dir(out)
     n_windows = 0
     # Each source ticker's rows are written as one string and dropped, so
@@ -180,15 +180,11 @@ def _write_seeds_table(path: Path, summary: backtest.MultiSeedResult) -> None:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "prices": str(cfg.prices_path),
-        "format": cfg.fmt,
-        "benchmark_prices": str(cfg.benchmark_path) if cfg.benchmark_path else None,
-        "sectors": str(cfg.sectors_path) if cfg.sectors_path else None,
-        "max_missing_frac": cfg.max_missing_frac,
-        "strategies": list(cfg.strategies),
-        "strategy": dataclasses.asdict(cfg.strategy),
-    }
+    """``cfg``'s settings by config key, paths as text, without ``raw_text`` (written as
+    ``config_echo``) or ``dir`` (one run written to two output dirs gives the same bytes)."""
+    blob = dataclasses.asdict(cfg)
+    del blob["dir"], blob["raw_text"]
+    return {key: str(value) if isinstance(value, Path) else value for key, value in blob.items()}
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -208,7 +204,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     returns = market_data.compute_returns(table)
     summary = backtest.run_multi_seed(cfg.strategy, table, returns, strategies=cfg.strategies)
-    out = cfg.out_dir
+    out = cfg.dir
     _make_out_dir(out)
     strategies_blob: dict = {}
     # Every result's dates are panel dates; each is encoded once per run.  An
@@ -316,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: text for key in FLAGS if (text := getattr(args, key, None)) is not None}
         cfg = parse_config(args.config, overrides)
         if args.command == "report":
-            return cmd_report(cfg.out_dir)
+            return cmd_report(cfg.dir)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, DataError, InsufficientHistory, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

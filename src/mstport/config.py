@@ -1,8 +1,12 @@
 """Run configuration: flat key-value file with one section per concern.
 
 The file uses INI syntax.  Unknown keys are rejected so typos surface as
-errors instead of silently falling back to defaults, and every validation
-problem is reported with its section-qualified field name.
+errors instead of silently falling back to defaults.  A value that fails
+its reader or a check of one key is reported with its section-qualified
+key, or with the flag that gave it (``data.format: ...``, ``--seeds: ...``);
+a problem that ``StrategyConfig`` or the strategy-list check reports is
+labelled ``strategy:`` whatever the key's section (``strategy: nnar_epochs
+must be at least 0``).
 
     [data]
     prices = prices.csv
@@ -26,20 +30,21 @@ from pathlib import Path
 
 from .backtest import STRATEGY_NAMES, StrategyConfig, check_seeds, check_strategies
 from .errors import ConfigError
+from .market_data import FORMAT_LONG, FORMAT_WIDE
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration for one engine run."""
 
-    prices_path: Path
-    fmt: str = "long"
-    benchmark_path: Path | None = None
-    sectors_path: Path | None = None
+    prices: Path
+    format: str = FORMAT_LONG
+    benchmark_prices: Path | None = None
+    sectors: Path | None = None
     max_missing_frac: float = 0.10
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     strategies: tuple[str, ...] = STRATEGY_NAMES
-    out_dir: Path = Path("out")
+    dir: Path = Path("out")
     raw_text: str = ""
 
 
@@ -77,10 +82,9 @@ def _to_bool(raw: str) -> bool:
 
 
 # Every config key, once: INI key -> (section, reader).  A key sets the
-# field _FIELDS gives it, or else the field of its name: a StrategyConfig
-# field where it has one, a RunConfig field otherwise.  A key neither the
-# file nor a flag gives is not passed, so the dataclasses hold the only
-# defaults.
+# field of its name: a StrategyConfig field where it has one, a RunConfig
+# field otherwise.  A key neither the file nor a flag gives is not passed,
+# so the dataclasses hold the only defaults.
 _KEYS = {
     "prices": ("data", _to_path),
     "format": ("data", str),
@@ -110,13 +114,6 @@ _KEYS = {
     "dir": ("output", _to_path),
 }
 _SECTIONS = {section for section, _ in _KEYS.values()}
-_FIELDS = {
-    "prices": "prices_path",
-    "format": "fmt",
-    "benchmark_prices": "benchmark_path",
-    "sectors": "sectors_path",
-    "dir": "out_dir",
-}
 _STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
 # The command-line flag of each key that has one.
 FLAGS = {"dir": "--out", "rebalance_every": "--rebalance-every", "seeds": "--seeds", "strategies": "--strategies"}
@@ -129,9 +126,12 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     """
     path = Path(path)
     try:
-        raw_text = path.read_text(encoding="utf-8")
+        # Drop the byte-order mark that some editors write.
+        raw_text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config {path}: {exc}") from exc
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(raw_text)
@@ -159,7 +159,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
             except (ValueError, TypeError) as exc:
                 problems.append(f"{label[key]}: {exc}")
     fmt = values.get("format")
-    if fmt is not None and fmt not in ("long", "wide"):
+    if fmt is not None and fmt not in (FORMAT_LONG, FORMAT_WIDE):
         problems.append(f"data.format: expected long or wide, got {fmt!r}")
     if not parser.has_option("data", "prices"):
         problems.append("data.prices: required path is missing")
@@ -171,7 +171,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         problems.append("data.max_missing_frac: must lie in [0, 1]")
     # The default dir stands in only when none is given: one that fails to
     # read has its own problem.
-    out_dir = values.get("dir") or (None if parser.has_option("output", "dir") else RunConfig.out_dir)
+    out_dir = values.get("dir") or (None if parser.has_option("output", "dir") else RunConfig.dir)
     if out_dir is not None:
         # The run makes what is missing of the dir, which it can do only
         # beneath a directory: the nearest part that exists must be one.
@@ -180,10 +180,9 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), None)
         if existing is not None and not os.path.isdir(existing):
             problems.append(f"{label['dir']}: not a directory: {existing}")
-    by_field = {_FIELDS.get(k, k): v for k, v in values.items()}
     strategy = None
     try:
-        strategy = StrategyConfig(**{k: v for k, v in by_field.items() if k in _STRATEGY_FIELDS})
+        strategy = StrategyConfig(**{k: v for k, v in values.items() if k in _STRATEGY_FIELDS})
         # A list that failed to read has its own problem.
         if "strategies" in values or not parser.has_option("strategy", "strategies"):
             check_strategies(values.get("strategies", RunConfig.strategies), strategy)
@@ -196,5 +195,5 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     return RunConfig(
         strategy=strategy,
         raw_text=raw_text,
-        **{k: v for k, v in by_field.items() if k not in _STRATEGY_FIELDS},
+        **{k: v for k, v in values.items() if k not in _STRATEGY_FIELDS},
     )

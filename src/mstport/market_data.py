@@ -169,7 +169,9 @@ def _read_text(path: Path) -> str:
     """The whole file decoded as UTF-8, its line ends kept as they are."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
+            # Drop the byte-order mark that Excel's "CSV UTF-8" writes.  Not
+            # utf-8-sig: its decode errors count from after the mark.
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -3,15 +3,15 @@ and byte-identical reruns."""
 
 from __future__ import annotations
 
+import codecs
 import csv
-import functools
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -85,15 +85,15 @@ def test_config_round_trip_fields(tmp_path):
     prices = write_panel(tmp_path)
     cfg_path = write_config(tmp_path, prices, tmp_path / "out")
     cfg = parse_config(cfg_path)
-    assert cfg.prices_path == prices
-    assert cfg.fmt == "long"
+    assert cfg.prices == prices
+    assert cfg.format == "long"
     assert cfg.strategy.benchmark_ticker == "IDX"
     assert cfg.strategy.window == 30
     assert cfg.strategy.top_k == 3
     assert cfg.strategy.seeds == (11, 12)
     assert cfg.strategy.nnar_epochs == 25
     assert cfg.strategies == ("buy_hold", "mst_var", "mst_nnar_var")
-    assert cfg.out_dir == tmp_path / "out"
+    assert cfg.dir == tmp_path / "out"
     assert cfg.raw_text == cfg_path.read_text(encoding="utf-8")
 
 
@@ -186,6 +186,24 @@ def test_config_reports_missing_files_by_field(tmp_path):
     assert "data.prices: file not found" in str(err.value)
 
 
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    cfg_path = tmp_path / "latin.ini"
+    cfg_path.write_bytes(b"[data]\nprices = p\xe9.csv\n")
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode config {cfg_path}: ") and err.count("\n") == 1
+
+
+def test_a_byte_order_mark_leaves_a_config_as_it_is(tmp_path):
+    plain = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
+    marked = tmp_path / "marked.ini"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    cfg = parse_config(marked)
+    assert cfg == parse_config(plain)
+    assert cfg.raw_text == plain.read_text(encoding="utf-8")
+
+
 BUY_HOLD_NEEDS_TICKER = "error: buy_hold strategy requires benchmark_ticker present in the data\n"
 
 
@@ -228,40 +246,44 @@ def test_parse_seeds_forms():
     assert parse_strategies("mst_var, buy_hold") == ("mst_var", "buy_hold")
 
 
-# Every config key: the field it sets, a non-default value as written in the
-# file, and that value as parsed.
+# Every config key: a non-default value as written in the file, and that
+# value as parsed into the field of the key's name.
 ROUND_TRIP = {
-    "prices": ("prices_path", "other.csv", Path("other.csv")),
-    "format": ("fmt", "wide", "wide"),
-    "benchmark_ticker": ("strategy.benchmark_ticker", "SPX", "SPX"),
-    "benchmark_prices": ("benchmark_path", "other.csv", Path("other.csv")),
-    "sectors": ("sectors_path", "other.csv", Path("other.csv")),
-    "max_missing_frac": ("max_missing_frac", "0.25", 0.25),
-    "window": ("strategy.window", "60", 60),
-    "horizon": ("strategy.horizon", "4", 4),
-    "top_k": ("strategy.top_k", "2", 2),
-    "alpha": ("strategy.alpha", "0.1", 0.1),
-    "initial_capital": ("strategy.initial_capital", "5000", 5000.0),
-    "risk_free": ("strategy.risk_free", "0.001", 0.001),
-    "seeds": ("strategy.seeds", "3..5", (3, 4, 5)),
-    "strategies": ("strategies", "mst_var, fixed", ("mst_var", "fixed")),
-    "rebalance_every": ("strategy.rebalance_every", "3", 3),
-    "use_open_prices": ("strategy.use_open_prices", "off", False),
-    "fevd_mode": ("strategy.fevd_mode", "as_written", "as_written"),
-    "fixed_weighting": ("strategy.fixed_weighting", "sharpe", "sharpe"),
-    "nnar_lags": ("strategy.nnar_lags", "4", 4),
-    "nnar_hidden": ("strategy.nnar_hidden", "2", 2),
-    "nnar_learning_rate": ("strategy.nnar_learning_rate", "0.05", 0.05),
-    "nnar_epochs": ("strategy.nnar_epochs", "50", 50),
-    "arima_max_p": ("strategy.arima_max_p", "1", 1),
-    "arima_max_d": ("strategy.arima_max_d", "0", 0),
-    "arima_max_q": ("strategy.arima_max_q", "1", 1),
-    "dir": ("out_dir", "elsewhere", Path("elsewhere")),
+    "prices": ("other.csv", Path("other.csv")),
+    "format": ("wide", "wide"),
+    "benchmark_ticker": ("SPX", "SPX"),
+    "benchmark_prices": ("other.csv", Path("other.csv")),
+    "sectors": ("other.csv", Path("other.csv")),
+    "max_missing_frac": ("0.25", 0.25),
+    "window": ("60", 60),
+    "horizon": ("4", 4),
+    "top_k": ("2", 2),
+    "alpha": ("0.1", 0.1),
+    "initial_capital": ("5000", 5000.0),
+    "risk_free": ("0.001", 0.001),
+    "seeds": ("3..5", (3, 4, 5)),
+    "strategies": ("mst_var, fixed", ("mst_var", "fixed")),
+    "rebalance_every": ("3", 3),
+    "use_open_prices": ("off", False),
+    "fevd_mode": ("as_written", "as_written"),
+    "fixed_weighting": ("sharpe", "sharpe"),
+    "nnar_lags": ("4", 4),
+    "nnar_hidden": ("2", 2),
+    "nnar_learning_rate": ("0.05", 0.05),
+    "nnar_epochs": ("50", 50),
+    "arima_max_p": ("1", 1),
+    "arima_max_d": ("0", 0),
+    "arima_max_q": ("1", 1),
+    "dir": ("elsewhere", Path("elsewhere")),
 }
 
 
+STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
+
+
 def field_of(cfg: RunConfig, key: str):
-    return functools.reduce(getattr, ROUND_TRIP[key][0].split("."), cfg)
+    """The value of setting ``key``: its field of the same name, on ``cfg.strategy`` where it has one."""
+    return getattr(cfg.strategy if key in STRATEGY_FIELDS else cfg, key)
 
 
 def write_ini(tmp_path: Path, prices: Path, key: str | None = None, raw: str = "") -> Path:
@@ -285,12 +307,12 @@ def test_config_defaults_come_from_the_dataclasses(tmp_path):
     only_prices = tmp_path / "only.ini"
     only_prices.write_text(f"[data]\nprices = {prices}\n", encoding="utf-8")
     assert parse_config(only_prices) == RunConfig(
-        prices_path=prices,
+        prices=prices,
         raw_text=only_prices.read_text(encoding="utf-8"),
     )
     cfg_path = write_ini(tmp_path, prices)
     assert parse_config(cfg_path) == RunConfig(
-        prices_path=prices,
+        prices=prices,
         strategy=StrategyConfig(benchmark_ticker="IDX"),
         raw_text=cfg_path.read_text(encoding="utf-8"),
     )
@@ -301,7 +323,7 @@ def test_config_key_round_trip(tmp_path, monkeypatch, key):
     monkeypatch.chdir(tmp_path)
     prices = write_panel(tmp_path)
     (tmp_path / "other.csv").write_text("", encoding="utf-8")
-    _, raw, expected = ROUND_TRIP[key]
+    raw, expected = ROUND_TRIP[key]
     assert field_of(parse_config(write_ini(tmp_path, prices)), key) != expected
     assert field_of(parse_config(write_ini(tmp_path, prices, key, raw)), key) == expected
 
@@ -503,6 +525,22 @@ def test_network_labels_nodes_from_the_sectors_file(tmp_path):
     assert '"S02";' in text  # a row without a sector labels nothing
 
 
+def test_a_byte_order_mark_leaves_a_sectors_file_as_it_is(tmp_path):
+    prices = write_panel(tmp_path)
+    # Without a header row, the mark would sit at the start of the first ticker.
+    text = "S00,Energy\nS01,Tech\n"
+    outputs = []
+    for name, head in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        sectors = tmp_path / f"{name}.csv"
+        sectors.write_bytes(head + text.encode("utf-8"))
+        out = tmp_path / name
+        cfg_path = write_config(tmp_path, prices, out, name=f"{name}.ini", extra_data=f"sectors = {sectors}\n")
+        assert main(["network", "--config", str(cfg_path), "--rebalance-every", "70"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert any(b'"S00" [sector="Energy"];' in dot for dot in outputs[1].values())
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [("directory", "cannot read"), ("not_utf8", "cannot decode"), ("huge_cell", "cannot parse")],
@@ -643,6 +681,20 @@ def test_simulate_writes_all_result_files(tmp_path):
     assert [row[0] for row in rows[1:]] == ["11", "12", "average"]
     mst_var_col = rows[0].index("mst_var")
     assert rows[1][mst_var_col] == rows[2][mst_var_col]  # deterministic across seeds
+
+
+def test_summary_config_lists_each_setting_by_its_key(tmp_path):
+    prices = write_panel(tmp_path)
+    cfg_path = write_config(tmp_path, prices, tmp_path / "out", strategies="buy_hold,mst_var")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    block = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))["config"]
+    # Nested as the dataclasses are: every key but dir, and the strategy's
+    # name, the one field that is not a key.
+    assert set(block) == {key for key in config._KEYS if key not in STRATEGY_FIELDS} - {"dir"} | {"strategy"}
+    assert set(block["strategy"]) == {key for key in config._KEYS if key in STRATEGY_FIELDS} | {"name"}
+    assert (block["prices"], block["format"], block["sectors"]) == (str(prices), "long", None)
+    assert block["strategies"] == ["buy_hold", "mst_var"]
+    assert block["strategy"]["window"] == 30
 
 
 def test_simulate_builds_no_day_record(tmp_path, monkeypatch):
@@ -980,7 +1032,7 @@ def test_a_flag_replaces_the_file_value_unread(tmp_path):
     )
     flags = {"dir": "net", "rebalance_every": "30", "seeds": "5", "strategies": "mst_var"}
     cfg = parse_config(cfg_path, flags)
-    assert (cfg.out_dir, cfg.strategy.rebalance_every, cfg.strategy.seeds, cfg.strategies) == (
+    assert (cfg.dir, cfg.strategy.rebalance_every, cfg.strategy.seeds, cfg.strategies) == (
         Path("net"),
         30,
         (5,),

@@ -1,5 +1,6 @@
 """Panel loading, validation, quality filtering, returns, and windowing."""
 
+import codecs
 import csv
 import logging
 import re
@@ -680,6 +681,33 @@ def test_a_quoted_or_crlf_long_file_reaches_csv_reader(tmp_path, quoted, line_en
     assert_same_load((table, []), (md.load_prices(plain), []))
 
 
+@pytest.mark.parametrize("quoted, line_end", [(False, "\n"), (True, "\r\n")], ids=["split", "csv_reader"])
+def test_a_byte_order_mark_leaves_a_long_file_as_it_is(tmp_path, quoted, line_end):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    text = benchmark_shaped_text(quoted, line_end)
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        table = md.load_prices(marked)
+    assert reader.call_count == quoted
+    assert_same_load((table, []), (md.load_prices(plain), []))
+
+
+def test_a_byte_order_mark_leaves_a_wide_file_and_its_opens_as_they_are(tmp_path):
+    table = synth.random_walk_table(3, 12, seed=6)
+    path = tmp_path / "panel.csv"
+    synth.write_wide_csv(table, path)
+    want = md.load_prices(path, md.FORMAT_WIDE)
+    for name in ("panel.csv", "panel.open.csv"):
+        marked = tmp_path / name
+        marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
+    got = md.load_prices(path, md.FORMAT_WIDE)
+    assert got.open_px is not None
+    assert_same_load((got, []), (want, []))
+
+
 def test_a_line_past_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text(benchmark_shaped_text().replace(",^IDX,", ",^IDX" + " " * 60 + ",", 1), encoding="utf-8")
@@ -717,10 +745,12 @@ def test_a_cell_past_the_csv_field_limit_is_a_data_error_naming_the_file(tmp_pat
 
 def test_decode_error_counts_its_position_from_the_start_of_the_file(tmp_path):
     path = tmp_path / "prices.csv"
-    path.write_bytes((benchmark_shaped_text() * 3).encode("utf-8")[:23_999] + b"\xff")
-    for fmt in (md.FORMAT_LONG, md.FORMAT_WIDE):
-        with pytest.raises(errors.DataError, match=rf"^cannot decode {re.escape(str(path))}: .* in position 23999: "):
-            md.load_prices(path, fmt)
+    # A byte-order mark is counted too.
+    for head in (b"", codecs.BOM_UTF8):
+        path.write_bytes(head + (benchmark_shaped_text() * 3).encode("utf-8")[: 23_999 - len(head)] + b"\xff")
+        for fmt in (md.FORMAT_LONG, md.FORMAT_WIDE):
+            with pytest.raises(errors.DataError, match=rf"^cannot decode {re.escape(str(path))}: .* in position 23999: "):
+                md.load_prices(path, fmt)
 
 
 @settings(max_examples=150, deadline=None)
