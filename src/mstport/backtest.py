@@ -10,8 +10,8 @@ value is always cash plus mark-to-market holdings.
 
 The engine exposes eleven named strategy variants, from a plain buy & hold
 benchmark to combinations of weighting scheme, forecaster, and signal
-aggregation, plus a fixed buy-once portfolio and a dynamic VaR portfolio
-that holds the first MST selection and re-weights it by inverse VaR daily.
+aggregation, plus two that hold the first MST selection: a fixed portfolio
+that trades it once and a dynamic VaR portfolio that re-weights it daily.
 """
 
 from __future__ import annotations
@@ -42,27 +42,25 @@ FORECASTER_ARIMA = "arima"
 FORECASTER_NNAR = "nnar"
 SIGNAL_PER_STOCK = "per_stock_filter"
 SIGNAL_ALL_AGREE = "all_agree"
-MODE_DYNAMIC = "dynamic"
-MODE_FIXED = "fixed"
-MODE_DYNAMIC_VAR_ONLY = "dynamic_var_only"
+SIGNAL_ONCE = "once"
 
 BENCHMARK_STRATEGY = "buy_hold"
 
 # A strategy is its row here, read by its config's name: its weighting (None
-# for the config's ``fixed_weighting``), forecaster, signal mode and portfolio
-# mode.  Registry order doubles as the column order of the seeds table.
-Variant = namedtuple("Variant", "weighting forecaster signal_mode portfolio_mode")
+# for the config's ``fixed_weighting``), forecaster, signal mode and whether
+# it rebalances.  Registry order doubles as the column order of the seeds table.
+Variant = namedtuple("Variant", "weighting forecaster signal_mode rebalances")
 _VARIANTS = {
-    "mst_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_arima_var": Variant(WEIGHTING_VAR, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_arima_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_ARIMA, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_nnar_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_nnar_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_PER_STOCK, MODE_DYNAMIC),
-    "mst_allagree_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
-    "mst_allagree_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_ALL_AGREE, MODE_DYNAMIC),
-    "fixed": Variant(None, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_FIXED),
-    "dynamic_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, MODE_DYNAMIC_VAR_ONLY),
+    "mst_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, True),
+    "mst_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NONE, SIGNAL_PER_STOCK, True),
+    "mst_arima_var": Variant(WEIGHTING_VAR, FORECASTER_ARIMA, SIGNAL_PER_STOCK, True),
+    "mst_arima_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_ARIMA, SIGNAL_PER_STOCK, True),
+    "mst_nnar_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_PER_STOCK, True),
+    "mst_nnar_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_PER_STOCK, True),
+    "mst_allagree_var": Variant(WEIGHTING_VAR, FORECASTER_NNAR, SIGNAL_ALL_AGREE, True),
+    "mst_allagree_sharpe": Variant(WEIGHTING_SHARPE, FORECASTER_NNAR, SIGNAL_ALL_AGREE, True),
+    "fixed": Variant(None, FORECASTER_NONE, SIGNAL_ONCE, False),
+    "dynamic_var": Variant(WEIGHTING_VAR, FORECASTER_NONE, SIGNAL_PER_STOCK, False),
 }
 STRATEGY_NAMES = (BENCHMARK_STRATEGY, *_VARIANTS)
 
@@ -397,15 +395,14 @@ Forecasts = tuple[np.ndarray, list[int], list[str]]
 
 
 class Decision(NamedTuple):
-    """One decision day of a strategy: the selection it holds and whether it trades it."""
+    """One decision day of a schedule: the selection it holds, and trades, if any."""
 
     tau: int  # return row the day's window ends at
     selection: tuple[str, ...] | None  # None until a network is first estimated
-    trades: bool
     warning: str | None
 
 
-# One schedule day of a Plan: ``span`` is None on a day without a trade, else
+# One schedule day of a Plan: ``span`` is None on a day without a selection, else
 # ``(start, stop, cols)``: the day's weight rows ``start:stop`` and the
 # Plan.names column of each selected stock; then the day's price rows.
 PlanDay = tuple[tuple[int, int, list[int]] | None, list[float], list[bool], list[float], list[bool]]
@@ -413,11 +410,11 @@ PlanDay = tuple[tuple[int, int, list[int]] | None, list[float], list[bool], list
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """All that the strategies of one portfolio mode read: see :meth:`DecisionPath.plan`.
+    """All that the strategies of one schedule rule read: see :meth:`DecisionPath.plan`.
 
     A strategy's day loop and its result's replay read the plan alone, not
-    the path.  The weight rows are one per stock that a trading day
-    selects, day after day in selection order.
+    the path.  The weight rows are one per stock that a day with a
+    selection holds, day after day in selection order.
     """
 
     schedule: tuple[Decision, ...]
@@ -454,8 +451,8 @@ class DecisionPath:
     schedule's rebalance windows grow together, in stacks of at most
     ``MST_CELLS`` cost cells, by the tie rule of a lone tree.  Each
     selection is kept once computed, failure message included, so a run
-    builds each window's network once.  Each portfolio mode's :meth:`plan`
-    is built once, with what the run's ``strategies`` of that mode read.
+    builds each window's network once.  Each schedule rule's :meth:`plan`
+    is built once, with what the run's ``strategies`` of that rule read.
     A selection depends only on the prices and the base config's upstream
     fields, and a forecast additionally on the forecaster and (for NNAR
     only) the seed; neither depends on a strategy's weighting, signal or
@@ -477,7 +474,7 @@ class DecisionPath:
         counts = np.cumsum(self.returns.mask, axis=0)
         self._masked_above = np.vstack([np.zeros_like(counts[:1]), counts])
         self._selections: dict[int, tuple[tuple[str, ...] | None, str | None]] = {}
-        self._plans: dict[str, Plan] = {}
+        self._plans: dict[bool, Plan] = {}
         self._last_close: np.ndarray | None = None
 
     def trees_at(self, taus: Sequence[int]) -> Iterator[tuple[int, tuple[CostMatrix, MstTree] | Exception]]:
@@ -531,19 +528,18 @@ class DecisionPath:
         self._select((tau,))
         return self._selections[tau]
 
-    def plan(self, mode: str) -> Plan:
-        """All that the path's strategies of portfolio mode ``mode`` read, built once per path.
+    def plan(self, rebalances: bool) -> Plan:
+        """All that the path's strategies that rebalance (or hold) read, built once per path.
 
         Building the plan takes four steps.
 
-        - The schedule: a dynamic strategy re-selects every
+        - The schedule: one that ``rebalances`` re-selects every
           ``rebalance_every`` days and keeps its last selection when a
-          recompute fails; the other modes keep their first selection.
-          Until a first selection exists the strategy holds cash and
-          retries every day.  A fixed strategy trades only on its first day
-          with a selection.  A dynamic schedule asks for the trees of all
-          its rebalance days at once, as they grow faster stacked; a retry
-          day asks for its own window alone.
+          recompute fails; the other keeps its first selection.  Until a
+          first selection exists the schedule holds cash and retries every
+          day; from then on each day trades its selection.  A rebalancing
+          schedule asks for the trees of all its rebalance days at once, as
+          they grow faster stacked; a retry day asks for its own window alone.
         - The price rows: each schedule day's execution and closing prices
           of the traded columns, the tickers the schedule ever selects.
           The execution prices of price row t sit in row t - 1: the open,
@@ -552,28 +548,26 @@ class DecisionPath:
           :func:`market_data.last_known` call per path, and is flagged
           stale.
         - The weight rows' return windows, gathered as one block.
-        - What the mode's listed strategies read of that block: the raw
+        - What the rule's listed strategies read of that block: the raw
           weights of each of their weightings, by
           :func:`allocation.raw_weights` at the base config's ``alpha`` and
           ``risk_free``, checked and read-only, and the forecasts of each
           of their forecasters (:meth:`_fit`).  The block is then dropped.
         """
-        if mode not in self._plans:
+        if rebalances not in self._plans:
             cfg, prices, w = self.base, self.prices, self.base.window
-            schedule = self._schedule(mode)
-            trading = [day for day in schedule if day.trades]
+            schedule = self._schedule(rebalances)
+            # The trading days, those with a selection, follow the days in cash.
+            trading = [day for day in schedule if day.selection is not None]
             selections = {day.selection for day in trading}
             names = tuple(sorted({ticker for sel in selections for ticker in sel}))
             col = {ticker: c for c, ticker in enumerate(names)}
             cols_of = {sel: [col[t] for t in sel] for sel in selections}
-            spans: list[tuple[int, int, list[int]] | None] = []
+            spans: list[tuple[int, int, list[int]] | None] = [None] * (len(schedule) - len(trading))
             start = 0
-            for day in schedule:
-                if day.trades:
-                    spans.append((start, start + len(day.selection), cols_of[day.selection]))
-                    start += len(day.selection)
-                else:
-                    spans.append(None)
+            for day in trading:
+                spans.append((start, start + len(day.selection), cols_of[day.selection]))
+                start += len(day.selection)
             # Schedule day i executes on price row w + 1 + i, the last day on the last row.
             cols = np.array([prices.ticker_index(ticker) for ticker in names], dtype=np.intp)
             closes = prices.adj_close
@@ -597,7 +591,7 @@ class DecisionPath:
             ends = np.repeat(taus + 1, [len(d.selection) for d in trading])  # one past each window's last row
             clean = self._masked_above[ends, return_cols] == self._masked_above[ends - w, return_cols]
             windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, return_cols[clean]]
-            listed = [_VARIANTS[n] for n in self.strategies if n in _VARIANTS and _VARIANTS[n].portfolio_mode == mode]
+            listed = [_VARIANTS[n] for n in self.strategies if n in _VARIANTS and _VARIANTS[n].rebalances == rebalances]
             raws = {}
             for weighting in dict.fromkeys(row.weighting or cfg.fixed_weighting for row in listed):
                 raws[weighting] = allocation.raw_weights(
@@ -609,7 +603,7 @@ class DecisionPath:
             weight_rows = [(ticker, d.tau) for d in trading for ticker in d.selection]
             for forecaster in dict.fromkeys(row.forecaster for row in listed if row.forecaster != FORECASTER_NONE):
                 forecasts.update(self._fit(forecaster, weight_rows, windows, clean))
-            self._plans[mode] = Plan(
+            self._plans[rebalances] = Plan(
                 schedule=schedule,
                 dates=prices.dates[w:],
                 warnings=frozenset(day.warning for day in schedule if day.warning is not None),
@@ -618,19 +612,18 @@ class DecisionPath:
                 raws=raws,
                 forecasts=forecasts,
             )
-        return self._plans[mode]
+        return self._plans[rebalances]
 
-    def _schedule(self, mode: str) -> tuple[Decision, ...]:
-        """Every decision day of a strategy with portfolio mode ``mode``, by the rule :meth:`plan` gives."""
+    def _schedule(self, rebalances: bool) -> tuple[Decision, ...]:
+        """Every decision day of a schedule that ``rebalances`` or not, by the rule :meth:`plan` gives."""
         out = []
         held: tuple[str, ...] | None = None
-        traded = False
         w = self.base.window
-        if mode == MODE_DYNAMIC:
+        if rebalances:
             self._select(range(w - 1, len(self.returns.dates) - 1, self.base.rebalance_every))
         for step, tau in enumerate(range(w - 1, len(self.returns.dates) - 1)):
             warning = None
-            if held is None or (mode == MODE_DYNAMIC and step % self.base.rebalance_every == 0):
+            if held is None or (rebalances and step % self.base.rebalance_every == 0):
                 picked, failure = self.selection_at(tau)
                 end = self.returns.dates[tau]
                 if picked is not None:
@@ -641,9 +634,7 @@ class DecisionPath:
                     warning = f"network unavailable at {end}: {failure}; holding cash"
                 else:
                     warning = f"network recompute failed at {end}: {failure}"
-            trades = held is not None and not (mode == MODE_FIXED and traded)
-            traded = traded or trades
-            out.append(Decision(tau, held, trades, warning))
+            out.append(Decision(tau, held, warning))
         return tuple(out)
 
     def _fit(
@@ -711,7 +702,7 @@ def run_simulation(
 
 
 def _simulate(cfg: StrategyConfig, plan: Plan, seed: int) -> SimulationResult:
-    """Run one strategy on its portfolio mode's ``plan`` for ``seed``, keeping no per-day record.
+    """Run one strategy on its schedule rule's ``plan`` for ``seed``, keeping no per-day record.
 
     The result's ``replay`` reruns the same day loop on the plan with
     records on the first time ``days`` is read, and keeps what it returns.
@@ -737,13 +728,14 @@ def _day_loop(
     """Trade every day of the strategy's schedule; the value dates, values, trade count and warnings.
 
     The strategy is its ``_VARIANTS`` row, read by ``cfg.name``, and
-    ``plan`` is its portfolio mode's :meth:`DecisionPath.plan`: the
+    ``plan`` is the :meth:`DecisionPath.plan` of its schedule rule: the
     schedule, the traded columns, each day's prices, the checked raw
     weights of the whole schedule and the forecasts, by which a forecaster
     filters those weights once.  Each trading day's are then normalised by
     :func:`allocation.normalize`, which gives the trade targets and the
     signal; an all-agree strategy's signal is the vote of the day's
-    forecasts instead.  With a ``records`` list, each day's
+    forecasts instead, and a trade-once strategy holds, signal 0, on every
+    day after its first with a selection.  With a ``records`` list, each day's
     :class:`DayRecord` is appended to it, its weights built by
     :func:`allocation.from_raw`; without one the loop builds no per-day
     object.  The loop reads only the plan, so a rerun gives the same days.
@@ -762,10 +754,12 @@ def _day_loop(
     cash, held, value = cfg.initial_capital, [], cfg.initial_capital
     values = [cfg.initial_capital]
     trade_count = 0
+    done = False  # a trade-once strategy has made its trade
     for i, (span, exec_px, exec_stale, close_px, close_stale) in enumerate(plan.days):
-        if span is None:
-            signal, targets = 0, []
+        if span is None or done:
+            span, signal, targets = None, 0, []
         else:
+            done = signal_mode == SIGNAL_ONCE
             start, stop, cols = span
             raw = raws[start:stop]
             targets = [(c, n) for c, n in zip(cols, allocation.normalize(raw)) if n > 0.0]
@@ -882,8 +876,9 @@ def run_multi_seed(
     against ``cfg`` by :func:`check_strategies` before anything runs.
     Every strategy and seed reads one
     :class:`DecisionPath`, so each window's selection and each forecast is
-    computed once per call.  A result keeps only its portfolio mode's
-    :class:`Plan`, so the path is freed when the call returns.
+    computed once per call.  It builds one :class:`Plan` per schedule
+    rule, so ``fixed`` and ``dynamic_var`` read one.  A result keeps only
+    its rule's plan, so the path is freed when the call returns.
     ``buy_hold`` is ``cfg.benchmark_ticker`` held from price row
     ``window``, computed before the path is built.  Any strategy list,
     ``buy_hold`` alone included, needs at least ``window + 2`` price dates:
@@ -912,10 +907,7 @@ def run_multi_seed(
             elif name == BENCHMARK_STRATEGY:
                 res = first = bench
             else:
-                res = first = _simulate(strat, path.plan(_VARIANTS[name].portfolio_mode), s)
+                res = first = _simulate(strat, path.plan(_VARIANTS[name].rebalances), s)
             results[(name, s)] = res
             table[row, col] = res.total_return_pct
-    means = table.mean(axis=0)
-    return MultiSeedResult(
-        seeds=seeds, strategies=names, returns_pct=table, means=means, results=results
-    )
+    return MultiSeedResult(seeds=seeds, strategies=names, returns_pct=table, means=table.mean(axis=0), results=results)

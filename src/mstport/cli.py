@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, backtest, market_data, network, var_fevd
-from .config import FLAGS, RunConfig, parse_config
+from .config import FLAGS, RunConfig, output_dir, parse_config
 from .errors import ConfigError, DataError, EstimationError, InsufficientHistory
 
 log = logging.getLogger(__name__)
@@ -272,12 +272,7 @@ def cmd_report(out_dir: Path) -> int:
         raise ConfigError(f"{summary_path}: lists no strategies")
     if not (np.all(np.isfinite(table)) and np.all(np.isfinite(means))):
         raise ConfigError(f"{summary_path}: a total return is null or not finite")
-    summary = backtest.MultiSeedResult(
-        seeds=tuple(seeds),
-        strategies=tuple(strategies),
-        returns_pct=table,
-        means=means,
-    )
+    summary = backtest.MultiSeedResult(tuple(seeds), tuple(strategies), table, means)
     _write_seeds_table(out_dir / "seeds_table.csv", summary)
     width = max(len(n) for n in strategies) + 2
     print("total return (%) by strategy")
@@ -302,18 +297,11 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "report" and not args.config:
-            if args.dir is None:
-                raise ConfigError("report needs --out or a config with an output dir")
-            if not args.dir:
-                raise ConfigError("--out: empty path")
-            return cmd_report(Path(args.dir))
+        if args.command == "report":
+            return cmd_report(output_dir(args.config, args.dir))
         # ``is not None``: an empty or zero flag is checked, not ignored.
         overrides = {key: text for key in FLAGS if (text := getattr(args, key, None)) is not None}
-        cfg = parse_config(args.config, overrides)
-        if args.command == "report":
-            return cmd_report(cfg.dir)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](parse_config(args.config, overrides))
     except (ConfigError, DataError, InsufficientHistory, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

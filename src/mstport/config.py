@@ -119,12 +119,8 @@ _STRATEGY_FIELDS = {f.name for f in fields(StrategyConfig)}
 FLAGS = {"dir": "--out", "rebalance_every": "--rebalance-every", "seeds": "--seeds", "strategies": "--strategies"}
 
 
-def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Load and validate a run configuration file.
-
-    ``overrides`` maps keys of ``FLAGS`` to their flags' text.
-    """
-    path = Path(path)
+def _read(path: Path) -> tuple[str, configparser.ConfigParser]:
+    """The text of config file ``path``, without a byte-order mark, and its parse."""
     try:
         # Drop the byte-order mark that some editors write.
         raw_text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
@@ -137,6 +133,30 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         parser.read_string(raw_text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+    return raw_text, parser
+
+
+def output_dir(path: str | None, out: str | None) -> Path:
+    """``report``'s dir: ``out``, the ``--out`` text, if given, else config ``path``'s ``[output] dir``.
+
+    Only the file's syntax and that key are read: a run reports after its inputs move.
+    """
+    parser = _read(Path(path))[1] if path else configparser.ConfigParser()
+    text = out if out is not None else parser.get("output", "dir", fallback=None)
+    if text is None and not path:
+        raise ConfigError("report needs --out or a config with an output dir")
+    try:
+        return RunConfig.dir if text is None else _to_path(text)
+    except ValueError as exc:
+        raise ConfigError(f"{FLAGS['dir'] if out is not None else 'output.dir'}: {exc}") from exc
+
+
+def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Load and validate a run configuration file.
+
+    ``overrides`` maps keys of ``FLAGS`` to their flags' text.
+    """
+    raw_text, parser = _read(Path(path))
     problems: list[str] = []
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -85,7 +85,7 @@ def simulate(
     seed: int | None = None,
 ) -> ReferenceResult:
     """Replay one strategy, the variant ``cfg.name`` names, with independent bookkeeping arithmetic."""
-    weighting, forecaster, signal_mode, mode = backtest._VARIANTS[cfg.name]
+    weighting, forecaster, signal_mode, rebalances = backtest._VARIANTS[cfg.name]
     weighting = weighting or cfg.fixed_weighting
     seed = cfg.seeds[0] if seed is None else seed
     if cfg.benchmark_ticker and cfg.benchmark_ticker in prices.tickers:
@@ -117,17 +117,15 @@ def simulate(
     fixed_done = False
     for tau in range(w - 1, len(returns.dates) - 1):
         win = market_data.window(returns, tau, w)
-        if selection is None or (
-            mode == backtest.MODE_DYNAMIC and step % cfg.rebalance_every == 0
-        ):
+        if selection is None or (rebalances and step % cfg.rebalance_every == 0):
             try:
                 selection = _select_stocks(cfg, win)
             except (var_fevd.EstimationError, var_fevd.DataError):
                 pass
-        if selection is None or (mode == backtest.MODE_FIXED and fixed_done):
+        if selection is None or (signal_mode == backtest.SIGNAL_ONCE and fixed_done):
             signal, weights = 0, backtest.EMPTY_WEIGHTS
         else:
-            if mode == backtest.MODE_FIXED:
+            if signal_mode == backtest.SIGNAL_ONCE:
                 fixed_done = True
             weights = _raw_weights(weighting, cfg, selection, win)
             if forecaster == backtest.FORECASTER_NONE:

@@ -436,7 +436,7 @@ def test_strategy_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="^empty seed list$"):
         StrategyConfig(seeds=())
     # A variant's row is not a field: a strategy is set by its name alone.
-    for field in ("weighting", "forecaster", "signal_mode", "portfolio_mode"):
+    for field in ("weighting", "forecaster", "signal_mode", "rebalances"):
         with pytest.raises(TypeError):
             StrategyConfig(**{field: "var"})
     # The NNAR lag rule belongs to a strategy list, not to a config.
@@ -444,19 +444,19 @@ def test_strategy_config_rejects_bad_values():
 
 
 # README's Strategies table, row by row: (weighting, forecaster, signal mode,
-# portfolio mode) of each variant; ``fixed``'s weighting is the config's
-# ``fixed_weighting``, None in its row.
+# whether the schedule rebalances) of each variant; ``fixed``'s weighting is
+# the config's ``fixed_weighting``, None in its row.
 VARIANT_ROWS = {
-    "mst_var": ("var", "none", "per_stock_filter", "dynamic"),
-    "mst_sharpe": ("sharpe", "none", "per_stock_filter", "dynamic"),
-    "mst_arima_var": ("var", "arima", "per_stock_filter", "dynamic"),
-    "mst_arima_sharpe": ("sharpe", "arima", "per_stock_filter", "dynamic"),
-    "mst_nnar_var": ("var", "nnar", "per_stock_filter", "dynamic"),
-    "mst_nnar_sharpe": ("sharpe", "nnar", "per_stock_filter", "dynamic"),
-    "mst_allagree_var": ("var", "nnar", "all_agree", "dynamic"),
-    "mst_allagree_sharpe": ("sharpe", "nnar", "all_agree", "dynamic"),
-    "fixed": (None, "none", "per_stock_filter", "fixed"),
-    "dynamic_var": ("var", "none", "per_stock_filter", "dynamic_var_only"),
+    "mst_var": ("var", "none", "per_stock_filter", True),
+    "mst_sharpe": ("sharpe", "none", "per_stock_filter", True),
+    "mst_arima_var": ("var", "arima", "per_stock_filter", True),
+    "mst_arima_sharpe": ("sharpe", "arima", "per_stock_filter", True),
+    "mst_nnar_var": ("var", "nnar", "per_stock_filter", True),
+    "mst_nnar_sharpe": ("sharpe", "nnar", "per_stock_filter", True),
+    "mst_allagree_var": ("var", "nnar", "all_agree", True),
+    "mst_allagree_sharpe": ("sharpe", "nnar", "all_agree", True),
+    "fixed": (None, "none", "once", False),
+    "dynamic_var": ("var", "none", "per_stock_filter", False),
 }
 
 

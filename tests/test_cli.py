@@ -764,6 +764,22 @@ def test_report_rebuilds_seed_table(tmp_path, capsys):
     assert (out_dir / "seeds_table.csv").read_bytes() == table_bytes
 
 
+def test_report_reads_only_the_output_dir_of_its_config(tmp_path, capsys):
+    # report reads nothing but <dir>/summary.json, so a run whose price file
+    # has since gone still reports from its config.
+    prices = write_panel(tmp_path)
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path, prices, out_dir, strategies="buy_hold,mst_var")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    table_bytes = (out_dir / "seeds_table.csv").read_bytes()
+    (out_dir / "seeds_table.csv").unlink()
+    prices.unlink()
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "seeds_table.csv").read_bytes() == table_bytes
+
+
 def test_report_keeps_the_run_column_and_row_order(tmp_path):
     # summary.json sorts its strategy keys; the table follows the run's list.
     out_dir = tmp_path / "out"

@@ -19,9 +19,6 @@ from mstport.backtest import (
     FORECASTER_ARIMA,
     FORECASTER_NNAR,
     FORECASTER_NONE,
-    MODE_DYNAMIC,
-    MODE_DYNAMIC_VAR_ONLY,
-    MODE_FIXED,
     STRATEGY_NAMES,
     Decision,
     DecisionPath,
@@ -41,7 +38,8 @@ RETURNS = market_data.compute_returns(PANEL)
 BASE = StrategyConfig(window=60, top_k=3, seeds=(132,), benchmark_ticker="IDX", nnar_epochs=20)
 SEEDS = (7, 8)
 NNAR_STRATEGIES = ("mst_nnar_var", "mst_nnar_sharpe", "mst_allagree_var", "mst_allagree_sharpe")
-MODES = (MODE_DYNAMIC, MODE_FIXED, MODE_DYNAMIC_VAR_ONLY)
+# A schedule rebalances or holds its first selection.
+RULES = (True, False)
 
 
 def assert_matches_independent_runs(cfg: StrategyConfig, prices) -> dict:
@@ -124,10 +122,10 @@ def test_each_window_network_and_forecast_is_computed_once(monkeypatch):
     }
     assert sum(nnar_fits.values()) == len(nnar_tasks) == len(SEEDS) * len(asked) * BASE.top_k
     assert set(nnar_fits.values()) == {1}
-    # One call per (forecaster, portfolio mode), which nnar_fit_batch trains
+    # One call per (forecaster, schedule rule), which nnar_fit_batch trains
     # in stacks of at most NNAR_CHUNK.
     rows = [backtest._VARIANTS[name] for name in NNAR_STRATEGIES]
-    assert len(nnar_batches) == len({(row.forecaster, row.portfolio_mode) for row in rows}) == 1
+    assert len(nnar_batches) == len({(row.forecaster, row.rebalances) for row in rows}) == 1
     assert len(nnar_tasks) > NNAR_CHUNK
     assert max(stacks) == NNAR_CHUNK
     arima_tasks = {
@@ -168,15 +166,53 @@ def test_each_mode_plan_and_raw_weights_are_built_once(monkeypatch):
 
     assert len(grids) == 1
     rows = [backtest._VARIANTS[name] for name in STRATEGY_NAMES if name != BENCHMARK_STRATEGY]
-    modes = {row.portfolio_mode for row in rows}
-    assert len(gathers) == len(modes) == 3  # one gather per plan
-    assert all(clean for _, _, clean in weighed)  # every mode trades
-    pairs = {(row.weighting or BASE.fixed_weighting, row.portfolio_mode) for row in rows}
-    assert len(weighed) == len(pairs) == 4
+    rules = {row.rebalances for row in rows}
+    assert len(gathers) == len(rules) == 2  # one gather per plan
+    assert all(clean for _, _, clean in weighed)  # every rule trades
+    pairs = {(row.weighting or BASE.fixed_weighting, row.rebalances) for row in rows}
+    assert len(weighed) == len(pairs) == 3
     assert set(weighed.values()) == {1}
     # Reading the day records replays the loops on the kept plans.
     assert all(res.days for (name, _), res in multi.results.items() if name != BENCHMARK_STRATEGY)
-    assert (len(grids), len(gathers), sum(weighed.values())) == (1, 3, 4)
+    assert (len(grids), len(gathers), sum(weighed.values())) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("fixed_weighting", ["var", "sharpe"])
+def test_fixed_and_dynamic_var_read_one_plan_and_part_after_the_first_trade(monkeypatch, fixed_weighting):
+    # A flat start opens both schedules with days in cash before the first selection.
+    prices = with_flat_start(PANEL, 66)
+    read = {}
+    simulate = backtest._simulate
+
+    def recorded_simulate(cfg, plan, seed):
+        read[cfg.name] = plan
+        return simulate(cfg, plan, seed)
+
+    monkeypatch.setattr(backtest, "_simulate", recorded_simulate)
+    cfg = replace(BASE, fixed_weighting=fixed_weighting)
+    multi = run_multi_seed(cfg, prices, market_data.compute_returns(prices))
+
+    assert read["fixed"] is read["dynamic_var"]
+    assert len({id(plan) for plan in read.values()}) == 2
+    fixed, dynamic = (multi.results[name, BASE.seeds[0]].days for name in ("fixed", "dynamic_var"))
+    first = next(i for i, day in enumerate(dynamic) if day.selection)
+    assert first > 0
+    assert fixed[:first] == dynamic[:first]
+    if fixed_weighting == "var":
+        assert fixed[first] == dynamic[first]
+    else:
+        assert (fixed[first].date, fixed[first].signal, fixed[first].selection) == (
+            dynamic[first].date,
+            dynamic[first].signal,
+            dynamic[first].selection,
+        )
+        assert fixed[first].weights.tickers == dynamic[first].weights.tickers
+        assert fixed[first].weights != dynamic[first].weights
+    for day, other in zip(fixed[first + 1 :], dynamic[first + 1 :]):
+        assert (day.signal, day.weights, day.holdings) == (0, backtest.EMPTY_WEIGHTS, fixed[first].holdings)
+        assert day.selection == other.selection == dynamic[first].selection
+        assert other.signal != 0 and other.weights != backtest.EMPTY_WEIGHTS
+    assert multi.results["fixed", BASE.seeds[0]].trade_count == 1
 
 
 def recorded_paths(monkeypatch) -> list:
@@ -219,12 +255,12 @@ def arrays(obj):
 
 def test_a_plan_holds_one_entry_per_weight_row_and_no_window_block():
     path = DecisionPath(replace(BASE, seeds=SEEDS), PANEL, RETURNS, STRATEGY_NAMES)
-    for mode in MODES:
-        plan = path.plan(mode)
-        rows = sum(len(day.selection) for day in plan.schedule if day.trades)
+    for rebalances in RULES:
+        plan = path.plan(rebalances)
+        rows = sum(len(day.selection) for day in plan.schedule if day.selection is not None)
         held = [a for f in dataclasses.fields(plan) for a in arrays(getattr(plan, f.name))]
-        assert held and rows != BASE.window, mode
-        assert all(a.shape == (rows,) for a in held), (mode, [a.shape for a in held])
+        assert held and rows != BASE.window, rebalances
+        assert all(a.shape == (rows,) for a in held), (rebalances, [a.shape for a in held])
 
 
 @pytest.mark.parametrize(
@@ -246,10 +282,10 @@ def test_a_strategy_subset_weighs_and_fits_only_what_it_reads(monkeypatch, names
         forecast.arima_fit,
     )
 
-    def tracked_plan(self, mode):
-        building.append(mode)  # what is weighed or fitted from here is this mode's
+    def tracked_plan(self, rebalances):
+        building.append(rebalances)  # what is weighed or fitted from here is this rule's
         try:
-            return plan(self, mode)
+            return plan(self, rebalances)
         finally:
             building.pop()
 
@@ -272,8 +308,8 @@ def test_a_strategy_subset_weighs_and_fits_only_what_it_reads(monkeypatch, names
     subset = run_multi_seed(cfg, PANEL, RETURNS, strategies=names)
 
     rows = [backtest._VARIANTS[name] for name in names if name != BENCHMARK_STRATEGY]
-    assert weighed == Counter({(row.weighting or fixed_weighting, row.portfolio_mode): 1 for row in rows})
-    assert set(fitted) == {(row.forecaster, row.portfolio_mode) for row in rows if row.forecaster != FORECASTER_NONE}
+    assert weighed == Counter({(row.weighting or fixed_weighting, row.rebalances): 1 for row in rows})
+    assert set(fitted) == {(row.forecaster, row.rebalances) for row in rows if row.forecaster != FORECASTER_NONE}
     assert all(fitted[key] == 1 for key in fitted if key[0] == FORECASTER_NNAR)
     # A plan built for a subset gives each strategy what the full run gives it.
     for name in names:
@@ -285,7 +321,7 @@ def test_a_strategy_subset_weighs_and_fits_only_what_it_reads(monkeypatch, names
 
 def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch):
     cfg = replace(BASE, rebalance_every=1000)  # the first selection is held all run
-    ticker = DecisionPath(cfg, PANEL, RETURNS, ()).plan(MODE_DYNAMIC).schedule[0].selection[0]
+    ticker = DecisionPath(cfg, PANEL, RETURNS, ()).plan(True).schedule[0].selection[0]
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(ticker))])
     fitted = []
     nnar_fit_batch = forecast.nnar_fit_batch
@@ -297,7 +333,7 @@ def test_masked_window_column_gets_a_neutral_forecast_without_a_fit(monkeypatch)
     monkeypatch.setattr(forecast, "nnar_fit_batch", counted_nnar)
     path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices), ("mst_nnar_var",))
     j = path.returns.ticker_index(ticker)
-    plan = path.plan(MODE_DYNAMIC)
+    plan = path.plan(True)
     r_hats, signals, failures = plan.forecasts[FORECASTER_NNAR, SEEDS[0]]
     assert failures == []
     start = 0
@@ -341,7 +377,7 @@ def lone_forecast(forecaster: str, cfg: StrategyConfig, series: np.ndarray, tick
 def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(monkeypatch, name, learning_rate):
     # Two masked cells leave some weight rows unclean; rebalancing every
     # five days repeats a selection on several window ends.
-    first = DecisionPath(BASE, PANEL, RETURNS, ()).plan(MODE_DYNAMIC).schedule[0].selection
+    first = DecisionPath(BASE, PANEL, RETURNS, ()).plan(True).schedule[0].selection
     prices = with_masked(PANEL, [(80, PANEL.ticker_index(first[0])), (95, PANEL.ticker_index(first[1]))])
     cfg = replace(BASE, rebalance_every=5, nnar_learning_rate=learning_rate)
     gathered = []
@@ -353,9 +389,9 @@ def test_forecasts_line_up_with_weight_rows_and_equal_lone_fits(monkeypatch, nam
 
     monkeypatch.setattr(allocation, "raw_weights", recorded_raws)
     path = DecisionPath(replace(cfg, seeds=SEEDS), prices, market_data.compute_returns(prices), (name,))
-    _, forecaster, _, mode = backtest._VARIANTS[name]
-    plan = path.plan(mode)
-    days = [d for d in plan.schedule if d.trades]
+    _, forecaster, _, rebalances = backtest._VARIANTS[name]
+    plan = path.plan(rebalances)
+    days = [d for d in plan.schedule if d.selection is not None]
     rows = [(ticker, d.tau) for d in days for ticker in d.selection]
     [(windows, clean)] = gathered  # the one weighting's weights, and the block the forecasts read
     assert not clean.all() and clean.any()
@@ -415,14 +451,13 @@ def oracle_selection(cfg: StrategyConfig, returns, tau: int) -> tuple[tuple[str,
     return network.select_top_k(network.degree_centrality(tree), cfg.top_k), None
 
 
-def oracle_schedule(cfg: StrategyConfig, returns, mode: str) -> tuple[Decision, ...]:
+def oracle_schedule(cfg: StrategyConfig, returns, rebalances: bool) -> tuple[Decision, ...]:
     """The schedule rule, asking for one window at a time as its day comes."""
     out = []
     held = None
-    traded = False
     for step, tau in enumerate(range(cfg.window - 1, len(returns.dates) - 1)):
         warning = None
-        if held is None or (mode == MODE_DYNAMIC and step % cfg.rebalance_every == 0):
+        if held is None or (rebalances and step % cfg.rebalance_every == 0):
             picked, failure = oracle_selection(cfg, returns, tau)
             end = returns.dates[tau]
             if picked is not None:
@@ -431,16 +466,14 @@ def oracle_schedule(cfg: StrategyConfig, returns, mode: str) -> tuple[Decision, 
                 warning = f"network unavailable at {end}: {failure}; holding cash"
             else:
                 warning = f"network recompute failed at {end}: {failure}"
-        trades = held is not None and not (mode == MODE_FIXED and traded)
-        traded = traded or trades
-        out.append(Decision(tau, held, trades, warning))
+        out.append(Decision(tau, held, warning))
     return tuple(out)
 
 
 def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
     stacks = recorded_stacks(monkeypatch)
     path = DecisionPath(FLAT_BASE, FLAT, market_data.compute_returns(FLAT), ())
-    path.plan(MODE_DYNAMIC)
+    path.plan(True)
     taus = range(FLAT_BASE.window - 1, len(path.returns.dates) - 1)
     batched = {tau: path.selection_at(tau) for tau in taus}
     failed = [tau for tau, (picked, _) in batched.items() if picked is None]
@@ -457,28 +490,28 @@ def test_unestimable_windows_inside_a_batch_keep_their_messages(monkeypatch):
 
 
 @pytest.mark.parametrize("rebalance_every", [1, 3])
-@pytest.mark.parametrize("mode", MODES)
-def test_schedules_equal_the_one_window_at_a_time_rule(mode, rebalance_every):
+@pytest.mark.parametrize("rebalances", RULES, ids=["rebalances", "holds"])
+def test_schedules_equal_the_one_window_at_a_time_rule(rebalances, rebalance_every):
     cfg = replace(FLAT_BASE, rebalance_every=rebalance_every)
     path = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT), ())
-    want = oracle_schedule(cfg, path.returns, mode)
-    assert path.plan(mode).schedule == want
+    want = oracle_schedule(cfg, path.returns, rebalances)
+    assert path.plan(rebalances).schedule == want
     assert any(d.warning and d.warning.startswith("network unavailable") for d in want)
-    if mode == MODE_DYNAMIC:
+    if rebalances:
         assert any(d.warning and d.warning.startswith("network recompute failed") for d in want)
-    # Every mode from one path, the dynamic schedule's batch first or last.
-    for order in (MODES, MODES[::-1]):
+    # Both rules from one path, the rebalancing schedule's batch first or last.
+    for order in (RULES, RULES[::-1]):
         shared = DecisionPath(cfg, FLAT, market_data.compute_returns(FLAT), ())
-        assert {m: shared.plan(m).schedule for m in order}[mode] == want
+        assert {r: shared.plan(r).schedule for r in order}[rebalances] == want
 
 
 @pytest.mark.parametrize("windows_per_stack", [1, 2, 5])
 def test_a_small_cell_cap_splits_the_stack_and_keeps_the_schedules(monkeypatch, windows_per_stack):
     returns = market_data.compute_returns(FLAT)
-    want = {mode: DecisionPath(FLAT_BASE, FLAT, returns, ()).plan(mode).schedule for mode in MODES}
+    want = {r: DecisionPath(FLAT_BASE, FLAT, returns, ()).plan(r).schedule for r in RULES}
     n = len(FLAT.tickers) - 1  # the benchmark column is stripped
     monkeypatch.setattr(backtest, "MST_CELLS", windows_per_stack * n * n + n)
     stacks = recorded_stacks(monkeypatch)
     path = DecisionPath(FLAT_BASE, FLAT, returns, ())
-    assert {mode: path.plan(mode).schedule for mode in MODES} == want
+    assert {r: path.plan(r).schedule for r in RULES} == want
     assert len(stacks) > 1 and max(stacks) == windows_per_stack
