@@ -422,7 +422,7 @@ class Plan:
     warnings: frozenset[str]  # the schedule's network warnings
     names: tuple[str, ...]  # the tickers the schedule ever selects, sorted: the traded columns
     days: tuple[PlanDay, ...]  # one per schedule day
-    raws: dict[str, np.ndarray]  # each weighting's checked, read-only raw weights of the weight rows
+    raws: dict[str, np.ndarray]  # each weighting's checked, read-only raw weights of the weight rows it is read on
     forecasts: dict[tuple[str, int], Forecasts]  # each (forecaster, seed)'s forecasts of the weight rows
 
 
@@ -552,7 +552,9 @@ class DecisionPath:
           weights of each of their weightings, by
           :func:`allocation.raw_weights` at the base config's ``alpha`` and
           ``risk_free``, checked and read-only, and the forecasts of each
-          of their forecasters (:meth:`_fit`).  The block is then dropped.
+          of their forecasters (:meth:`_fit`).  A weighting that only
+          trade-once strategies read is weighed on the first trading day's
+          rows alone.  The block is then dropped.
         """
         if rebalances not in self._plans:
             cfg, prices, w = self.base, self.prices, self.base.window
@@ -592,10 +594,15 @@ class DecisionPath:
             clean = self._masked_above[ends, return_cols] == self._masked_above[ends - w, return_cols]
             windows = sliding_window_view(self.returns.returns, w, axis=0)[ends[clean] - w, return_cols[clean]]
             listed = [_VARIANTS[n] for n in self.strategies if n in _VARIANTS and _VARIANTS[n].rebalances == rebalances]
+            # A weighting that only trade-once strategies read is weighed on
+            # the first trading day's rows alone, the only ones they trade.
+            daily = {row.weighting or cfg.fixed_weighting for row in listed if row.signal_mode != SIGNAL_ONCE}
+            first_rows = len(trading[0].selection) if trading else 0
             raws = {}
             for weighting in dict.fromkeys(row.weighting or cfg.fixed_weighting for row in listed):
+                head = clean[: len(clean) if weighting in daily else first_rows]
                 raws[weighting] = allocation.raw_weights(
-                    weighting, windows, clean, alpha=cfg.alpha, risk_free=cfg.risk_free
+                    weighting, windows[: np.count_nonzero(head)], head, alpha=cfg.alpha, risk_free=cfg.risk_free
                 )
                 allocation.check_raws(raws[weighting])
                 raws[weighting].flags.writeable = False

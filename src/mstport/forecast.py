@@ -241,10 +241,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) <= 1 never overflows; each sign takes the form that keeps
     # full precision for large |z|: 1 / (1 + ez) or ez / (1 + ez), one
     # division either way.  Each step writes into a buffer it owns: the
-    # same operations on the same values as the unbuffered form.
+    # same operations on the same values as the unbuffered form.  The
+    # numerator is max(ez, z >= 0), with the bool taken as 0.0 or 1.0: ez
+    # lies in [0, 1], so z >= 0 (-0.0 and +inf too) gives 1.0, z < 0 gives
+    # ez, and a NaN z gives the NaN in ez, which maximum passes through:
+    # the bits of np.where(z >= 0, 1.0, ez), in a fraction of its time.
     ez = np.abs(z)
     np.exp(np.negative(ez, out=ez), out=ez)
-    out = np.where(z >= 0, 1.0, ez)
+    out = np.maximum(ez, z >= 0)
     ez += 1.0
     return np.divide(out, ez, out=out)
 

@@ -215,6 +215,39 @@ def test_fixed_and_dynamic_var_read_one_plan_and_part_after_the_first_trade(monk
     assert multi.results["fixed", BASE.seeds[0]].trade_count == 1
 
 
+@pytest.mark.parametrize("fixed_weighting", ["var", "sharpe"])
+def test_a_weighting_only_fixed_reads_is_weighed_on_its_first_trading_day(monkeypatch, fixed_weighting):
+    # Days in cash come first, so the first trading day is not the first day.
+    prices = with_flat_start(PANEL, 66)
+    returns = market_data.compute_returns(prices)
+    cfg = replace(BASE, fixed_weighting=fixed_weighting)
+    full = run_multi_seed(cfg, prices, returns)
+    dynamic = full.results["dynamic_var", BASE.seeds[0]].days
+    rows = sum(len(day.selection) for day in dynamic)  # one weight row per held stock and day
+    assert rows > BASE.top_k
+    weighed = []
+    raw_weights = allocation.raw_weights
+
+    def counted_raws(weighting, windows, clean, **kwargs):
+        weighed.append((weighting, len(clean)))
+        return raw_weights(weighting, windows, clean, **kwargs)
+
+    monkeypatch.setattr(allocation, "raw_weights", counted_raws)
+    lone = run_multi_seed(cfg, prices, returns, ("fixed",))
+    assert weighed == [(fixed_weighting, BASE.top_k)]
+    weighed.clear()
+    pair = run_multi_seed(cfg, prices, returns, ("fixed", "dynamic_var"))
+    if fixed_weighting == "var":
+        assert weighed == [("var", rows)]
+    else:
+        assert sorted(weighed) == [("sharpe", BASE.top_k), ("var", rows)]
+    for multi in (lone, pair):
+        for (name, seed), res in multi.results.items():
+            want = full.results[name, seed]
+            assert res.values.tobytes() == want.values.tobytes()
+            assert (res.days, res.warnings, res.trade_count) == (want.days, want.warnings, want.trade_count)
+
+
 def recorded_paths(monkeypatch) -> list:
     """A weak reference to every ``DecisionPath`` a run builds from here on."""
     refs = []

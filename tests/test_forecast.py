@@ -1,6 +1,11 @@
 """One-step forecasting: ARIMA grid search, neural autoregression, signals."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +384,23 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_sigmoid_matches_oracle_at_its_edges_and_on_stacks():
+    # Both infinities, NaN of both signs (one with a payload), signed zeros
+    # and subnormals, and the ends of exp's subnormal (745.2) and normal
+    # (709.8) range, alone and at the head of each stack the trainer runs.
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123], dtype=np.uint64).view(float)
+    magnitudes = np.array([np.inf, 0.0, 5e-324, 745.2, 709.8])
+    edges = np.concatenate([magnitudes, -magnitudes, nans])
+    rng = np.random.default_rng(36)
+    stacks = [rng.normal(0.0, 30.0, (24, 115, 3))]
+    stacks += [rng.normal(0.0, 30.0, (fc.NNAR_CHUNK, 115, k)) for k in (1, 2, 3, 5)]
+    for z in stacks:
+        z.flat[: edges.size] = edges
+    with np.errstate(invalid="ignore"):
+        for z in [edges, *stacks]:
+            assert_same_bits(fc._sigmoid(z), oracle_sigmoid(z))
+
+
 def random_net(rng, batch, n, p, k, scale):
     """Inputs and weights of one net (``batch`` None) or a stack of ``batch``."""
     lead = () if batch is None else (batch,)
@@ -631,6 +653,37 @@ def test_stacked_trainer_splits_a_long_list_into_chunks(monkeypatch):
         assert_same_fit(fit, alone)
         for name in NNAR_FIELDS:
             assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(alone, name)).tobytes(), name
+
+
+# One NNAR_CHUNK stack of 120-day series, trained in a fresh process; prints
+# each member's fields as the hex of their bytes.
+THREAD_PROBE = """
+import dataclasses
+import json
+import numpy as np
+from mstport import forecast as fc
+rng = np.random.default_rng(13)
+series = [np.cumsum(rng.normal(0.0, 0.01, 120)) for _ in range(fc.NNAR_CHUNK)]
+models = fc.nnar_fit_batch(series, list(range(fc.NNAR_CHUNK)))
+print(json.dumps([{f.name: np.asarray(getattr(m, f.name)).tobytes().hex() for f in dataclasses.fields(m)} for m in models]))
+"""
+
+
+def test_stacked_fits_do_not_depend_on_the_blas_thread_count():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than two usable CPUs: a second BLAS thread would share the first one's core")
+    src = str(Path(fc.__file__).resolve().parents[1])
+    fits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        fits.append(json.loads(done.stdout))
+    one, two = fits
+    assert len(one) == fc.NNAR_CHUNK
+    for member, (a, b) in enumerate(zip(one, two)):
+        assert a == b, member
 
 
 def test_stacked_trainer_refuses_mismatched_seeds():
