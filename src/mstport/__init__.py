@@ -10,7 +10,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .allocation import WeightVector, historical_var, sharpe_ratio, sharpe_weights, var_weights
+from .allocation import WeightVector, historical_var, sharpe_ratio
 from .backtest import (
     STRATEGY_NAMES,
     SimulationResult,
@@ -46,8 +46,6 @@ __all__ = [
     "run_simulation",
     "select_top_k",
     "sharpe_ratio",
-    "sharpe_weights",
     "to_cost",
-    "var_weights",
     "window",
 ]

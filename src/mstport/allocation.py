@@ -4,8 +4,10 @@ VaR is the negated empirical alpha-quantile taken as an order statistic
 (no interpolation).  Estimates are clipped into [0.001, 10.0]: a
 non-positive VaR floors at 0.001, and a window with a masked return is
 given the 10.0 penalty without an estimate, so that it receives near-zero
-weight.  Weights are inverse-VaR or non-negative Sharpe ratios, normalised
-to sum to one; an all-zero weight vector is legal and means "stay in cash".
+weight.  Raw weights are inverse-VaR or non-negative Sharpe ratios, computed
+by :func:`var_weights` or :func:`sharpe_weights` for a block of stock
+windows at once, and normalised to sum to one; an all-zero weight vector
+is legal and means "stay in cash".
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .market_data import ReturnMatrix
 
 WEIGHTING_VAR = "var"
 WEIGHTING_SHARPE = "sharpe"
@@ -123,13 +124,33 @@ def sharpe_ratio(series: np.ndarray, risk_free: float = 0.0) -> float | np.ndarr
     return _scalar_or_rows(x, np.where(flat, 0.0, ratio))
 
 
-def _clean_block(win: ReturnMatrix, stocks: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The stocks' unmasked columns as C-contiguous rows, and which stocks they are."""
-    if not stocks:
-        raise DataError("cannot weight an empty stock set")
-    idx = [win.ticker_index(t) for t in stocks]
-    clean = ~win.mask.T[idx].any(axis=1)
-    return np.ascontiguousarray(win.returns.T[idx][clean]), clean
+def var_weights(windows: np.ndarray, clean: np.ndarray, alpha: float) -> np.ndarray:
+    """Inverse-VaR raw weights of many stock windows at once, shaped like ``clean``.
+
+    ``clean`` is True where a stock's return window has no masked cell;
+    those windows, in order, are the C-contiguous rows of ``windows``.  A
+    masked window gets no estimate, and the inverse of the VaR penalty
+    value.  Each weight equals the weight of its window alone.
+    """
+    var = np.full(clean.shape, VAR_PENALTY)
+    if clean.any():  # only unmasked windows are estimated, and checked
+        var[clean] = historical_var(windows, alpha)
+    return 1.0 / var
+
+
+def sharpe_weights(windows: np.ndarray, clean: np.ndarray, risk_free: float) -> np.ndarray:
+    """Sharpe-ratio raw weights of many stock windows at once, shaped like ``clean``.
+
+    ``windows`` and ``clean`` are as in :func:`var_weights`.  A masked
+    window gets zero, and a negative ratio floors at zero, so all ratios
+    non-positive give all zeros (stay in cash).  Each weight equals the
+    weight of its window alone.
+    """
+    ratio = np.zeros(clean.shape)
+    if clean.any():
+        ratio[clean] = sharpe_ratio(windows, risk_free)
+    # ``max(ratio, 0.0)``, which keeps a -0.0 ratio as it is.
+    return np.where(ratio < 0.0, 0.0, ratio)
 
 
 def raw_weights(
@@ -140,53 +161,7 @@ def raw_weights(
     alpha: float = 0.05,
     risk_free: float = 0.0,
 ) -> np.ndarray:
-    """Raw weights of many stock windows at once, shaped like ``clean``.
-
-    ``clean`` is True where a stock's return window has no masked cell;
-    those windows, in order, are the C-contiguous rows of ``windows``.  A
-    masked window, and only a masked one, gets no estimate: the inverse of
-    the VaR penalty value under ``"var"``, zero under ``"sharpe"``.
-    Otherwise the weight is the inverse VaR, or the Sharpe ratio with a
-    negative ratio floored at zero.  Each weight equals the weight of its
-    window alone.
-    """
+    """Raw weights of ``weighting``: :func:`var_weights` at ``alpha``, or :func:`sharpe_weights` at ``risk_free``."""
     if weighting == WEIGHTING_VAR:
-        var = np.full(clean.shape, VAR_PENALTY)
-        if clean.any():  # only unmasked windows are estimated, and checked
-            var[clean] = historical_var(windows, alpha)
-        return 1.0 / var
-    ratio = np.zeros(clean.shape)
-    if clean.any():
-        ratio[clean] = sharpe_ratio(windows, risk_free)
-    # ``max(ratio, 0.0)``, which keeps a -0.0 ratio as it is.
-    return np.where(ratio < 0.0, 0.0, ratio)
-
-
-def var_weights(
-    stocks: tuple[str, ...] | list[str],
-    win: ReturnMatrix,
-    alpha: float,
-) -> WeightVector:
-    """Inverse-VaR weights over the window for the selected stocks.
-
-    A stock with any masked cell in the window receives the VaR penalty
-    value.
-    """
-    windows, clean = _clean_block(win, stocks)
-    raw = raw_weights(WEIGHTING_VAR, windows, clean, alpha=alpha)
-    return from_raw(tuple(stocks), raw.tolist())
-
-
-def sharpe_weights(
-    stocks: tuple[str, ...] | list[str],
-    win: ReturnMatrix,
-    risk_free: float = 0.0,
-) -> WeightVector:
-    """Sharpe-proportional weights; negative ratios floor at zero.
-
-    All ratios non-positive yields the all-zero vector (stay in cash).
-    Stocks with masked cells in the window contribute zero weight.
-    """
-    windows, clean = _clean_block(win, stocks)
-    raw = raw_weights(WEIGHTING_SHARPE, windows, clean, risk_free=risk_free)
-    return from_raw(tuple(stocks), raw.tolist())
+        return var_weights(windows, clean, alpha)
+    return sharpe_weights(windows, clean, risk_free)

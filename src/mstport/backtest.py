@@ -75,7 +75,7 @@ def check_strategies(names: Sequence[str], cfg: StrategyConfig | None = None) ->
 
     A repeat would give one summary key but two table columns.  Given the
     run's ``cfg``, also reject a list that ``cfg`` cannot run: an NNAR
-    strategy needs ``window >= nnar_lags + 20``.
+    strategy needs ``window >= nnar_lags + forecast.NNAR_MIN_SPARE`` (20).
     """
     problems = []
     unknown = [n for n in names if n not in STRATEGY_NAMES]
@@ -87,7 +87,7 @@ def check_strategies(names: Sequence[str], cfg: StrategyConfig | None = None) ->
     if repeated:
         problems.append(f"repeated strategies: {', '.join(repeated)}")
     nnar = any(n in _VARIANTS and _VARIANTS[n].forecaster == FORECASTER_NNAR for n in names)
-    if cfg is not None and nnar and cfg.nnar_lags + 20 > cfg.window:
+    if cfg is not None and nnar and cfg.nnar_lags + forecast.NNAR_MIN_SPARE > cfg.window:
         problems.append("window too short for the configured NNAR lag count")
     if problems:
         raise ConfigError(problems)
@@ -173,22 +173,6 @@ def make_strategy(base: StrategyConfig, name: str) -> StrategyConfig:
     return replace(base, name=name)
 
 
-@dataclass(frozen=True, eq=False)
-class PortfolioState:
-    """Cash, integer share holdings, and the day's mark-to-market value."""
-
-    cash: float
-    holdings: dict[str, int]
-    value: float
-    stale: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.cash < -1e-9:
-            raise DataError("cash account went negative")
-        if any(s <= 0 for s in self.holdings.values()):
-            raise DataError("holdings must be positive integer share counts")
-
-
 @dataclass(frozen=True)
 class DayRecord:
     """One executed simulation day, for audit and accounting checks."""
@@ -244,7 +228,7 @@ def aggregate_signal(signals: list[int] | tuple[int, ...]) -> int:
     return 1 if total > 0 else -1
 
 
-def _trade(
+def execute_day(
     cash: float,
     held: list[tuple[int, int]],
     signal: int,
@@ -255,11 +239,15 @@ def _trade(
     close_stale: list[bool],
     names: Sequence[str],
 ) -> tuple[float, list[tuple[int, int]], float, set[int]]:
-    """One trading day on integer columns; the one trading rule of the engine.
+    """Apply one day's trade signal on integer columns; the one trading rule of the engine.
 
-    Columns number ``names`` in sorted order and ``held`` holds (column,
-    shares) pairs sorted by column, so the loops meet tickers in name
-    order.  ``exec_px`` and ``close_px`` hold each column's price after the
+    Signal +1 liquidates at the execution prices and re-buys the
+    ``targets`` with the floor rule (no targets leave everything in cash);
+    -1 liquidates to cash; 0 holds.  The holdings are then revalued at the
+    closing prices; every sum is a ``math.fsum``.  Columns number
+    ``names`` in sorted order and ``held`` holds (column, shares) pairs
+    sorted by column, so the loops meet tickers in name order.
+    ``exec_px`` and ``close_px`` hold each column's price after the
     last-known-close fallback, NaN where there is none, and ``exec_stale``
     and ``close_stale`` flag the columns without a price of the day.
     ``targets`` are the (column, normalised weight) pairs with a positive
@@ -310,50 +298,6 @@ def _trade(
         if any(shares <= 0 for _, shares in held):
             raise DataError("holdings must be positive integer share counts")
     return cash, held, value, stale
-
-
-def execute_day(
-    state: PortfolioState,
-    signal: int,
-    weights: WeightVector,
-    exec_prices: dict[str, float],
-    close_prices: dict[str, float],
-    last_known: dict[str, float] | None = None,
-) -> PortfolioState:
-    """Apply one day's trade signal and revalue at the closing prices.
-
-    Signal +1 liquidates at the execution prices and re-buys the weight
-    targets with the floor rule (all-zero weights leave everything in
-    cash); -1 liquidates to cash; 0 holds.  A ticker missing from a price
-    map, or priced at a non-finite value, falls back to ``last_known`` and
-    is flagged as stale, by the day loop's own fallback.
-    """
-    if signal not in (-1, 0, 1):
-        raise DataError("signal must be -1, 0, or +1")
-    names = sorted(set(state.holdings).union(weights.tickers))
-    col = {ticker: c for c, ticker in enumerate(names)}
-    maps = (exec_prices, close_prices, last_known or {})
-    px = np.array([[prices.get(ticker, math.nan) for ticker in names] for prices in maps], dtype=float)
-    px[~np.isfinite(px)] = math.nan
-    exec_px, exec_stale = _fallback_rows(px[0], px[2])
-    close_px, close_stale = _fallback_rows(px[1], px[2])
-    cash, held, value, stale = _trade(
-        state.cash,
-        sorted((col[ticker], shares) for ticker, shares in state.holdings.items()),
-        signal,
-        [(col[ticker], norm) for ticker, _, norm in weights.entries if norm > 0.0],
-        exec_px,
-        exec_stale,
-        close_px,
-        close_stale,
-        names,
-    )
-    return PortfolioState(
-        cash=cash,
-        holdings={names[c]: shares for c, shares in held},
-        value=value,
-        stale=tuple(names[c] for c in sorted(stale)),
-    )
 
 
 def _fallback_rows(px: np.ndarray, last: np.ndarray) -> tuple[list[list[float]], list[list[bool]]]:
@@ -740,7 +684,8 @@ def _day_loop(
     weights of the whole schedule and the forecasts, by which a forecaster
     filters those weights once.  Each trading day's are then normalised by
     :func:`allocation.normalize`, which gives the trade targets and the
-    signal; an all-agree strategy's signal is the vote of the day's
+    signal of the day's :func:`execute_day`, looked up on the module at
+    each call; an all-agree strategy's signal is the vote of the day's
     forecasts instead, and a trade-once strategy holds, signal 0, on every
     day after its first with a selection.  With a ``records`` list, each day's
     :class:`DayRecord` is appended to it, its weights built by
@@ -775,7 +720,7 @@ def _day_loop(
             else:
                 signal = 1 if targets else -1
         before = held
-        cash, held, value, stale_cols = _trade(
+        cash, held, value, stale_cols = execute_day(
             cash, held, signal, targets, exec_px, exec_stale, close_px, close_stale, names
         )
         if held != before:

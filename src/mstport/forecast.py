@@ -38,6 +38,8 @@ from .errors import EstimationError, InsufficientHistory
 log = logging.getLogger(__name__)
 
 ARIMA_MIN_OBS = 30
+# Observations an NNAR fit needs beyond its lag count: p + NNAR_MIN_SPARE in all.
+NNAR_MIN_SPARE = 20
 _SIGNAL_DEADZONE = 1e-12
 _LOG_FLOOR = 1e-300
 
@@ -408,8 +410,8 @@ def _nnar_inputs(series: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.nda
         raise ValueError("series must be one-dimensional")
     if p < 1 or k < 1:
         raise ValueError("p and k must be positive")
-    if y.size < p + 20:
-        raise InsufficientHistory(f"NNAR needs at least p + 20 = {p + 20} observations")
+    if y.size < p + NNAR_MIN_SPARE:
+        raise InsufficientHistory(f"NNAR needs at least p + {NNAR_MIN_SPARE} = {p + NNAR_MIN_SPARE} observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("series contains non-finite values")
     mean = float(y.mean())

@@ -139,20 +139,20 @@ def _min_max_eig2(g00: np.ndarray, g01: np.ndarray, g11: np.ndarray) -> tuple[np
     return (tr - disc) / 2.0, (tr + disc) / 2.0
 
 
-def fit_var1(pair: np.ndarray, min_window: int = 30) -> VarModel:
+def fit_var1(pair: np.ndarray) -> VarModel:
     """Fit a bivariate VAR(1) to a (w, 2) array of aligned return series.
 
     The residual covariance uses divisor ``n_obs - 3`` (three regressors
     per equation).  Raises :class:`DegenerateWindow` when the regressor
     matrix is rank deficient and :class:`InsufficientHistory` when the
-    window is too short.
+    window has fewer than 30 rows.
     """
     y = np.asarray(pair, dtype=float)
     if y.ndim != 2 or y.shape[1] != 2:
         raise DataError("pair window must have shape (w, 2)")
     w = y.shape[0]
-    if w < max(min_window, 5):
-        raise InsufficientHistory(f"window of {w} rows is below the minimum {max(min_window, 5)}")
+    if w < 30:
+        raise InsufficientHistory(f"window of {w} rows is below the minimum 30")
     if not np.all(np.isfinite(y)):
         raise DataError("pair window contains masked or non-finite cells")
     lc, fc, lbar, fbar = _centered_lags(y)
@@ -165,8 +165,6 @@ def fit_var1(pair: np.ndarray, min_window: int = 30) -> VarModel:
     a0 = fbar - a1 @ lbar
     resid = fc - lc @ b
     n_obs = w - 1
-    if n_obs <= 3:
-        raise InsufficientHistory("need more than four rows for the residual covariance")
     sigma = (resid.T @ resid) / (n_obs - 3)
     sigma = (sigma + sigma.T) / 2.0
     sigma[np.diag_indices_from(sigma)] = np.maximum(np.diag(sigma), 0.0)

@@ -2,12 +2,15 @@
 
 Decision inputs (network selection, risk weights, forecasts) reuse the
 public pipeline stages, each of which is tested against its own oracle
-elsewhere; the spanning tree comes from the one-window loop of
-``reference_prim``, so the reference does not share the engine's stacked
-Prim kernel.  The trading mechanics — execution-price fallbacks, floor-rule
-share sizing, cash bookkeeping, and mark-to-market valuation — are
-re-implemented here from scratch, scalar style, so the engine's vectorised
-wiring can be compared bit for bit.
+elsewhere.  A selection's risk weights come from the engine's block
+kernels through ``var_weights`` and ``sharpe_weights`` here, the
+one-window weightings that the allocation tests also check.  The spanning
+tree comes from the one-window loop of ``reference_prim``, so the
+reference does not share the engine's stacked Prim kernel.  The trading
+mechanics — execution-price fallbacks, floor-rule share sizing, cash
+bookkeeping, and mark-to-market valuation — are re-implemented here from
+scratch, scalar style, so the engine's vectorised wiring can be compared
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from datetime import date
 import numpy as np
 
 from mstport import allocation, backtest, forecast, market_data, network, var_fevd
+from mstport.allocation import WeightVector
 from mstport.backtest import StrategyConfig
+from mstport.errors import DataError
 from mstport.market_data import PriceTable, ReturnMatrix
 from reference_prim import prim_mst
 
@@ -46,10 +51,38 @@ def _select_stocks(cfg: StrategyConfig, win: ReturnMatrix) -> tuple[str, ...]:
     return network.select_top_k(network.degree_centrality(tree), cfg.top_k)
 
 
+def _clean_block(win: ReturnMatrix, stocks: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The stocks' unmasked columns as C-contiguous rows, and which stocks they are."""
+    if not stocks:
+        raise DataError("cannot weight an empty stock set")
+    idx = [win.ticker_index(t) for t in stocks]
+    clean = ~win.mask.T[idx].any(axis=1)
+    return np.ascontiguousarray(win.returns.T[idx][clean]), clean
+
+
+def var_weights(stocks: tuple[str, ...] | list[str], win: ReturnMatrix, alpha: float) -> WeightVector:
+    """Inverse-VaR weights of the selected stocks over one window, by the engine's block kernel.
+
+    A stock with any masked cell in the window receives the VaR penalty value.
+    """
+    windows, clean = _clean_block(win, stocks)
+    return allocation.from_raw(tuple(stocks), allocation.var_weights(windows, clean, alpha).tolist())
+
+
+def sharpe_weights(stocks: tuple[str, ...] | list[str], win: ReturnMatrix, risk_free: float = 0.0) -> WeightVector:
+    """Sharpe-proportional weights of the selected stocks over one window, by the engine's block kernel.
+
+    Negative ratios floor at zero, so all ratios non-positive yield the
+    all-zero vector (stay in cash); a stock with a masked cell gets zero.
+    """
+    windows, clean = _clean_block(win, stocks)
+    return allocation.from_raw(tuple(stocks), allocation.sharpe_weights(windows, clean, risk_free).tolist())
+
+
 def _raw_weights(weighting: str, cfg: StrategyConfig, selection: tuple[str, ...], win: ReturnMatrix):
     if weighting == backtest.WEIGHTING_VAR:
-        return allocation.var_weights(selection, win, cfg.alpha)
-    return allocation.sharpe_weights(selection, win, risk_free=cfg.risk_free)
+        return var_weights(selection, win, cfg.alpha)
+    return sharpe_weights(selection, win, risk_free=cfg.risk_free)
 
 
 def _forecasts(forecaster: str, cfg: StrategyConfig, win: ReturnMatrix, selection, tau: int, seed: int):

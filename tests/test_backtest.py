@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
-from dataclasses import replace as dataclass_replace
+from dataclasses import dataclass, replace as dataclass_replace
 
 import numpy as np
 import pytest
@@ -14,14 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import reference_sim
 from mstport import allocation, backtest, forecast, market_data
-from mstport.allocation import from_raw
+from mstport.allocation import WeightVector, from_raw
 from mstport.backtest import (
     EMPTY_WEIGHTS,
-    PortfolioState,
     StrategyConfig,
     aggregate_signal,
     benchmark_buy_hold,
-    execute_day,
     make_strategy,
     run_multi_seed,
     run_simulation,
@@ -53,6 +51,65 @@ def gappy_panel() -> market_data.PriceTable:
 
 GAPPY = gappy_panel()
 GAPPY_RETURNS = market_data.compute_returns(GAPPY)
+
+
+@dataclass(frozen=True, eq=False)
+class PortfolioState:
+    """Cash, share holdings by ticker, and the day's mark-to-market value."""
+
+    cash: float
+    holdings: dict[str, int]
+    value: float
+    stale: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.cash < -1e-9:
+            raise DataError("cash account went negative")
+        if any(s <= 0 for s in self.holdings.values()):
+            raise DataError("holdings must be positive integer share counts")
+
+
+def execute_day(
+    state: PortfolioState,
+    signal: int,
+    weights: WeightVector,
+    exec_prices: dict[str, float],
+    close_prices: dict[str, float],
+    last_known: dict[str, float] | None = None,
+) -> PortfolioState:
+    """One trading day by ticker, through the engine's column kernel ``backtest.execute_day``.
+
+    The tickers held or weighted become the kernel's columns in name
+    order.  A ticker missing from a price map, or priced at a non-finite
+    value, falls back to ``last_known`` by the day loop's own fallback and
+    is flagged as stale.
+    """
+    if signal not in (-1, 0, 1):
+        raise DataError("signal must be -1, 0, or +1")
+    names = sorted(set(state.holdings).union(weights.tickers))
+    col = {ticker: c for c, ticker in enumerate(names)}
+    maps = (exec_prices, close_prices, last_known or {})
+    px = np.array([[prices.get(ticker, math.nan) for ticker in names] for prices in maps], dtype=float)
+    px[~np.isfinite(px)] = math.nan
+    exec_px, exec_stale = backtest._fallback_rows(px[0], px[2])
+    close_px, close_stale = backtest._fallback_rows(px[1], px[2])
+    cash, held, value, stale = backtest.execute_day(
+        state.cash,
+        sorted((col[ticker], shares) for ticker, shares in state.holdings.items()),
+        signal,
+        [(col[ticker], norm) for ticker, _, norm in weights.entries if norm > 0.0],
+        exec_px,
+        exec_stale,
+        close_px,
+        close_stale,
+        names,
+    )
+    return PortfolioState(
+        cash=cash,
+        holdings={names[c]: shares for c, shares in held},
+        value=value,
+        stale=tuple(names[c] for c in sorted(stale)),
+    )
 
 
 def fresh_state(cash: float = 10_000.0) -> PortfolioState:
@@ -589,9 +646,9 @@ def test_schedule_weights_equal_per_window_weights(changes):
                 continue  # no trade that day
             win = market_data.window(GAPPY_RETURNS, row_of[rec.date] - 2, cfg.window)
             if weighting == allocation.WEIGHTING_VAR:
-                want = allocation.var_weights(rec.selection, win, cfg.alpha)
+                want = reference_sim.var_weights(rec.selection, win, cfg.alpha)
             else:
-                want = allocation.sharpe_weights(rec.selection, win, cfg.risk_free)
+                want = reference_sim.sharpe_weights(rec.selection, win, cfg.risk_free)
             assert repr(rec.weights.entries) == repr(want.entries), (name, rec.date)
             masked = any(win.mask[:, win.ticker_index(t)].any() for t in rec.selection)
             seen.add((weighting, "masked" if masked else "clean"))
