@@ -46,10 +46,11 @@ _LOG_FLOOR = 1e-300
 # Most NNAR fits trained as one stack.  An epoch costs a fixed numpy call
 # overhead plus a share per member, so a fit in a stack of 2 runs at about
 # the speed of a lone fit.  On 120-day series (5 lags, 3 units, 500 epochs,
-# one AMD EPYC core, OpenBLAS on 1 thread) a fit took 12.8 ms alone and, per
-# member, 4.1 / 2.6 / 1.8 / 1.6 / 1.5 / 1.3 / 1.5 / 1.5 ms in stacks of 4 / 8 /
-# 16 / 24 / 32 / 48 / 64 / 96; 384 fits split into stacks of 24 / 32 / 48 / 64
-# / 96 took 1.89 / 1.52 / 1.56 / 1.49 / 1.64 ms per fit (medians of three).
+# one Intel Xeon core, OpenBLAS's SkylakeX kernels on 1 thread) a fit took
+# 18.1 ms alone and, per member, 5.9 / 4.0 / 2.8 / 2.4 / 2.1 / 2.0 / 1.9 / 1.9
+# ms in stacks of 4 / 8 / 16 / 24 / 32 / 48 / 64 / 96; 384 fits split into
+# stacks of 24 / 32 / 48 / 64 / 96 took 2.36 / 2.27 / 2.00 / 1.91 / 1.93 ms
+# per fit (medians of five rounds).
 NNAR_CHUNK = 48
 
 
@@ -272,19 +273,34 @@ def _nnar_forward(
     with its own inputs, on leading axes.  Every product is a (stacked)
     ``np.matmul``, which runs the same BLAS call per member as the
     unstacked product, so a member's numbers do not depend on the stack.
-    A many-row ``x`` multiplies a contiguous copy of ``w_hidden``'s
-    transpose: the same gemm with only its transpose flag changed, the
-    same bits, in a third of the strided view's time in a stack.  A one-row
-    ``x`` keeps the view: numpy runs a contiguous row's product as a gemv,
-    whose bits follow the operand's layout.
+
+    ``x`` may carry a trailing column of ones, ``(..., n, p + 1)``, as
+    :func:`_train_stack` gives it where :func:`_bias_rides` allows.  The
+    hidden bias then rides in the product: ``x`` multiplies a C-contiguous
+    ``(p + 1, k)`` block [Wᵀ; b], so each element's bias is the gemm's last
+    multiply-add, 1 * b added to the finished sum of the p lag terms, the
+    rounding of the separate add.  A plain ``x`` multiplies Wᵀ and adds
+    the bias after: a many-row ``x`` a contiguous copy of Wᵀ (the same gemm
+    with only its transpose flag changed, the same bits, in a third of the
+    strided view's time in a stack), a one-row ``x`` the view itself,
+    because numpy runs a contiguous row's product as a gemv, whose bits
+    follow the operand's layout.  One-row calls (``nnar_forecast``) always
+    pass a plain ``x``.
     """
+    p = w_hidden.shape[-1]
     w_t = np.swapaxes(w_hidden, -1, -2)
-    z = x @ (np.ascontiguousarray(w_t) if x.shape[-2] > 1 else w_t)
-    # z + b_hidden[..., None, :], through a (..., k, n) view with C-order
-    # iteration: numpy's inner loop then runs along the n rows, not along
-    # the k units, several times faster, and each element gets the same add.
-    z_t = np.swapaxes(z, -1, -2)
-    np.add(z_t, b_hidden[..., :, None], out=z_t, order="C")
+    if x.shape[-1] > p:
+        w_b = np.empty(w_t.shape[:-2] + (p + 1, w_t.shape[-1]))
+        w_b[..., :p, :] = w_t
+        w_b[..., p, :] = b_hidden
+        z = x @ w_b
+    else:
+        z = x @ (np.ascontiguousarray(w_t) if x.shape[-2] > 1 else w_t)
+        # z + b_hidden[..., None, :], through a (..., k, n) view with C-order
+        # iteration: numpy's inner loop then runs along the n rows, not along
+        # the k units, several times faster, and each element gets the same add.
+        z_t = np.swapaxes(z, -1, -2)
+        np.add(z_t, b_hidden[..., :, None], out=z_t, order="C")
     hidden = _sigmoid(z)
     return (hidden @ w_out[..., None])[..., 0] + np.asarray(b_out)[..., None], hidden
 
@@ -300,7 +316,10 @@ def _nnar_loss_and_grads(
     """Mean squared error and its analytic gradients for all parameters.
 
     Shapes as in :func:`_nnar_forward`: one net, or a stack of nets whose
-    losses, gradients and ``b_out`` carry a leading batch axis.
+    losses, gradients and ``b_out`` carry a leading batch axis.  With the
+    trailing ones column in ``x``, both hidden gradients are the two parts
+    of one product ``g_actᵀ @ [x, 1]``, whose last column adds each unit's
+    n rows one after another, as ``sum(axis=-2)`` does.
     """
     pred, hidden = _nnar_forward(x, w_hidden, b_hidden, w_out, b_out)
     err = pred - target
@@ -316,6 +335,8 @@ def _nnar_loss_and_grads(
     g_act *= hidden
     g_act *= 1.0 - hidden
     g_w_hidden = np.swapaxes(g_act, -1, -2) @ x
+    if x.shape[-1] > w_hidden.shape[-1]:
+        return loss, g_w_hidden[..., :-1], g_w_hidden[..., -1], g_w_out, g_b_out
     # With k >= 2, sum(axis=-2) adds the n rows one after another, and so
     # does this einsum, faster.  With k == 1 that axis is contiguous and
     # numpy sums it pairwise, so only sum(axis=-2) itself gives its bits.
@@ -324,6 +345,41 @@ def _nnar_loss_and_grads(
     else:
         g_b_hidden = np.einsum("...nk->...k", g_act)
     return loss, g_w_hidden, g_b_hidden, g_w_out, g_b_out
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """The design ``x`` ``(..., n, p)`` with a trailing column of ones."""
+    return np.concatenate((x, np.ones(x.shape[:-1] + (1,))), axis=-1)
+
+
+# _bias_rides's verdicts by (n, p, k), which hold for the BLAS this process loaded.
+_BIAS_RIDES: dict[tuple[int, int, int], bool] = {}
+
+
+def _bias_rides(n: int, p: int, k: int) -> bool:
+    """Whether nets of k units on ``(n, p)`` designs may take the bias in their gemms.
+
+    The ones column keeps every bit only where the BLAS sums each element
+    of both products in one chain, in order, the ones column's term last,
+    as the separate add and the row-by-row sum do.  That depends on the
+    shape and on the BLAS kernel.  numpy runs a product with one column
+    as a gemv, whose sums are not that chain on most kernels: the forward
+    product when k == 1, the backward one when p == 1.  OpenBLAS's Haswell
+    kernels (Zen uses them too) and Sandybridge kernels split a sum of
+    more than 256 rows, Haswell's also sum some shapes in another order
+    (p = 3 or 7 at k = 3 or 5, among others), and its SSE kernels
+    (Nehalem) keep no shape's bits.  So each shape is tried once per
+    process, on a stack of random nets with and without the ones column,
+    and the route is taken only where every output has the same bytes.
+    """
+    if (n, p, k) not in _BIAS_RIDES:
+        rng = np.random.default_rng(0)
+        x, target = rng.normal(size=(8, n, p)), rng.normal(size=(8, n))
+        net = [rng.uniform(-2.0, 2.0, size) for size in ((8, k, p), (8, k), (8, k), 8)]
+        plain = _nnar_loss_and_grads(x, target, *net)
+        ones = _nnar_loss_and_grads(_with_ones(x), target, *net)
+        _BIAS_RIDES[n, p, k] = all(a.tobytes() == b.tobytes() for a, b in zip(plain, ones))
+    return _BIAS_RIDES[n, p, k]
 
 
 def _train_stack(
@@ -344,8 +400,15 @@ def _train_stack(
     epochs.  A member whose loss turns non-finite yields ``None``.  A
     stopped member leaves the stack, so later epochs compute only the
     members still training.
+
+    Where :func:`_bias_rides` allows it, the design gains a trailing
+    column of ones here, once per stack, and :func:`_nnar_loss_and_grads`
+    takes the hidden bias and its gradient inside its two gemms, with the
+    bits of the plain design's separate bias add and sum.
     """
-    p = x.shape[2]
+    n, p = x.shape[1:]
+    if _bias_rides(n, p, k):
+        x = _with_ones(x)
     draws = []
     for seed in seeds:
         rng = np.random.default_rng(seed)

@@ -413,36 +413,63 @@ def random_net(rng, batch, n, p, k, scale):
     return x, target, w_hidden, b_hidden, w_out, b_out
 
 
-@pytest.mark.parametrize("batch", [None, 1, 2, 24, fc.NNAR_CHUNK])
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_kernel_matches_frozen_oracle_bit_for_bit(batch, k):
+def assert_kernel_matches_oracle(batch, k, design):
+    """The kernel against the frozen oracle, bit for bit, at p from 1 to 6.
+
+    ``design(x)`` is what the kernel gets in place of the oracle's plain
+    design ``x``, or None on a shape where the trainer would not pass it.
+    """
     rng = np.random.default_rng(1000 * k + (batch or 0))
     for p in range(1, 7):
         n = int(rng.integers(20, 251))
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         net = random_net(rng, batch, n, p, k, scale)
-        got, want = fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)
+        x, target, *weights = net
+        x_in = design(x)
+        if x_in is None:
+            continue
+        got, want = fc._nnar_loss_and_grads(x_in, target, *weights), oracle_loss_and_grads(*net)
         for a, b in zip(got, want):
             assert_same_bits(a, b)
-        x, _, *weights = net
-        for a, b in zip(fc._nnar_forward(x, *weights), oracle_forward(x, *weights)):
+        for a, b in zip(fc._nnar_forward(x_in, *weights), oracle_forward(x, *weights)):
             assert_same_bits(a, b)
         # A zero output weight and exactly fitted rows give signed zeros.
         x, target, w_hidden, b_hidden, w_out, b_out = net
         w_out[..., 0] = 0.0
         target[..., :3] = oracle_forward(x, w_hidden, b_hidden, w_out, b_out)[0][..., :3]
-        for a, b in zip(fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)):
+        for a, b in zip(fc._nnar_loss_and_grads(x_in, *net[1:]), oracle_loss_and_grads(*net)):
             assert_same_bits(a, b)
     # An overflowing step, as the trainer takes one on its way to a
     # non-finite loss: inf and nan must come out where the oracle has them.
     x, target, w_hidden, b_hidden, w_out, b_out = random_net(rng, batch, 60, 3, k, 1.0)
+    x_in = design(x)
+    if x_in is None:
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         for step in (1e160, 1e300):
-            net = (x, target, w_hidden * step, b_hidden * step, w_out * step, b_out)
-            got, want = fc._nnar_loss_and_grads(*net), oracle_loss_and_grads(*net)
+            weights = (w_hidden * step, b_hidden * step, w_out * step, b_out)
+            got, want = fc._nnar_loss_and_grads(x_in, target, *weights), oracle_loss_and_grads(x, target, *weights)
             assert not np.all(np.isfinite(want[0]))
             for a, b in zip(got, want):
                 assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2, 24, fc.NNAR_CHUNK])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kernel_matches_frozen_oracle_bit_for_bit(batch, k):
+    assert_kernel_matches_oracle(batch, k, lambda x: x)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2, 24, fc.NNAR_CHUNK])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_bias_in_the_gemms_matches_frozen_oracle_bit_for_bit(batch, k):
+    # The design with its trailing ones column, as _train_stack hands it to
+    # the kernel on every shape where _bias_rides lets it: the hidden bias
+    # and its gradient ride in the gemms, and the oracle takes plain x.
+    def with_ones(x):
+        return fc._with_ones(x) if fc._bias_rides(*x.shape[-2:], k) else None
+
+    assert_kernel_matches_oracle(batch, k, with_ones)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -576,49 +603,68 @@ def test_stacked_kernel_equals_each_member_alone():
                 assert np.array_equal(got[m], want)
 
 
+# Ordinary steps: members that run every epoch, revert an increase, or
+# stop on a plateau, next to a series too short to fit at 5 lags.
+ORDINARY_MEMBERS = [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)] + [
+    (np.full(61, 0.01), 31),
+    (ar1_series(0.5, 24, 3), 4),
+]
+
+
 @pytest.mark.parametrize(
-    "learning_rate, tol, patience, members, outcomes",
+    "learning_rate, tol, patience, members, p, k, outcomes",
     [
-        # Ordinary steps: members that run every epoch, revert an increase,
-        # or stop on a plateau, next to a series too short to fit.
-        (
+        pytest.param(
             0.5,
             1e-4,
             10,
-            [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)]
-            + [(np.full(61, 0.01), 31), (ar1_series(0.5, 24, 3), 4)],
+            ORDINARY_MEMBERS,
+            5,
+            3,
             {"epochs", "revert", "plateau", "InsufficientHistory"},
+            id="0.5-0.0001-10-members0-outcomes0",
         ),
         # Steps of 1e153 overflow the loss for some initial weights only:
         # a member that diverges at its seed and trains at seed + 1, one
         # that diverges at both, one that reverts its first step, one too
         # short and one with a non-finite input.
-        (
+        pytest.param(
             1e153,
             1e-9,
             25,
             [(ar1_series(0.4, 80, 28), s) for s in (0, 14, 1)]
             + [(ar1_series(0.4, 24, 5), 2), (np.r_[ar1_series(0.4, 40, 6), np.nan], 3)],
+            5,
+            3,
             {"retry", "EstimationError", "revert", "InsufficientHistory", "ValueError"},
+            id="1e+153-1e-09-25-members1-outcomes1",
+        ),
+        # The ordinary steps at the other unit counts, and at one and three
+        # lags, shapes where the bias leaves the gemms on some BLAS kernels
+        # (see forecast._bias_rides).
+        *(
+            pytest.param(0.5, 1e-4, 10, ORDINARY_MEMBERS, p, k, None, id=f"ordinary-p{p}-k{k}")
+            for p, k in [(5, 1), (5, 2), (5, 5), (1, 3), (3, 3)]
         ),
     ],
 )
-def test_stacked_trainer_equals_scalar_trainer(learning_rate, tol, patience, members, outcomes):
+def test_stacked_trainer_equals_scalar_trainer(learning_rate, tol, patience, members, p, k, outcomes):
     epochs = 80
     series, seeds = [m[0] for m in members], [m[1] for m in members]
-    got = fc.nnar_fit_batch(series, seeds, 5, 3, learning_rate, epochs, tol, patience)
+    got = fc.nnar_fit_batch(series, seeds, p, k, learning_rate, epochs, tol, patience)
     seen = set()
     for y, seed, fit in zip(series, seeds, got):
-        want, stop = scalar_fit(y, 5, 3, seed, learning_rate, epochs, tol, patience)
+        want, stop = scalar_fit(y, p, k, seed, learning_rate, epochs, tol, patience)
         assert_same_fit(fit, want)
         if isinstance(want, Exception):
             seen.add(type(want).__name__)
         else:
             seen.add("retry" if want.seed != seed else stop)
-    assert seen == outcomes
+    if outcomes is not None:
+        assert seen == outcomes
     for y, seed, fit in zip(series, seeds, got):
         try:
-            alone = fc.nnar_fit(y, 5, 3, seed, learning_rate, epochs, tol, patience)
+            alone = fc.nnar_fit(y, p, k, seed, learning_rate, epochs, tol, patience)
         except (ValueError, errors.EstimationError) as exc:
             alone = exc
         assert_same_fit(alone, fit)
