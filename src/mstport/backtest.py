@@ -530,9 +530,8 @@ class DecisionPath:
             # Each weight row's return window; ``clean`` is True where it has
             # no masked cell, and ``windows`` holds the clean ones, in order,
             # as the C-contiguous rows of one block.
-            index = self.returns.ticker_index
-            return_cols_of = {sel: [index(t) for t in sel] for sel in selections}
-            return_cols = np.array([c for d in trading for c in return_cols_of[d.selection]], dtype=np.intp)
+            # _strip_benchmark gives the return panel the price panel's columns.
+            return_cols = cols[[c for d in trading for c in cols_of[d.selection]]]
             taus = np.array([d.tau for d in trading], dtype=np.intp)
             ends = np.repeat(taus + 1, [len(d.selection) for d in trading])  # one past each window's last row
             clean = self._masked_above[ends, return_cols] == self._masked_above[ends - w, return_cols]

@@ -274,18 +274,14 @@ def _nnar_forward(
     ``np.matmul``, which runs the same BLAS call per member as the
     unstacked product, so a member's numbers do not depend on the stack.
 
-    ``x`` may carry a trailing column of ones, ``(..., n, p + 1)``, as
-    :func:`_train_stack` gives it where :func:`_bias_rides` allows.  The
-    hidden bias then rides in the product: ``x`` multiplies a C-contiguous
-    ``(p + 1, k)`` block [Wᵀ; b], so each element's bias is the gemm's last
-    multiply-add, 1 * b added to the finished sum of the p lag terms, the
-    rounding of the separate add.  A plain ``x`` multiplies Wᵀ and adds
-    the bias after: a many-row ``x`` a contiguous copy of Wᵀ (the same gemm
-    with only its transpose flag changed, the same bits, in a third of the
-    strided view's time in a stack), a one-row ``x`` the view itself,
-    because numpy runs a contiguous row's product as a gemv, whose bits
-    follow the operand's layout.  One-row calls (``nnar_forecast``) always
-    pass a plain ``x``.
+    A plain ``x`` takes ``x @ Wᵀ + b`` as written, the tests' oracle.
+    ``x`` may instead carry a trailing column of ones, ``(..., n, p + 1)``,
+    as :func:`_train_stack` gives it where :func:`_bias_rides` allows, the
+    one fast route.  The hidden bias then rides in the product: ``x``
+    multiplies a C-contiguous ``(p + 1, k)`` block [Wᵀ; b], so each
+    element's bias is the gemm's last multiply-add, 1 * b added to the
+    finished sum of the p lag terms, the rounding of the separate add.
+    One-row calls (``nnar_forecast``) always pass a plain ``x``.
     """
     p = w_hidden.shape[-1]
     w_t = np.swapaxes(w_hidden, -1, -2)
@@ -295,12 +291,7 @@ def _nnar_forward(
         w_b[..., p, :] = b_hidden
         z = x @ w_b
     else:
-        z = x @ (np.ascontiguousarray(w_t) if x.shape[-2] > 1 else w_t)
-        # z + b_hidden[..., None, :], through a (..., k, n) view with C-order
-        # iteration: numpy's inner loop then runs along the n rows, not along
-        # the k units, several times faster, and each element gets the same add.
-        z_t = np.swapaxes(z, -1, -2)
-        np.add(z_t, b_hidden[..., :, None], out=z_t, order="C")
+        z = x @ w_t + b_hidden[..., None, :]
     hidden = _sigmoid(z)
     return (hidden @ w_out[..., None])[..., 0] + np.asarray(b_out)[..., None], hidden
 
@@ -329,7 +320,9 @@ def _nnar_loss_and_grads(
     g_w_out = (np.swapaxes(hidden, -1, -2) @ g_pred[..., None])[..., 0]
     g_b_out = g_pred.sum(axis=-1)
     # g_act = g_pred[..., :, None] * w_out[..., None, :] * hidden * (1 - hidden),
-    # its outer product written as z's bias add above.
+    # its outer product through a (..., k, n) view with C-order iteration:
+    # numpy's inner loop then runs along the n rows, not along the k units,
+    # faster, and each element gets the same multiply.
     g_act = np.empty_like(hidden)
     np.multiply(g_pred[..., None, :], w_out[..., :, None], out=np.swapaxes(g_act, -1, -2), order="C")
     g_act *= hidden

@@ -71,8 +71,6 @@ def prim_mst_stack(tickers: tuple[str, ...], symmetric: np.ndarray) -> list[MstT
     """
     n = len(tickers)
     b = symmetric.shape[0]
-    if n == 1:
-        return [MstTree(nodes=tickers, edges=(), total_cost=0.0) for _ in range(b)]
     order = np.argsort(np.array(tickers))  # the tickers by rank
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)

@@ -341,8 +341,6 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
         ok = (lam_max > 0.0) & (lam_min > _RANK_RTOL * lam_max)
         failed = bi.size - int(np.count_nonzero(ok))
         degenerate += failed
-        if failed == bi.size:
-            continue
         if failed:
             bi, bj, bij, bji, g00, g01, g11 = bi[ok], bj[ok], bij[ok], bji[ok], g00[ok], g01[ok], g11[ok]
         c00, c01, c10, c11 = c_diag.take(bi), cross.take(bij), cross.take(bji), c_diag.take(bj)

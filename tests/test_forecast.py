@@ -612,7 +612,7 @@ ORDINARY_MEMBERS = [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)] + [
 
 
 @pytest.mark.parametrize(
-    "learning_rate, tol, patience, members, p, k, outcomes",
+    "learning_rate, tol, patience, members, p, k, outcomes, plain",
     [
         pytest.param(
             0.5,
@@ -622,6 +622,7 @@ ORDINARY_MEMBERS = [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)] + [
             5,
             3,
             {"epochs", "revert", "plateau", "InsufficientHistory"},
+            False,
             id="0.5-0.0001-10-members0-outcomes0",
         ),
         # Steps of 1e153 overflow the loss for some initial weights only:
@@ -637,18 +638,30 @@ ORDINARY_MEMBERS = [(ar1_series(0.9, 90, 200 + s), s) for s in range(4)] + [
             5,
             3,
             {"retry", "EstimationError", "revert", "InsufficientHistory", "ValueError"},
+            False,
             id="1e+153-1e-09-25-members1-outcomes1",
         ),
         # The ordinary steps at the other unit counts, and at one and three
         # lags, shapes where the bias leaves the gemms on some BLAS kernels
         # (see forecast._bias_rides).
         *(
-            pytest.param(0.5, 1e-4, 10, ORDINARY_MEMBERS, p, k, None, id=f"ordinary-p{p}-k{k}")
+            pytest.param(0.5, 1e-4, 10, ORDINARY_MEMBERS, p, k, None, False, id=f"ordinary-p{p}-k{k}")
             for p, k in [(5, 1), (5, 2), (5, 5), (1, 3), (3, 3)]
+        ),
+        # Every ordinary case with the bias out of the gemms on every shape,
+        # as on the kernels where _bias_rides rejects them all (Nehalem's),
+        # so the plain route trains k >= 2 stacks whatever this host's BLAS.
+        *(
+            pytest.param(0.5, 1e-4, 10, ORDINARY_MEMBERS, p, k, None, True, id=f"plain-p{p}-k{k}")
+            for p, k in [(5, 3), (5, 1), (5, 2), (5, 5), (1, 3), (3, 3)]
         ),
     ],
 )
-def test_stacked_trainer_equals_scalar_trainer(learning_rate, tol, patience, members, p, k, outcomes):
+def test_stacked_trainer_equals_scalar_trainer(
+    monkeypatch, learning_rate, tol, patience, members, p, k, outcomes, plain
+):
+    if plain:
+        monkeypatch.setattr(fc, "_bias_rides", lambda n, p, k: False)
     epochs = 80
     series, seeds = [m[0] for m in members], [m[1] for m in members]
     got = fc.nnar_fit_batch(series, seeds, p, k, learning_rate, epochs, tol, patience)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracle_fevd
 import reference_fevd
 import synth
-from mstport import errors, market_data as md, var_fevd as vf
+from mstport import errors, market_data as md, network as nw, var_fevd as vf
 
 RNG = np.random.default_rng
 
@@ -278,6 +278,22 @@ def test_orthogonalized_influence_ignores_positive_rescaling():
     base = vf.influence_matrix(panel, horizon=10)
     other = vf.influence_matrix(rescaled, horizon=10)
     np.testing.assert_allclose(other.theta, base.theta, rtol=0.0, atol=1e-12)
+    # Scales of 2^k round nothing: every Gram, product, quotient and square
+    # root of the estimate scales exactly, so theta keeps every bit, and so
+    # does the tree, on gapless windows and on windows with a masked cell.
+    # (The as_written numerator is not scale-free, so it is left out.)
+    rng = RNG(34)
+    for window in range(12):
+        rets = synth.random_returns(40, 120, seed=340 + window)
+        mask = rets.mask.copy()
+        if window % 3 == 0:
+            mask[rng.integers(120), rng.integers(40)] = True
+        rets = md.ReturnMatrix(rets.dates, rets.tickers, rets.returns, mask)
+        scale = 2.0 ** rng.integers(-6, 7, 40)
+        rescaled = md.ReturnMatrix(rets.dates, rets.tickers, rets.returns * scale, mask)
+        base, other = vf.influence_matrix(rets, horizon=10), vf.influence_matrix(rescaled, horizon=10)
+        np.testing.assert_array_equal(other.theta, base.theta)
+        assert nw.prim_mst(vf.to_cost(other)) == nw.prim_mst(vf.to_cost(base))
 
 
 def per_pair_theta(rets: md.ReturnMatrix, pair_shares) -> np.ndarray:
