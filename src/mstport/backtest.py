@@ -251,8 +251,9 @@ def execute_day(
     last-known-close fallback, NaN where there is none, and ``exec_stale``
     and ``close_stale`` flag the columns without a price of the day.
     ``targets`` are the (column, normalised weight) pairs with a positive
-    weight, in weight order.  Returns the cash, the holdings, the value and
-    the stale columns.
+    weight, in weight order; each one bought is a lot of its own, so a
+    column named twice is held as two lots.  Returns the cash, the
+    holdings, the value and the stale columns.
     """
     stale: set[int] = set()
     if signal != 0 and held:
@@ -268,7 +269,7 @@ def execute_day(
         held = []
     if signal == 1 and targets:
         total = cash
-        bought: dict[int, int] = {}
+        bought: list[tuple[int, int]] = []
         spent = [total]
         for col, norm in targets:
             px = exec_px[col]
@@ -279,10 +280,10 @@ def execute_day(
                 stale.add(col)
             shares = int(math.floor(norm * total / px))
             if shares > 0:
-                bought[col] = shares
+                bought.append((col, shares))
                 spent.append(-(shares * px))
         cash = math.fsum(spent)
-        held = sorted(bought.items())
+        held = sorted(bought)
     marks = [cash]
     for col, shares in held:
         px = close_px[col]
@@ -292,11 +293,8 @@ def execute_day(
             stale.add(col)
         marks.append(shares * px)
     value = math.fsum(marks)
-    if signal != 0:  # a hold leaves the cash and the holdings as they were
-        if cash < -1e-9:
-            raise DataError("cash account went negative")
-        if any(shares <= 0 for _, shares in held):
-            raise DataError("holdings must be positive integer share counts")
+    if signal != 0 and cash < -1e-9:  # a hold leaves the cash as it was
+        raise DataError("cash account went negative")
     return cash, held, value, stale
 
 

@@ -96,11 +96,6 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _csv_line(fields: list[str]) -> str:
-    """One CSV row of string fields, ending in ``\\r\\n`` like ``csv.writer``'s."""
-    return ",".join(map(_csv_field, fields)) + "\r\n"
-
-
 def _cost_lines(costs: var_fevd.CostMatrix, window_end) -> Iterator[str]:
     """One window's ``costs.csv`` text, one string per ``cost_records`` block.
 
@@ -147,7 +142,7 @@ def cmd_network(cfg: RunConfig) -> int:
     # Each source ticker's rows are written as one string and dropped, so
     # memory holds one row of the cost matrix, not a window's N(N-1)/2 rows.
     with open(out / "costs.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_line(["window_end", "ticker_i", "ticker_j", "cost"]))
+        csv.writer(fh).writerow(["window_end", "ticker_i", "ticker_j", "cost"])
         for tau, built in path.trees_at(range(strat.window - 1, len(window_ends), strat.rebalance_every)):
             window_end = window_ends[tau]
             if isinstance(built, Exception):
@@ -166,7 +161,7 @@ def cmd_network(cfg: RunConfig) -> int:
 def _write_values_csv(path: Path, result: backtest.SimulationResult, stamps: dict[date, str]) -> None:
     """One run's ``date,portfolio_value`` file; ``stamps`` maps each date to its encoded field and comma."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_line(["date", "portfolio_value"]))
+        csv.writer(fh).writerow(["date", "portfolio_value"])
         fh.write("".join([f"{stamps[day]}{value!r}\r\n" for day, value in zip(result.dates, result.values.tolist())]))
 
 
@@ -176,7 +171,7 @@ def _write_seeds_table(path: Path, summary: backtest.MultiSeedResult) -> None:
         rows.append([str(seed), *(repr(float(v)) for v in values)])
     rows.append(["average", *(repr(float(v)) for v in summary.means)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(map(_csv_line, rows)))
+        csv.writer(fh).writerows(rows)
 
 
 def _config_dict(cfg: RunConfig) -> dict:

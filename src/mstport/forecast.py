@@ -21,7 +21,8 @@ last p observations, standardised by the training series mean and scale,
 through k sigmoid units to a linear output.  Training is full-batch
 gradient descent on the mean squared error with a fixed learning rate;
 an update that would increase the loss is reverted and training stops, so
-the recorded loss history is non-increasing.
+the recorded loss history is non-increasing.  Training also stops once the
+loss fell by less than ``NNAR_TOL`` over the last ``NNAR_PATIENCE`` epochs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ log = logging.getLogger(__name__)
 ARIMA_MIN_OBS = 30
 # Observations an NNAR fit needs beyond its lag count: p + NNAR_MIN_SPARE in all.
 NNAR_MIN_SPARE = 20
+# The NNAR stop rule: a fit stops once its loss fell by less than NNAR_TOL
+# over the last NNAR_PATIENCE epochs.
+NNAR_TOL = 1e-9
+NNAR_PATIENCE = 25
 _SIGNAL_DEADZONE = 1e-12
 _LOG_FLOOR = 1e-300
 
@@ -382,17 +387,15 @@ def _train_stack(
     k: int,
     learning_rate: float,
     epochs: int,
-    tol: float,
-    patience: int,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int] | None]:
     """Train one net per seed on the stacked designs ``x`` ``(B, n, p)``.
 
     Members train in lockstep, each by the rules of a lone fit: an update
     that would increase its loss is reverted and it stops; it also stops
-    once its loss fell by less than ``tol`` over the last ``patience``
-    epochs.  A member whose loss turns non-finite yields ``None``.  A
-    stopped member leaves the stack, so later epochs compute only the
-    members still training.
+    once its loss fell by less than ``NNAR_TOL`` over the last
+    ``NNAR_PATIENCE`` epochs.  A member whose loss turns non-finite yields
+    ``None``.  A stopped member leaves the stack, so later epochs compute
+    only the members still training.
 
     Where :func:`_bias_rides` allows it, the design gains a trailing
     column of ones here, once per stack, and :func:`_nnar_loss_and_grads`
@@ -450,8 +453,8 @@ def _train_stack(
                 new_grads = [g[moved] for g in new_grads]
             params, loss, grads = new_params, new_loss, new_grads
             history[:, epoch + 1] = loss
-            if epoch + 1 >= patience:
-                plateau = history[:, epoch + 1 - patience] - loss < tol
+            if epoch + 1 >= NNAR_PATIENCE:
+                plateau = history[:, epoch + 1 - NNAR_PATIENCE] - loss < NNAR_TOL
                 if plateau.any():
                     finish(plateau, epoch + 1)
                     keep(~plateau)
@@ -486,8 +489,6 @@ def nnar_fit_batch(
     k: int = 3,
     learning_rate: float = 0.01,
     epochs: int = 500,
-    tol: float = 1e-9,
-    patience: int = 25,
 ) -> list[NnarModel | Exception]:
     """Train one net per (series, seed) pair, stacked; see :func:`nnar_fit`.
 
@@ -498,19 +499,15 @@ def nnar_fit_batch(
     fitted gets the exception that call would raise (``ValueError``,
     ``InsufficientHistory`` or ``EstimationError``) in its place, and the
     other members are unaffected.  A setting out of range (``epochs`` < 0,
-    ``patience`` < 1, ``learning_rate`` not finite and positive, ``tol`` not
-    finite and non-negative) raises ``ValueError`` before anything trains.
+    ``learning_rate`` not finite and positive) raises ``ValueError`` before
+    anything trains.
     """
     if len(series) != len(seeds):
         raise ValueError("need one seed per series")
     if epochs < 0:
         raise ValueError("epochs must be at least 0")
-    if patience < 1:
-        raise ValueError("patience must be at least 1")
     if not 0.0 < learning_rate < math.inf:
         raise ValueError("learning_rate must be finite and positive")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be finite and non-negative")
     out: list[NnarModel | Exception] = [None] * len(series)
     for start in range(0, len(series), NNAR_CHUNK):
         inputs = {}
@@ -533,8 +530,6 @@ def nnar_fit_batch(
                     k,
                     learning_rate,
                     epochs,
-                    tol,
-                    patience,
                 )
                 for i, fit in zip(members, trained):
                     if fit is None:
@@ -569,8 +564,6 @@ def nnar_fit(
     seed: int = 0,
     learning_rate: float = 0.01,
     epochs: int = 500,
-    tol: float = 1e-9,
-    patience: int = 25,
 ) -> NnarModel:
     """Train the autoregressive neural net on a return series.
 
@@ -578,7 +571,7 @@ def nnar_fit(
     with ``seed``; a non-finite loss triggers one retry with ``seed + 1``
     before giving up.  This is :func:`nnar_fit_batch` with one member.
     """
-    (model,) = nnar_fit_batch([series], [seed], p, k, learning_rate, epochs, tol, patience)
+    (model,) = nnar_fit_batch([series], [seed], p, k, learning_rate, epochs)
     if isinstance(model, Exception):
         raise model
     return model

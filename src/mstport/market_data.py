@@ -15,6 +15,7 @@ import io
 import logging
 import math
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from datetime import date
@@ -195,15 +196,23 @@ def _read_rows(path: Path) -> list[tuple[str, ...]]:
     return _csv_rows(path, _read_text(path))
 
 
-def _parse_dates(texts: list[str]) -> dict[str, date | None]:
-    """Each distinct date cell parsed once; None where it is not a date."""
-    parsed: dict[str, date | None] = {}
-    for text in set(texts):
-        try:
-            parsed[text] = date.fromisoformat(text.strip())
-        except ValueError:
-            parsed[text] = None
-    return parsed
+_ISO_DAY = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_day(text: str) -> date | None:
+    """The date of a ``YYYY-MM-DD`` cell, surrounding whitespace stripped; None for any other text.
+
+    From Python 3.11 on ``date.fromisoformat`` also reads other ISO 8601
+    forms (``20200102``, ``2020-W01-4``), so the form is checked first and
+    every supported Python reads a file alike.
+    """
+    text = text.strip()
+    if not _ISO_DAY.fullmatch(text):
+        return None
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        return None
 
 
 def _splits_plainly(body: str) -> bool:
@@ -268,7 +277,7 @@ def _long_table(path: Path, columns: list[list[str]], short: int) -> PriceTable:
     unless all four of its cells are blank: then it is a blank row.
     """
     day_text, ticker_text, open_text, close_text = columns
-    days, day = _codes(day_text, _parse_dates(day_text))
+    days, day = _codes(day_text, {text: _parse_day(text) for text in set(day_text)})
     tickers, ticker = _codes(ticker_text, {text: text.strip() for text in set(ticker_text)})
     valid = (day >= 0) & (ticker >= 0)
     skipped = short
@@ -323,9 +332,8 @@ def _parse_wide_grid(path: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.
     parsed: dict[date, tuple[str, ...]] = {}
     skipped = 0
     for row in rows[1:]:
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
+        day = _parse_day(row[0])
+        if day is None:
             skipped += 1
             continue
         if day in parsed:

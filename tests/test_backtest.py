@@ -232,6 +232,21 @@ def test_execute_day_errors_without_prices():
         execute_day(fresh_state(), 2, EMPTY_WEIGHTS, exec_prices={}, close_prices={})
 
 
+def test_execute_day_holds_a_target_column_named_twice_as_two_lots():
+    names, fresh = ["A", "B"], [False, False]
+    cash, held, value, stale = backtest.execute_day(
+        1000.0, [], 1, [(0, 0.3), (1, 0.2), (0, 0.5)], [45.0, 30.0], fresh, [50.0, 31.0], fresh, names
+    )
+    assert held == [(0, 6), (0, 11), (1, 6)] and not stale
+    assert cash == math.fsum([1000.0, -6 * 45.0, -6 * 30.0, -11 * 45.0])
+    assert value == math.fsum([cash, 6 * 50.0, 11 * 50.0, 6 * 31.0])
+    sold_cash, sold, sold_value, _ = backtest.execute_day(
+        cash, held, -1, [], [52.0, 33.0], fresh, [53.0, 34.0], fresh, names
+    )
+    assert sold == []
+    assert sold_cash == sold_value == math.fsum([cash, 6 * 52.0, 11 * 52.0, 6 * 33.0])
+
+
 # ---------------------------------------------------------------------------
 # execute_day properties under random inputs
 

@@ -204,6 +204,36 @@ def test_a_byte_order_mark_leaves_a_config_as_it_is(tmp_path):
     assert cfg.raw_text == plain.read_text(encoding="utf-8")
 
 
+CONFIG_ERRORS = {
+    "unreadable": "error: cannot read config ",
+    "syntax": "error: config syntax error: ",
+    "report without a dir": "error: report needs --out or a config with an output dir\n",
+    "format csv": "error: data.format: expected long or wide, got 'csv'\n",
+    "max_missing_frac 1.5": "error: data.max_missing_frac: must lie in [0, 1]\n",
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_a_config_error_exits_2_with_its_message(tmp_path, capsys, case):
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
+    text = cfg_path.read_text(encoding="utf-8")
+    argv = ["ingest", "--config", str(cfg_path)]
+    if case == "unreadable":
+        argv[-1] = str(tmp_path / "missing.ini")
+    elif case == "syntax":
+        cfg_path.write_text(text + "[data]\n", encoding="utf-8")
+    elif case == "report without a dir":
+        argv = ["report"]
+    elif case == "format csv":
+        cfg_path.write_text(text.replace("format = long", "format = csv"), encoding="utf-8")
+    else:
+        cfg_path.write_text(text.replace("[data]\n", "[data]\nmax_missing_frac = 1.5\n"), encoding="utf-8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(CONFIG_ERRORS[case]) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 BUY_HOLD_NEEDS_TICKER = "error: buy_hold strategy requires benchmark_ticker present in the data\n"
 
 
@@ -612,6 +642,15 @@ def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "benchmark ticker 'IDX' not found in" in err and str(tmp_path / "bench.csv") in err
+    assert not (tmp_path / "split").exists()
+
+
+def test_a_benchmark_file_on_other_dates_is_an_error(tmp_path, capsys):
+    idx = select_tickers(PANEL, ["IDX"])
+    short = PriceTable(idx.dates[:-1], idx.tickers, idx.adj_close[:-1], idx.mask[:-1], idx.open_px[:-1])
+    split = write_split_panel(tmp_path, short)
+    assert main(["simulate", "--config", str(split)]) == 2
+    assert capsys.readouterr().err == "error: benchmark dates do not align with the trading panel\n"
     assert not (tmp_path / "split").exists()
 
 

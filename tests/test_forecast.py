@@ -662,9 +662,11 @@ def test_stacked_trainer_equals_scalar_trainer(
 ):
     if plain:
         monkeypatch.setattr(fc, "_bias_rides", lambda n, p, k: False)
+    monkeypatch.setattr(fc, "NNAR_TOL", tol)
+    monkeypatch.setattr(fc, "NNAR_PATIENCE", patience)
     epochs = 80
     series, seeds = [m[0] for m in members], [m[1] for m in members]
-    got = fc.nnar_fit_batch(series, seeds, p, k, learning_rate, epochs, tol, patience)
+    got = fc.nnar_fit_batch(series, seeds, p, k, learning_rate, epochs)
     seen = set()
     for y, seed, fit in zip(series, seeds, got):
         want, stop = scalar_fit(y, p, k, seed, learning_rate, epochs, tol, patience)
@@ -677,7 +679,7 @@ def test_stacked_trainer_equals_scalar_trainer(
         assert seen == outcomes
     for y, seed, fit in zip(series, seeds, got):
         try:
-            alone = fc.nnar_fit(y, p, k, seed, learning_rate, epochs, tol, patience)
+            alone = fc.nnar_fit(y, p, k, seed, learning_rate, epochs)
         except (ValueError, errors.EstimationError) as exc:
             alone = exc
         assert_same_fit(alone, fit)
@@ -750,19 +752,16 @@ def test_stacked_trainer_refuses_mismatched_seeds():
         fc.nnar_fit_batch([ar1_series(0.3, 60, 1)], [1, 2])
 
 
+# Fixed ids, so that a case keeps its test name as others come and go.
 @pytest.mark.parametrize(
     "setting, match",
     [
-        ({"epochs": -1}, "epochs must be at least 0"),
-        ({"patience": -3}, "patience must be at least 1"),
-        ({"patience": 0}, "patience must be at least 1"),
-        ({"learning_rate": -0.01}, "learning_rate must be finite and positive"),
-        ({"learning_rate": 0.0}, "learning_rate must be finite and positive"),
-        ({"learning_rate": math.inf}, "learning_rate must be finite and positive"),
-        ({"learning_rate": math.nan}, "learning_rate must be finite and positive"),
-        ({"tol": math.nan}, "tol must be finite and non-negative"),
-        ({"tol": math.inf}, "tol must be finite and non-negative"),
-        ({"tol": -1e-9}, "tol must be finite and non-negative"),
+        pytest.param({"epochs": -1}, "epochs must be at least 0", id="setting0-epochs must be at least 0"),
+        *(
+            pytest.param({"learning_rate": rate}, "learning_rate must be finite and positive",
+                         id=f"setting{case}-learning_rate must be finite and positive")
+            for case, rate in [(3, -0.01), (4, 0.0), (5, math.inf), (6, math.nan)]
+        ),
     ],
 )
 def test_stacked_trainer_refuses_bad_settings_before_training(monkeypatch, setting, match):
@@ -777,11 +776,13 @@ def test_stacked_trainer_refuses_bad_settings_before_training(monkeypatch, setti
         fc.nnar_fit(series, **setting)
 
 
-def test_stacked_trainer_accepts_the_edges_of_its_settings():
+def test_stacked_trainer_accepts_the_edges_of_its_settings(monkeypatch):
+    monkeypatch.setattr(fc, "NNAR_TOL", 0.0)
+    monkeypatch.setattr(fc, "NNAR_PATIENCE", 1)
     series = ar1_series(0.3, 60, 1)
-    (model,) = fc.nnar_fit_batch([series], [1], epochs=0, patience=1, tol=0.0)
+    (model,) = fc.nnar_fit_batch([series], [1], epochs=0)
     assert model.epochs_run == 0
-    assert fc.nnar_fit(series, seed=1, epochs=30, patience=1, tol=0.0).epochs_run >= 1
+    assert fc.nnar_fit(series, seed=1, epochs=30).epochs_run >= 1
 
 
 def test_single_unit_network_hand_evaluation():

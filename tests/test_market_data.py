@@ -170,11 +170,52 @@ def test_wide_sorts_ticker_columns(tmp_path):
     np.testing.assert_array_equal(table.adj_close[:, 0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("text", ["", " \n\n,,\n"])
+def test_wide_rejects_an_empty_file(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with pytest.raises(errors.DataError, match=f"^{re.escape(str(path))}: empty file$"):
+        md.load_prices(path, md.FORMAT_WIDE)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("date,A\n2021-01-04,1.0\n")
     with pytest.raises(errors.DataError, match="unknown price format"):
         md.load_prices(path, "parquet")
+
+
+# ---------------------------------------------------------------------------
+# loading: the date rule
+# ---------------------------------------------------------------------------
+
+# ISO 8601 forms of 2020-01-02 that date.fromisoformat reads from Python
+# 3.11 on and refuses before it.
+OTHER_ISO_FORMS = ("20200102", "2020-W01-4", "2020W014")
+
+
+@pytest.mark.parametrize(
+    "text, day",
+    [("2020-01-02", date(2020, 1, 2)), (" 2020-01-02\t", date(2020, 1, 2))]
+    + [(text, None) for text in OTHER_ISO_FORMS + ("2020-1-02", "2020-01-02T00:00", "+2020-01-02", "2020-02-30",
+                                                   "0000-01-01", "\u0662020-01-02", "")],
+)
+def test_a_date_cell_is_yyyy_mm_dd(text, day):
+    assert md._parse_day(text) == day
+
+
+@pytest.mark.parametrize("fmt", [md.FORMAT_LONG, md.FORMAT_WIDE])
+def test_other_iso_date_forms_are_malformed_rows(tmp_path, caplog, fmt):
+    if fmt == md.FORMAT_LONG:
+        lines = ["date,ticker,open,adj_close", " 2020-01-03 ,A,1,2"] + [f"{d},A,1,2" for d in OTHER_ISO_FORMS]
+    else:
+        lines = ["date,A", " 2020-01-03 ,2"] + [f"{d},2" for d in OTHER_ISO_FORMS]
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger=md.__name__):
+        table = md.load_prices(path, fmt)
+    assert table.dates == (date(2020, 1, 3),)
+    assert caplog.messages == [f"{path}: skipped 3 malformed rows"]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +441,8 @@ def oracle_load_long(path, warnings):
         if len(row) < 4:
             skipped += 1
             continue
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
+        day = md._parse_day(row[0])
+        if day is None:
             skipped += 1
             continue
         ticker = row[1].strip()
@@ -449,9 +489,8 @@ def oracle_parse_wide_grid(path, warnings):
     parsed = {}
     skipped = 0
     for row in rows[1:]:
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError:
+        day = md._parse_day(row[0])
+        if day is None:
             skipped += 1
             continue
         if day in parsed:
