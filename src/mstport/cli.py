@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.PriceTable | None]:
-    """Load the trading panel and, separately, the benchmark series table.
+    """Load the trading panel and, separately, the benchmark series table on its dates.
 
     The benchmark ticker is removed from the trading universe before the
     quality filter so index data never competes with stocks.
@@ -70,6 +70,8 @@ def _load_panel(cfg: RunConfig) -> tuple[market_data.PriceTable, market_data.Pri
     if ticker in table.tickers:
         table = market_data.drop_tickers(table, [ticker])
     filtered = market_data.quality_filter(table, cfg.max_missing_frac)
+    if benchmark is not None and benchmark.dates != filtered.dates:
+        raise DataError("benchmark dates do not align with the trading panel")
     return filtered, benchmark
 
 
@@ -187,8 +189,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if benchmark is not None:
         # Append the benchmark column for the engine to find by name.  It reads
         # only the column's closes and mask, so the closes stand in for opens.
-        if benchmark.dates != table.dates:
-            raise DataError("benchmark dates do not align with the trading panel")
         close = benchmark.adj_close
         table = market_data.PriceTable(
             table.dates,

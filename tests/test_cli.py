@@ -210,6 +210,8 @@ CONFIG_ERRORS = {
     "report without a dir": "error: report needs --out or a config with an output dir\n",
     "format csv": "error: data.format: expected long or wide, got 'csv'\n",
     "max_missing_frac 1.5": "error: data.max_missing_frac: must lie in [0, 1]\n",
+    "nnar_epochs -1": "error: strategy: nnar_epochs must be at least 0\n",
+    "initial_capital inf": "error: strategy: initial_capital must be finite and positive\n",
 }
 
 
@@ -226,6 +228,12 @@ def test_a_config_error_exits_2_with_its_message(tmp_path, capsys, case):
         argv = ["report"]
     elif case == "format csv":
         cfg_path.write_text(text.replace("format = long", "format = csv"), encoding="utf-8")
+    elif case == "nnar_epochs -1":
+        argv[0] = "simulate"
+        cfg_path.write_text(text.replace("nnar_epochs = 25", "nnar_epochs = -1"), encoding="utf-8")
+    elif case == "initial_capital inf":
+        argv[0] = "simulate"
+        cfg_path.write_text(text.replace("[strategy]\n", "[strategy]\ninitial_capital = inf\n"), encoding="utf-8")
     else:
         cfg_path.write_text(text.replace("[data]\n", "[data]\nmax_missing_frac = 1.5\n"), encoding="utf-8")
     assert main(argv) == 2
@@ -437,6 +445,37 @@ def test_ingest_prints_panel_statistics(tmp_path, capsys):
     assert "benchmark series: present" in out
 
 
+def test_ingest_prints_one_panel_for_a_plain_a_quoted_crlf_and_a_marked_file(tmp_path, capsys):
+    # The loader splits a plain file column-wise and reads a quoted or CRLF
+    # one through csv.reader; a UTF-8 byte-order mark is dropped.
+    plain = write_panel(tmp_path).read_text(encoding="utf-8").replace("\r\n", "\n")
+    quoted = plain.replace(",S01,", ',"S01",').replace("\n", "\r\n")
+    assert '"S01"' in quoted
+    printed = []
+    for name, data in (
+        ("plain", plain.encode("utf-8")),
+        ("quoted", quoted.encode("utf-8")),
+        ("marked", codecs.BOM_UTF8 + plain.encode("utf-8")),
+    ):
+        prices = tmp_path / f"{name}.csv"
+        prices.write_bytes(data)
+        assert main(["ingest", "--config", str(write_config(tmp_path, prices, tmp_path / "out"))]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0].out.startswith("dates: 100 (") and printed[0].err == ""
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
+def test_a_price_cell_past_the_csv_field_limit_exits_2(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,AAA\n2021-01-04," + "1" * 200_000 + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[data]\nprices = {prices}\nformat = wide\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot parse {prices}: field larger than field limit")
+
+
 @pytest.mark.parametrize("key", ["prices", "benchmark_prices", "sectors"])
 def test_an_input_path_too_long_to_stat_exits_2(tmp_path, capsys, key):
     cfg_path = write_ini(tmp_path, write_panel(tmp_path), key, str(tmp_path / ("x" * 300 + ".csv")))
@@ -532,6 +571,10 @@ def test_network_and_simulate_files_do_not_depend_on_the_pair_block_size(tmp_pat
         shutil.rmtree(sim_dir)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][1].count("warning: skipped window") > 0 and len(outputs[0][2]) > 10
+    # Both commands finish: network skips the flat windows, and simulate
+    # reports the rebuilds that failed amid estimable ones.
+    assert outputs[0][1].startswith("warning: skipped window ending ")
+    assert b"network recompute failed at " in outputs[0][2][("sim", "summary.json")]
 
 
 def test_network_and_simulate_reject_a_single_ticker_universe(tmp_path, capsys):
@@ -645,12 +688,14 @@ def test_benchmark_file_without_the_ticker_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "split").exists()
 
 
-def test_a_benchmark_file_on_other_dates_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ingest", "network", "simulate"])
+def test_a_benchmark_file_on_other_dates_is_an_error(tmp_path, capsys, command):
     idx = select_tickers(PANEL, ["IDX"])
     short = PriceTable(idx.dates[:-1], idx.tickers, idx.adj_close[:-1], idx.mask[:-1], idx.open_px[:-1])
     split = write_split_panel(tmp_path, short)
-    assert main(["simulate", "--config", str(split)]) == 2
-    assert capsys.readouterr().err == "error: benchmark dates do not align with the trading panel\n"
+    assert main([command, "--config", str(split)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: benchmark dates do not align with the trading panel\n")
     assert not (tmp_path / "split").exists()
 
 
@@ -833,7 +878,7 @@ def test_report_keeps_the_run_column_and_row_order(tmp_path):
 
 def test_report_errors_without_summary(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: no summary.json under {tmp_path}\n"
 
 
 @pytest.mark.parametrize(
@@ -1110,6 +1155,27 @@ def test_each_flag_stores_its_text_under_its_config_key():
         assert getattr(args, key) == "text"
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's ``mstport``."""
+    src = str(Path(mstport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_module_entry_runs_main_and_exits_with_its_code(tmp_path):
+    done = run_python("-m", "mstport.cli", "--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    listed = [line.split()[0] for line in done.stdout.splitlines() if line.startswith("    ")]
+    assert listed == ["ingest", "network", "simulate", "report"]
+    cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
+    text = cfg_path.read_text(encoding="utf-8").replace("[strategy]\n", "[strategy]\nmin_var_history = 60\n")
+    cfg_path.write_text(text, encoding="utf-8")
+    done = run_python("-m", "mstport.cli", "simulate", "--config", str(cfg_path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: strategy.min_var_history: unknown key\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Run in a fresh interpreter: the test process itself is frozen by the
 # first ``main`` call of any earlier test.
 FREEZE_PROBE = """
@@ -1132,15 +1198,7 @@ print(json.dumps({"counts": counts, "cycle_reclaimed": alive() is None}))
 
 def test_main_freezes_the_import_time_heap_once_per_process(tmp_path):
     cfg_path = write_config(tmp_path, write_panel(tmp_path), tmp_path / "out")
-    src = str(Path(mstport.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", FREEZE_PROBE, str(cfg_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_python("-c", FREEZE_PROBE, str(cfg_path))
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout.strip().splitlines()[-1])
     imported, first, second = got["counts"]
