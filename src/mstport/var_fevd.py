@@ -316,7 +316,11 @@ def influence_matrix(win: ReturnMatrix, horizon: int, mode: str = MODE_ORTHOGONA
     # the row-major window itself would move theta in its last bits.
     y = win.returns[:, order]
     # Unmasked returns are finite, so zeroing the unusable columns leaves
-    # no NaN behind.
+    # no NaN behind.  The pair cut below already keeps those columns out of
+    # theta; the zeros also keep them out if their pairs ever reach the rank
+    # test.  A zeroed column's Gram row is zero, so its pairs fail the test,
+    # but a column masked only on the window's last row has finite lags:
+    # with its NaN left in place its pairs would pass and put NaN into theta.
     all_usable = bool(usable.all())
     if not all_usable:
         y = np.where(usable[None, :], y, 0.0)

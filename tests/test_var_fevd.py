@@ -236,6 +236,15 @@ def test_influence_matrix_counts_degenerate_pairs():
     masked = vf.influence_matrix(md.ReturnMatrix(rets.dates, rets.tickers, rets.returns, mask), horizon=10)
     assert masked.degenerate == 0
     assert vf.influence_matrix(rets, horizon=10).degenerate == 0
+    # masked only on the window's last row (its lags are all finite) and
+    # only on its first row, NaN there as compute_returns leaves it
+    data, mask = rets.returns.copy(), rets.mask.copy()
+    data[-1, 3] = data[0, 4] = np.nan
+    mask[-1, 3] = mask[0, 4] = True
+    edges = vf.influence_matrix(md.ReturnMatrix(rets.dates, rets.tickers, data, mask), horizon=10)
+    assert (edges.degenerate, edges.fallbacks) == (0, 0)
+    assert np.all(edges.theta[3:, :] == 0.0) and np.all(edges.theta[:, 3:] == 0.0)
+    assert np.all(np.isfinite(edges.theta)) and edges.theta[:3, :3].any()
 
 
 def test_influence_matrix_counts_fevd_fallbacks():
