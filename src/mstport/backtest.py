@@ -439,7 +439,6 @@ class DecisionPath:
                 try:
                     win = market_data.window(self.returns, tau, self.base.window)
                     costs = var_fevd.to_cost(var_fevd.influence_matrix(win, self.base.horizon, self.base.fevd_mode))
-                    network.check_costs(costs.tickers, costs.symmetric)
                 except (EstimationError, DataError) as exc:
                     built.append((tau, exc))
                     continue

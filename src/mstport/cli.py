@@ -101,13 +101,15 @@ def _csv_field(text: str) -> str:
 def _cost_lines(costs: var_fevd.CostMatrix, window_end) -> Iterator[str]:
     """One window's ``costs.csv`` text, one string per ``cost_records`` block.
 
-    The stamp and each ticker are quoted once per window, not once per row.
-    A block's rows share their stamp-and-ticker head; each row adds the later
-    ticker's field and the cost's ``repr``, the bytes ``csv.writer`` writes.
+    Each pair i < j of the window is one ``window_end,ticker_i,ticker_j,cost``
+    row, source-major.  The stamp and each ticker are quoted once per window,
+    not once per row.  A block's rows share their stamp-and-ticker head; each
+    row adds the later ticker's field and the cost's ``repr``, the bytes
+    ``csv.writer`` writes.
     """
     stamp = _csv_field(window_end.isoformat()) + ","
     fields = [_csv_field(name) + "," for name in costs.tickers]
-    for i, (_, _, _, block) in enumerate(var_fevd.cost_records(costs, window_end)):
+    for i, block in enumerate(var_fevd.cost_records(costs)):
         head = stamp + fields[i]
         yield head + ("\r\n" + head).join(map(str.__add__, fields[i + 1 :], map(repr, block))) + "\r\n"
 

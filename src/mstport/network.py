@@ -44,30 +44,19 @@ class CentralityRanking:
         return tuple(t for t, _ in self.entries)
 
 
-def check_costs(tickers: tuple[str, ...], symmetric: np.ndarray) -> None:
-    """Reject an empty ticker set, or a non-finite off-diagonal cost in a window or a stack of them."""
-    n = len(tickers)
-    if n == 0:
-        raise DataError("cannot build a tree over an empty ticker set")
-    finite = np.isfinite(symmetric)
-    finite[..., range(n), range(n)] = True  # the diagonal is a self-edge sentinel
-    if not finite.all():
-        raise DataError("non-finite off-diagonal cost")
-
-
 def prim_mst_stack(tickers: tuple[str, ...], symmetric: np.ndarray) -> list[MstTree]:
     """Grow the minimum spanning tree of each window of a ``(B, N, N)`` stack of symmetric costs.
 
     The windows' trees grow together, one node per window per step, so
-    each numpy call covers every window.  The costs must pass
-    :func:`check_costs`.  A node outside a window's tree keeps its cheapest
-    edge into the tree and that edge's tie key ``rank(source) * N +
-    rank(node)``, over the tickers' lexicographic ranks; a node in the tree
-    holds a NaN cost, which no comparison picks or relaxes.  Each step
-    adds the least-cost edge and, among equal costs, the least key: the
-    smaller source ticker, then the smaller destination ticker.  A new node
-    takes over a frontier edge that it beats on cost, or ties with a
-    smaller source ticker.
+    each numpy call covers every window.  Every off-diagonal cost must be
+    finite, as every :func:`var_fevd.to_cost` output's is.  A node outside
+    a window's tree keeps its cheapest edge into the tree and that edge's
+    tie key ``rank(source) * N + rank(node)``, over the tickers'
+    lexicographic ranks; a node in the tree holds a NaN cost, which no
+    comparison picks or relaxes.  Each step adds the least-cost edge and,
+    among equal costs, the least key: the smaller source ticker, then the
+    smaller destination ticker.  A new node takes over a frontier edge that
+    it beats on cost, or ties with a smaller source ticker.
     """
     n = len(tickers)
     b = symmetric.shape[0]
@@ -105,8 +94,16 @@ def prim_mst_stack(tickers: tuple[str, ...], symmetric: np.ndarray) -> list[MstT
 
 
 def prim_mst(costs: CostMatrix) -> MstTree:
-    """Grow the minimum spanning tree of the symmetric cost graph: :func:`prim_mst_stack` on one window."""
-    check_costs(costs.tickers, costs.symmetric)
+    """Grow the minimum spanning tree of the symmetric cost graph: :func:`prim_mst_stack` on one window.
+
+    Rejects an empty ticker set and a non-finite off-diagonal cost.
+    """
+    if not costs.tickers:
+        raise DataError("cannot build a tree over an empty ticker set")
+    finite = np.isfinite(costs.symmetric)
+    np.fill_diagonal(finite, True)  # the diagonal is a self-edge sentinel
+    if not finite.all():
+        raise DataError("non-finite off-diagonal cost")
     return prim_mst_stack(costs.tickers, costs.symmetric[None])[0]
 
 

@@ -380,25 +380,22 @@ def to_cost(influence: InfluenceMatrix) -> CostMatrix:
     """Map influence shares to edge costs.
 
     Directed cost of i -> j is ``1 - theta[j, i]``; the symmetric cost is
-    the minimum of the two directions.  Diagonals are +inf sentinels.
+    the lesser of the two directions, ``1 - max(theta[i, j], theta[j, i])``.
+    Diagonals are +inf sentinels.  Every share must lie in [0, 1], so NaN
+    and +-inf are rejected and every off-diagonal cost is finite.
     """
     theta = influence.theta
-    if np.any((theta < 0.0) | (theta > 1.0)):
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise DataError("influence shares must lie in [0, 1]")
-    directed = 1.0 - theta.T
-    symmetric = np.minimum(directed, directed.T)
+    symmetric = 1.0 - np.maximum(theta, theta.T)
     np.fill_diagonal(symmetric, np.inf)
     return CostMatrix(tickers=influence.tickers, symmetric=symmetric)
 
 
-def cost_records(cost: CostMatrix, window_end) -> list[tuple[str, str, tuple[str, ...], list[float]]]:
-    """The audit dump's upper triangle, one block per source ticker.
+def cost_records(cost: CostMatrix) -> list[list[float]]:
+    """The audit dump's upper triangle: row i's costs to every later ticker.
 
-    Block i is ``(window_end, ticker_i, tickers[i+1:], costs[i, i+1:])``:
-    its rows are ``(window_end, ticker_i, ticker_j, cost)`` for every later
-    ticker j, so the blocks in order give the rows in source-major order.
-    The costs are Python floats, whose ``repr`` is the dump's text.
+    Block i is ``costs[i, i+1:]`` as Python floats, whose ``repr`` is the
+    dump's text; the blocks in order give the pairs in source-major order.
     """
-    stamp = window_end.isoformat()
-    names = cost.tickers
-    return [(stamp, names[i], names[i + 1 :], cost.symmetric[i, i + 1 :].tolist()) for i in range(len(names) - 1)]
+    return [cost.symmetric[i, i + 1 :].tolist() for i in range(len(cost.tickers) - 1)]

@@ -182,6 +182,37 @@ def write_wide_csv(table: PriceTable, path: Path) -> None:
         write_grid(table.open_px, path.with_name(path.stem + ".open" + path.suffix))
 
 
-def flat_cost_rows(blocks) -> list[tuple[str, str, str, float]]:
-    """The ``(window_end, ticker_i, ticker_j, cost)`` rows of ``cost_records`` blocks, in order."""
-    return [(stamp, ti, tj, cost) for stamp, ti, later, costs in blocks for tj, cost in zip(later, costs, strict=True)]
+def flat_cost_rows(stamp: str, tickers: tuple[str, ...], blocks) -> list[tuple[str, str, str, float]]:
+    """The ``(window_end, ticker_i, ticker_j, cost)`` rows of one window's ``cost_records`` blocks, in order."""
+    assert len(blocks) == max(len(tickers) - 1, 0)
+    return [
+        (stamp, tickers[i], tj, cost)
+        for i, costs in enumerate(blocks)
+        for tj, cost in zip(tickers[i + 1 :], costs, strict=True)
+    ]
+
+
+# How one window's influence shares are drawn: uniform; rounded to halves or
+# thirds, so many costs tie; with some tickers' shares zero, so their cost
+# rows are 1.0 like a masked ticker's; all one, so every cost is 0.0 as
+# ``as_written`` shares clamped at one give; or subnormal, below 2**-1022.
+THETA_KINDS = ("uniform", "halves", "thirds", "masked", "zero", "subnormal")
+
+
+def drawn_theta(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n theta of shares in [0, 1] of one of ``THETA_KINDS``, diagonal zero."""
+    theta = rng.uniform(0.0, 1.0, (n, n))
+    if kind == "halves":
+        theta = np.round(theta * 2.0) / 2.0
+    elif kind == "thirds":
+        theta = np.round(theta * 3.0) / 3.0
+    elif kind == "masked":
+        gone = rng.random(n) < 0.4
+        theta[gone, :] = 0.0
+        theta[:, gone] = 0.0
+    elif kind == "zero":
+        theta = np.ones((n, n))
+    elif kind == "subnormal":
+        theta = theta * 2.0 ** -int(rng.integers(1022, 1075))
+    np.fill_diagonal(theta, 0.0)
+    return theta

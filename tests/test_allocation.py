@@ -224,6 +224,8 @@ def test_weight_vector_invariants_enforced():
         al.from_raw(("A",), [-0.1])
     with pytest.raises(errors.DataError):
         al.from_raw(("A", "B"), [0.1, np.inf])
+    with pytest.raises(errors.DataError, match=r"^tickers and raw weights are misaligned$"):
+        al.from_raw(("A", "B"), [0.5])
     with pytest.raises(errors.DataError):
         al.WeightVector(entries=(("A", 1.0, 0.7), ("B", 1.0, 0.7)))
     with pytest.raises(errors.DataError):

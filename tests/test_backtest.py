@@ -230,6 +230,10 @@ def test_execute_day_errors_without_prices():
         execute_day(held, 0, EMPTY_WEIGHTS, exec_prices={}, close_prices={})
     with pytest.raises(DataError):
         execute_day(fresh_state(), 2, EMPTY_WEIGHTS, exec_prices={}, close_prices={})
+    # Targets whose weights sum above one spend more cash than there is.
+    px, fresh = [10.0, 10.0], [False, False]
+    with pytest.raises(DataError, match="^cash account went negative$"):
+        backtest.execute_day(1000.0, [], 1, [(0, 0.7), (1, 0.6)], px, fresh, px, fresh, ["A", "B"])
 
 
 def test_execute_day_holds_a_target_column_named_twice_as_two_lots():
@@ -934,6 +938,11 @@ def test_simulation_rejects_short_history_and_tiny_universe():
     cfg30 = make_strategy(StrategyConfig(window=30), "mst_var")
     with pytest.raises(DataError):
         run_simulation(cfg30, solo, market_data.compute_returns(solo))
+    panel = random_walk_table(4, 80, seed=3)
+    returns = market_data.compute_returns(panel)
+    late = market_data.window(returns, len(returns.dates) - 1, len(returns.dates) - 1)  # drops the first day
+    with pytest.raises(DataError, match="^returns are not aligned to the price panel$"):
+        run_simulation(cfg30, panel, late)
 
 
 # ---------------------------------------------------------------------------

@@ -1260,17 +1260,20 @@ def test_outputs_match_the_csv_writer_oracle_on_names_that_need_quoting(tmp_path
     out_dir = tmp_path / "out"
     cfg_path = write_config(tmp_path, prices, out_dir, strategies="buy_hold,mst_var,mst_sharpe")
 
-    rows: list[tuple[str, str, str, float]] = []
+    windows: list[tuple[tuple[str, ...], list[list[float]]]] = []
     cost_records = var_fevd.cost_records
 
-    def recorded_cost_records(*args, **kwargs):
-        blocks = cost_records(*args, **kwargs)
-        rows.extend(flat_cost_rows(blocks))
-        return blocks
+    def recorded_cost_records(cost):
+        windows.append((cost.tickers, cost_records(cost)))
+        return windows[-1][1]
 
     monkeypatch.setattr(var_fevd, "cost_records", recorded_cost_records)
     assert main(["network", "--config", str(cfg_path), "--rebalance-every", "20"]) == 0
     got = (out_dir / "costs.csv").read_bytes()
+    # One tree file per written window, named by its end date, in run order.
+    stamps = sorted(p.name[len("mst_") : -len(".dot")] for p in out_dir.glob("mst_*.dot"))
+    assert len(stamps) == len(windows)
+    rows = [row for stamp, window in zip(stamps, windows) for row in flat_cost_rows(stamp, *window)]
     assert len(rows) == 4 * 15
     assert {name for row in rows for name in row[1:3]} >= set(QUOTED_NAMES.values())
     assert b'"A,B"' in got and b'"A""B"' in got and b'"A\nB"' in got

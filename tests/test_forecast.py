@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,17 @@ def test_arima_rejects_non_finite_series():
     x[3] = np.nan
     with pytest.raises(ValueError):
         fc.arima_fit(x)
+    with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+        fc.arima_fit(np.full((2, 60), 0.01))
+
+
+def test_arima_forecast_rejects_an_unsupported_d_and_a_series_shorter_than_p():
+    y = np.random.default_rng(18).normal(0.0, 0.01, 60)
+    model = fc.arima_fit(y, order=(2, 0, 0))
+    with pytest.raises(ValueError, match=r"^only d in \{0, 1\} is supported$"):
+        fc.arima_forecast(replace(model, order=(2, 2, 0)), y)
+    with pytest.raises(errors.InsufficientHistory, match="^series shorter than the AR order$"):
+        fc.arima_forecast(model, y[:1])
 
 
 # Every candidate's sum of squared residuals overflows to inf.
@@ -898,11 +910,17 @@ def test_nnar_input_validation():
     bad[5] = np.inf
     with pytest.raises(ValueError):
         fc.nnar_fit(bad, p=5, k=3, seed=0)
+    with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+        fc.nnar_fit(np.stack([series, series]), p=5, k=3, seed=0)
     model = fc.nnar_fit(series, p=5, k=3, seed=0, epochs=10)
     with pytest.raises(ValueError):
         fc.nnar_forecast(model, series[-4:])
     with pytest.raises(ValueError):
         fc.nnar_forecast(model, series[-6:])
+    tail = series[-5:].copy()
+    tail[2] = np.nan
+    with pytest.raises(ValueError, match="^inputs contain non-finite values$"):
+        fc.nnar_forecast(model, tail)
 
 
 def test_forecast_uses_most_recent_observation_first():

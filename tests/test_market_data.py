@@ -178,6 +178,16 @@ def test_wide_rejects_an_empty_file(tmp_path, text):
         md.load_prices(path, md.FORMAT_WIDE)
 
 
+@pytest.mark.parametrize(
+    "header, message", [("date,A,,B", "blank ticker column name"), ("date,A,B,A", "duplicate ticker columns")]
+)
+def test_wide_rejects_a_blank_or_duplicate_ticker_column(tmp_path, header, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(header + "\n2021-01-04,1.0,2.0,3.0\n")
+    with pytest.raises(errors.DataError, match=f"^{re.escape(str(path))}: {message}$"):
+        md.load_prices(path, md.FORMAT_WIDE)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("date,A\n2021-01-04,1.0\n")
@@ -231,6 +241,10 @@ def test_table_rejects_unsorted_dates_and_duplicate_tickers():
         md.PriceTable((days[1], days[0]), ("A", "B"), grid, mask)
     with pytest.raises(errors.DataError, match="duplicate"):
         md.PriceTable(days, ("A", "A"), grid, mask)
+    with pytest.raises(errors.DataError, match="^price/mask shape does not match dates x tickers$"):
+        md.PriceTable(days, ("A", "B"), grid[:, :1], mask)
+    with pytest.raises(errors.DataError, match="^open matrix shape does not match closes$"):
+        md.PriceTable(days, ("A", "B"), grid, mask, grid[:1])
 
 
 def test_return_matrix_rejects_duplicate_tickers():

@@ -366,6 +366,13 @@ def test_influence_matrix_failure_modes():
     )
     with pytest.raises(errors.EstimationError):
         vf.influence_matrix(flat, horizon=10)
+    with pytest.raises(ValueError, match="^unknown fevd mode 'sideways'$"):
+        vf.influence_matrix(flat, horizon=10, mode="sideways")
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        vf.influence_matrix(flat, horizon=0)
+    short = md.window(synth.random_returns(3, 60, seed=24), 3, 4)
+    with pytest.raises(errors.InsufficientHistory, match="^window too short for VAR estimation$"):
+        vf.influence_matrix(short, horizon=10)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +394,33 @@ def test_cost_transform_directed_and_symmetric():
 
 
 def test_cost_rejects_shares_outside_unit_interval():
-    bad = vf.InfluenceMatrix(tickers=("A", "B"), theta=np.array([[0.0, 1.2], [0.4, 0.0]]))
-    with pytest.raises(errors.DataError):
-        vf.to_cost(bad)
+    for cell in (1.2, -0.1, np.nan, np.inf, -np.inf):
+        bad = vf.InfluenceMatrix(tickers=("A", "B"), theta=np.array([[0.0, cell], [0.4, 0.0]]))
+        with pytest.raises(errors.DataError, match=r"^influence shares must lie in \[0, 1\]$"):
+            vf.to_cost(bad)
+
+
+def test_cost_is_the_lesser_directed_cost_bit_for_bit():
+    rng = RNG(44)
+    for draw in range(3000):
+        n = int(rng.integers(1, 12))
+        theta = synth.drawn_theta(synth.THETA_KINDS[draw % len(synth.THETA_KINDS)], n, rng)
+        directed = 1.0 - theta.T
+        want = np.minimum(directed, directed.T)
+        np.fill_diagonal(want, np.inf)
+        names = tuple(f"T{k:02d}" for k in range(n))
+        got = vf.to_cost(vf.InfluenceMatrix(tickers=names, theta=theta)).symmetric
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cost_records_upper_triangle_rows():
     theta = np.array([[0.0, 0.2, 0.1], [0.3, 0.0, 0.5], [0.4, 0.6, 0.0]])
     cost = vf.to_cost(vf.InfluenceMatrix(tickers=("A", "B", "C"), theta=theta))
-    blocks = vf.cost_records(cost, synth.day_range(1)[0])
-    assert [(b[1], b[2]) for b in blocks] == [("A", ("B", "C")), ("B", ("C",))]
-    records = synth.flat_cost_rows(blocks)
+    blocks = vf.cost_records(cost)
+    assert blocks == [[cost.symmetric[0, 1], cost.symmetric[0, 2]], [cost.symmetric[1, 2]]]
+    records = synth.flat_cost_rows("2021-01-04", cost.tickers, blocks)
     assert [(r[1], r[2]) for r in records] == [("A", "B"), ("A", "C"), ("B", "C")]
-    assert all(r[0] == "2021-01-04" for r in records)
-    np.testing.assert_allclose(
-        [r[3] for r in records],
-        [cost.symmetric[0, 1], cost.symmetric[0, 2], cost.symmetric[1, 2]],
-    )
+    np.testing.assert_allclose([r[3] for r in records], [0.7, 0.6, 0.4])
 
 
 def test_cost_records_equal_the_per_pair_loop():
@@ -417,7 +434,7 @@ def test_cost_records_equal_the_per_pair_loop():
         for i in range(17)
         for j in range(i + 1, 17)
     ]
-    got = synth.flat_cost_rows(vf.cost_records(cost, synth.day_range(1)[0]))
+    got = synth.flat_cost_rows("2021-01-04", names, vf.cost_records(cost))
     assert got == want
     assert all(type(row[3]) is float for row in got)  # repr gives the CSV text
 
